@@ -20,7 +20,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -77,7 +76,6 @@ class ConfigError(ValueError):
 _COMMON_PROPS = {
     "seed": {"type": "integer", "minimum": 0},
     "realizations": {"type": "integer", "minimum": 1},
-    "threads": {"type": "integer", "minimum": 1},
 }
 
 _NUMBER_LIST = {"type": "array", "minItems": 1, "items": {"type": "number"}}
@@ -205,7 +203,6 @@ class ExperimentConfig:
     params: dict
     seed: int = 0
     realizations: int = 200
-    threads: int = 1
     out: str = "results"
 
     def serialize(self) -> str:
@@ -232,13 +229,15 @@ def resolve_config(
     seed: int | None,
     out: str | None,
     realizations: int | None,
-    threads: int | None,
 ) -> ExperimentConfig:
-    """Merge defaults, the optional config document, and CLI overrides."""
+    """Merge defaults, the optional config document and CLI overrides.
+
+    The merged document is validated once against the experiment's
+    schema, so a flag is held to the same bounds as a config key.
+    """
     if kind not in PARAM_SCHEMAS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    params = dict(DEFAULT_PARAMS[kind])
-    base = {"seed": 0, "realizations": 200, "threads": 1, "out": "results"}
+    merged = {**DEFAULT_PARAMS[kind], "seed": 0, "realizations": 200}
     if config_path is not None:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -246,23 +245,18 @@ def resolve_config(
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        try:
-            jsonschema.validate(doc, PARAM_SCHEMAS[kind])
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config fails schema: {exc.message}") from exc
-        for key in ("seed", "realizations", "threads"):
-            if key in doc:
-                base[key] = doc.pop(key)
-        params.update(doc)
-    for key, val in (
-        ("seed", seed),
-        ("realizations", realizations),
-        ("threads", threads),
-        ("out", out),
-    ):
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        merged.update(doc)
+    for key, val in (("seed", seed), ("realizations", realizations)):
         if val is not None:
-            base[key] = val
-    return ExperimentConfig(kind=kind, params=params, **base)
+            merged[key] = val
+    try:
+        jsonschema.validate(merged, PARAM_SCHEMAS[kind])
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config fails schema: {exc.message}") from exc
+    seed, realizations = merged.pop("seed"), merged.pop("realizations")
+    return ExperimentConfig(kind, merged, seed, realizations, out or "results")
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +324,6 @@ def _write_outputs(
     return paths
 
 
-def _map(threads: int, fn, items):
-    """Order-preserving map, optionally on a thread pool."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmean(values) -> float:
     """Compensated mean so realization order cannot change the result."""
     values = list(values)
@@ -384,8 +370,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> list[ResultTable]:
         metadata={"n_chain": N, "kappa_khz": kappa_khz, "d_nm": d},
     )
 
-    def realization_modes(args):
-        sigma_frac, stream = args
+    def realization_modes(sigma_frac, stream):
         spec = DisorderSpec(1.0, sigma_frac, master_seed=config.seed)
         pos = sample_positions(spec, N, stream)
         J = couplings_from_positions(pos, RangeRule.NEAREST_NEIGHBOR)
@@ -393,11 +378,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> list[ResultTable]:
 
     for sigma_nm in p["sigma_d_nm"]:
         frac = sigma_nm / d
-        modes_list = _map(
-            config.threads,
-            realization_modes,
-            [(frac, s) for s in range(config.realizations)],
-        )
+        modes_list = [realization_modes(frac, s) for s in range(config.realizations)]
         bond_samples = [
             np.diag(couplings_from_positions(
                 sample_positions(DisorderSpec(1.0, frac, master_seed=config.seed), N, s),
@@ -474,11 +455,9 @@ def run_strong_coupling_scan(config: ExperimentConfig) -> list[ResultTable]:
             "g_grid": p["g_grid"],
         },
     )
-    results = _map(
-        config.threads,
-        lambda N: (N, *_strong_coupling_optimum(N, p["g_grid"], p["n_times"])),
-        p["n_list"],
-    )
+    results = [
+        (N, *_strong_coupling_optimum(N, p["g_grid"], p["n_times"])) for N in p["n_list"]
+    ]
     for N, g_m, tau, F, ok in results:
         table.add(N, g_m, tau, F, int(ok))
     fit_rows = [(N, g) for N, g, _, _, ok in results if ok]
@@ -707,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--out", help="output directory (default ./results)")
         sp.add_argument("--realizations", type=int, help="ensemble size")
-        sp.add_argument("--threads", type=int, help="worker threads")
     return parser
 
 
@@ -716,8 +694,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         config = resolve_config(
-            args.command, args.config, args.seed, args.out,
-            args.realizations, args.threads,
+            args.command, args.config, args.seed, args.out, args.realizations
         )
         result = _RUNNERS[config.kind](config)
     except ConfigError as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "DegenerateModeError",
     "NoTransferModeError",
     "eigenmodes",
+    "evolve",
     "propagator",
     "select_resonant_mode",
     "bdg_diagonalize",
@@ -134,14 +135,17 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     return EigenmodeSet(w, v)
 
 
+def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) from the eigendecomposition H = v diag(w) v^dag."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def propagator(K: np.ndarray, t: float) -> Propagator:
     """exp(-iKt) through a full Hermitian eigendecomposition."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    K = np.asarray(K)
-    w, v = np.linalg.eigh(K)
-    M = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(M, t)
+    w, v = np.linalg.eigh(np.asarray(K))
+    return Propagator(evolve(w, v, t), t)
 
 
 def propagator_elements(K: np.ndarray, times: np.ndarray):
@@ -314,7 +318,7 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
     )
     A = build_bdg_matrix(full_spec, include_registers=True)
     w, v = np.linalg.eigh(A)
-    U = (v * np.exp(-2j * w * tau)) @ v.T  # phi(t) = exp(-2iAt) phi
+    U = evolve(w, v, 2.0 * tau)  # phi(t) = exp(-2iAt) phi
     m = n + 2
     iL, iR = 0, n + 1  # particle rows of the registers
     block = np.array([[U[iL, iL], U[iL, iR]], [U[iR, iL], U[iR, iR]]])

@@ -1,10 +1,14 @@
 """Exact many-body engine for XX chains with arbitrary-range couplings.
 
 The Hamiltonians conserve total magnetization, so they block-diagonalize
-by Hamming weight of the computational basis.  Channel fidelities are
-evaluated exactly by materializing the full protocol unitary (composed
-sector-wise, with the encode/decode CNOTs as basis permutations) and
-contracting it against the infinite-temperature environment trace.
+by Hamming weight of the computational basis.  Every protocol channel is
+a ``SectorChannel``: a basis permutation (the encode CNOT, or the
+identity), one unitary block per magnetization sector, and another
+permutation (the decode CNOT).  ``channel_traces`` contracts the Pauli
+transfer traces against the diagonal environment state block by block,
+so no 2^n x 2^n matrix is ever formed.  Memory is counted in sets of
+sector blocks, sum_w C(n, w)^2 complex entries (0.64 GB at 14 spins); an
+encoded-protocol point holds about five such sets at its peak.
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -14,21 +18,23 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .dynamics import evolve
 
 __all__ = [
     "ResourceLimitError",
     "SectorBasis",
     "SectorHamiltonian",
+    "SectorChannel",
     "ProtocolSpec",
     "ExactChannelResult",
     "build_many_body",
     "build_many_body_from_k",
     "exact_unitary",
     "channel_traces",
-    "encoded_protocol_unitary",
     "exact_channel_fidelity",
     "EncodedProtocolEngine",
     "transfer_channel_traces",
@@ -95,10 +101,10 @@ def build_many_body(
     dropped.
     """
     if n > cap:
-        mem = (math.comb(n, n // 2) ** 2) * 16 / 1e9
+        mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 16 / 1e9
         raise ResourceLimitError(
-            f"{n} qubits exceeds the cap of {cap}; the largest sector block "
-            f"alone needs about {mem:.1f} GB"
+            f"{n} qubits exceeds the cap of {cap}; one set of complex sector "
+            f"blocks needs about {mem:.1f} GB"
         )
     J = np.asarray(J, float)
     if J.shape != (n, n) or not np.allclose(J, J.T, atol=1e-12):
@@ -145,19 +151,11 @@ def exact_unitary(H: SectorHamiltonian, t: float) -> list[np.ndarray]:
     """Per-sector unitaries exp(-i H_w t) from cached eigendecompositions."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    out = []
-    for w, V in H.eig():
-        out.append((V * np.exp(-1j * w * t)) @ V.conj().T)
-    return out
+    return [evolve(w, V, t) for w, V in H.eig()]
 
 
 # ---------------------------------------------------------------------------
 # channel evaluation
-
-
-def _apply_sectors(V: np.ndarray, Us: list[np.ndarray], basis: SectorBasis) -> None:
-    for idx, U in zip(basis.sectors, Us):
-        V[idx, :] = U @ V[idx, :]
 
 
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
@@ -165,24 +163,21 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return np.where(((s >> control) & 1) == 1, s ^ (1 << target), s)
 
 
-def apply_ops(V: np.ndarray, ops: list, n: int, basis: SectorBasis) -> np.ndarray:
-    """Apply an ordered operation list to the columns of V (in place).
+@dataclass(frozen=True)
+class SectorChannel:
+    """A channel unitary V = P_dec (+)_w B_w P_enc.
 
-    Each op is ``("sectors", [U_w])``, ``("cnot", control, target)`` or
-    ``("z", site)``.
+    ``blocks[w]`` acts on the Hamming-weight-w sector of ``basis``;
+    ``enc`` and ``dec`` are basis permutations given as gather maps, so
+    V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c] both
+    have weight w, and 0 otherwise.  For self-inverse permutations (CNOTs
+    and the identity) this is the operator product.
     """
-    for op in ops:
-        kind = op[0]
-        if kind == "sectors":
-            _apply_sectors(V, op[1], basis)
-        elif kind == "cnot":
-            V[:] = V[_cnot_perm(n, op[1], op[2]), :]
-        elif kind == "z":
-            sign = 1.0 - 2.0 * ((np.arange(1 << n) >> op[1]) & 1)
-            V *= sign[:, None]
-        else:
-            raise ValueError(f"unknown channel op {kind!r}")
-    return V
+
+    basis: SectorBasis
+    blocks: list[np.ndarray]
+    enc: np.ndarray
+    dec: np.ndarray
 
 
 def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
@@ -210,68 +205,74 @@ def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
     return w
 
 
-def _apply_in_op(V: np.ndarray, which: str, site: int, w: np.ndarray) -> np.ndarray:
-    """X = V (op_in (x) rho_env) for a single-site input operator."""
-    s = np.arange(V.shape[0])
-    bit = (s >> site) & 1
-    if which == "z":
-        return V * (w * (1.0 - 2.0 * bit))[None, :]
-    flip = s ^ (1 << site)
-    if which == "x":
-        return V[:, flip] * w[None, :]
-    if which == "y":
-        return V[:, flip] * (w * 1j * (1.0 - 2.0 * bit))[None, :]
-    if which == "minus":  # |1><0|
-        X = V[:, flip] * (w * (bit == 0))[None, :]
-        return X
-    raise ValueError(which)
+# Single-site operators as (flip, [value on bit 0, value on bit 1]):
+# op|b> = value_b |b ^ flip>.  Bit 0 is spin up, so |1><0| lowers.
+_X = (1, np.array([1.0, 1.0]))
+_Y = (1, np.array([1j, -1j]))
+_Z = (0, np.array([1.0, -1.0]))
+_LOWER = (1, np.array([1.0, 0.0]))  # |1><0|
+_RAISE = (1, np.array([0.0, 1.0]))  # |0><1|
+# trace name -> (input operator, output operator); both flip alike
+_TRACE_OPS = {"x": (_X, _X), "y": (_Y, _Y), "z": (_Z, _Z), "s": (_LOWER, _RAISE)}
 
 
-def _apply_out_op(X: np.ndarray, which: str, site: int) -> np.ndarray:
-    s = np.arange(X.shape[0])
-    bit = (s >> site) & 1
-    if which == "z":
-        return X * (1.0 - 2.0 * bit)[:, None]
-    flip = s ^ (1 << site)
-    if which == "x":
-        return X[flip, :]
-    if which == "y":
-        # sy|0> = i|1>, sy|1> = -i|0>; row i receives from flipped row
-        return X[flip, :] * (1j * (2.0 * bit - 1.0))[:, None]
-    if which == "plus":  # |0><1|
-        return X[flip, :] * (bit == 0)[:, None]
-    raise ValueError(which)
+def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices of the non-negative integer array ``key`` grouped by value."""
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key)
+    ends = np.cumsum(counts)
+    return {k: order[ends[k] - counts[k] : ends[k]] for k in np.flatnonzero(counts).tolist()}
 
 
 def channel_traces(
-    ops: list,
-    n: int,
-    in_site: int,
-    out_site: int,
-    env_weights: np.ndarray,
-    basis: SectorBasis | None = None,
+    channel: SectorChannel, in_site: int, out_site: int, env_weights: np.ndarray
 ) -> dict[str, complex]:
-    """Exact Pauli transfer traces of the channel defined by ``ops``.
+    """Exact Pauli transfer traces of a sector-wise channel.
 
     Returns T_i = Tr[s^i_out E(s^i_in)] for i in {x, y, z} plus the
-    coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)].  The average
-    channel fidelity is 1/2 + (T_x + T_y + T_z)/12.
+    coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)], where
+    E(A) = Tr_rest[V (A (x) rho_env) V^dag] and ``env_weights`` is the
+    diagonal of rho_env over the full basis.  The average channel
+    fidelity is 1/2 + (T_x + T_y + T_z)/12.
+
+    Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
+    r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
+    times the environment weight and q the output operator's value.  Rows
+    and columns are grouped by the sector pair (w, w') that V[r, c] and
+    V[r', c'] fall in, and only the matching sub-blocks of B_w and B_w'
+    are gathered; columns of zero environment weight are skipped.
     """
-    basis = basis or SectorBasis(n)
-    V = np.eye(1 << n, dtype=complex)
-    apply_ops(V, ops, n, basis)
-    Vc = V.conj()
-    out = {}
-    for key, (oi, oo) in {
-        "x": ("x", "x"),
-        "y": ("y", "y"),
-        "z": ("z", "z"),
-        "s": ("minus", "plus"),
-    }.items():
-        X = _apply_in_op(V, oi, in_site, env_weights)
-        Y = _apply_out_op(X, oo, out_site)
-        out[key] = complex(np.sum(Y * Vc))
-    return out
+    basis = channel.basis
+    n = basis.n
+    stride = n + 1
+    states = np.arange(1 << n)
+    row_sector, row_pos = basis.weights[channel.dec], basis.position[channel.dec]
+    col_sector, col_pos = basis.weights[channel.enc], basis.position[channel.enc]
+    live = np.flatnonzero(env_weights)
+    in_bit = (live >> in_site) & 1
+    out_bit = (states >> out_site) & 1
+    traces = {}
+    for flip in (0, 1):
+        keys = [k for k, (op_in, _) in _TRACE_OPS.items() if op_in[0] == flip]
+        d = {k: _TRACE_OPS[k][0][1][in_bit] * env_weights[live] for k in keys}
+        q = {k: _TRACE_OPS[k][1][1][out_bit ^ flip] for k in keys}
+        rows2 = states ^ (flip << out_site)
+        cols2 = live ^ (flip << in_site)
+        row_groups = _groups(row_sector * stride + row_sector[rows2])
+        col_groups = _groups(col_sector[live] * stride + col_sector[cols2])
+        sums = dict.fromkeys(keys, 0j)
+        for pair, R in row_groups.items():
+            C = col_groups.get(pair)
+            if C is None:
+                continue
+            w, w2 = divmod(pair, stride)
+            A = channel.blocks[w][row_pos[R][:, None], col_pos[live[C]]]
+            A2 = channel.blocks[w2][row_pos[rows2[R]][:, None], col_pos[cols2[C]]]
+            M = A.conj() * A2
+            for k in keys:
+                sums[k] += q[k][R] @ M @ d[k][C]
+        traces.update(sums)
+    return {k: complex(traces[k]) for k in _TRACE_OPS}
 
 
 @dataclass(frozen=True)
@@ -350,101 +351,61 @@ def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
     return build_many_body(J, n, fields, cap=cap)
 
 
-def _decode_cnot(p: ProtocolSpec) -> tuple:
-    """Decode CNOT controlled on the readout qubit, targeting its partner."""
-    b, a = p.site_index("(N+1)b"), p.site_index("(N+1)a")
-    return ("cnot", b, a) if p.readout == "b" else ("cnot", a, b)
-
-
-def encoded_protocol_unitary(p: ProtocolSpec, cap: int = _DEFAULT_CAP) -> list:
-    """Ordered op list: encode CNOT, leg a, leg b, decode CNOT."""
-    Ha = _leg_hamiltonian(p, "a", cap)
-    Hb = _leg_hamiltonian(p, "b", cap)
-    return [
-        ("cnot", p.site_index("0a"), p.site_index("0b")),
-        ("sectors", exact_unitary(Ha, p.t_a)),
-        ("sectors", exact_unitary(Hb, p.t_b)),
-        _decode_cnot(p),
-    ]
-
-
-def exact_channel_fidelity(p: ProtocolSpec, cap: int = _DEFAULT_CAP) -> ExactChannelResult:
-    """Exact encoded-protocol fidelity for an unpolarized bus.
-
-    The input qubit rides on 0_a; 0_b starts in |up>; the chain is at
-    infinite temperature; the receiving pair starts in the classical
-    logical mixture (|00><00| + |11><11|)/2.
-    """
-    t0 = _time.perf_counter()
-    n = p.n_total
-    ops = encoded_protocol_unitary(p, cap=cap)
-    in_site = p.site_index("0a")
-    out_site = p.site_index("(N+1)b" if p.readout == "b" else "(N+1)a")
-    env = mixed_environment(
-        n,
-        in_site,
-        fixed={p.site_index("0b"): 0},
-        correlated_pairs=[(p.site_index("(N+1)b"), p.site_index("(N+1)a"))],
-    )
-    traces = channel_traces(ops, n, in_site, out_site, env)
-    return _result_from_traces(traces, p.model, t0)
-
-
 class EncodedProtocolEngine:
     """Reusable engine for scanning transfer times at fixed couplings.
 
     The per-leg sector eigendecompositions depend on (chain couplings, g)
-    only, so a time grid costs one extra matrix product per point.
+    only, so a time grid costs the sector-wise evolution and contraction
+    per point.  The input qubit rides on 0_a; 0_b starts in |up>; the
+    chain is at infinite temperature; the receiving pair starts in the
+    classical logical mixture (|00><00| + |11><11|)/2.
     """
 
     def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
                  readout="b", model="custom", cap: int = _DEFAULT_CAP):
-        self.proto = ProtocolSpec(
+        self.proto = p = ProtocolSpec(
             n_chain, np.asarray(chain_couplings, float), float(g), 0.0, 0.0,
             chain_fields, readout, model,
         )
         self.cap = cap
-        self._Ha = _leg_hamiltonian(self.proto, "a", cap)
-        self._Hb = _leg_hamiltonian(self.proto, "b", cap)
+        self._Ha = _leg_hamiltonian(p, "a", cap)
+        self._Hb = _leg_hamiltonian(p, "b", cap)
         self._Ha.eig()
         self._Hb.eig()
-        self._basis = self._Ha.basis
+        n = p.n_total
+        b, a = p.site_index("(N+1)b"), p.site_index("(N+1)a")
+        # the decode CNOT is controlled on the readout qubit
+        readout_site, partner = (b, a) if readout == "b" else (a, b)
+        self._in_site, self._out_site = p.site_index("0a"), readout_site
+        self._enc = _cnot_perm(n, self._in_site, p.site_index("0b"))
+        self._dec = _cnot_perm(n, readout_site, partner)
         self._env = mixed_environment(
-            self.proto.n_total,
-            self.proto.site_index("0a"),
-            fixed={self.proto.site_index("0b"): 0},
-            correlated_pairs=[
-                (self.proto.site_index("(N+1)b"), self.proto.site_index("(N+1)a"))
-            ],
+            n, self._in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
         )
 
     def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
         """Exact fidelity at leg time t (both legs, unless t_b differs).
 
-        Both legs are block-diagonal in the same magnetization sectors,
-        so the full protocol unitary is (encode perm) x (sector blocks)
-        x (decode perm) and is materialized by a single scatter.
+        Both legs are block-diagonal in the same magnetization sectors, so
+        the protocol is the ``SectorChannel`` (encode CNOT, B_w A_w,
+        decode CNOT).
         """
         t0 = _time.perf_counter()
-        p = self.proto
-        n = p.n_total
         Ua = exact_unitary(self._Ha, t)
         Ub = exact_unitary(self._Hb, t if t_b is None else t_b)
-        enc = _cnot_perm(n, p.site_index("0a"), p.site_index("0b"))
-        dec_op = _decode_cnot(p)
-        dec = _cnot_perm(n, dec_op[1], dec_op[2])
-        V = np.zeros((1 << n, 1 << n), dtype=complex)
-        for idx, Bw, Aw in zip(self._basis.sectors, Ub, Ua):
-            V[np.ix_(dec[idx], enc[idx])] = Bw @ Aw
-        out_site = p.site_index("(N+1)b" if p.readout == "b" else "(N+1)a")
-        traces = {}
-        for key, (oi, oo) in {
-            "x": ("x", "x"), "y": ("y", "y"), "z": ("z", "z"), "s": ("minus", "plus"),
-        }.items():
-            X = _apply_in_op(V, oi, p.site_index("0a"), self._env)
-            Y = _apply_out_op(X, oo, out_site)
-            traces[key] = complex(np.sum(Y * V.conj()))
-        return _result_from_traces(traces, p.model, t0)
+        channel = SectorChannel(
+            self._Ha.basis, [B @ A for A, B in zip(Ua, Ub)], self._enc, self._dec
+        )
+        traces = channel_traces(channel, self._in_site, self._out_site, self._env)
+        return _result_from_traces(traces, self.proto.model, t0)
+
+
+def exact_channel_fidelity(p: ProtocolSpec, cap: int = _DEFAULT_CAP) -> ExactChannelResult:
+    """Exact encoded-protocol fidelity for an unpolarized bus (one point)."""
+    engine = EncodedProtocolEngine(
+        p.n_chain, p.chain_couplings, p.g, p.chain_fields, p.readout, p.model, cap
+    )
+    return engine.fidelity(p.t_a, p.t_b)
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +432,22 @@ def transfer_channel_traces(
     configuration instead of the maximally mixed state (used to probe the
     parity dependence of the one-way swap).
     """
+    if kind not in ("double_swap", "single_swap", "remote_z"):
+        raise ValueError(f"unknown channel kind {kind!r}")
     K = np.asarray(K)
     n = K.shape[0]
     H = build_many_body_from_k(K, cap=cap)
     U = exact_unitary(H, t)
-    if kind == "double_swap":
-        ops = [("sectors", U)]
-        in_site, out_site = 0, 0
-    elif kind == "single_swap":
-        ops = [("sectors", U)]
-        in_site, out_site = 0, n - 1
-    elif kind == "remote_z":
-        ops = [("sectors", U), ("z", n - 1), ("sectors", U)]
-        in_site, out_site = 0, 0
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
+    out_site = n - 1 if kind == "single_swap" else 0
+    if kind == "remote_z":
+        # the z flip is diagonal, so U Z U stays block-diagonal: U_w S_w U_w
+        U = [
+            (u * (1.0 - 2.0 * ((idx >> (n - 1)) & 1))) @ u
+            for u, idx in zip(U, H.basis.sectors)
+        ]
     fixed = {}
     if chain_bits is not None:
         fixed = {1 + i: int(b) for i, b in enumerate(chain_bits)}
-    env = mixed_environment(n, in_site, fixed=fixed)
-    return channel_traces(ops, n, in_site, out_site, env, H.basis)
+    env = mixed_environment(n, 0, fixed=fixed)
+    identity = np.arange(1 << n)
+    return channel_traces(SectorChannel(H.basis, U, identity, identity), 0, out_site, env)

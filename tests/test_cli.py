@@ -22,34 +22,34 @@ class TestConfig:
     def test_resolve_defaults_and_overrides(self, tmp_path):
         doc = tmp_path / "cfg.json"
         doc.write_text(json.dumps({"n_chain": 5, "seed": 9}))
-        cfg = cli.resolve_config("bosonic", str(doc), None, None, None, None)
+        cfg = cli.resolve_config("bosonic", str(doc), None, None, None)
         assert cfg.params["n_chain"] == 5
         assert cfg.params["g"] == 0.01  # default preserved
         assert cfg.seed == 9
-        cfg2 = cli.resolve_config("bosonic", str(doc), 11, "outdir", 7, 2)
-        assert (cfg2.seed, cfg2.out, cfg2.realizations, cfg2.threads) == (11, "outdir", 7, 2)
+        cfg2 = cli.resolve_config("bosonic", str(doc), 11, "outdir", 7)
+        assert (cfg2.seed, cfg2.out, cfg2.realizations) == (11, "outdir", 7)
 
     def test_schema_violation(self, tmp_path):
         doc = tmp_path / "cfg.json"
         doc.write_text(json.dumps({"n_chain": "many"}))
         with pytest.raises(cli.ConfigError):
-            cli.resolve_config("bosonic", str(doc), None, None, None, None)
+            cli.resolve_config("bosonic", str(doc), None, None, None)
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = tmp_path / "cfg.json"
         doc.write_text(json.dumps({"coupling": 0.1}))
         with pytest.raises(cli.ConfigError):
-            cli.resolve_config("bosonic", str(doc), None, None, None, None)
+            cli.resolve_config("bosonic", str(doc), None, None, None)
 
     def test_invalid_json(self, tmp_path):
         doc = tmp_path / "cfg.json"
         doc.write_text("{not json")
         with pytest.raises(cli.ConfigError):
-            cli.resolve_config("bosonic", str(doc), None, None, None, None)
+            cli.resolve_config("bosonic", str(doc), None, None, None)
 
     def test_missing_file(self):
         with pytest.raises(cli.ConfigError):
-            cli.resolve_config("bosonic", "/nonexistent.json", None, None, None, None)
+            cli.resolve_config("bosonic", "/nonexistent.json", None, None, None)
 
 
 class TestExitCodes:
@@ -71,6 +71,12 @@ class TestExitCodes:
         code = cli.main(["dipolar-ed", "--config", str(doc), "--out", str(tmp_path)])
         assert code == cli.EXIT_RESOURCE
         assert "resource error" in capsys.readouterr().err
+
+    def test_flag_held_to_schema(self, tmp_path, capsys):
+        code = cli.main(["disorder-sweep", "--realizations", "0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_success_exit(self, tmp_path):
         assert cli.main(["bosonic", "--out", str(tmp_path)]) == cli.EXIT_OK

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,17 @@ class TestSectorConstruction:
         assert basis.dims() == [math.comb(6, w) for w in range(7)]
 
     def test_resource_cap(self):
-        with pytest.raises(ed.ResourceLimitError):
-            ed.build_many_body(np.zeros((15, 15)), 15, cap=14)
+        # one set of complex sector blocks at 15 spins:
+        # sum_w C(15, w)^2 * 16 B = C(30, 15) * 16 B = 2.48 GB
+        J = np.zeros((15, 15))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ed.ResourceLimitError, match=r"about 2\.5 GB"):
+                ed.build_many_body(J, 15, cap=14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # raised before any basis or block exists
         with pytest.raises(ed.ResourceLimitError):
             ed.build_many_body_from_k(np.zeros((9, 9)), cap=8)
 
@@ -180,6 +191,23 @@ class TestEncodedProtocol:
             assert a.fidelity_phase_corrected == pytest.approx(
                 b.fidelity_phase_corrected, abs=1e-12
             )
+
+    @pytest.mark.parametrize("readout", ["a", "b"])
+    @pytest.mark.parametrize("t_b", [3.7, 5.9])
+    def test_engine_dipolar_fields_against_dense_oracle(self, readout, t_b):
+        N = 4
+        r = np.arange(N, dtype=float)
+        dist = np.abs(r[:, None] - r[None, :])
+        np.fill_diagonal(dist, 1.0)
+        J = 1.0 / dist**3
+        np.fill_diagonal(J, 0.0)
+        fields = np.array([0.3, -0.2, 0.15, -0.4])
+        engine = ed.EncodedProtocolEngine(N, J, 0.55, chain_fields=fields, readout=readout)
+        res = engine.fidelity(3.7, t_b)
+        p = ed.ProtocolSpec(N, J, 0.55, 3.7, t_b, chain_fields=fields, readout=readout)
+        want = self._dense_protocol_traces(p)
+        for key in ("x", "y", "z", "s"):
+            assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
 
     def test_zero_time_is_identity_legs(self):
         # with no evolution the receiving pair never correlates with the
