@@ -251,7 +251,7 @@ def channel_traces(
     live = np.flatnonzero(env_weights)
     in_bit = (live >> in_site) & 1
     out_bit = (states >> out_site) & 1
-    traces = {}
+    traces = dict.fromkeys(_TRACE_OPS, 0j)
     for flip in (0, 1):
         keys = [k for k, (op_in, _) in _TRACE_OPS.items() if op_in[0] == flip]
         d = {k: _TRACE_OPS[k][0][1][in_bit] * env_weights[live] for k in keys}
@@ -260,7 +260,6 @@ def channel_traces(
         cols2 = live ^ (flip << in_site)
         row_groups = _groups(row_sector * stride + row_sector[rows2])
         col_groups = _groups(col_sector[live] * stride + col_sector[cols2])
-        sums = dict.fromkeys(keys, 0j)
         for pair, R in row_groups.items():
             C = col_groups.get(pair)
             if C is None:
@@ -270,9 +269,8 @@ def channel_traces(
             A2 = channel.blocks[w2][row_pos[rows2[R]][:, None], col_pos[cols2[C]]]
             M = A.conj() * A2
             for k in keys:
-                sums[k] += q[k][R] @ M @ d[k][C]
-        traces.update(sums)
-    return {k: complex(traces[k]) for k in _TRACE_OPS}
+                traces[k] += q[k][R] @ M @ d[k][C]
+    return {k: complex(v) for k, v in traces.items()}
 
 
 @dataclass(frozen=True)
