@@ -89,7 +89,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
             "n_chain": {"type": "integer", "minimum": 2},
             "kappa_khz": {"type": "number", "exclusiveMinimum": 0},
             "d_nm": {"type": "number", "exclusiveMinimum": 0},
-            "sigma_d_nm": _NUMBER_LIST,
+            "sigma_d_nm": {**_NUMBER_LIST, "items": {"type": "number", "minimum": 0}},
             "t1_ms": _NUMBER_LIST,
             "g_max": {"type": "number", "exclusiveMinimum": 0},
             "pr_bins": {"type": "integer", "minimum": 2},
@@ -144,7 +144,9 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "properties": {
             "n_chain": {"type": "integer", "minimum": 2},
             "g": {"type": "number", "exclusiveMinimum": 0},
-            "kt_over_omega": _NUMBER_LIST,
+            "kt_over_omega": {
+                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0}
+            },
             **_COMMON_PROPS,
         },
     },
@@ -461,6 +463,8 @@ def run_strong_coupling_scan(config: ExperimentConfig) -> list[ResultTable]:
     for N, g_m, tau, F, ok in results:
         table.add(N, g_m, tau, F, int(ok))
     fit_rows = [(N, g) for N, g, _, _, ok in results if ok]
+    if len({N for N, _ in fit_rows}) < 2:
+        raise ConfigError("the exponent fit needs at least two distinct converged chain lengths")
     logN = np.log([r[0] for r in fit_rows])
     logG = np.log([r[1] for r in fit_rows])
     slope, intercept = np.polyfit(logN, logG, 1)
@@ -587,7 +591,7 @@ def run_bosonic_demo(config: ExperimentConfig) -> list[ResultTable]:
     )
     z_amp = math.sqrt(2.0 / (N + 1)) * abs(math.sin(math.pi * ((N + 1) // 2) / (N + 1)))
     for x in p["kt_over_omega"]:
-        g_eff = p["g"] * math.sqrt(1.0 / x) if x > 0 else p["g"]
+        g_eff = p["g"] * math.sqrt(1.0 / x)
         K = np.zeros((N + 2, N + 2))
         bonds = np.full(N + 1, 1.0)
         bonds[0] = bonds[-1] = g_eff
@@ -621,6 +625,18 @@ def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mi
 def run_mirror_verify(config: ExperimentConfig) -> list[ResultTable]:
     """Verification sweep of the mirror-architecture constructions."""
     p = config.params
+    if "lattice_text" in p:
+        try:
+            lattice = mirror_mod.LatticeMap.from_text(p["lattice_text"])
+        except ValueError as exc:
+            raise ConfigError(f"lattice_text: {exc}") from exc
+    else:
+        lattice = _random_lattice(
+            p["lattice_rows"], p["lattice_cols"], p["hole_fraction"], config.seed
+        )
+    regs = lattice.registers()
+    if not regs:
+        raise ConfigError("lattice_text has no register site R to route between")
     table = ResultTable(
         "verification",
         ("construct", "size", "status", "detail"),
@@ -639,13 +655,6 @@ def run_mirror_verify(config: ExperimentConfig) -> list[ResultTable]:
             table.add("propagated_swap", k, "pass", f"swap({k},{k + 1}) exact")
         except AssertionError as exc:
             table.add("propagated_swap", k, "fail", str(exc))
-    if "lattice_text" in p:
-        lattice = mirror_mod.LatticeMap.from_text(p["lattice_text"])
-    else:
-        lattice = _random_lattice(
-            p["lattice_rows"], p["lattice_cols"], p["hole_fraction"], config.seed
-        )
-    regs = lattice.registers()
     src, dst = regs[0], regs[-1]
     try:
         plan = mirror_mod.route(lattice, src, dst)

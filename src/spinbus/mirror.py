@@ -13,8 +13,10 @@ first and the Hadamard layer second.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import heapq
+import itertools
+import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -67,7 +69,8 @@ class RoutingError(ValueError):
 
 @dataclass(frozen=True)
 class GlobalHadamard:
-    """Hadamard on every site in ``sites`` (one layer)."""
+    """Hadamard on every site in ``sites`` (one layer); a site listed k
+    times receives H^k."""
 
     sites: tuple[int, ...]
 
@@ -204,109 +207,87 @@ class PauliImage:
         return sign + ("*".join(terms) if terms else "I")
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=256)
-def _disjoint_edge_batches(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Greedily partition edges so no column repeats inside a batch."""
-    batches: list[list[tuple[int, int]]] = []
-    used: list[set[int]] = []
-    for a, b in edges:
-        for seen, batch in zip(used, batches):
-            if a not in seen and b not in seen:
-                batch.append((a, b))
-                seen.update((a, b))
-                break
-        else:
-            batches.append([(a, b)])
-            used.append({a, b})
-    return tuple(tuple(b) for b in batches)
-
-
 class Tableau:
     """Conjugation action of a Clifford unitary on the Pauli generators.
 
-    Row ``i`` (< n) holds the image U X_i U†; row ``n + i`` holds
-    U Z_i U†.  Layers update all 2n rows at once with vectorized bit
-    arithmetic, so a global layer costs O(n^2) bit operations.
+    Generator ``g < n`` is the image U X_g U†; generator ``n + g`` is
+    U Z_g U†.  Bits are packed along the generator axis, as in the CHP
+    and Stim layouts: ``x[q]`` and ``z[q]`` are word-vectors holding
+    qubit q's X and Z bit of all 2n images, 64 generators per ``uint64``
+    word, and the phase mod 4 is two packed bit-planes, ``r[0]`` (low)
+    and ``r[1]`` (high).  A layer on m sites is a few operations on m
+    word-vectors, so a global layer costs O(n^2 / 64) word operations.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
         self.n = n
-        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
-        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
-        self.phase = np.zeros(2 * n, dtype=np.uint8)
-        self.xs[np.arange(n), np.arange(n)] = 1
-        self.zs[np.arange(n, 2 * n), np.arange(n)] = 1
+        words = -(-2 * n // 64)
+        self.x = np.zeros((n, words), dtype=np.uint64)
+        self.z = np.zeros((n, words), dtype=np.uint64)
+        self.r = np.zeros((2, words), dtype=np.uint64)
+        q = np.arange(n)
+        for plane, g in ((self.x, q), (self.z, q + n)):
+            plane[q, g // 64] = np.left_shift(np.uint64(1), (g % 64).astype(np.uint64))
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
         t.n = self.n
-        t.xs = self.xs.copy()
-        t.zs = self.zs.copy()
-        t.phase = self.phase.copy()
+        t.x, t.z, t.r = self.x.copy(), self.z.copy(), self.r.copy()
         return t
 
-    def _check_sites(self, sites):
-        for q in sites:
-            if not 0 <= q < self.n:
-                raise ValueError(f"site {q} out of range for {self.n} qubits")
+    def _sites(self, sites: Iterable[int]) -> np.ndarray:
+        """Sites as an index array, range-checked in one pass."""
+        s = np.fromiter(sites, dtype=np.intp)
+        if s.size and (s.min() < 0 or s.max() >= self.n):
+            q = s[(s < 0) | (s >= self.n)][0]
+            raise ValueError(f"site {q} out of range for {self.n} qubits")
+        return s
 
     # -- layer applications (conjugation rules in the i^ph X^x Z^z form) --
 
     def apply_hadamard(self, sites: tuple[int, ...]) -> None:
-        self._check_sites(sites)
-        cols = list(sites)
-        x = self.xs[:, cols]
-        z = self.zs[:, cols]
-        self.phase += 2 * np.sum(x & z, axis=1, dtype=np.uint8)
-        self.phase %= 4
-        self.xs[:, cols] = z
-        self.zs[:, cols] = x
+        s = self._sites(sites)
+        # a site listed k times receives H^k
+        s = np.flatnonzero(np.bincount(s, minlength=self.n) & 1)
+        x, z = self.x[s], self.z[s]
+        self.r[1] ^= np.bitwise_xor.reduce(x & z, axis=0)
+        self.x[s], self.z[s] = z, x
 
     def apply_cz(self, edges: tuple[tuple[int, int], ...]) -> None:
         if not edges:
             return
-        ea = [e[0] for e in edges]
-        eb = [e[1] for e in edges]
-        self._check_sites(ea)
-        self._check_sites(eb)
-        if any(a == b for a, b in edges):
+        e = self._sites(itertools.chain.from_iterable(edges)).reshape(-1, 2)
+        ea, eb = e[:, 0], e[:, 1]
+        if np.any(ea == eb):
             raise ValueError("CZ needs two distinct sites")
-        x = self.xs  # never written by a CZ layer
-        # all reads are from the pre-layer x, all writes go to z/phase, so a
-        # whole commuting CZ layer can be applied at once; edges are batched
-        # into column-disjoint groups so fancy-indexed XOR assignment is safe
-        self.phase += 2 * np.sum(x[:, ea] & x[:, eb], axis=1, dtype=np.uint8)
-        self.phase %= 4
-        for batch in _disjoint_edge_batches(edges):
-            ba = [e[0] for e in batch]
-            bb = [e[1] for e in batch]
-            self.zs[:, ba] ^= x[:, bb]
-            self.zs[:, bb] ^= x[:, ba]
+        # x is never written by a CZ layer, so the whole commuting layer
+        # reads the pre-layer x; ufunc.at accumulates repeated columns
+        xa, xb = self.x[ea], self.x[eb]
+        self.r[1] ^= np.bitwise_xor.reduce(xa & xb, axis=0)
+        np.bitwise_xor.at(self.z, ea, xb)
+        np.bitwise_xor.at(self.z, eb, xa)
 
     def apply_local(self, gate: str, site: int) -> None:
-        self._check_sites((site,))
-        x = self.xs[:, site]
-        z = self.zs[:, site]
+        if not 0 <= site < self.n:
+            raise ValueError(f"site {site} out of range for {self.n} qubits")
+        x, z, r = self.x[site], self.z[site], self.r
         if gate == "H":
-            self.phase += 2 * (x & z)
-            self.xs[:, site], self.zs[:, site] = z.copy(), x.copy()
+            r[1] ^= x & z
+            self.x[site], self.z[site] = z.copy(), x.copy()
         elif gate == "S":
-            self.phase += x
-            self.zs[:, site] = z ^ x
+            r[1] ^= r[0] & x
+            r[0] ^= x
+            z ^= x
         elif gate == "X":
-            self.phase += 2 * z
+            r[1] ^= z
         elif gate == "Z":
-            self.phase += 2 * x
+            r[1] ^= x
         elif gate == "Y":
-            self.phase += 2 * (x ^ z)
+            r[1] ^= x ^ z
         else:
             raise ValueError(f"unknown local gate {gate!r}")
-        self.phase %= 4
 
     # -- inspection --
 
@@ -316,8 +297,12 @@ class Tableau:
             raise ValueError("kind must be 'x' or 'z'")
         if not 0 <= site < self.n:
             raise ValueError("site out of range")
-        row = site if kind == "x" else self.n + site
-        return PauliImage(int(self.phase[row]), self.xs[row].copy(), self.zs[row].copy())
+        word, bit = divmod(site if kind == "x" else self.n + site, 64)
+        x, z, r = (
+            ((plane[:, word] >> np.uint64(bit)) & 1).astype(np.uint8)
+            for plane in (self.x, self.z, self.r)
+        )
+        return PauliImage(int(r[0]) + 2 * int(r[1]), x, z)
 
 
 def clifford_apply(state: Tableau, program: PulseProgram) -> Tableau:
@@ -430,8 +415,6 @@ def _refocus_and_mirror_cycles(l_mirror: int, l_refocus: int) -> int:
     l_mirror+1 exceeds that of l_refocus+1.
     """
     p, q = l_mirror + 1, 2 * (l_refocus + 1)
-    import math
-
     m = q // math.gcd(p, q)
     if m % 2 == 0:
         raise AsymmetryUnavailableError(
@@ -625,8 +608,6 @@ def _shortest_path(lattice: LatticeMap, src, dst) -> list[tuple[int, int]]:
     """BFS shortest path over non-hole sites, preferring in-row moves on ties."""
     # Dijkstra on the lexicographic cost (steps, column steps): among all
     # shortest paths this picks one with the fewest inter-row moves.
-    import heapq
-
     dist: dict[tuple[int, int], tuple[int, int]] = {src: (0, 0)}
     prev: dict[tuple[int, int], tuple[int, int]] = {}
     heap = [((0, 0), src)]

@@ -5,9 +5,15 @@ plain dense linear algebra, deliberately sharing no machinery with the
 package's sector-blocked engine.  Conventions match the package: site q
 is bit q of the basis index, bit 1 is a flipped spin (an excitation),
 and sigma_z = +1 on bit 0.
+
+``ByteTableau`` is the stabilizer tableau with one byte per bit, the
+reference for the package's bit-packed ``mirror.Tableau`` beyond the
+dense oracle's 12 qubits.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -139,3 +145,82 @@ def avg_fidelity(traces: dict[str, complex], signs=(1, 1, 1)) -> float:
 def phase_corrected_fidelity(traces: dict[str, complex]) -> float:
     """F with an optimal post-transfer phase rotation absorbing arg(T_s)."""
     return 0.5 + (traces["z"].real + 4.0 * abs(traces["s"])) / 12.0
+
+
+class ByteTableau:
+    """Stabilizer tableau with one ``uint8`` per bit: row i < n holds the
+    image of X_i, row n + i the image of Z_i, as i^phase X^x Z^z.
+
+    Layers are applied by column gathers and scatters; a CZ layer is split
+    into column-disjoint batches so fancy-indexed XOR assignment is safe,
+    and a site listed k times in a Hadamard layer receives H^k.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
+        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
+        self.phase = np.zeros(2 * n, dtype=np.uint8)
+        self.xs[np.arange(n), np.arange(n)] = 1
+        self.zs[np.arange(n, 2 * n), np.arange(n)] = 1
+
+    def apply_hadamard(self, sites) -> None:
+        cols = [q for q, k in Counter(sites).items() if k % 2]
+        x = self.xs[:, cols]
+        z = self.zs[:, cols]
+        self.phase += 2 * np.sum(x & z, axis=1, dtype=np.uint8)
+        self.phase %= 4
+        self.xs[:, cols] = z
+        self.zs[:, cols] = x
+
+    def apply_cz(self, edges) -> None:
+        ea = [a for a, _ in edges]
+        eb = [b for _, b in edges]
+        x = self.xs
+        self.phase += 2 * np.sum(x[:, ea] & x[:, eb], axis=1, dtype=np.uint8)
+        self.phase %= 4
+        for batch in _disjoint_edge_batches(edges):
+            ba = [a for a, _ in batch]
+            bb = [b for _, b in batch]
+            self.zs[:, ba] ^= x[:, bb]
+            self.zs[:, bb] ^= x[:, ba]
+
+    def apply_local(self, gate: str, site: int) -> None:
+        x = self.xs[:, site]
+        z = self.zs[:, site]
+        if gate == "H":
+            self.phase += 2 * (x & z)
+            self.xs[:, site], self.zs[:, site] = z.copy(), x.copy()
+        elif gate == "S":
+            self.phase += x
+            self.zs[:, site] = z ^ x
+        elif gate == "X":
+            self.phase += 2 * z
+        elif gate == "Z":
+            self.phase += 2 * x
+        elif gate == "Y":
+            self.phase += 2 * (x ^ z)
+        else:
+            raise ValueError(f"unknown local gate {gate!r}")
+        self.phase %= 4
+
+    def image(self, kind: str, site: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(phase, x bits, z bits) of the image of X_site or Z_site."""
+        row = site if kind == "x" else self.n + site
+        return int(self.phase[row]), self.xs[row].copy(), self.zs[row].copy()
+
+
+def _disjoint_edge_batches(edges) -> list[list[tuple[int, int]]]:
+    """Greedily partition edges so no column repeats inside a batch."""
+    batches: list[list[tuple[int, int]]] = []
+    used: list[set[int]] = []
+    for a, b in edges:
+        for seen, batch in zip(used, batches):
+            if a not in seen and b not in seen:
+                batch.append((a, b))
+                seen.update((a, b))
+                break
+        else:
+            batches.append([(a, b)])
+            used.append({a, b})
+    return batches

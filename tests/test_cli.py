@@ -52,6 +52,9 @@ class TestConfig:
             cli.resolve_config("bosonic", "/nonexistent.json", None, None, None)
 
 
+TINY_MIRROR = {"mirror_sizes": [1], "swap_chain_length": 2}
+
+
 class TestExitCodes:
     def test_config_error_exit(self, tmp_path, capsys):
         doc = tmp_path / "cfg.json"
@@ -77,6 +80,30 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("mirror-verify", {**TINY_MIRROR, "lattice_text": "...\n..."}),
+            ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R..\n."}),
+            ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R.Q"}),
+            ("bosonic", {"kt_over_omega": [-1.0]}),
+            ("bosonic", {"kt_over_omega": [0.0]}),
+            ("disorder-sweep", {"sigma_d_nm": [-1.0]}),
+            ("strong-scan", {"n_list": [1], "n_times": 10}),
+            ("strong-scan", {"n_list": [10, 10], "n_times": 10}),
+        ],
+        ids=["no-register", "ragged", "unknown-char", "negative-kt", "zero-kt",
+             "negative-sigma", "one-chain-length", "repeated-chain-length"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_success_exit(self, tmp_path):
         assert cli.main(["bosonic", "--out", str(tmp_path)]) == cli.EXIT_OK

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spinbus import mirror
 from spinbus.ed import ResourceLimitError
 
@@ -20,6 +21,44 @@ def program_strategy(n_qubits: int, max_layers: int = 12):
     return st.lists(layer, max_size=max_layers).map(
         lambda layers: mirror.PulseProgram(tuple(layers))
     )
+
+
+def _random_hadamard_layer(n: int, seed: int) -> mirror.GlobalHadamard:
+    """Up to 2n Hadamard sites drawn with replacement, so sites repeat."""
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(0, n, rng.integers(0, 2 * n + 1))
+    return mirror.GlobalHadamard(tuple(int(q) for q in sites))
+
+
+def _random_cz_layer(n: int, seed: int) -> mirror.GlobalCZ:
+    """Up to 2n random edges, so columns (and whole edges) repeat."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 2 * n + 1)
+    a = rng.integers(0, n, m)
+    b = (a + rng.integers(1, n, m)) % n
+    return mirror.GlobalCZ(tuple((int(i), int(j)) for i, j in zip(a, b)))
+
+
+@st.composite
+def wide_program(draw, n_strategy, max_layers: int = 12):
+    """(n, program) mixing all five local gates with large random global
+    layers that list Hadamard sites more than once and repeat CZ columns."""
+    n = draw(n_strategy)
+    # local gates share a few sites so that they compose (S S, H S H, ...)
+    hot = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    seed = st.integers(0, 2**32 - 1)
+    layer = [
+        st.builds(mirror.Local, st.sampled_from(hot), st.sampled_from(mirror.LOCAL_GATES)),
+        seed.map(lambda s: _random_hadamard_layer(n, s)),
+    ]
+    if n > 1:
+        layer.append(seed.map(lambda s: _random_cz_layer(n, s)))
+    layers = draw(st.lists(st.one_of(layer), min_size=1, max_size=max_layers))
+    return n, mirror.PulseProgram(tuple(layers))
+
+
+# 2n generator bits per word-vector: n = 32 fills one uint64 word exactly
+WORD_EDGES = (1, 31, 32, 33, 63, 64, 65, 128, 150)
 
 
 class TestPulsePrograms:
@@ -104,9 +143,37 @@ class TestTableau:
         report = mirror.dense_unitary_check(program, 6)
         assert report.ok, f"deviation {report.max_deviation}"
 
+    @settings(max_examples=40, deadline=None)
+    @given(wide_program(st.integers(1, 5)))
+    def test_repeated_sites_match_dense_unitary(self, case):
+        n, program = case
+        report = mirror.dense_unitary_check(program, n)
+        assert report.ok, f"deviation {report.max_deviation}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_program(st.one_of(st.sampled_from(WORD_EDGES), st.integers(1, 150))))
+    def test_packed_matches_byte_reference(self, case):
+        n, program = case
+        packed = mirror.clifford_apply(mirror.Tableau(n), program)
+        ref = oracles.ByteTableau(n)
+        for layer in program.flattened():
+            if isinstance(layer, mirror.GlobalHadamard):
+                ref.apply_hadamard(layer.sites)
+            elif isinstance(layer, mirror.GlobalCZ):
+                ref.apply_cz(layer.edges)
+            else:
+                ref.apply_local(layer.gate, layer.site)
+        for kind in ("x", "z"):
+            for i in range(n):
+                img = packed.image(kind, i)
+                phase, x, z = ref.image(kind, i)
+                assert img.phase == phase, f"{kind}{i}: phase {img.phase} != {phase}"
+                assert np.array_equal(img.x, x) and np.array_equal(img.z, z), f"{kind}{i}"
+                assert img.x.dtype == img.z.dtype == np.uint8
+
 
 class TestMirrorConstruction:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 31, 32, 33, 64, 65, 200])
     def test_mirror_verifies(self, n):
         corr = mirror.verify_mirror(mirror.mirror_program(n), n)
         assert set(corr) == set(range(n))
