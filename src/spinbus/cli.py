@@ -29,24 +29,26 @@ from scipy.optimize import minimize
 
 from . import __version__
 from .chains import (
+    ChainSpec,
     DisorderSpec,
+    ModelKind,
     RangeRule,
+    Uniform,
+    build_single_particle_matrix,
     couplings_from_positions,
-    engineered_couplings,
     sample_positions,
 )
 from .dynamics import (
-    DegenerateModeError,
     NoTransferModeError,
     eigenmodes,
+    mode_budget,
     participation_ratio,
     propagator,
     propagator_elements,
-    select_resonant_mode,
     bosonic_swap_and_thermal_error,
 )
 from .ed import EncodedProtocolEngine, ResourceLimitError
-from .fidelity import error_budget, f_encoded, perturbative_infidelity, perturbative_m00
+from .fidelity import f_encoded, perturbative_infidelity, perturbative_m00
 from . import mirror as mirror_mod
 
 __all__ = [
@@ -337,12 +339,16 @@ def _fmean(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_disorder_sweep(config: ExperimentConfig) -> list[ResultTable]:
+def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Fidelity grid over (positioning disorder, T1) plus PR histograms.
 
     Per realization: sample site positions, build the cube-law
     nearest-neighbor chain, pick the best transfer mode with its optimal
     matched coupling, and score 1 - (off-resonant + decoherence) error.
+    Realizations are streamed: each one's mode budget serves every T1 and
+    is then dropped.  The summary counts, per (sigma_d, T1), the
+    realizations with no usable, non-degenerate mode and those clipped
+    at eps >= 1; both score fidelity 0.
     """
     p = config.params
     N = p["n_chain"]
@@ -371,43 +377,55 @@ def run_disorder_sweep(config: ExperimentConfig) -> list[ResultTable]:
         ("sigma_d_nm", "sigma_kappa_over_kappa", "pr_bin_lo", "pr_bin_hi", "count"),
         metadata={"n_chain": N, "kappa_khz": kappa_khz, "d_nm": d},
     )
-
-    def realization_modes(sigma_frac, stream):
-        spec = DisorderSpec(1.0, sigma_frac, master_seed=config.seed)
-        pos = sample_positions(spec, N, stream)
-        J = couplings_from_positions(pos, RangeRule.NEAREST_NEIGHBOR)
-        return eigenmodes(J)
+    t1_kappa = [t1_ms * kappa_khz for t1_ms in p["t1_ms"]]  # ms * kHz = kappa units
+    counts = []
 
     for sigma_nm in p["sigma_d_nm"]:
-        frac = sigma_nm / d
-        modes_list = [realization_modes(frac, s) for s in range(config.realizations)]
-        bond_samples = [
-            np.diag(couplings_from_positions(
-                sample_positions(DisorderSpec(1.0, frac, master_seed=config.seed), N, s),
-                RangeRule.NEAREST_NEIGHBOR), 1)
-            for s in range(min(config.realizations, 50))
-        ]
-        sigma_kappa = float(np.std(np.concatenate(bond_samples)))
-        for t1_ms in p["t1_ms"]:
-            T1 = t1_ms * kappa_khz  # ms * kHz = dimensionless kappa units
-            fids = []
-            for modes in modes_list:
+        spec = DisorderSpec(1.0, sigma_nm / d, master_seed=config.seed)
+        fids = [[] for _ in t1_kappa]
+        no_mode = [0] * len(t1_kappa)
+        clipped = [0] * len(t1_kappa)
+        bond_samples, prs = [], []
+        for stream in range(config.realizations):
+            J = couplings_from_positions(
+                sample_positions(spec, N, stream), RangeRule.NEAREST_NEIGHBOR
+            )
+            modes = eigenmodes(J)
+            if stream < 50:
+                bond_samples.append(np.diag(J, 1).copy())
+                prs.extend(participation_ratio(modes.vectors[:, k]) for k in range(N))
+            budget = mode_budget(modes)
+            for i, T1 in enumerate(t1_kappa):
                 try:
-                    choice = select_resonant_mode(
-                        modes, p["g_max"], "min_error", chain_sites=N, T1=T1
-                    )
-                    eps = error_budget(modes, choice, N, T1).total
-                except (NoTransferModeError, DegenerateModeError):
+                    eps = budget.select(p["g_max"], N, T1)[1]
+                except NoTransferModeError:
+                    no_mode[i] += 1
                     eps = 1.0
-                fids.append(max(0.0, 1.0 - min(eps, 1.0)))
-            grid.add(sigma_nm, sigma_kappa, t1_ms, T1, _fmean(fids), len(fids))
-        prs = np.array(
-            [participation_ratio(m.vectors[:, k]) for m in modes_list[:50] for k in range(N)]
-        )
-        counts, edges = np.histogram(prs, bins=np.linspace(1.0, N, p["pr_bins"] + 1))
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
+                else:
+                    clipped[i] += int(eps >= 1.0)
+                fids[i].append(max(0.0, 1.0 - min(eps, 1.0)))
+        sigma_kappa = float(np.std(np.concatenate(bond_samples)))
+        for i, (t1_ms, T1) in enumerate(zip(p["t1_ms"], t1_kappa)):
+            grid.add(sigma_nm, sigma_kappa, t1_ms, T1, _fmean(fids[i]), len(fids[i]))
+            counts.append({
+                "sigma_d_nm": sigma_nm,
+                "t1_ms": t1_ms,
+                "realizations": len(fids[i]),
+                "no_transfer_mode": no_mode[i],
+                "clipped": clipped[i],
+            })
+        bins = np.linspace(1.0, N, p["pr_bins"] + 1)
+        pr_counts, edges = np.histogram(np.array(prs), bins=bins)
+        for lo, hi, c in zip(edges[:-1], edges[1:], pr_counts):
             hist.add(sigma_nm, sigma_kappa, float(lo), float(hi), int(c))
-    return [grid, hist]
+    return [grid, hist], {"realization_counts": counts}
+
+
+def _uniform_k(N: int, g: float, register_field: float | None = None) -> np.ndarray:
+    """Hopping matrix of a uniform chain (kappa = 1) with both end couplings g."""
+    return build_single_particle_matrix(ChainSpec(
+        ModelKind.XX, N, Uniform(1.0), g_left=g, g_right=g, register_field=register_field
+    ))
 
 
 def _strong_coupling_optimum(N: int, g_grid, n_times: int):
@@ -416,17 +434,8 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     times = np.linspace(N / 2.0, 2.0 * N, n_times)
     best = (-1.0, 1.0, float(N))
 
-    def K_of(g):
-        K = np.zeros((N + 2, N + 2))
-        bonds = np.full(N + 1, 1.0)
-        bonds[0] = bonds[-1] = g
-        idx = np.arange(N + 1)
-        K[idx, idx + 1] = bonds
-        K[idx + 1, idx] = bonds
-        return K
-
     for g in np.linspace(g_lo, g_hi, int(n_g)):
-        m00, m0R, mRR, leak = propagator_elements(K_of(g), times)
+        m00, m0R, mRR, leak = propagator_elements(_uniform_k(N, g), times)
         t2 = np.abs(m0R) ** 2
         F = 0.5 + (2.0 * t2 * np.abs(m0R**2 - m00 * mRR) + t2 + np.abs(leak) ** 2) / 6.0
         i = int(np.argmax(F))
@@ -437,7 +446,7 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
         g, t = x
         if g <= 0 or t <= 0:
             return 1.0
-        return -f_encoded(propagator(K_of(g), t).matrix, "strong")
+        return -f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong")
 
     res = minimize(
         neg, [best[1], best[2]], method="Nelder-Mead",
@@ -449,6 +458,9 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
 def run_strong_coupling_scan(config: ExperimentConfig) -> list[ResultTable]:
     """Optimal end coupling g_M, transfer time and fidelity versus N, with fit."""
     p = config.params
+    g_lo, g_hi, n_g = p["g_grid"]
+    if not (0 <= g_lo < g_hi and int(n_g) >= 1):
+        raise ConfigError("g_grid must be [g_lo, g_hi, n] with 0 <= g_lo < g_hi and n >= 1")
     table = ResultTable(
         "gm_scan",
         ("n_chain", "g_m", "tau", "f_encoded", "converged"),
@@ -523,13 +535,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> list[ResultTable]:
             F, g, t = best
             gap = math.nan
             if model == "nearest_neighbor":
-                K = np.zeros((N + 2, N + 2))
-                bonds = np.full(N + 1, 1.0)
-                bonds[0] = bonds[-1] = g
-                idx = np.arange(N + 1)
-                K[idx, idx + 1] = bonds
-                K[idx + 1, idx] = bonds
-                gap = abs(F - f_encoded(propagator(K, t).matrix, "strong"))
+                gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong"))
             table.add(model, n_total, N, g, t, 1.0 - F, F, gap)
     return [table]
 
@@ -550,14 +556,7 @@ def run_perturbative_check(config: ExperimentConfig) -> list[ResultTable]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = perturbative_infidelity(N, float(g))
-        K = np.zeros((N + 2, N + 2))
-        bonds = np.full(N + 1, 1.0)
-        bonds[0] = bonds[-1] = g
-        idx = np.arange(N + 1)
-        K[idx, idx + 1] = bonds
-        K[idx + 1, idx] = bonds
-        if est.register_field:
-            K[0, 0] = K[N + 1, N + 1] = est.register_field
+        K = _uniform_k(N, g, est.register_field)
         M = propagator(K, est.transfer_time).matrix
         exact_t = 1.0 - abs(M[0, -1]) ** 2
         # the return amplitude is probed after the full out-and-back period
@@ -592,14 +591,8 @@ def run_bosonic_demo(config: ExperimentConfig) -> list[ResultTable]:
     z_amp = math.sqrt(2.0 / (N + 1)) * abs(math.sin(math.pi * ((N + 1) // 2) / (N + 1)))
     for x in p["kt_over_omega"]:
         g_eff = p["g"] * math.sqrt(1.0 / x)
-        K = np.zeros((N + 2, N + 2))
-        bonds = np.full(N + 1, 1.0)
-        bonds[0] = bonds[-1] = g_eff
-        idx = np.arange(N + 1)
-        K[idx, idx + 1] = bonds
-        K[idx + 1, idx] = bonds
         tau = math.pi / (math.sqrt(2.0) * g_eff * z_amp)
-        M = propagator(K, tau)
+        M = propagator(_uniform_k(N, g_eff), tau)
         res = bosonic_swap_and_thermal_error(M, 0.0, float(x))
         table.add(
             float(x), g_eff, tau, abs(M.matrix[-1, 0]), res.epsilon,

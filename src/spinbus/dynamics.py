@@ -18,6 +18,7 @@ from .chains import ChainSpec, ModelKind, build_bdg_matrix
 
 __all__ = [
     "EigenmodeSet",
+    "ModeBudget",
     "Propagator",
     "ResonantModeChoice",
     "BdGDiagonalization",
@@ -25,6 +26,7 @@ __all__ = [
     "NoTransferModeError",
     "eigenmodes",
     "evolve",
+    "mode_budget",
     "propagator",
     "select_resonant_mode",
     "bdg_diagonalize",
@@ -128,10 +130,9 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     if not np.allclose(H, H.conj().T, atol=1e-12):
         raise ValueError("chain matrix must be Hermitian")
     w, v = np.linalg.eigh(H)
-    for k in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, k])))
-        if v[j, k].real < 0:
-            v[:, k] = -v[:, k]
+    cols = np.arange(v.shape[1])
+    flip = v[np.argmax(np.abs(v), axis=0), cols].real < 0
+    v[:, flip] = -v[:, flip]
     return EigenmodeSet(w, v)
 
 
@@ -172,6 +173,90 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
     return m00, m0R, mRR, leak
 
 
+@dataclass(frozen=True)
+class ModeBudget:
+    """Per-mode ingredients of the transfer error budget of one chain.
+
+    For every mode z: its energy, its end amplitudes |psi_{z,L}| and
+    |psi_{z,R}|, whether it is a candidate (usable amplitude on both ends
+    and a gap of at least 1e-10 to every other mode), and the
+    off-resonant sums  sum_{k != z} |psi_{k,L}|^2 / Delta_kz^2  and
+    sum_{k != z} |psi_{k,R}|^2 / Delta_kz^2.  None of these depend on the
+    couplings or T1, so one budget scores a chain at every T1.
+    """
+
+    energies: np.ndarray
+    amp_left: np.ndarray
+    amp_right: np.ndarray
+    candidate: np.ndarray
+    off_left: np.ndarray
+    off_right: np.ndarray
+
+    def errors(self, g_max: float, n_chain: int, T1: float):
+        """Matched couplings and error budget of every mode at once.
+
+        Returns (gL, gR, t_z, tau, eps) arrays: gL is the budget optimum
+        (D/2C)^(1/3) capped at ``g_max`` (``g_max`` itself when T1 is
+        infinite), and eps = gL^2 S_L + gR^2 S_R + N tau / T1 is the
+        error that ``fidelity.error_budget`` gives the same choice.
+        eps is inf for a mode that is not a candidate.
+        """
+        if not T1 > 0:
+            raise ValueError("T1 must be positive (may be infinite)")
+        aL, aR = self.amp_left, self.amp_right
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if math.isinf(T1):
+                gL = np.full(aL.shape, float(g_max))
+            else:
+                C = self.off_left + (aL / aR) ** 2 * self.off_right
+                D = n_chain * math.pi / (math.sqrt(2.0) * T1 * aL)
+                gL = np.minimum((D / (2.0 * C)) ** (1.0 / 3.0), g_max)
+            t_z = gL * aL
+            gR = t_z / aR
+            tau = math.pi / (math.sqrt(2.0) * t_z)
+            eps = gL**2 * self.off_left + gR**2 * self.off_right
+            if not math.isinf(T1):
+                eps += n_chain * tau / T1
+        eps[~self.candidate] = np.inf
+        return gL, gR, t_z, tau, eps
+
+    def select(self, g_max: float, n_chain: int, T1: float) -> tuple[ResonantModeChoice, float]:
+        """The mode of lowest error (on equal error, the smaller |E|) and its error.
+
+        Raises :class:`NoTransferModeError` when no mode is a candidate.
+        """
+        gL, gR, t_z, tau, eps = self.errors(g_max, n_chain, T1)
+        best = eps.min()
+        if math.isinf(best):
+            raise NoTransferModeError("no mode has usable end amplitudes and an isolated energy")
+        ties = np.flatnonzero(eps == best)
+        z = int(ties[np.argmin(np.abs(self.energies[ties]))])
+        choice = ResonantModeChoice(
+            z, float(self.energies[z]), float(gL[z]), float(gR[z]), float(t_z[z]), float(tau[z])
+        )
+        return choice, float(best)
+
+
+def mode_budget(modes: EigenmodeSet) -> ModeBudget:
+    """Candidate masks and off-resonant sums of every mode, as N x N array expressions."""
+    E = modes.energies
+    aL = np.abs(modes.psi_left)
+    aR = np.abs(modes.psi_right)
+    gaps = np.abs(E[:, None] - E[None, :])  # [k, z]
+    np.fill_diagonal(gaps, np.inf)  # k = z drops out of every sum
+    candidate = (
+        (aL > _END_AMPLITUDE_FLOOR)
+        & (aR > _END_AMPLITUDE_FLOOR)
+        & (gaps.min(axis=0) >= _DEGENERACY_GAP)
+    )
+    with np.errstate(divide="ignore"):
+        inv_gap2 = 1.0 / gaps**2  # inf only in the columns of degenerate modes
+    with np.errstate(invalid="ignore"):
+        off_left = aL**2 @ inv_gap2
+        off_right = aR**2 @ inv_gap2
+    return ModeBudget(E, aL, aR, candidate, off_left, off_right)
+
+
 def select_resonant_mode(
     modes: EigenmodeSet,
     g_max: float,
@@ -184,20 +269,19 @@ def select_resonant_mode(
     ``strategy`` is either a fixed mode index or ``"min_error"``, which
     minimizes the off-resonant-plus-decoherence error budget over all
     candidate modes (with the per-mode optimal coupling when T1 is
-    finite, capped at ``g_max``).
+    finite, capped at ``g_max``; see :class:`ModeBudget`).  Modes without
+    usable end amplitudes or within 1e-10 of another mode are skipped.
 
     Matching sets t_z = gL |psi_{z,L}| = gR |psi_{z,R}| with gL = g_max
     and tau = pi / (sqrt(2) t_z).
     """
     if g_max <= 0:
         raise ValueError("g_max must be positive")
-    n = modes.n_sites
-    aL = np.abs(modes.psi_left)
-    aR = np.abs(modes.psi_right)
-    usable = (aL > _END_AMPLITUDE_FLOOR) & (aR > _END_AMPLITUDE_FLOOR)
-
-    def choice_for(z: int, gL: float) -> ResonantModeChoice:
-        if not usable[z]:
+    if isinstance(strategy, (int, np.integer)):
+        z = int(strategy)
+        aL = np.abs(modes.psi_left[z])
+        aR = np.abs(modes.psi_right[z])
+        if not (aL > _END_AMPLITUDE_FLOOR and aR > _END_AMPLITUDE_FLOOR):
             raise NoTransferModeError(f"mode {z} has vanishing end amplitude")
         gaps = np.abs(np.delete(modes.energies, z) - modes.energies[z])
         if gaps.size and gaps.min() < _DEGENERACY_GAP:
@@ -205,42 +289,14 @@ def select_resonant_mode(
                 f"mode {z} is degenerate (gap {gaps.min():.2e}); "
                 "the isolated-mode picture does not apply"
             )
-        t_z = gL * aL[z]
-        gR = t_z / aR[z]
+        t_z = g_max * aL
+        gR = t_z / aR
         tau = math.pi / (math.sqrt(2.0) * t_z)
-        return ResonantModeChoice(z, float(modes.energies[z]), gL, float(gR), float(t_z), tau)
-
-    if isinstance(strategy, (int, np.integer)):
-        return choice_for(int(strategy), g_max)
+        return ResonantModeChoice(z, float(modes.energies[z]), g_max, float(gR), float(t_z), tau)
     if strategy != "min_error":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not usable.any():
-        raise NoTransferModeError("no eigenmode has amplitude on both chain ends")
-
-    from .fidelity import error_budget, optimal_coupling  # local to avoid a cycle
-
-    n_chain = chain_sites if chain_sites is not None else n
-    best = None
-    best_eps = math.inf
-    for z in range(n):
-        if not usable[z]:
-            continue
-        try:
-            if math.isfinite(T1):
-                gL = min(optimal_coupling(modes, z, n_chain, T1)[0], g_max)
-            else:
-                gL = g_max
-            cand = choice_for(z, gL)
-            eps = error_budget(modes, cand, n_chain, T1).total
-        except DegenerateModeError:
-            continue
-        if eps < best_eps or (
-            eps == best_eps and best is not None and abs(cand.energy) < abs(best.energy)
-        ):
-            best, best_eps = cand, eps
-    if best is None:
-        raise NoTransferModeError("all candidate modes rejected")
-    return best
+    n_chain = chain_sites if chain_sites is not None else modes.n_sites
+    return mode_budget(modes).select(g_max, n_chain, T1)[0]
 
 
 def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:

@@ -6,6 +6,7 @@ package's sector-blocked engine.  Conventions match the package: site q
 is bit q of the basis index, bit 1 is a flipped spin (an excitation),
 and sigma_z = +1 on bit 0.
 
+``signed_eigh`` applies the eigenmode sign convention column by column.
 ``ByteTableau`` is the stabilizer tableau with one byte per bit, the
 reference for the package's bit-packed ``mirror.Tableau`` beyond the
 dense oracle's 12 qubits.
@@ -64,6 +65,20 @@ def tfim_h(bonds: np.ndarray, B: float, n: int) -> np.ndarray:
     for i in range(n):
         H += B * op_on(SZ, i, n)
     return H
+
+
+def signed_eigh(H: np.ndarray):
+    """eigh with each mode's largest-magnitude component made positive.
+
+    The sign convention applied one column at a time, the reference for
+    ``dynamics.eigenmodes``.
+    """
+    w, v = np.linalg.eigh(H)
+    for k in range(v.shape[1]):
+        j = int(np.argmax(np.abs(v[:, k])))
+        if v[j, k].real < 0:
+            v[:, k] = -v[:, k]
+    return w, v
 
 
 def unitary(H: np.ndarray, t: float) -> np.ndarray:

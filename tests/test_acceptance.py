@@ -244,7 +244,7 @@ def test_criterion_06_disorder_breaks_transfer():
         },
         realizations=200,
     )
-    grid, _ = cli.run_disorder_sweep(cfg)
+    (grid, _), _ = cli.run_disorder_sweep(cfg)
     (row,) = grid.rows
     mean_f = row[4]
     n_real = row[5]
@@ -365,7 +365,7 @@ def test_criterion_10_participation_ratio():
         },
         realizations=30,
     )
-    _, hist = cli.run_disorder_sweep(cfg)
+    (_, hist), _ = cli.run_disorder_sweep(cfg)
     means = {}
     for sigma, _, lo, hi, count in hist.rows:
         tot, wsum = means.get(sigma, (0.0, 0.0))

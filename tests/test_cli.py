@@ -92,9 +92,12 @@ class TestExitCodes:
             ("disorder-sweep", {"sigma_d_nm": [-1.0]}),
             ("strong-scan", {"n_list": [1], "n_times": 10}),
             ("strong-scan", {"n_list": [10, 10], "n_times": 10}),
+            ("strong-scan", {"n_list": [10, 15], "g_grid": [1.0, 0.5, 0], "n_times": 50}),
+            ("strong-scan", {"n_list": [10, 15], "g_grid": [-0.5, 1.0, 5], "n_times": 50}),
         ],
         ids=["no-register", "ragged", "unknown-char", "negative-kt", "zero-kt",
-             "negative-sigma", "one-chain-length", "repeated-chain-length"],
+             "negative-sigma", "one-chain-length", "repeated-chain-length",
+             "empty-g-grid", "negative-g"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"
@@ -107,6 +110,20 @@ class TestExitCodes:
 
     def test_success_exit(self, tmp_path):
         assert cli.main(["bosonic", "--out", str(tmp_path)]) == cli.EXIT_OK
+
+    def test_degenerate_spectrum_sweep_exits_0(self, tmp_path, capsys):
+        # realization 74 (seed 0) has two modes 8e-13 apart; they are
+        # skipped as degenerate instead of ending the sweep
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_chain": 50, "sigma_d_nm": [10.0], "t1_ms": [200.0]}))
+        out = tmp_path / "out"
+        code = cli.main(["disorder-sweep", "--config", str(path), "--realizations", "80",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "disorder-sweep_summary.json").read_text())
+        (counts,) = summary["realization_counts"]
+        assert counts["realizations"] == 80
 
 
 class TestOutputs:
@@ -160,7 +177,7 @@ class TestRunners:
             },
             realizations=10,
         )
-        grid, hist = cli.run_disorder_sweep(cfg)
+        (grid, hist), summary = cli.run_disorder_sweep(cfg)
         by_sigma = {row[0]: row for row in grid.rows}
         assert set(by_sigma) == {0.0, 1.0}
         for row in grid.rows:
@@ -175,6 +192,14 @@ class TestRunners:
         for sigma, _, _, _, c in hist.rows:
             counts[sigma] = counts.get(sigma, 0) + c
         assert counts == {0.0: 10 * 9, 1.0: 10 * 9}
+        # one summary entry per grid row; a rejected or clipped realization scores 0
+        sweep = summary["realization_counts"]
+        assert [(c["sigma_d_nm"], c["t1_ms"]) for c in sweep] == [(r[0], r[2]) for r in grid.rows]
+        for c, row in zip(sweep, grid.rows):
+            assert c["realizations"] == row[5] == 10
+            scored = c["realizations"] - c["no_transfer_mode"] - c["clipped"]
+            assert row[4] <= scored / c["realizations"]
+        assert sweep[0]["no_transfer_mode"] == sweep[0]["clipped"] == 0
 
     def test_strong_scan_small_grid(self):
         cfg = cli.ExperimentConfig(

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinbus import chains, dynamics
+import oracles
+from spinbus import chains, dynamics, fidelity
 
 
 def uniform_k(N, g, field=0.0, register_field=None):
@@ -85,6 +86,28 @@ class TestEigenmodes:
             j = np.argmax(np.abs(a.vectors[:, k]))
             assert a.vectors[j, k].real > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["real", "complex", "uniform"]),
+    )
+    def test_sign_convention_matches_column_loop(self, n, seed, kind):
+        # the uniform chain's modes have pairs of components of equal magnitude
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            H = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        elif kind == "complex":
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        else:
+            H = rng.normal(size=(n, n))
+        H = H + H.conj().T
+        modes = dynamics.eigenmodes(H)
+        w, v = oracles.signed_eigh(H)
+        assert modes.vectors.dtype == v.dtype
+        assert modes.vectors.tobytes() == v.tobytes()
+        assert modes.energies.tobytes() == w.tobytes()
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             dynamics.eigenmodes(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -128,6 +151,24 @@ class TestResonantModeSelection:
         modes = dynamics.EigenmodeSet(np.array([-1.0, -1.0, 1.0, 1.0]), vectors)
         with pytest.raises(dynamics.DegenerateModeError):
             dynamics.select_resonant_mode(modes, 0.1, strategy=0)
+
+    def test_degenerate_pair_skipped_in_min_error(self):
+        # Realization 74 of a 50-site chain at sigma/d = 1, master seed 0:
+        # two nearly decoupled odd segments leave a pair of modes 8e-13
+        # apart, which optimal_coupling would reject with a ValueError.
+        spec = chains.DisorderSpec(1.0, 1.0, master_seed=0)
+        J = chains.couplings_from_positions(chains.sample_positions(spec, 50, 74))
+        modes = dynamics.eigenmodes(J)
+        gaps = np.diff(modes.energies)
+        pair = int(np.argmin(gaps))
+        assert gaps[pair] < 1e-12
+        with pytest.raises(ValueError):
+            fidelity.optimal_coupling(modes, pair, 50, 1e4)
+        budget = dynamics.mode_budget(modes)
+        assert not budget.candidate[pair] and not budget.candidate[pair + 1]
+        choice = dynamics.select_resonant_mode(modes, 0.5, "min_error", 50, T1=1e4)
+        assert choice.mode_index not in (pair, pair + 1)
+        assert budget.candidate[choice.mode_index]
 
     def test_finite_t1_reduces_coupling_below_cap(self):
         N = 11
@@ -240,3 +281,83 @@ class TestParticipationRatio:
         psi /= np.linalg.norm(psi)
         pr = dynamics.participation_ratio(psi)
         assert 1.0 - 1e-9 <= pr <= n + 1e-9
+
+
+def scalar_errors(modes, g_max, n_chain, T1):
+    """eps of every candidate mode from the scalar closed forms, one mode at a time."""
+    eps = {}
+    for z in range(modes.n_sites):
+        try:  # the fixed-index strategy rejects unusable and degenerate modes
+            dynamics.select_resonant_mode(modes, g_max, strategy=z)
+        except (dynamics.NoTransferModeError, dynamics.DegenerateModeError):
+            continue
+        gL = g_max
+        if math.isfinite(T1):
+            gL = min(fidelity.optimal_coupling(modes, z, n_chain, T1)[0], g_max)
+        choice = dynamics.select_resonant_mode(modes, gL, strategy=z)
+        eps[z] = fidelity.error_budget(modes, choice, n_chain, T1).total
+    return eps
+
+
+def scalar_selection(modes, g_max, n_chain, T1):
+    """The lowest eps, on equal eps the smaller |E|, on both equal the lower index."""
+    eps = scalar_errors(modes, g_max, n_chain, T1)
+    return min(eps, key=lambda z: (eps[z], abs(modes.energies[z])))
+
+
+class TestModeBudget:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        T1=st.one_of(st.just(math.inf), st.floats(1e1, 1e7)),
+        g_max=st.one_of(st.sampled_from([1e-8, 1e6]), st.floats(1e-3, 10.0)),
+    )
+    @example(n=2, seed=0, T1=math.inf, g_max=0.5)
+    @example(n=51, seed=1, T1=1e4, g_max=0.5)
+    @example(n=60, seed=2, T1=1e4, g_max=1e-8)  # the cap binds for every mode
+    @example(n=59, seed=3, T1=1e4, g_max=1e6)  # the cap binds for none
+    def test_matches_scalar_loop(self, n, seed, T1, g_max):
+        # Random on-site fields break the +-E pairing of a bipartite chain,
+        # whose partner modes tie in eps.
+        rng = np.random.default_rng(seed)
+        bonds = rng.uniform(0.2, 2.0, n - 1)
+        K = np.diag(bonds, 1) + np.diag(bonds, -1) + np.diag(rng.normal(0.0, 0.3, n))
+        modes = dynamics.eigenmodes(K)
+        budget = dynamics.mode_budget(modes)
+        ref = scalar_errors(modes, g_max, n, T1)
+        eps = budget.errors(g_max, n, T1)[-1]
+        assert sorted(ref) == list(np.flatnonzero(budget.candidate))
+        for z, e in ref.items():
+            assert abs(eps[z] - e) <= 1e-12 * e
+        choice, best = budget.select(g_max, n, T1)
+        z_ref = scalar_selection(modes, g_max, n, T1)
+        assert abs(best - ref[z_ref]) <= 1e-12 * best
+        # Modes whose eps agree to rounding are a tie that rounding breaks
+        # (every 2-site chain at the optimal coupling is one); elsewhere
+        # the selected index must be the scalar one.
+        runner_up = min((e for z, e in ref.items() if z != z_ref), default=math.inf)
+        if runner_up > ref[z_ref] * (1.0 + 1e-9):
+            assert choice.mode_index == z_ref
+        assert dynamics.select_resonant_mode(modes, g_max, "min_error", n, T1) == choice
+
+    @pytest.mark.parametrize("T1", [math.inf, 1e3])
+    def test_equal_error_broken_by_smaller_energy(self, T1):
+        # Modes 0 and 2 see one another at the same gap with the same end
+        # amplitudes, and mode 1 has no end amplitude, so eps_0 == eps_2
+        # exactly; the tie goes to mode 2 (|E| = 0), not to the lower index.
+        r = 1.0 / math.sqrt(2.0)
+        vectors = np.array([[r, 0.0, r], [0.0, 1.0, 0.0], [r, 0.0, -r]])
+        modes = dynamics.EigenmodeSet(np.array([-2.0, -1.0, 0.0]), vectors)
+        budget = dynamics.mode_budget(modes)
+        eps = budget.errors(0.1, 3, T1)[-1]
+        assert eps[0] == eps[2] and math.isinf(eps[1])
+        choice, _ = budget.select(0.1, 3, T1)
+        assert choice.mode_index == 2
+        assert scalar_selection(modes, 0.1, 3, T1) == 2
+
+    def test_no_candidate_raises(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])  # each mode lives on one end
+        modes = dynamics.EigenmodeSet(np.array([-1.0, 1.0]), vectors)
+        with pytest.raises(dynamics.NoTransferModeError):
+            dynamics.mode_budget(modes).select(0.1, 2, 1e3)
