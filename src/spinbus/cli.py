@@ -48,7 +48,7 @@ from .dynamics import (
     bosonic_swap_and_thermal_error,
 )
 from .ed import EncodedProtocolEngine, ResourceLimitError
-from .fidelity import f_encoded, perturbative_infidelity, perturbative_m00
+from .fidelity import f_encoded, perturbative_infidelity
 from . import mirror as mirror_mod
 
 __all__ = [
@@ -92,7 +92,9 @@ PARAM_SCHEMAS: dict[str, dict] = {
             "kappa_khz": {"type": "number", "exclusiveMinimum": 0},
             "d_nm": {"type": "number", "exclusiveMinimum": 0},
             "sigma_d_nm": {**_NUMBER_LIST, "items": {"type": "number", "minimum": 0}},
-            "t1_ms": _NUMBER_LIST,
+            "t1_ms": {
+                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0}
+            },
             "g_max": {"type": "number", "exclusiveMinimum": 0},
             "pr_bins": {"type": "integer", "minimum": 2},
             **_COMMON_PROPS,
@@ -607,6 +609,11 @@ def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mi
     n_holes = int(round(rows * cols * hole_fraction))
     protected = {(0, 0), (rows - 1, cols - 1)}
     candidates = [(r, c) for r in range(rows) for c in range(cols) if (r, c) not in protected]
+    if n_holes > len(candidates):
+        raise ConfigError(
+            f"hole_fraction {hole_fraction} asks for {n_holes} holes, but a {rows} x {cols} "
+            f"lattice has {len(candidates)} sites besides its two corner registers"
+        )
     for i in rng.choice(len(candidates), size=n_holes, replace=False):
         r, c = candidates[int(i)]
         kinds[r][c] = "#"

@@ -6,9 +6,21 @@ a ``SectorChannel``: a basis permutation (the encode CNOT, or the
 identity), one unitary block per magnetization sector, and another
 permutation (the decode CNOT).  ``channel_traces`` contracts the Pauli
 transfer traces against the diagonal environment state block by block,
-so no 2^n x 2^n matrix is ever formed.  Memory is counted in sets of
-sector blocks, sum_w C(n, w)^2 complex entries (0.64 GB at 14 spins); an
-encoded-protocol point holds about five such sets at its peak.
+so no 2^n x 2^n matrix is ever formed.
+
+Every channel block has the factored form
+B_w = V_L diag(p_L) O_w diag(p_R) V_R[cols]^T, with real eigenvectors V,
+phases p = exp(-i w t) and a real sector overlap O_w fixed per
+Hamiltonian (the identity for one leg of evolution).  The complex
+products run as real GEMMs on stacked real and imaginary parts, and a
+block holds only the columns ``cols`` that the environment state reaches.
+
+Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
+entries (0.32 GB at 14 spins).  Measured at 12 spins, a plain transfer
+channel peaks at about six such sets (Hamiltonian, eigenvectors, the
+full-width complex blocks and the contraction's gathers); an
+encoded-protocol engine holds two (eigenvectors and overlaps), peaks at
+about three while it is built and adds under one per point.
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -82,9 +94,6 @@ class SectorHamiltonian:
             self._eig = [np.linalg.eigh(b) for b in self.blocks]
         return self._eig
 
-    def all_eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate([w for w, _ in self.eig()]))
-
 
 def build_many_body(
     J: np.ndarray,
@@ -101,10 +110,10 @@ def build_many_body(
     dropped.
     """
     if n > cap:
-        mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 16 / 1e9
+        mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8 / 1e9
         raise ResourceLimitError(
-            f"{n} qubits exceeds the cap of {cap}; one set of complex sector "
-            f"blocks needs about {mem:.1f} GB"
+            f"{n} qubits exceeds the cap of {cap}; an exact channel holds three "
+            f"to six real sets of sector blocks, about {3 * mem:.1f}-{6 * mem:.1f} GB"
         )
     J = np.asarray(J, float)
     if J.shape != (n, n) or not np.allclose(J, J.T, atol=1e-12):
@@ -163,21 +172,85 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return np.where(((s >> control) & 1) == 1, s ^ (1 << target), s)
 
 
+def _swap_perm(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Basis permutation that exchanges the bits of each site pair."""
+    s = np.arange(1 << n)
+    for a, b in pairs:
+        diff = ((s >> a) ^ (s >> b)) & 1
+        s = s ^ (diff << a) ^ (diff << b)
+    return s
+
+
 @dataclass(frozen=True)
 class SectorChannel:
     """A channel unitary V = P_dec (+)_w B_w P_enc.
 
     ``blocks[w]`` acts on the Hamming-weight-w sector of ``basis``;
     ``enc`` and ``dec`` are basis permutations given as gather maps, so
-    V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c] both
-    have weight w, and 0 otherwise.  For self-inverse permutations (CNOTs
-    and the identity) this is the operator product.
+    V[r, c] = B_w[pos(dec[r]), col(enc[c])] when dec[r] and enc[c] both
+    have weight w, and 0 otherwise.  ``col_position`` maps each basis
+    state to its column in its block, -1 where the block does not hold it
+    (``_held_columns``); by default every column is held and col = pos.
+    For self-inverse permutations (CNOTs and the identity) this is the
+    operator product.
     """
 
     basis: SectorBasis
     blocks: list[np.ndarray]
     enc: np.ndarray
     dec: np.ndarray
+    col_position: np.ndarray | None = None
+
+
+def _held_columns(
+    basis: SectorBasis, enc: np.ndarray, env_weights: np.ndarray, in_site: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The block columns ``channel_traces`` reads, per sector and as a map.
+
+    The traces read the columns of the basis states enc[c] and
+    enc[c ^ in_bit] for every c of non-zero environment weight, and no
+    others.  Returns the sector positions of those states for each sector
+    (ascending) and the ``SectorChannel.col_position`` map that indexes
+    blocks holding only them.
+    """
+    live = np.flatnonzero(env_weights)
+    read = enc[np.union1d(live, live ^ (1 << in_site))]
+    col_position = np.full(1 << basis.n, -1, dtype=np.int64)
+    cols = []
+    for w in range(basis.n + 1):
+        states = np.sort(read[basis.weights[read] == w])
+        col_position[states] = np.arange(len(states))
+        cols.append(basis.position[states])
+    return cols, col_position
+
+
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    return np.exp(-1j * w * t)
+
+
+def _real_times(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Real A times complex Y as one real GEMM on [Re Y | Im Y]."""
+    c = Y.shape[1]
+    Z = A @ np.concatenate([Y.real, Y.imag], axis=1)
+    out = np.empty(Z[:, :c].shape, complex)
+    out.real, out.imag = Z[:, :c], Z[:, c:]
+    return out
+
+
+def _sector_block(V_L, p_L, O, p_R, V_R_held) -> np.ndarray:
+    """Held columns of B = V_L diag(p_L) O diag(p_R) V_R^T.
+
+    ``V_R_held`` is V_R[cols], the eigenvector rows of the held columns'
+    basis states, and ``O`` a real overlap, or None for the identity.
+    Contracted right to left, so each product is a real matrix times a
+    (d, len(cols)) complex one.
+    """
+    Y = p_R[:, None] * V_R_held.T
+    if O is not None:
+        Y = _real_times(O, Y)
+    return _real_times(V_L, p_L[:, None] * Y)
 
 
 def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
@@ -240,15 +313,19 @@ def channel_traces(
     times the environment weight and q the output operator's value.  Rows
     and columns are grouped by the sector pair (w, w') that V[r, c] and
     V[r', c'] fall in, and only the matching sub-blocks of B_w and B_w'
-    are gathered; columns of zero environment weight are skipped.
+    are gathered; columns of zero environment weight are skipped, so the
+    blocks need hold only the ``_held_columns``.
     """
     basis = channel.basis
     n = basis.n
     stride = n + 1
     states = np.arange(1 << n)
+    col_map = basis.position if channel.col_position is None else channel.col_position
     row_sector, row_pos = basis.weights[channel.dec], basis.position[channel.dec]
-    col_sector, col_pos = basis.weights[channel.enc], basis.position[channel.enc]
+    col_sector, col_pos = basis.weights[channel.enc], col_map[channel.enc]
     live = np.flatnonzero(env_weights)
+    if min(col_pos[live].min(), col_pos[live ^ (1 << in_site)].min()) < 0:
+        raise ValueError("the channel blocks lack a column the environment reaches")
     in_bit = (live >> in_site) & 1
     out_bit = (states >> out_site) & 1
     traces = dict.fromkeys(_TRACE_OPS, 0j)
@@ -265,9 +342,10 @@ def channel_traces(
             if C is None:
                 continue
             w, w2 = divmod(pair, stride)
-            A = channel.blocks[w][row_pos[R][:, None], col_pos[live[C]]]
-            A2 = channel.blocks[w2][row_pos[rows2[R]][:, None], col_pos[cols2[C]]]
-            M = A.conj() * A2
+            # the gathers are copies: conjugate and multiply in place
+            M = channel.blocks[w][row_pos[R][:, None], col_pos[live[C]]]
+            np.conjugate(M, out=M)
+            M *= channel.blocks[w2][row_pos[rows2[R]][:, None], col_pos[cols2[C]]]
             for k in keys:
                 traces[k] += q[k][R] @ M @ d[k][C]
     return {k: complex(v) for k, v in traces.items()}
@@ -352,11 +430,18 @@ def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
 class EncodedProtocolEngine:
     """Reusable engine for scanning transfer times at fixed couplings.
 
-    The per-leg sector eigendecompositions depend on (chain couplings, g)
-    only, so a time grid costs the sector-wise evolution and contraction
-    per point.  The input qubit rides on 0_a; 0_b starts in |up>; the
-    chain is at infinite temperature; the receiving pair starts in the
-    classical logical mixture (|00><00| + |11><11|)/2.
+    The sector eigendecomposition depends on (chain couplings, g) only, so
+    a time grid costs one factored block product and the contraction per
+    point.  The input qubit rides on 0_a; 0_b starts in |up>; the chain is
+    at infinite temperature; the receiving pair starts in the classical
+    logical mixture (|00><00| + |11><11|)/2.
+
+    Only leg a is eigensolved.  Leg b is H_b = P H_a P, with P the basis
+    permutation that swaps 0a<->0b and (N+1)a<->(N+1)b; P keeps the
+    Hamming weight, so in each sector V_b = P_w V_a (rows permuted) and
+    the leg product is B_w A_w = P_w V_a diag(p_b) O_w diag(p_a) V_a^T
+    with the real overlap O_w = V_b^T V_a.  The leading P_w is folded into
+    the decode map.
     """
 
     def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
@@ -366,20 +451,27 @@ class EncodedProtocolEngine:
             chain_fields, readout, model,
         )
         self.cap = cap
-        self._Ha = _leg_hamiltonian(p, "a", cap)
-        self._Hb = _leg_hamiltonian(p, "b", cap)
-        self._Ha.eig()
-        self._Hb.eig()
+        H = _leg_hamiltonian(p, "a", cap)
         n = p.n_total
+        self._basis = basis = H.basis
         b, a = p.site_index("(N+1)b"), p.site_index("(N+1)a")
+        self.leg_swap = _swap_perm(n, [(p.site_index("0a"), p.site_index("0b")), (b, a)])
         # the decode CNOT is controlled on the readout qubit
         readout_site, partner = (b, a) if readout == "b" else (a, b)
         self._in_site, self._out_site = p.site_index("0a"), readout_site
         self._enc = _cnot_perm(n, self._in_site, p.site_index("0b"))
-        self._dec = _cnot_perm(n, readout_site, partner)
+        self._dec = self.leg_swap[_cnot_perm(n, readout_site, partner)]
         self._env = mixed_environment(
             n, self._in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
         )
+        self._cols, self._col_position = _held_columns(
+            basis, self._enc, self._env, self._in_site
+        )
+        self._eig = H.eig()
+        self._overlaps = [
+            V[basis.position[self.leg_swap[idx]]].T @ V
+            for idx, (_, V) in zip(basis.sectors, self._eig)
+        ]
 
     def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
         """Exact fidelity at leg time t (both legs, unless t_b differs).
@@ -389,11 +481,12 @@ class EncodedProtocolEngine:
         decode CNOT).
         """
         t0 = _time.perf_counter()
-        Ua = exact_unitary(self._Ha, t)
-        Ub = exact_unitary(self._Hb, t if t_b is None else t_b)
-        channel = SectorChannel(
-            self._Ha.basis, [B @ A for A, B in zip(Ua, Ub)], self._enc, self._dec
-        )
+        t_b = t if t_b is None else t_b
+        blocks = [
+            _sector_block(V, _phases(w, t_b), O, _phases(w, t), V[cols])
+            for (w, V), O, cols in zip(self._eig, self._overlaps, self._cols)
+        ]
+        channel = SectorChannel(self._basis, blocks, self._enc, self._dec, self._col_position)
         traces = channel_traces(channel, self._in_site, self._out_site, self._env)
         return _result_from_traces(traces, self.proto.model, t0)
 
@@ -435,17 +528,22 @@ def transfer_channel_traces(
     K = np.asarray(K)
     n = K.shape[0]
     H = build_many_body_from_k(K, cap=cap)
-    U = exact_unitary(H, t)
     out_site = n - 1 if kind == "single_swap" else 0
-    if kind == "remote_z":
-        # the z flip is diagonal, so U Z U stays block-diagonal: U_w S_w U_w
-        U = [
-            (u * (1.0 - 2.0 * ((idx >> (n - 1)) & 1))) @ u
-            for u, idx in zip(U, H.basis.sectors)
-        ]
     fixed = {}
     if chain_bits is not None:
         fixed = {1 + i: int(b) for i, b in enumerate(chain_bits)}
     env = mixed_environment(n, 0, fixed=fixed)
     identity = np.arange(1 << n)
-    return channel_traces(SectorChannel(H.basis, U, identity, identity), 0, out_site, env)
+    cols, col_position = _held_columns(H.basis, identity, env, 0)
+    # the z flip S on site N+1 is diagonal: U S U = V diag(p) (V^T S V) diag(p) V^T
+    flip = 1.0 - 2.0 * ((identity >> (n - 1)) & 1)
+    blocks = []
+    for (w, V), idx, held in zip(H.eig(), H.basis.sectors, cols):
+        p = _phases(w, t)
+        if kind == "remote_z":
+            O = V.T @ (flip[idx][:, None] * V)
+            blocks.append(_sector_block(V, p, O, p, V[held]))
+        else:
+            blocks.append(_sector_block(V, p, None, np.ones(len(w)), V[held]))
+    channel = SectorChannel(H.basis, blocks, identity, identity, col_position)
+    return channel_traces(channel, 0, out_site, env)

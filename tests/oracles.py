@@ -7,6 +7,9 @@ is bit q of the basis index, bit 1 is a flipped spin (an excitation),
 and sigma_z = +1 on bit 0.
 
 ``signed_eigh`` applies the eigenmode sign convention column by column.
+``sector_leg_product`` is the encoded protocol's leg product with both
+legs eigensolved and evolved as full complex blocks, the reference for
+the engine's one-eigensolve, factored, live-column blocks.
 ``ByteTableau`` is the stabilizer tableau with one byte per bit, the
 reference for the package's bit-packed ``mirror.Tableau`` beyond the
 dense oracle's 12 qubits.
@@ -84,6 +87,22 @@ def signed_eigh(H: np.ndarray):
 def unitary(H: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(H)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def sector_unitaries(eig, t: float) -> list[np.ndarray]:
+    """Full complex blocks (v * exp(-iwt)) @ v^H from (w, v) per sector."""
+    return [(v * np.exp(-1j * w * t)) @ v.conj().T for w, v in eig]
+
+
+def sector_leg_product(eig_a, eig_b, t_a: float, t_b: float) -> list[np.ndarray]:
+    """Per-sector B_w A_w from two independent leg eigendecompositions.
+
+    ``eig_a`` and ``eig_b`` list ``np.linalg.eigh`` of each leg's sector
+    blocks; every column of every block is formed.
+    """
+    Ua = sector_unitaries(eig_a, t_a)
+    Ub = sector_unitaries(eig_b, t_b)
+    return [B @ A for A, B in zip(Ua, Ub)]
 
 
 def cnot(n: int, control: int, target: int) -> np.ndarray:

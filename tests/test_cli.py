@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus import cli
 
@@ -87,17 +93,21 @@ class TestExitCodes:
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "...\n..."}),
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R..\n."}),
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R.Q"}),
+            ("mirror-verify", {**TINY_MIRROR, "lattice_rows": 1, "lattice_cols": 3,
+                               "hole_fraction": 0.5}),
             ("bosonic", {"kt_over_omega": [-1.0]}),
             ("bosonic", {"kt_over_omega": [0.0]}),
             ("disorder-sweep", {"sigma_d_nm": [-1.0]}),
+            ("disorder-sweep", {"t1_ms": [-1.0]}),
+            ("disorder-sweep", {"t1_ms": [0.0]}),
             ("strong-scan", {"n_list": [1], "n_times": 10}),
             ("strong-scan", {"n_list": [10, 10], "n_times": 10}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [1.0, 0.5, 0], "n_times": 50}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [-0.5, 1.0, 5], "n_times": 50}),
         ],
-        ids=["no-register", "ragged", "unknown-char", "negative-kt", "zero-kt",
-             "negative-sigma", "one-chain-length", "repeated-chain-length",
-             "empty-g-grid", "negative-g"],
+        ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
+             "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
+             "repeated-chain-length", "empty-g-grid", "negative-g"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"
@@ -279,3 +289,89 @@ class TestRunners:
         assert (model, n_total, N) == ("nearest_neighbor", 6, 2)
         assert F == pytest.approx(1.0, abs=1e-3)
         assert gap < 1e-10  # exact engine agrees with the analytic formula
+
+
+def _mostly(inner, hostile):
+    """Draws from ``inner``, except one in eight from ``hostile``."""
+    return st.integers(0, 7).flatmap(lambda k: hostile if k == 0 else inner)
+
+
+def _num(lo, hi):
+    """Floats in [lo, hi], or now and then an end, zero or -1."""
+    return _mostly(st.floats(lo, hi, allow_nan=False, allow_infinity=False),
+                   st.sampled_from([lo, hi, 0.0, -1.0]))
+
+
+def _int(lo, hi):
+    """Integers in [lo, hi], or now and then lo - 1, zero or -1."""
+    return _mostly(st.integers(lo, hi), st.sampled_from([lo - 1, 0, -1]))
+
+
+def _small_list(elements, max_size=3):
+    """One to ``max_size`` elements, or now and then an empty list."""
+    return _mostly(st.lists(elements, min_size=1, max_size=max_size), st.just([]))
+
+
+# Config documents shaped like each schema, at sizes that run in well under
+# a second.  Keys that set the cost of a run (chain lengths, counts, sizes)
+# are always present; the rest are optional, so defaults are exercised too.
+_FUZZ_DOCS = {
+    "disorder-sweep": st.fixed_dictionaries(
+        {"n_chain": _int(2, 12), "realizations": _int(1, 3)},
+        optional={
+            "kappa_khz": _num(0.1, 100.0),
+            "d_nm": _num(0.5, 20.0),
+            "sigma_d_nm": _small_list(_num(0.0, 5.0), 2),
+            "t1_ms": _small_list(_num(1e-3, 1e4), 2),
+            "g_max": _num(1e-3, 2.0),
+            "pr_bins": _int(2, 20),
+            "seed": _int(0, 5),
+        },
+    ),
+    "strong-scan": st.fixed_dictionaries(
+        {"n_list": _small_list(_int(2, 16)), "n_times": _int(10, 30)},
+        optional={"g_grid": st.tuples(_num(0.0, 2.0), _num(0.0, 2.0), _int(1, 5)).map(list)},
+    ),
+    "dipolar-ed": st.fixed_dictionaries(
+        {"total_spins": _small_list(_int(6, 8), 2)},
+        optional={
+            "models": _small_list(st.sampled_from(
+                ["nearest_neighbor", "full_dipolar", "nnn_cancelled", "ring"]), 2),
+            "cap": _int(6, 14),
+        },
+    ),
+    "perturbative": st.fixed_dictionaries(
+        {"n_chain": _int(2, 15), "n_g": _int(2, 5)},
+        optional={"g_min": _num(1e-3, 0.5), "g_max": _num(1e-3, 0.5)},
+    ),
+    "bosonic": st.fixed_dictionaries(
+        {"n_chain": _int(2, 11)},
+        optional={"g": _num(1e-3, 0.5), "kt_over_omega": _small_list(_num(0.1, 100.0), 2)},
+    ),
+    "mirror-verify": st.fixed_dictionaries(
+        {"mirror_sizes": _small_list(_int(1, 8)), "swap_chain_length": _int(2, 8)},
+        optional={
+            "lattice_text": st.text(alphabet="R.#\n", max_size=20),
+            "lattice_rows": _int(1, 5),
+            "lattice_cols": _int(1, 5),
+            "hole_fraction": _num(0.0, 0.5),
+        },
+    ),
+}
+
+
+class TestFuzzConfigs:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(_FUZZ_DOCS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), _FUZZ_DOCS[kind])))
+    def test_exit_code_in_contract(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RESOURCE)
+        if code != cli.EXIT_OK:
+            assert err.getvalue().count("\n") == 1

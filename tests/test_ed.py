@@ -56,12 +56,13 @@ class TestSectorConstruction:
         assert basis.dims() == [math.comb(6, w) for w in range(7)]
 
     def test_resource_cap(self):
-        # one set of complex sector blocks at 15 spins:
-        # sum_w C(15, w)^2 * 16 B = C(30, 15) * 16 B = 2.48 GB
+        # one real set of sector blocks at 15 spins:
+        # sum_w C(15, w)^2 * 8 B = C(30, 15) * 8 B = 1.24 GB; an exact
+        # channel holds three to six of them
         J = np.zeros((15, 15))
         tracemalloc.start()
         try:
-            with pytest.raises(ed.ResourceLimitError, match=r"about 2\.5 GB"):
+            with pytest.raises(ed.ResourceLimitError, match=r"about 3\.7-7\.4 GB"):
                 ed.build_many_body(J, 15, cap=14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -243,3 +244,114 @@ class TestEnvironmentWeights:
         a = ed.mixed_environment(n, 2, fixed={0: 0}, correlated_pairs=[(4, 5)])
         b = oracles.env_diag(n, 2, fixed={0: 0}, correlated_pairs=[(4, 5)])
         assert np.allclose(a, b)
+
+
+def dipolar_spec(N):
+    """Protocol on a full cube-law chain with non-zero chain fields."""
+    r = np.arange(N, dtype=float)
+    dist = np.abs(r[:, None] - r[None, :])
+    np.fill_diagonal(dist, 1.0)
+    J = 1.0 / dist**3
+    np.fill_diagonal(J, 0.0)
+    fields = np.random.default_rng(N).uniform(-0.4, 0.4, N)
+    return ed.ProtocolSpec(N, J, 0.55, 0.0, 0.0, chain_fields=fields)
+
+
+class TestFactoredEngine:
+    """The one-eigensolve, live-column engine against the two-leg product."""
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_leg_swap_maps_leg_a_onto_leg_b(self, N):
+        p = dipolar_spec(N)
+        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        Ha = ed._leg_hamiltonian(p, "a", 14)
+        Hb = ed._leg_hamiltonian(p, "b", 14)
+        for idx, A, B in zip(Ha.basis.sectors, Ha.blocks, Hb.blocks):
+            perm = Ha.basis.position[engine.leg_swap[idx]]
+            assert np.array_equal(A[perm][:, perm], B)
+
+    @pytest.mark.parametrize("n_total", [6, 8, 10, 12])
+    def test_matches_two_leg_oracle(self, n_total):
+        N = n_total - 4
+        p = dipolar_spec(N)
+        Ha = ed._leg_hamiltonian(p, "a", 14)
+        eig_a = [np.linalg.eigh(b) for b in Ha.blocks]
+        eig_b = [np.linalg.eigh(b) for b in ed._leg_hamiltonian(p, "b", 14).blocks]
+        site = p.site_index
+        in_site, b, a = site("0a"), site("(N+1)b"), site("(N+1)a")
+        env = ed.mixed_environment(n_total, in_site, fixed={site("0b"): 0},
+                                   correlated_pairs=[(b, a)])
+        enc = ed._cnot_perm(n_total, in_site, site("0b"))
+        times = ((1.3 * N, 1.3 * N), (1.1 * N, 1.6 * N))
+        products = [oracles.sector_leg_product(eig_a, eig_b, *ts) for ts in times]
+        for readout, (out_site, partner) in (("b", (b, a)), ("a", (a, b))):
+            engine = ed.EncodedProtocolEngine(
+                N, p.chain_couplings, p.g, p.chain_fields, readout=readout
+            )
+            for (t_a, t_b), blocks in zip(times, products):
+                got = engine.fidelity(t_a, t_b).traces
+                dec = ed._cnot_perm(n_total, out_site, partner)
+                channel = ed.SectorChannel(Ha.basis, blocks, enc, dec)
+                want = ed.channel_traces(channel, in_site, out_site, env)
+                for key in ("x", "y", "z", "s"):
+                    assert abs(got[key] - want[key]) <= 1e-12
+
+    def test_blocks_hold_a_quarter_of_the_columns(self):
+        # 0b is fixed and the receiving pair correlated: a quarter of the
+        # basis states carry environment weight
+        N = 4
+        p = dipolar_spec(N)
+        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        held = sum(len(c) for c in engine._cols)
+        assert held == (1 << p.n_total) // 4
+        assert np.count_nonzero(engine._col_position >= 0) == held
+
+    def test_negative_time_rejected(self):
+        N = 2
+        engine = ed.EncodedProtocolEngine(N, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        with pytest.raises(ValueError):
+            engine.fidelity(-1.0)
+        with pytest.raises(ValueError):
+            engine.fidelity(1.0, -1.0)
+
+    def test_missing_column_rejected(self):
+        K = uniform_k(2, 0.5)
+        H = ed.build_many_body_from_k(K)
+        identity = np.arange(1 << 4)
+        col_position = H.basis.position.copy()
+        col_position[5] = -1
+        channel = ed.SectorChannel(H.basis, ed.exact_unitary(H, 1.0), identity, identity,
+                                   col_position)
+        with pytest.raises(ValueError, match="lack a column"):
+            ed.channel_traces(channel, 0, 3, ed.mixed_environment(4, 0))
+
+
+class TestTransferChannelsAgainstEvolveBlocks:
+    """Factored transfer blocks against full ``evolve`` blocks (U, or U S U)."""
+
+    @pytest.mark.parametrize("polarized", [False, True])
+    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
+    def test_kinds(self, kind, polarized):
+        rng = np.random.default_rng(7)
+        n = 9
+        K = rng.uniform(0.2, 1.0, (n, n)) / (1.0 + np.abs(np.subtract.outer(
+            np.arange(n), np.arange(n))) ** 3)
+        K = K + K.T
+        np.fill_diagonal(K, rng.uniform(-0.3, 0.3, n))
+        t = 7.3
+        bits = rng.integers(0, 2, n - 2) if polarized else None
+        got = ed.transfer_channel_traces(K, t, kind, chain_bits=bits)
+
+        H = ed.build_many_body_from_k(K)
+        U = ed.exact_unitary(H, t)
+        if kind == "remote_z":
+            U = [(u * (1.0 - 2.0 * ((idx >> (n - 1)) & 1))) @ u
+                 for u, idx in zip(U, H.basis.sectors)]
+        fixed = {} if bits is None else {1 + i: int(b) for i, b in enumerate(bits)}
+        identity = np.arange(1 << n)
+        want = ed.channel_traces(
+            ed.SectorChannel(H.basis, U, identity, identity),
+            0, n - 1 if kind == "single_swap" else 0, ed.mixed_environment(n, 0, fixed=fixed),
+        )
+        for key in ("x", "y", "z", "s"):
+            assert abs(got[key] - want[key]) <= 1e-12
