@@ -127,7 +127,8 @@ PARAM_SCHEMAS: dict[str, dict] = {
                 },
             },
             "total_spins": _INT_LIST,
-            "cap": {"type": "integer", "minimum": 6},
+            # 15 qubits already need 3.7-7.4 GB of sector blocks
+            "cap": {"type": "integer", "minimum": 6, "maximum": 15},
             **_COMMON_PROPS,
         },
     },
@@ -395,7 +396,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
             modes = eigenmodes(J)
             if stream < 50:
                 bond_samples.append(np.diag(J, 1).copy())
-                prs.extend(participation_ratio(modes.vectors[:, k]) for k in range(N))
+                prs.append(participation_ratio(modes.vectors))
             budget = mode_budget(modes)
             for i, T1 in enumerate(t1_kappa):
                 try:
@@ -417,7 +418,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
                 "clipped": clipped[i],
             })
         bins = np.linspace(1.0, N, p["pr_bins"] + 1)
-        pr_counts, edges = np.histogram(np.array(prs), bins=bins)
+        pr_counts, edges = np.histogram(np.concatenate(prs), bins=bins)
         for lo, hi, c in zip(edges[:-1], edges[1:], pr_counts):
             hist.add(sigma_nm, sigma_kappa, float(lo), float(hi), int(c))
     return [grid, hist], {"realization_counts": counts}
@@ -431,15 +432,18 @@ def _uniform_k(N: int, g: float, register_field: float | None = None) -> np.ndar
 
 
 def _strong_coupling_optimum(N: int, g_grid, n_times: int):
-    """Jointly optimize the encoded-transfer fidelity over (g, t)."""
+    """Jointly optimize the encoded-transfer fidelity over (g, t).
+
+    A grid search over g and the evenly spaced times in [N/2, 2N] is
+    polished by Nelder-Mead; both score the chain through
+    ``propagator_elements``, so no (N+2)^2 propagator is formed.
+    """
     g_lo, g_hi, n_g = g_grid
     times = np.linspace(N / 2.0, 2.0 * N, n_times)
     best = (-1.0, 1.0, float(N))
 
     for g in np.linspace(g_lo, g_hi, int(n_g)):
-        m00, m0R, mRR, leak = propagator_elements(_uniform_k(N, g), times)
-        t2 = np.abs(m0R) ** 2
-        F = 0.5 + (2.0 * t2 * np.abs(m0R**2 - m00 * mRR) + t2 + np.abs(leak) ** 2) / 6.0
+        F = f_encoded(propagator_elements(_uniform_k(N, g), times), "strong")
         i = int(np.argmax(F))
         if F[i] > best[0]:
             best = (float(F[i]), float(g), float(times[i]))
@@ -448,7 +452,7 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
         g, t = x
         if g <= 0 or t <= 0:
             return 1.0
-        return -f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong")
+        return -float(f_encoded(propagator_elements(_uniform_k(N, g), t), "strong")[0])
 
     res = minimize(
         neg, [best[1], best[2]], method="Nelder-Mead",
@@ -457,7 +461,7 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     return float(res.x[0]), float(res.x[1]), float(-res.fun), bool(res.success)
 
 
-def run_strong_coupling_scan(config: ExperimentConfig) -> list[ResultTable]:
+def run_strong_coupling_scan(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Optimal end coupling g_M, transfer time and fidelity versus N, with fit."""
     p = config.params
     g_lo, g_hi, n_g = p["g_grid"]
@@ -485,7 +489,7 @@ def run_strong_coupling_scan(config: ExperimentConfig) -> list[ResultTable]:
     table.metadata["fit_exponent"] = float(slope)
     table.metadata["fit_prefactor"] = float(np.exp(intercept))
     summary = {"fit_exponent": float(slope), "fit_prefactor": float(np.exp(intercept))}
-    return [table], summary  # type: ignore[return-value]
+    return [table], summary
 
 
 _DIPOLAR_RULES = {
@@ -495,7 +499,7 @@ _DIPOLAR_RULES = {
 }
 
 
-def run_dipolar_ed(config: ExperimentConfig) -> list[ResultTable]:
+def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Exact encoded-transfer infidelity versus total spin count per model.
 
     For each size the protocol parameters (g, t) are optimized on a local
@@ -539,10 +543,10 @@ def run_dipolar_ed(config: ExperimentConfig) -> list[ResultTable]:
             if model == "nearest_neighbor":
                 gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong"))
             table.add(model, n_total, N, g, t, 1.0 - F, F, gap)
-    return [table]
+    return [table], {}
 
 
-def run_perturbative_check(config: ExperimentConfig) -> list[ResultTable]:
+def run_perturbative_check(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Weak-coupling estimates versus the exact propagator over a g grid."""
     p = config.params
     N = p["n_chain"]
@@ -570,10 +574,10 @@ def run_perturbative_check(config: ExperimentConfig) -> list[ResultTable]:
             float(g), est.transfer_time, exact_t, est.transfer_infidelity,
             rel, exact_r, ret_est, int(g <= g_break),
         )
-    return [table]
+    return [table], {}
 
 
-def run_bosonic_demo(config: ExperimentConfig) -> list[ResultTable]:
+def run_bosonic_demo(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Oscillator-chain mode swap and thermal excess-noise scaling.
 
     The register couples at rescaled strength g*sqrt(omega/kT) to a chain
@@ -600,7 +604,7 @@ def run_bosonic_demo(config: ExperimentConfig) -> list[ResultTable]:
             float(x), g_eff, tau, abs(M.matrix[-1, 0]), res.epsilon,
             res.n_out, res.n_out,
         )
-    return [table]
+    return [table], {}
 
 
 def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mirror_mod.LatticeMap:
@@ -622,7 +626,7 @@ def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mi
     return mirror_mod.LatticeMap.from_text("\n".join("".join(r) for r in kinds))
 
 
-def run_mirror_verify(config: ExperimentConfig) -> list[ResultTable]:
+def run_mirror_verify(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Verification sweep of the mirror-architecture constructions."""
     p = config.params
     if "lattice_text" in p:
@@ -664,7 +668,7 @@ def run_mirror_verify(config: ExperimentConfig) -> list[ResultTable]:
         )
     except (mirror_mod.RoutingError, AssertionError) as exc:
         table.add("route", f"{lattice.n_rows}x{lattice.n_cols}", "error", str(exc))
-    return [table]
+    return [table], {}
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +709,13 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(
             args.command, args.config, args.seed, args.out, args.realizations
         )
-        result = _RUNNERS[config.kind](config)
+        tables, summary = _RUNNERS[config.kind](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    if isinstance(result, tuple):
-        tables, summary = result
-    else:
-        tables, summary = result, {}
     paths = _write_outputs(config, tables, summary, t0)
     for p in paths:
         print(f"wrote {p}")

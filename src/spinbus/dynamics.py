@@ -149,27 +149,62 @@ def propagator(K: np.ndarray, t: float) -> Propagator:
     return Propagator(evolve(w, v, t), t)
 
 
-def propagator_elements(K: np.ndarray, times: np.ndarray):
-    """Vectorized transfer elements of exp(-iKt) over many times.
+def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i w t_j) for evenly spaced t_j, as an (n_times, n) array.
 
-    Returns (m00, m0R, mRR, leak) where leak is the register-excluded
-    chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}  entering the encoded
-    fidelity.  Used by the strong-coupling optimizer where thousands of
-    times share one eigendecomposition.
+    Exact ``exp`` at about 2 sqrt(n_times) rows: the anchors t_{a b} and
+    the steps r dt for r < b, with block size b = ceil(sqrt(n_times)).
+    Row a b + r is then the product of anchor a and step r, one complex
+    multiply per entry; it differs from the direct ``exp`` by a few
+    rounding errors of w t.
     """
+    nt = times.size
+    b = math.isqrt(nt - 1) + 1
+    dt = (times[-1] - times[0]) / (nt - 1) if nt > 1 else 0.0
+    anchors = np.exp(-1j * np.outer(times[::b], w))
+    steps = np.exp(-1j * np.outer(dt * np.arange(b), w))
+    return (anchors[:, None, :] * steps[None, :, :]).reshape(-1, w.size)[:nt]
+
+
+def propagator_elements(K: np.ndarray, times: np.ndarray):
+    """Vectorized transfer elements of exp(-iKt) over evenly spaced times.
+
+    ``K`` must be a real symmetric tridiagonal matrix, as every
+    nearest-neighbour XX chain is, and ``times`` evenly spaced (as from
+    ``np.linspace``; a single time is allowed); anything else raises
+    ``ValueError``.  Returns arrays (m00, m0R, mRR, leak), where leak is
+    the register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}
+    entering the encoded fidelity.  Used by the strong-coupling optimizer
+    where thousands of times share one eigendecomposition.
+    """
+    from scipy.linalg import eigh_tridiagonal  # already loaded by the CLI's optimizer
+
     K = np.asarray(K)
     times = np.atleast_1d(np.asarray(times, float))
-    w, v = np.linalg.eigh(K)
-    phases = np.exp(-1j * np.outer(times, w))  # (nt, n)
+    if not (
+        K.ndim == 2
+        and K.shape[0] == K.shape[1]
+        and np.isrealobj(K)
+        and np.array_equal(np.diagonal(K, 1), np.diagonal(K, -1))
+        # no nonzero entry off the three diagonals
+        and np.count_nonzero(K)
+        == np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
+    ):
+        raise ValueError("K must be a real symmetric tridiagonal matrix")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    if times.size > 2:
+        even = np.linspace(times[0], times[-1], times.size)
+        if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
+            raise ValueError("times must be evenly spaced")
+    w, v = eigh_tridiagonal(np.diagonal(K), np.diagonal(K, 1))
+    phases = _phase_grid(w, times)  # (nt, n)
     vL = v[0, :]
     vR = v[-1, :]
-    m00 = phases @ (vL * vL.conj())
-    m0R = phases @ (vL * vR.conj())
-    mRR = phases @ (vR * vR.conj())
+    m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
     # (M^2)_{R,0} needs phases squared; subtract the register terms.
-    sq = (phases * phases) @ (vR * vL.conj())
-    mR0 = phases @ (vR * vL.conj())
-    leak = sq - mR0 * m00 - mRR * mR0
+    # Real eigenvectors make M symmetric, so M_{R,0} = M_{0,R}.
+    leak = (phases * phases) @ (vL * vR) - m0R * (m00 + mRR)
     return m00, m0R, mRR, leak
 
 
@@ -428,10 +463,16 @@ def bosonic_swap_and_thermal_error(
     return BosonicTransferResult(float(eps), n_out, float(leaked))
 
 
-def participation_ratio(psi: np.ndarray) -> float:
-    """N_PR = 1 / sum_i |psi_i|^4 for a normalized mode vector."""
+def participation_ratio(psi: np.ndarray):
+    """N_PR = 1 / sum_i |psi_i|^4 for a normalized mode vector.
+
+    ``psi`` is one (N,) mode, giving a float, or an (N, k) matrix of
+    modes in its columns, giving an array of k ratios; every column must
+    be normalized.
+    """
     psi = np.asarray(psi)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
+    if np.any(np.abs(np.linalg.norm(psi, axis=0) - 1.0) > 1e-8):
         raise ValueError("mode vector must be normalized")
-    return float(1.0 / np.sum(np.abs(psi) ** 4))
+    # one mode per contiguous row, so each sum rounds as for a lone vector
+    pr = 1.0 / np.sum(np.abs(np.ascontiguousarray(psi.T)) ** 4, axis=-1)
+    return float(pr) if psi.ndim == 1 else pr

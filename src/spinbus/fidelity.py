@@ -60,14 +60,17 @@ def f_single_swap(M, chain_parity: float = 0.0) -> float:
 
 
 def _encoded_terms(M):
-    Mm = _matrix(M)
-    m0R = Mm[0, -1]
-    cross = m0R**2 - Mm[0, 0] * Mm[-1, -1]
-    leak = np.dot(Mm[-1, 1:-1], Mm[1:-1, 0])
-    return m0R, cross, leak
+    """(M_{0,N+1}, interference term, chain-decoding sum) of a propagator or its elements."""
+    if isinstance(M, tuple):
+        m00, m0R, mRR, leak = (np.asarray(a) for a in M)
+    else:
+        Mm = _matrix(M)
+        m00, m0R, mRR = Mm[0, 0], Mm[0, -1], Mm[-1, -1]
+        leak = np.dot(Mm[-1, 1:-1], Mm[1:-1, 0])
+    return m0R, m0R**2 - m00 * mRR, leak
 
 
-def f_encoded(M, variant: str = "weak") -> float:
+def f_encoded(M, variant: str = "weak"):
     """Paired-protocol (encoded) state transfer fidelity.
 
     The weak variant keeps the bare interference term
@@ -75,13 +78,18 @@ def f_encoded(M, variant: str = "weak") -> float:
     its modulus, absorbing the post-transfer phase-gate correction used
     in the strong-coupling protocol.  Both carry the chain-decoding bonus
     term |sum_{i=1..N} M_{N+1,i} M_{i,0}|^2.
+
+    ``M`` is a propagator (a float is returned) or the tuple of element
+    arrays (m00, m0R, mRR, leak) from ``dynamics.propagator_elements``
+    (an array of fidelities is returned, one per time).
     """
-    m0R, cross, leak = _encoded_terms(M)
-    t2 = abs(m0R) ** 2
-    inter = cross.real if variant == "weak" else abs(cross)
     if variant not in ("weak", "strong"):
         raise ValueError("variant must be 'weak' or 'strong'")
-    return 0.5 + (2.0 * t2 * inter + t2 + abs(leak) ** 2) / 6.0
+    m0R, cross, leak = _encoded_terms(M)
+    t2 = np.abs(m0R) ** 2
+    inter = cross.real if variant == "weak" else np.abs(cross)
+    F = 0.5 + (2.0 * t2 * inter + t2 + np.abs(leak) ** 2) / 6.0
+    return float(F) if np.ndim(F) == 0 else F
 
 
 def f_remote_z(M) -> float:

@@ -176,7 +176,7 @@ def test_criterion_03b_encoded_fidelity_above_090(strong_scan):
 def test_criterion_04_dipolar_exact_diagonalization():
     t0 = time.perf_counter()
     cfg = cli.ExperimentConfig("dipolar-ed", cli.DEFAULT_PARAMS["dipolar-ed"])
-    (table,) = cli.run_dipolar_ed(cfg)
+    (table,), _ = cli.run_dipolar_ed(cfg)
     rows = {(r[0], r[1]): r for r in table.rows}
     dip10 = rows[("full_dipolar", 10)][5]
     nnn10 = rows[("nnn_cancelled", 10)][5]
@@ -206,7 +206,7 @@ def test_criterion_04_dipolar_exact_diagonalization():
 
 def test_criterion_05_perturbative_window_and_breakdown():
     cfg = cli.ExperimentConfig("perturbative", cli.DEFAULT_PARAMS["perturbative"])
-    (table,) = cli.run_perturbative_check(cfg)
+    (table,), _ = cli.run_perturbative_check(cfg)
     g_break = table.metadata["breakdown_g"]
     weak_rows = [r for r in table.rows if r[0] <= 0.01]
     assert weak_rows, "the grid must sample the weak-coupling window"
@@ -323,7 +323,7 @@ def test_criterion_08_mirror_constructions():
 
 def test_criterion_09_bosonic_swap_and_thermal_noise():
     cfg = cli.ExperimentConfig("bosonic", cli.DEFAULT_PARAMS["bosonic"])
-    (table,) = cli.run_bosonic_demo(cfg)
+    (table,), _ = cli.run_bosonic_demo(cfg)
     N, g = 9, 0.01
     k = np.arange(1, (N + 1) // 2)
     delta = 2.0 * np.cos(np.pi * k / (N + 1))

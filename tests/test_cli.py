@@ -104,10 +104,12 @@ class TestExitCodes:
             ("strong-scan", {"n_list": [10, 10], "n_times": 10}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [1.0, 0.5, 0], "n_times": 50}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [-0.5, 1.0, 5], "n_times": 50}),
+            ("dipolar-ed", {"cap": 40, "total_spins": [24]}),
+            ("dipolar-ed", {"cap": 16}),
         ],
         ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
              "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
-             "repeated-chain-length", "empty-g-grid", "negative-g"],
+             "repeated-chain-length", "empty-g-grid", "negative-g", "cap-40", "cap-16"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"
@@ -235,7 +237,7 @@ class TestRunners:
         cfg = cli.ExperimentConfig(
             "perturbative", {"n_chain": 11, "g_min": 0.005, "g_max": 0.5, "n_g": 6}
         )
-        (table,) = cli.run_perturbative_check(cfg)
+        (table,), _ = cli.run_perturbative_check(cfg)
         assert table.metadata["breakdown_g"] == pytest.approx(1 / math.sqrt(11))
         for row in table.rows:
             assert row[7] == int(row[0] <= table.metadata["breakdown_g"])
@@ -246,7 +248,7 @@ class TestRunners:
         cfg = cli.ExperimentConfig(
             "bosonic", {"n_chain": 9, "g": 0.01, "kt_over_omega": [1.0, 100.0]}
         )
-        (table,) = cli.run_bosonic_demo(cfg)
+        (table,), _ = cli.run_bosonic_demo(cfg)
         for x, g_eff, tau, amp, eps, n_out, excess in table.rows:
             assert g_eff == pytest.approx(0.01 / math.sqrt(x))
             assert amp > 0.999
@@ -261,7 +263,7 @@ class TestRunners:
                 "lattice_rows": 4, "lattice_cols": 4, "hole_fraction": 0.1,
             },
         )
-        (table,) = cli.run_mirror_verify(cfg)
+        (table,), _ = cli.run_mirror_verify(cfg)
         assert all(row[2] == "pass" for row in table.rows)
         constructs = {row[0] for row in table.rows}
         assert constructs == {"mirror", "propagated_swap", "route"}
@@ -274,7 +276,7 @@ class TestRunners:
                 "lattice_text": "R..\n...\n..R",
             },
         )
-        (table,) = cli.run_mirror_verify(cfg)
+        (table,), _ = cli.run_mirror_verify(cfg)
         route_rows = [r for r in table.rows if r[0] == "route"]
         assert route_rows[0][2] == "pass"
 
@@ -283,7 +285,7 @@ class TestRunners:
             "dipolar-ed",
             {"models": ["nearest_neighbor"], "total_spins": [6], "cap": 14},
         )
-        (table,) = cli.run_dipolar_ed(cfg)
+        (table,), _ = cli.run_dipolar_ed(cfg)
         (row,) = table.rows
         model, n_total, N, g, t, infid, F, gap = row
         assert (model, n_total, N) == ("nearest_neighbor", 6, 2)

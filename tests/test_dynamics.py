@@ -50,7 +50,7 @@ class TestPropagator:
 
     def test_elements_match_full_propagator(self):
         K = uniform_k(5, 0.4)
-        times = np.array([0.7, 3.1, 12.9])
+        times = np.linspace(0.7, 12.9, 7)
         m00, m0R, mRR, leak = dynamics.propagator_elements(K, times)
         for i, t in enumerate(times):
             M = dynamics.propagator(K, t).matrix
@@ -58,6 +58,43 @@ class TestPropagator:
             assert m0R[i] == pytest.approx(M[0, -1], abs=1e-12)
             assert mRR[i] == pytest.approx(M[-1, -1], abs=1e-12)
             assert leak[i] == pytest.approx(np.dot(M[-1, 1:-1], M[1:-1, 0]), abs=1e-12)
+
+
+    # 600 times is the strong-scan default; 47 is neither a square nor a
+    # multiple of its phase-grid block size 7
+    @pytest.mark.parametrize("n_times", [600, 47, 1])
+    @pytest.mark.parametrize("N", [2, 7, 100])
+    def test_elements_match_full_propagator_on_grid(self, N, n_times):
+        rng = np.random.default_rng(N)
+        K = uniform_k(N, 0.6, register_field=0.05)
+        K[np.arange(N + 1), np.arange(1, N + 2)] *= rng.uniform(0.8, 1.2, N + 1)
+        K[np.diag_indices(N + 2)] += rng.uniform(-0.1, 0.1, N + 2)
+        K = np.triu(K) + np.triu(K, 1).T  # random real symmetric tridiagonal
+        times = np.linspace(N / 2.0, 2.0 * N, n_times)
+        m00, m0R, mRR, leak = dynamics.propagator_elements(K, times)
+        for i, t in enumerate(times):
+            M = dynamics.propagator(K, t).matrix
+            ref = (M[0, 0], M[0, -1], M[-1, -1], np.dot(M[-1, 1:-1], M[1:-1, 0]))
+            got = (m00[i], m0R[i], mRR[i], leak[i])
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, (i, t)
+
+    def test_elements_reject_uneven_times(self):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            dynamics.propagator_elements(uniform_k(5, 0.4), [0.7, 3.1, 12.9])
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            np.ones((4, 4)),  # dense
+            np.diag(np.ones(3), 1),  # not symmetric
+            np.diag(np.ones(4)) + 1j * np.diag(np.ones(3), 1) - 1j * np.diag(np.ones(3), -1),
+            np.ones(4),  # not a matrix
+        ],
+        ids=["dense", "asymmetric", "complex-hermitian", "vector"],
+    )
+    def test_elements_reject_non_tridiagonal(self, K):
+        with pytest.raises(ValueError, match="tridiagonal"):
+            dynamics.propagator_elements(K, np.linspace(0.0, 1.0, 5))
 
 
 class TestEigenmodes:
@@ -272,6 +309,20 @@ class TestParticipationRatio:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             dynamics.participation_ratio(np.ones(4))
+
+    def test_matrix_of_modes(self):
+        N = 11
+        modes = dynamics.eigenmodes(np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1))
+        pr = dynamics.participation_ratio(modes.vectors)
+        assert pr.shape == (N,)
+        for k in range(N):  # each column as if alone, to the last bit
+            assert pr[k] == dynamics.participation_ratio(modes.vectors[:, k])
+
+    def test_unnormalized_column_rejected(self):
+        psi = np.eye(4)
+        psi[:, 2] *= 2.0
+        with pytest.raises(ValueError):
+            dynamics.participation_ratio(psi)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 30))

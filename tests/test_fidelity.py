@@ -99,6 +99,22 @@ class TestClosedForms:
         assert fidelity.f_encoded(M, "strong") >= fidelity.f_encoded(M, "weak") - 1e-12
 
 
+class TestEncodedElementForm:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(3, 40), n_times=st.integers(1, 60))
+    def test_element_form_matches_matrix_form(self, seed, n, n_times):
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(-1.5, 1.5, n - 1)
+        K = np.diag(rng.uniform(-1.0, 1.0, n)) + np.diag(e, 1) + np.diag(e, -1)
+        times = np.linspace(0.0, rng.uniform(1.0, 50.0), n_times)
+        elements = dynamics.propagator_elements(K, times)
+        for variant in ("weak", "strong"):
+            F = fidelity.f_encoded(elements, variant)
+            assert F.shape == times.shape
+            ref = [fidelity.f_encoded(dynamics.propagator(K, t), variant) for t in times]
+            assert np.max(np.abs(F - ref)) <= 1e-13
+
+
 class TestErrorBudget:
     def _modes(self, N=7):
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
