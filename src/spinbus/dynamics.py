@@ -177,7 +177,8 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
     entering the encoded fidelity.  Used by the strong-coupling optimizer
     where thousands of times share one eigendecomposition.
     """
-    from scipy.linalg import eigh_tridiagonal  # already loaded by the CLI's optimizer
+    # imported here so that importing dynamics needs numpy only
+    from scipy.linalg import eigh_tridiagonal
 
     K = np.asarray(K)
     times = np.atleast_1d(np.asarray(times, float))
