@@ -169,7 +169,7 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
 def propagator_elements(K: np.ndarray, times: np.ndarray):
     """Vectorized transfer elements of exp(-iKt) over evenly spaced times.
 
-    ``K`` must be a real symmetric tridiagonal matrix, as every
+    ``K`` must be a finite real symmetric tridiagonal matrix, as every
     nearest-neighbour XX chain is, and ``times`` evenly spaced (as from
     ``np.linspace``; a single time is allowed); anything else raises
     ``ValueError``.  Returns arrays (m00, m0R, mRR, leak), where leak is
@@ -178,7 +178,7 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
     where thousands of times share one eigendecomposition.
     """
     # imported here so that importing dynamics needs numpy only
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstevd
 
     K = np.asarray(K)
     times = np.atleast_1d(np.asarray(times, float))
@@ -186,19 +186,25 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
         K.ndim == 2
         and K.shape[0] == K.shape[1]
         and np.isrealobj(K)
+        and np.isfinite(K).all()
         and np.array_equal(np.diagonal(K, 1), np.diagonal(K, -1))
         # no nonzero entry off the three diagonals
         and np.count_nonzero(K)
         == np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
     ):
-        raise ValueError("K must be a real symmetric tridiagonal matrix")
+        raise ValueError("K must be a finite real symmetric tridiagonal matrix")
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
     if times.size > 2:
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
             raise ValueError("times must be evenly spaced")
-    w, v = eigh_tridiagonal(np.diagonal(K), np.diagonal(K, 1))
+    # the driver eigh_tridiagonal calls for all eigenpairs, without its
+    # argument handling; the wrapper wants len(e) = max(n - 1, 1)
+    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
+    w, v, info = dstevd(np.diagonal(K), e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     phases = _phase_grid(w, times)  # (nt, n)
     vL = v[0, :]
     vR = v[-1, :]
@@ -338,8 +344,19 @@ def select_resonant_mode(
 def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
     """Orthogonal diagonalization of a real symmetric pairing matrix.
 
-    Validates the particle-hole symmetry of the spectrum (pairs +-eps to
-    1e-8) and orders rows in the interleaved (+eps_k, -eps_k) layout.
+    A = [[alpha, beta], [beta^T, -alpha]] with beta antisymmetric
+    anticommutes with tau_x, the swap of the particle and hole halves
+    (checked to 1e-12), so it maps the tau_x = +1 eigenvectors
+    [x; x]/sqrt(2) onto the tau_x = -1 ones [y; -y]/sqrt(2) through the
+    n x n block C = alpha - beta.  With the SVD C = X diag(s) Y^T, each
+    u_k = [x_k + y_k; x_k - y_k]/2 has eigenvalue +s_k and tau_x u_k
+    eigenvalue -s_k.  Every -eps row is therefore tau_x times its +eps
+    row, and the energies are non-negative, by construction.  The
+    near-zero (Majorana) subspace needs no tolerance: where eigh of A
+    mixes +eps and -eps vectors whose splitting is below rounding, the SVD
+    still returns orthonormal singular pairs, and O O^T = 1 is checked.
+
+    Rows are interleaved (+eps_k, -eps_k) with eps_k ascending.
     """
     A = np.asarray(A, float)
     if A.shape[0] % 2:
@@ -347,16 +364,18 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
     if not np.allclose(A, A.T, atol=1e-12):
         raise ValueError("pairing matrix must be symmetric")
     n = A.shape[0] // 2
-    w, v = np.linalg.eigh(A)
-    if np.max(np.abs(w[:n][::-1] + w[n:])) > 1e-8:
-        raise ValueError("spectrum is not symmetric about zero")
+    if not np.allclose(np.roll(A, n, axis=(0, 1)), -A, atol=1e-12):
+        raise ValueError("pairing matrix must anticommute with the particle-hole swap")
+    X, s, Yt = np.linalg.svd(A[:n, :n] - A[:n, n:])
+    x, y = X.T[::-1], Yt[::-1]  # row k: the k-th smallest singular pair
     O = np.empty_like(A)
+    O[0::2] = np.concatenate([x + y, x - y], axis=1) / 2.0
+    O[1::2] = np.roll(O[0::2], n, axis=1)
+    if not np.allclose(O @ O.T, np.eye(2 * n), atol=1e-10):
+        raise np.linalg.LinAlgError("Bogoliubov transformation is not orthogonal")
     energies = np.empty(2 * n)
-    for k in range(n):
-        O[2 * k, :] = v[:, n + k]
-        O[2 * k + 1, :] = v[:, n - 1 - k]
-        energies[2 * k] = w[n + k]
-        energies[2 * k + 1] = w[n - 1 - k]
+    energies[0::2] = s[::-1]
+    energies[1::2] = -s[::-1]
     return BdGDiagonalization(O, energies)
 
 

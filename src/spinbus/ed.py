@@ -16,11 +16,16 @@ products run as real GEMMs on stacked real and imaginary parts, and a
 block holds only the columns ``cols`` that the environment state reaches.
 
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
-entries (0.32 GB at 14 spins).  Measured at 12 spins, a plain transfer
-channel peaks at about six such sets (Hamiltonian, eigenvectors, the
-full-width complex blocks and the contraction's gathers); an
-encoded-protocol engine holds two (eigenvectors and overlaps), peaks at
-about three while it is built and adds under one per point.
+entries (0.32 GB at 14 spins).  Measured with tracemalloc at 12 and 13
+spins, a plain transfer channel peaks at about 5.3 such sets
+(Hamiltonian, eigenvectors, overlaps, the complex blocks and the
+contraction's gathers).  An encoded-protocol engine holds two
+(eigenvectors and overlaps) and peaks at about 2.2 while it is built, as
+it forms only the Hamiltonian of n - 2 sites.  Its ``fidelities`` stack
+the blocks of a batch of times, half a set per time (complex, a quarter
+of the columns), with as many times per batch as fit in ``_BATCH_BYTES``
+and at least one; a batch peaks at about 1.5 times its stacked blocks on
+top of the held sets (0.7 sets for one time, from 13 spins on).
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -54,6 +59,8 @@ __all__ = [
 ]
 
 _DEFAULT_CAP = 14
+# bytes of one batch's stacked complex blocks in EncodedProtocolEngine.fidelities
+_BATCH_BYTES = 64 * 2**20
 
 
 class ResourceLimitError(RuntimeError):
@@ -95,6 +102,16 @@ class SectorHamiltonian:
         return self._eig
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8 / 1e9
+        raise ResourceLimitError(
+            f"{n} qubits exceeds the cap of {cap}; an exact channel peaks at about "
+            f"three (encoded protocol) to five and a half (plain transfer) real sets "
+            f"of sector blocks, about {3 * mem:.1f}-{5.5 * mem:.1f} GB"
+        )
+
+
 def build_many_body(
     J: np.ndarray,
     n: int,
@@ -109,12 +126,7 @@ def build_many_body(
     constant from sz versus number operators is a global phase and is
     dropped.
     """
-    if n > cap:
-        mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8 / 1e9
-        raise ResourceLimitError(
-            f"{n} qubits exceeds the cap of {cap}; an exact channel holds three "
-            f"to six real sets of sector blocks, about {3 * mem:.1f}-{6 * mem:.1f} GB"
-        )
+    _check_cap(n, cap)
     J = np.asarray(J, float)
     if J.shape != (n, n) or not np.allclose(J, J.T, atol=1e-12):
         raise ValueError("J must be a symmetric (n, n) matrix")
@@ -224,33 +236,40 @@ def _held_columns(
     return cols, col_position
 
 
-def _phases(w: np.ndarray, t: float) -> np.ndarray:
-    if t < 0:
+def _phases(w: np.ndarray, times) -> np.ndarray:
+    """exp(-i w t) as a (len(w), len(times)) array, one column per time."""
+    times = np.atleast_1d(np.asarray(times, float))
+    if np.any(times < 0):
         raise ValueError("time must be non-negative")
-    return np.exp(-1j * w * t)
+    return np.exp(-1j * np.outer(w, times))
 
 
 def _real_times(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Real A times complex Y as one real GEMM on [Re Y | Im Y]."""
-    c = Y.shape[1]
-    Z = A @ np.concatenate([Y.real, Y.imag], axis=1)
-    out = np.empty(Z[:, :c].shape, complex)
-    out.real, out.imag = Z[:, :c], Z[:, c:]
-    return out
+    """Real A times C-ordered complex Y as one real GEMM, with no copies.
+
+    Viewed as float64, Y is a real matrix whose columns alternate between
+    the real and imaginary parts of Y's columns; A times it, viewed back
+    as complex, is A Y.
+    """
+    return (A @ Y.view(np.float64)).view(complex)
 
 
 def _sector_block(V_L, p_L, O, p_R, V_R_held) -> np.ndarray:
-    """Held columns of B = V_L diag(p_L) O diag(p_R) V_R^T.
+    """Held columns of B = V_L diag(p_L) O diag(p_R) V_R^T at K times at once.
 
+    ``p_L`` and ``p_R`` are (d, K) phases, one column per time;
     ``V_R_held`` is V_R[cols], the eigenvector rows of the held columns'
     basis states, and ``O`` a real overlap, or None for the identity.
-    Contracted right to left, so each product is a real matrix times a
-    (d, len(cols)) complex one.
+    Returns the (d, len(cols), K) stack of blocks.  Contracted right to
+    left, so each product is one real GEMM over the columns of every time.
     """
-    Y = p_R[:, None] * V_R_held.T
+    d = V_L.shape[0]
+    # C order, so the reshapes below are views
+    Y = np.multiply(V_R_held.T[:, :, None], p_R[:, None, :], order="C")
     if O is not None:
-        Y = _real_times(O, Y)
-    return _real_times(V_L, p_L[:, None] * Y)
+        Y = _real_times(O, Y.reshape(d, -1)).reshape(Y.shape)
+    Y *= p_L[:, None, :]
+    return _real_times(V_L, Y.reshape(d, -1)).reshape(Y.shape)
 
 
 def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
@@ -297,6 +316,85 @@ def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
     return {k: order[ends[k] - counts[k] : ends[k]] for k in np.flatnonzero(counts).tolist()}
 
 
+@dataclass(frozen=True)
+class _TraceTerm:
+    """One sector pair (w, w2) of the trace contraction.
+
+    Sums conj(B_w[rows, cols]) * B_w2[rows2, cols2] against the output
+    weights ``q`` (one row per trace in ``keys``) on the left and the
+    input weights ``d`` on the right.
+    """
+
+    keys: tuple[str, ...]
+    w: int
+    w2: int
+    rows: np.ndarray
+    cols: np.ndarray
+    rows2: np.ndarray
+    cols2: np.ndarray
+    q: np.ndarray  # (len(keys), len(rows))
+    d: np.ndarray  # (len(keys), len(cols))
+
+
+def _trace_plan(
+    basis: SectorBasis,
+    enc: np.ndarray,
+    dec: np.ndarray,
+    col_map: np.ndarray,
+    env_weights: np.ndarray,
+    in_site: int,
+    out_site: int,
+) -> list[_TraceTerm]:
+    """The gathers and weights of ``channel_traces``; see there.
+
+    They depend on the permutations, the held columns ``col_map`` and the
+    environment only, so a channel evaluated at many times is planned once.
+    """
+    n = basis.n
+    stride = n + 1
+    states = np.arange(1 << n)
+    row_sector, row_pos = basis.weights[dec], basis.position[dec]
+    col_sector, col_pos = basis.weights[enc], col_map[enc]
+    live = np.flatnonzero(env_weights)
+    if min(col_pos[live].min(), col_pos[live ^ (1 << in_site)].min()) < 0:
+        raise ValueError("the channel blocks lack a column the environment reaches")
+    in_bit = (live >> in_site) & 1
+    out_bit = (states >> out_site) & 1
+    plan = []
+    for flip in (0, 1):
+        keys = tuple(k for k, (op_in, _) in _TRACE_OPS.items() if op_in[0] == flip)
+        d = np.array([_TRACE_OPS[k][0][1][in_bit] * env_weights[live] for k in keys])
+        q = np.array([_TRACE_OPS[k][1][1][out_bit ^ flip] for k in keys])
+        rows2 = states ^ (flip << out_site)
+        cols2 = live ^ (flip << in_site)
+        row_groups = _groups(row_sector * stride + row_sector[rows2])
+        col_groups = _groups(col_sector[live] * stride + col_sector[cols2])
+        for pair, R in row_groups.items():
+            C = col_groups.get(pair)
+            if C is None:
+                continue
+            w, w2 = divmod(pair, stride)
+            plan.append(_TraceTerm(
+                keys, w, w2, row_pos[R], col_pos[live[C]],
+                row_pos[rows2[R]], col_pos[cols2[C]], q[:, R], d[:, C],
+            ))
+    return plan
+
+
+def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[str, np.ndarray]:
+    """The traces at each of k times from (d_w, c_w, k) stacks of blocks."""
+    traces = {key: np.zeros(k, complex) for key in _TRACE_OPS}
+    for term in plan:
+        # the gathers are copies: conjugate and multiply in place
+        M = blocks[term.w][term.rows[:, None], term.cols]
+        np.conjugate(M, out=M)
+        M *= blocks[term.w2][term.rows2[:, None], term.cols2]
+        Z = (term.q @ M.reshape(len(term.rows), -1)).reshape(len(term.keys), -1, k)
+        for key, v in zip(term.keys, np.einsum("jck,jc->jk", Z, term.d)):
+            traces[key] += v
+    return traces
+
+
 def channel_traces(
     channel: SectorChannel, in_site: int, out_site: int, env_weights: np.ndarray
 ) -> dict[str, complex]:
@@ -317,38 +415,12 @@ def channel_traces(
     blocks need hold only the ``_held_columns``.
     """
     basis = channel.basis
-    n = basis.n
-    stride = n + 1
-    states = np.arange(1 << n)
     col_map = basis.position if channel.col_position is None else channel.col_position
-    row_sector, row_pos = basis.weights[channel.dec], basis.position[channel.dec]
-    col_sector, col_pos = basis.weights[channel.enc], col_map[channel.enc]
-    live = np.flatnonzero(env_weights)
-    if min(col_pos[live].min(), col_pos[live ^ (1 << in_site)].min()) < 0:
-        raise ValueError("the channel blocks lack a column the environment reaches")
-    in_bit = (live >> in_site) & 1
-    out_bit = (states >> out_site) & 1
-    traces = dict.fromkeys(_TRACE_OPS, 0j)
-    for flip in (0, 1):
-        keys = [k for k, (op_in, _) in _TRACE_OPS.items() if op_in[0] == flip]
-        d = {k: _TRACE_OPS[k][0][1][in_bit] * env_weights[live] for k in keys}
-        q = {k: _TRACE_OPS[k][1][1][out_bit ^ flip] for k in keys}
-        rows2 = states ^ (flip << out_site)
-        cols2 = live ^ (flip << in_site)
-        row_groups = _groups(row_sector * stride + row_sector[rows2])
-        col_groups = _groups(col_sector[live] * stride + col_sector[cols2])
-        for pair, R in row_groups.items():
-            C = col_groups.get(pair)
-            if C is None:
-                continue
-            w, w2 = divmod(pair, stride)
-            # the gathers are copies: conjugate and multiply in place
-            M = channel.blocks[w][row_pos[R][:, None], col_pos[live[C]]]
-            np.conjugate(M, out=M)
-            M *= channel.blocks[w2][row_pos[rows2[R]][:, None], col_pos[cols2[C]]]
-            for k in keys:
-                traces[k] += q[k][R] @ M @ d[k][C]
-    return {k: complex(v) for k, v in traces.items()}
+    plan = _trace_plan(
+        basis, channel.enc, channel.dec, col_map, env_weights, in_site, out_site
+    )
+    traces = _contract(plan, [b[:, :, None] for b in channel.blocks], 1)
+    return {key: complex(v[0]) for key, v in traces.items()}
 
 
 @dataclass(frozen=True)
@@ -366,15 +438,15 @@ class ExactChannelResult:
         return 1.0 - self.fidelity
 
 
-def _result_from_traces(traces: dict[str, complex], model: str, t0: float) -> ExactChannelResult:
+def _result_from_traces(
+    traces: dict[str, complex], model: str, wall_time: float
+) -> ExactChannelResult:
     tx, ty, tz = (traces[k].real for k in ("x", "y", "z"))
     f_plain = 0.5 + (tx + ty + tz) / 12.0
     # A post-transfer z-phase gate can align the coherence transfer; the
     # best achievable coherence contribution is 4|s| in place of Tx+Ty.
     f_corr = 0.5 + (tz + 4.0 * abs(traces["s"])) / 12.0
-    return ExactChannelResult(
-        float(f_plain), float(f_corr), traces, model, _time.perf_counter() - t0
-    )
+    return ExactChannelResult(float(f_plain), float(f_corr), traces, model, wall_time)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +482,8 @@ class ProtocolSpec:
         return {"0a": 0, "0b": 1, "(N+1)b": N + 2, "(N+1)a": N + 3}[label]
 
 
-def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
-    """Full-space Hamiltonian of one transfer leg; the other pair is idle."""
+def _leg_couplings(p: ProtocolSpec, leg: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Couplings and fields of one transfer leg over all sites; the other pair is idle."""
     n = p.n_total
     N = p.n_chain
     J = np.zeros((n, n))
@@ -424,24 +496,72 @@ def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
     if p.chain_fields is not None:
         fields = np.zeros(n)
         fields[2 : N + 2] = p.chain_fields
-    return build_many_body(J, n, fields, cap=cap)
+    return J, fields
+
+
+def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
+    """Full-space Hamiltonian of one transfer leg."""
+    J, fields = _leg_couplings(p, leg)
+    return build_many_body(J, p.n_total, fields, cap=cap)
+
+
+def _leg_a_eig(p: ProtocolSpec, basis: SectorBasis, cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenpairs of leg a in every sector of ``basis``, from n - 2 sites.
+
+    During leg a the sites 0b and (N+1)b have no coupling and no field, so
+    H_a = H_act (x) 1 on them, with H_act the Hamiltonian of the other
+    n - 2 (active) sites.  A weight-w eigenvector of H_a is a weight-(w - k)
+    eigenvector of H_act placed on the rows whose idle bits hold a pattern
+    of weight k, with the same eigenvalue.  The columns run over the idle
+    patterns 00, 01, 10, 11 in turn, so the eigenvalues are not sorted.
+    """
+    J, fields = _leg_couplings(p, "a")
+    idle = (p.site_index("0b"), p.site_index("(N+1)b"))
+    active = np.array([i for i in range(basis.n) if i not in idle])
+    H_act = build_many_body(
+        J[np.ix_(active, active)], active.size,
+        None if fields is None else fields[active], cap=cap,
+    )
+    states = np.arange(1 << basis.n)
+    # each state's active bits, packed, and its idle bit pattern
+    packed = np.zeros_like(states)
+    for k, site in enumerate(active):
+        packed |= ((states >> site) & 1) << k
+    pattern = ((states >> idle[0]) & 1) | (((states >> idle[1]) & 1) << 1)
+    act_eig = H_act.eig()
+    eig = []
+    for w, idx in enumerate(basis.sectors):
+        V = np.zeros((idx.size, idx.size))
+        energies = []
+        col = 0
+        for code, k in ((0, 0), (1, 1), (2, 1), (3, 2)):
+            rows = np.flatnonzero(pattern[idx] == code)
+            if rows.size == 0:
+                continue
+            e, U = act_eig[w - k]
+            V[rows, col : col + e.size] = U[H_act.basis.position[packed[idx[rows]]]]
+            energies.append(e)
+            col += e.size
+        eig.append((np.concatenate(energies), V))
+    return eig
 
 
 class EncodedProtocolEngine:
     """Reusable engine for scanning transfer times at fixed couplings.
 
     The sector eigendecomposition depends on (chain couplings, g) only, so
-    a time grid costs one factored block product and the contraction per
-    point.  The input qubit rides on 0_a; 0_b starts in |up>; the chain is
-    at infinite temperature; the receiving pair starts in the classical
-    logical mixture (|00><00| + |11><11|)/2.
+    a grid of times costs one factored block product per sector and one
+    contraction per batch of times.  The input qubit rides on 0_a; 0_b
+    starts in |up>; the chain is at infinite temperature; the receiving
+    pair starts in the classical logical mixture (|00><00| + |11><11|)/2.
 
-    Only leg a is eigensolved.  Leg b is H_b = P H_a P, with P the basis
+    Only leg a is eigensolved, and only on its n - 2 active sites
+    (``_leg_a_eig``).  Leg b is H_b = P H_a P, with P the basis
     permutation that swaps 0a<->0b and (N+1)a<->(N+1)b; P keeps the
     Hamming weight, so in each sector V_b = P_w V_a (rows permuted) and
     the leg product is B_w A_w = P_w V_a diag(p_b) O_w diag(p_a) V_a^T
     with the real overlap O_w = V_b^T V_a.  The leading P_w is folded into
-    the decode map.
+    the decode map.  The trace contraction is planned once per engine.
     """
 
     def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
@@ -451,44 +571,73 @@ class EncodedProtocolEngine:
             chain_fields, readout, model,
         )
         self.cap = cap
-        H = _leg_hamiltonian(p, "a", cap)
         n = p.n_total
-        self._basis = basis = H.basis
+        _check_cap(n, cap)
+        basis = SectorBasis(n)
         b, a = p.site_index("(N+1)b"), p.site_index("(N+1)a")
         self.leg_swap = _swap_perm(n, [(p.site_index("0a"), p.site_index("0b")), (b, a)])
         # the decode CNOT is controlled on the readout qubit
         readout_site, partner = (b, a) if readout == "b" else (a, b)
-        self._in_site, self._out_site = p.site_index("0a"), readout_site
-        self._enc = _cnot_perm(n, self._in_site, p.site_index("0b"))
-        self._dec = self.leg_swap[_cnot_perm(n, readout_site, partner)]
-        self._env = mixed_environment(
-            n, self._in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
+        in_site = p.site_index("0a")
+        enc = _cnot_perm(n, in_site, p.site_index("0b"))
+        dec = self.leg_swap[_cnot_perm(n, readout_site, partner)]
+        env = mixed_environment(
+            n, in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
         )
-        self._cols, self._col_position = _held_columns(
-            basis, self._enc, self._env, self._in_site
+        self._cols, self._col_position = _held_columns(basis, enc, env, in_site)
+        self._plan = _trace_plan(
+            basis, enc, dec, self._col_position, env, in_site, readout_site
         )
-        self._eig = H.eig()
+        self._eig = _leg_a_eig(p, basis, cap)
         self._overlaps = [
             V[basis.position[self.leg_swap[idx]]].T @ V
             for idx, (_, V) in zip(basis.sectors, self._eig)
         ]
+        # times per batch: the stacked complex blocks stay under _BATCH_BYTES
+        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(self._eig, self._cols))
+        self._batch = max(1, _BATCH_BYTES // per_time)
 
-    def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
-        """Exact fidelity at leg time t (both legs, unless t_b differs).
+    def fidelities(self, times, t_b=None) -> list[ExactChannelResult]:
+        """Exact fidelities at leg times ``times`` (both legs, unless t_b differs).
 
+        ``t_b`` is None (leg b as long as leg a), one time, or one per time.
         Both legs are block-diagonal in the same magnetization sectors, so
-        the protocol is the ``SectorChannel`` (encode CNOT, B_w A_w,
-        decode CNOT).
+        the protocol is the ``SectorChannel`` (encode CNOT, B_w A_w, decode
+        CNOT).  Up to ``_batch`` times share one block product per sector
+        and one contraction; each result's ``wall_time`` is its share of
+        its batch.
         """
-        t0 = _time.perf_counter()
-        t_b = t if t_b is None else t_b
+        t_a = np.asarray(times, float)
+        if t_a.ndim != 1:
+            raise ValueError("times must be a 1-D array")
+        t_b = t_a if t_b is None else np.broadcast_to(np.asarray(t_b, float), t_a.shape)
+        if np.any(t_a < 0) or np.any(t_b < 0):
+            raise ValueError("time must be non-negative")
+        results = []
+        for start in range(0, t_a.size, self._batch):
+            t0 = _time.perf_counter()
+            ta, tb = t_a[start : start + self._batch], t_b[start : start + self._batch]
+            traces = self._batch_traces(ta, tb)
+            share = (_time.perf_counter() - t0) / ta.size
+            results += [
+                _result_from_traces(
+                    {key: complex(v[i]) for key, v in traces.items()}, self.proto.model, share
+                )
+                for i in range(ta.size)
+            ]
+        return results
+
+    def _batch_traces(self, t_a: np.ndarray, t_b: np.ndarray) -> dict[str, np.ndarray]:
+        # the blocks of one batch are freed before the next batch is built
         blocks = [
-            _sector_block(V, _phases(w, t_b), O, _phases(w, t), V[cols])
+            _sector_block(V, _phases(w, t_b), O, _phases(w, t_a), V[cols])
             for (w, V), O, cols in zip(self._eig, self._overlaps, self._cols)
         ]
-        channel = SectorChannel(self._basis, blocks, self._enc, self._dec, self._col_position)
-        traces = channel_traces(channel, self._in_site, self._out_site, self._env)
-        return _result_from_traces(traces, self.proto.model, t0)
+        return _contract(self._plan, blocks, t_a.size)
+
+    def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
+        """Exact fidelity at leg time t (both legs, unless t_b differs)."""
+        return self.fidelities([t], t_b)[0]
 
 
 def exact_channel_fidelity(p: ProtocolSpec, cap: int = _DEFAULT_CAP) -> ExactChannelResult:
@@ -542,8 +691,8 @@ def transfer_channel_traces(
         p = _phases(w, t)
         if kind == "remote_z":
             O = V.T @ (flip[idx][:, None] * V)
-            blocks.append(_sector_block(V, p, O, p, V[held]))
+            blocks.append(_sector_block(V, p, O, p, V[held])[:, :, 0])
         else:
-            blocks.append(_sector_block(V, p, None, np.ones(len(w)), V[held]))
+            blocks.append(_sector_block(V, p, None, np.ones_like(p), V[held])[:, :, 0])
     channel = SectorChannel(H.basis, blocks, identity, identity, col_position)
     return channel_traces(channel, 0, out_site, env)

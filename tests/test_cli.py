@@ -292,6 +292,20 @@ class TestRunners:
         assert F == pytest.approx(1.0, abs=1e-3)
         assert gap < 1e-10  # exact engine agrees with the analytic formula
 
+    def test_dipolar_summary_counters(self):
+        cfg = cli.ExperimentConfig(
+            "dipolar-ed",
+            {"models": ["nearest_neighbor", "full_dipolar"], "total_spins": [6, 8], "cap": 14},
+        )
+        (table,), summary = cli.run_dipolar_ed(cfg)
+        optima = summary["grid_optima"]
+        assert [(r["model"], r["total_spins"]) for r in optima] == [
+            (row[0], row[1]) for row in table.rows
+        ]
+        assert [r["sector_dim_max"] for r in optima] == [20, 20, 70, 70]
+        # the optimum of these small chains lies inside both grids
+        assert not any(r["g_on_grid_edge"] or r["t_on_grid_edge"] for r in optima)
+
 
 def _mostly(inner, hostile):
     """Draws from ``inner``, except one in eight from ``hostile``."""

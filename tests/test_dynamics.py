@@ -89,12 +89,32 @@ class TestPropagator:
             np.diag(np.ones(3), 1),  # not symmetric
             np.diag(np.ones(4)) + 1j * np.diag(np.ones(3), 1) - 1j * np.diag(np.ones(3), -1),
             np.ones(4),  # not a matrix
+            np.diag([1.0, np.nan, 0.0]),  # not finite
         ],
-        ids=["dense", "asymmetric", "complex-hermitian", "vector"],
+        ids=["dense", "asymmetric", "complex-hermitian", "vector", "nan"],
     )
     def test_elements_reject_non_tridiagonal(self, K):
         with pytest.raises(ValueError, match="tridiagonal"):
             dynamics.propagator_elements(K, np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 41, 102])
+    def test_elements_bit_equal_with_eigh_tridiagonal(self, n, monkeypatch):
+        # propagator_elements calls LAPACK dstevd itself; swapping in
+        # scipy's eigh_tridiagonal (whose driver for all eigenpairs is
+        # dstevd) must not change a bit
+        from scipy.linalg import eigh_tridiagonal, lapack
+
+        rng = np.random.default_rng(n)
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        times = np.linspace(0.0, 3.0 * n, 37)
+        got = dynamics.propagator_elements(K, times)
+        monkeypatch.setattr(
+            lapack, "dstevd", lambda d, e: (*eigh_tridiagonal(d, e[: len(d) - 1]), 0)
+        )
+        want = dynamics.propagator_elements(K, times)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestEigenmodes:
@@ -252,6 +272,30 @@ class TestBdG:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             dynamics.bdg_diagonalize(np.zeros((3, 3)))
+
+    def test_pairing_structure_required(self):
+        # symmetric, but the hole block is not -alpha
+        with pytest.raises(ValueError, match="particle-hole"):
+            dynamics.bdg_diagonalize(np.diag([1.0, 2.0, -1.0, -3.0]))
+
+    @pytest.mark.parametrize("N", [10, 20, 30, 40])
+    def test_majorana_regime_partners(self, N):
+        # B = 0.3 < kappa: the zero-mode splitting ~ 0.3^N falls below
+        # rounding from N ~ 30 on, where eigh mixes the +eps and -eps
+        # vectors of the Majorana pair
+        A = chains.build_bdg_matrix(
+            chains.ChainSpec(chains.ModelKind.TFIM, N, chains.Uniform(1.0), uniform_field=0.3)
+        )
+        d = dynamics.bdg_diagonalize(A)
+        tau_x = np.roll(d.O[0::2], N, axis=1)
+        assert np.array_equal(d.O[1::2], tau_x)
+        assert np.max(np.abs(d.O @ d.O.T - np.eye(2 * N))) <= 1e-12
+        assert np.max(np.abs(d.O @ A @ d.O.T - np.diag(d.energies))) <= 1e-12
+        eps = d.positive_energies
+        assert np.all(eps >= 0) and np.all(np.diff(eps) >= 0)
+        assert np.array_equal(d.energies[1::2], -eps)
+        assert eps[0] <= max(0.3**N, 1e-14)
+        assert eps[1] > 0.5  # the bulk gap |kappa - B| stays open
 
     def test_effective_swap_paramagnetic_regime(self):
         spec = chains.ChainSpec(

@@ -58,11 +58,11 @@ class TestSectorConstruction:
     def test_resource_cap(self):
         # one real set of sector blocks at 15 spins:
         # sum_w C(15, w)^2 * 8 B = C(30, 15) * 8 B = 1.24 GB; an exact
-        # channel holds three to six of them
+        # channel peaks at three to five and a half of them
         J = np.zeros((15, 15))
         tracemalloc.start()
         try:
-            with pytest.raises(ed.ResourceLimitError, match=r"about 3\.7-7\.4 GB"):
+            with pytest.raises(ed.ResourceLimitError, match=r"about 3\.7-6\.8 GB"):
                 ed.build_many_body(J, 15, cap=14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -70,6 +70,9 @@ class TestSectorConstruction:
         assert peak < 1 << 20  # raised before any basis or block exists
         with pytest.raises(ed.ResourceLimitError):
             ed.build_many_body_from_k(np.zeros((9, 9)), cap=8)
+        # the encoded engine eigensolves 12 active sites, but 14 spins exceed a cap of 13
+        with pytest.raises(ed.ResourceLimitError):
+            ed.EncodedProtocolEngine(10, np.zeros((10, 10)), 0.5, cap=13)
 
     def test_asymmetric_couplings_rejected(self):
         J = np.zeros((3, 3))
@@ -296,6 +299,19 @@ class TestFactoredEngine:
                 for key in ("x", "y", "z", "s"):
                     assert abs(got[key] - want[key]) <= 1e-12
 
+    @pytest.mark.parametrize("n_total", [6, 8, 10, 12])
+    def test_leg_a_eigenpairs_from_active_sites(self, n_total):
+        # the eigenpairs assembled from the n - 2 active sites against
+        # eigh of each n-site leg-a block (chain fields on)
+        N = n_total - 4
+        p = dipolar_spec(N)
+        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        Ha = ed._leg_hamiltonian(p, "a", 14)
+        for H, (w, V) in zip(Ha.blocks, engine._eig):
+            assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(H))) <= 1e-12
+            assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-12
+            assert np.max(np.abs(H @ V - V * w)) <= 1e-12
+
     def test_blocks_hold_a_quarter_of_the_columns(self):
         # 0b is fixed and the receiving pair correlated: a quarter of the
         # basis states carry environment weight
@@ -313,6 +329,10 @@ class TestFactoredEngine:
             engine.fidelity(-1.0)
         with pytest.raises(ValueError):
             engine.fidelity(1.0, -1.0)
+        with pytest.raises(ValueError):
+            engine.fidelities([1.0, -1.0, 2.0])
+        with pytest.raises(ValueError):
+            engine.fidelities([1.0, 2.0], [3.0, -0.5])
 
     def test_missing_column_rejected(self):
         K = uniform_k(2, 0.5)
@@ -324,6 +344,54 @@ class TestFactoredEngine:
                                    col_position)
         with pytest.raises(ValueError, match="lack a column"):
             ed.channel_traces(channel, 0, 3, ed.mixed_environment(4, 0))
+
+
+def assert_batch_matches_points(engine, times, t_b=None):
+    """``fidelities`` against one ``fidelity`` call per time, to 1e-13."""
+    batch = engine.fidelities(times, t_b)
+    assert len(batch) == len(times)
+    t_bs = np.broadcast_to(times if t_b is None else t_b, np.shape(times))
+    for res, t, tb in zip(batch, times, t_bs):
+        one = engine.fidelity(float(t), float(tb))
+        for key in ("x", "y", "z", "s"):
+            assert abs(res.traces[key] - one.traces[key]) <= 1e-13
+        assert abs(res.fidelity - one.fidelity) <= 1e-13
+        assert abs(res.fidelity_phase_corrected - one.fidelity_phase_corrected) <= 1e-13
+
+
+class TestBatchedFidelities:
+    """``EncodedProtocolEngine.fidelities`` is the batched form of ``fidelity``."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        p = dipolar_spec(4)
+        return ed.EncodedProtocolEngine(4, p.chain_couplings, p.g, p.chain_fields)
+
+    def test_zero_time(self, engine):
+        assert_batch_matches_points(engine, [0.0, 0.0, 3.0])
+        assert engine.fidelities([0.0])[0].fidelity == pytest.approx(0.5, abs=1e-12)
+
+    def test_uneven_times(self, engine):
+        assert_batch_matches_points(engine, [0.3, 7.9, 1.1, 1.15, 25.0, 4.0])
+
+    def test_single_time(self, engine):
+        assert_batch_matches_points(engine, [5.2])
+
+    def test_unequal_leg_b_times(self, engine):
+        assert_batch_matches_points(engine, [2.0, 4.5, 6.1], [5.0, 0.0, 3.3])
+        assert_batch_matches_points(engine, [2.0, 4.5, 6.1], 3.7)
+
+    def test_empty_grid(self, engine):
+        assert engine.fidelities([]) == []
+
+    def test_grid_split_into_batches_at_12_spins(self):
+        N = 8
+        p = dipolar_spec(N)
+        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(engine._eig, engine._cols))
+        assert 1 < engine._batch and engine._batch * per_time <= ed._BATCH_BYTES
+        times = np.linspace(0.7, 1.3, engine._batch + 2) * 1.3 * N
+        assert_batch_matches_points(engine, times)
 
 
 class TestTransferChannelsAgainstEvolveBlocks:
