@@ -346,11 +346,11 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
 
     A = [[alpha, beta], [beta^T, -alpha]] with beta antisymmetric
     anticommutes with tau_x, the swap of the particle and hole halves
-    (checked to 1e-12), so it maps the tau_x = +1 eigenvectors
-    [x; x]/sqrt(2) onto the tau_x = -1 ones [y; -y]/sqrt(2) through the
-    n x n block C = alpha - beta.  With the SVD C = X diag(s) Y^T, each
-    u_k = [x_k + y_k; x_k - y_k]/2 has eigenvalue +s_k and tau_x u_k
-    eigenvalue -s_k.  Every -eps row is therefore tau_x times its +eps
+    (checked to 1e-12).  In the basis of the tau_x = +1 vectors
+    [x; x]/sqrt(2) and the tau_x = -1 vectors [y; -y]/sqrt(2) it is
+    therefore [[0, C], [C^T, 0]] with C = alpha - beta.  With the SVD
+    C = X diag(s) Y^T, each u_k = [x_k + y_k; x_k - y_k]/2 has eigenvalue
+    +s_k and tau_x u_k eigenvalue -s_k.  Every -eps row is therefore tau_x times its +eps
     row, and the energies are non-negative, by construction.  The
     near-zero (Majorana) subspace needs no tolerance: where eigh of A
     mixes +eps and -eps vectors whose splitting is below rounding, the SVD

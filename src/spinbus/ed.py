@@ -12,8 +12,9 @@ Every channel block has the factored form
 B_w = V_L diag(p_L) O_w diag(p_R) V_R[cols]^T, with real eigenvectors V,
 phases p = exp(-i w t) and a real sector overlap O_w fixed per
 Hamiltonian (the identity for one leg of evolution).  The complex
-products run as real GEMMs on stacked real and imaginary parts, and a
-block holds only the columns ``cols`` that the environment state reaches.
+products run as real GEMMs on the complex operand viewed as float64, and
+a block holds only the columns ``cols`` that the environment state
+reaches.
 
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
 entries (0.32 GB at 14 spins).  Measured with tracemalloc at 12 and 13
@@ -264,7 +265,7 @@ def _sector_block(V_L, p_L, O, p_R, V_R_held) -> np.ndarray:
     left, so each product is one real GEMM over the columns of every time.
     """
     d = V_L.shape[0]
-    # C order, so the reshapes below are views
+    # C order: the reshapes and _real_times' float64 views need no copies
     Y = np.multiply(V_R_held.T[:, :, None], p_R[:, None, :], order="C")
     if O is not None:
         Y = _real_times(O, Y.reshape(d, -1)).reshape(Y.shape)
@@ -431,7 +432,7 @@ class ExactChannelResult:
     fidelity_phase_corrected: float
     traces: dict[str, complex]
     model: str
-    wall_time: float
+    wall_time: float  # seconds; a batch's time split evenly over its points
 
     @property
     def infidelity(self) -> float:
@@ -604,8 +605,7 @@ class EncodedProtocolEngine:
         Both legs are block-diagonal in the same magnetization sectors, so
         the protocol is the ``SectorChannel`` (encode CNOT, B_w A_w, decode
         CNOT).  Up to ``_batch`` times share one block product per sector
-        and one contraction; each result's ``wall_time`` is its share of
-        its batch.
+        and one contraction.
         """
         t_a = np.asarray(times, float)
         if t_a.ndim != 1:

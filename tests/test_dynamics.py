@@ -109,10 +109,15 @@ class TestPropagator:
         K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         times = np.linspace(0.0, 3.0 * n, 37)
         got = dynamics.propagator_elements(K, times)
-        monkeypatch.setattr(
-            lapack, "dstevd", lambda d, e: (*eigh_tridiagonal(d, e[: len(d) - 1]), 0)
-        )
+        calls = []
+
+        def via_eigh_tridiagonal(d, e):
+            calls.append(len(d))
+            return (*eigh_tridiagonal(d, e[: len(d) - 1]), 0)
+
+        monkeypatch.setattr(lapack, "dstevd", via_eigh_tridiagonal)
         want = dynamics.propagator_elements(K, times)
+        assert calls == [n]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
