@@ -506,7 +506,9 @@ def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
     return build_many_body(J, p.n_total, fields, cap=cap)
 
 
-def _leg_a_eig(p: ProtocolSpec, basis: SectorBasis, cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _leg_a_eig(
+    p: ProtocolSpec, basis: SectorBasis, cap: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenpairs of leg a in every sector of ``basis``, from n - 2 sites.
 
     During leg a the sites 0b and (N+1)b have no coupling and no field, so
