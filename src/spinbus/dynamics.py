@@ -350,11 +350,12 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
     [x; x]/sqrt(2) and the tau_x = -1 vectors [y; -y]/sqrt(2) it is
     therefore [[0, C], [C^T, 0]] with C = alpha - beta.  With the SVD
     C = X diag(s) Y^T, each u_k = [x_k + y_k; x_k - y_k]/2 has eigenvalue
-    +s_k and tau_x u_k eigenvalue -s_k.  Every -eps row is therefore tau_x times its +eps
-    row, and the energies are non-negative, by construction.  The
-    near-zero (Majorana) subspace needs no tolerance: where eigh of A
-    mixes +eps and -eps vectors whose splitting is below rounding, the SVD
-    still returns orthonormal singular pairs, and O O^T = 1 is checked.
+    +s_k and tau_x u_k eigenvalue -s_k.  Every -eps row is therefore
+    tau_x times its +eps row, and the energies are non-negative, by
+    construction.  The near-zero (Majorana) subspace needs no tolerance:
+    where eigh of A mixes +eps and -eps vectors whose splitting is below
+    rounding, the SVD still returns orthonormal singular pairs, and
+    O O^T = 1 is checked.
 
     Rows are interleaved (+eps_k, -eps_k) with eps_k ascending.
     """
