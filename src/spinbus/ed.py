@@ -390,6 +390,7 @@ def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[
         M = blocks[term.w][term.rows[:, None], term.cols]
         np.conjugate(M, out=M)
         M *= blocks[term.w2][term.rows2[:, None], term.cols2]
+        # rows first, as one GEMM over the flattened (column, time) axis
         Z = (term.q @ M.reshape(len(term.rows), -1)).reshape(len(term.keys), -1, k)
         for key, v in zip(term.keys, np.einsum("jck,jc->jk", Z, term.d)):
             traces[key] += v
