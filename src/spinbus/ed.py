@@ -2,31 +2,33 @@
 
 The Hamiltonians conserve total magnetization, so they block-diagonalize
 by Hamming weight of the computational basis.  Every protocol channel is
-a ``SectorChannel``: a basis permutation (the encode CNOT, or the
+one ``_FactoredChannel``: a basis permutation (the encode CNOT, or the
 identity), one unitary block per magnetization sector, and another
-permutation (the decode CNOT).  ``channel_traces`` contracts the Pauli
-transfer traces against the diagonal environment state block by block,
-so no 2^n x 2^n matrix is ever formed.
+permutation (the decode CNOT).  It contracts the Pauli transfer traces
+against the diagonal environment state block by block, so no 2^n x 2^n
+matrix is ever formed.
 
 Every channel block has the factored form
-B_w = V_L diag(p_L) O_w diag(p_R) V_R[cols]^T, with real eigenvectors V,
-phases p = exp(-i w t) and a real sector overlap O_w fixed per
-Hamiltonian (the identity for one leg of evolution).  The complex
-products run as real GEMMs on the complex operand viewed as float64, and
-a block holds only the columns ``cols`` that the environment state
-reaches.
+B_w = V_w diag(p_L) O_w diag(p_R) V_w[cols]^T, with real eigenvectors V,
+phases p = exp(-i w t) at a left and a right time and a real sector
+overlap O_w fixed per channel (the identity for one leg of evolution).
+The complex products run as real GEMMs on the complex operand viewed as
+float64, and a block holds only the columns ``cols`` that the
+environment state reaches.
 
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
-entries (0.32 GB at 14 spins).  Measured with tracemalloc at 12 and 13
-spins, a plain transfer channel peaks at about 5.3 such sets
-(Hamiltonian, eigenvectors, overlaps, the complex blocks and the
-contraction's gathers).  An encoded-protocol engine holds two
-(eigenvectors and overlaps) and peaks at about 2.2 while it is built, as
-it forms only the Hamiltonian of n - 2 sites.  Its ``fidelities`` stack
-the blocks of a batch of times, half a set per time (complex, a quarter
-of the columns), with as many times per batch as fit in ``_BATCH_BYTES``
-and at least one; a batch peaks at about 1.5 times its stacked blocks on
-top of the held sets (0.7 sets for one time, from 13 spins on).
+entries (0.32 GB at 14 spins), and measured with tracemalloc.  At 12
+spins a plain transfer channel peaks at about 4.3 such sets for the
+swaps (eigenvectors, the complex blocks and the contraction's gathers;
+the Hamiltonian is dropped after its eigensolve) and about 5.3 for
+``remote_z``, which also holds its overlaps.  At 12 and 13 spins an
+encoded-protocol engine holds two (eigenvectors and overlaps) and peaks
+at about 2.2 while it is built, as it forms only the Hamiltonian of
+n - 2 sites.  Its ``fidelities`` stack the blocks of a batch of times,
+half a set per time (complex, a quarter of the columns), with as many
+times per batch as fit in ``_BATCH_BYTES`` and at least one; a batch
+peaks at about 1.5 times its stacked blocks on top of the held sets
+(0.7 sets for one time, from 13 spins on).
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -35,24 +37,18 @@ Bit convention: bit value 1 marks a flipped spin (an "excitation");
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import evolve
 
 __all__ = [
     "ResourceLimitError",
     "SectorBasis",
     "SectorHamiltonian",
-    "SectorChannel",
     "ProtocolSpec",
     "ExactChannelResult",
     "build_many_body",
     "build_many_body_from_k",
-    "exact_unitary",
-    "channel_traces",
     "exact_channel_fidelity",
     "EncodedProtocolEngine",
     "transfer_channel_traces",
@@ -60,7 +56,7 @@ __all__ = [
 ]
 
 _DEFAULT_CAP = 14
-# bytes of one batch's stacked complex blocks in EncodedProtocolEngine.fidelities
+# bytes of one batch's stacked complex blocks in _FactoredChannel.traces
 _BATCH_BYTES = 64 * 2**20
 
 
@@ -169,13 +165,6 @@ def build_many_body_from_k(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHami
     return build_many_body(J, n, fields, cap=cap)
 
 
-def exact_unitary(H: SectorHamiltonian, t: float) -> list[np.ndarray]:
-    """Per-sector unitaries exp(-i H_w t) from cached eigendecompositions."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    return [evolve(w, V, t) for w, V in H.eig()]
-
-
 # ---------------------------------------------------------------------------
 # channel evaluation
 
@@ -194,37 +183,16 @@ def _swap_perm(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class SectorChannel:
-    """A channel unitary V = P_dec (+)_w B_w P_enc.
-
-    ``blocks[w]`` acts on the Hamming-weight-w sector of ``basis``;
-    ``enc`` and ``dec`` are basis permutations given as gather maps, so
-    V[r, c] = B_w[pos(dec[r]), col(enc[c])] when dec[r] and enc[c] both
-    have weight w, and 0 otherwise.  ``col_position`` maps each basis
-    state to its column in its block, -1 where the block does not hold it
-    (``_held_columns``); by default every column is held and col = pos.
-    For self-inverse permutations (CNOTs and the identity) this is the
-    operator product.
-    """
-
-    basis: SectorBasis
-    blocks: list[np.ndarray]
-    enc: np.ndarray
-    dec: np.ndarray
-    col_position: np.ndarray | None = None
-
-
 def _held_columns(
     basis: SectorBasis, enc: np.ndarray, env_weights: np.ndarray, in_site: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The block columns ``channel_traces`` reads, per sector and as a map.
+    """The block columns the trace contraction reads, per sector and as a map.
 
     The traces read the columns of the basis states enc[c] and
     enc[c ^ in_bit] for every c of non-zero environment weight, and no
     others.  Returns the sector positions of those states for each sector
-    (ascending) and the ``SectorChannel.col_position`` map that indexes
-    blocks holding only them.
+    (ascending) and the map from each basis state to its column in blocks
+    holding only them, -1 where such a block does not hold it.
     """
     live = np.flatnonzero(env_weights)
     read = enc[np.union1d(live, live ^ (1 << in_site))]
@@ -237,14 +205,6 @@ def _held_columns(
     return cols, col_position
 
 
-def _phases(w: np.ndarray, times) -> np.ndarray:
-    """exp(-i w t) as a (len(w), len(times)) array, one column per time."""
-    times = np.atleast_1d(np.asarray(times, float))
-    if np.any(times < 0):
-        raise ValueError("time must be non-negative")
-    return np.exp(-1j * np.outer(w, times))
-
-
 def _real_times(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Real A times C-ordered complex Y as one real GEMM, with no copies.
 
@@ -255,22 +215,24 @@ def _real_times(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (A @ Y.view(np.float64)).view(complex)
 
 
-def _sector_block(V_L, p_L, O, p_R, V_R_held) -> np.ndarray:
-    """Held columns of B = V_L diag(p_L) O diag(p_R) V_R^T at K times at once.
+def _sector_block(w, V, O, held, t_left, t_right) -> np.ndarray:
+    """Held columns of B = V diag(p_L) O diag(p_R) V[held]^T at K times at once.
 
-    ``p_L`` and ``p_R`` are (d, K) phases, one column per time;
-    ``V_R_held`` is V_R[cols], the eigenvector rows of the held columns'
-    basis states, and ``O`` a real overlap, or None for the identity.
-    Returns the (d, len(cols), K) stack of blocks.  Contracted right to
-    left, so each product is one real GEMM over the columns of every time.
+    p_L and p_R hold the phases exp(-i w t) at the (K,) times ``t_left``
+    and ``t_right``; ``held`` lists the sector positions of the held
+    columns' basis states, and ``O`` is a real overlap, or None for the
+    identity.  Returns the (d, len(held), K) stack of blocks.  Contracted
+    right to left, so each product is one real GEMM over the columns of
+    every time.
     """
-    d = V_L.shape[0]
+    d = V.shape[0]
+    p_R = np.exp(-1j * np.outer(w, t_right))
     # C order: the reshapes and _real_times' float64 views need no copies
-    Y = np.multiply(V_R_held.T[:, :, None], p_R[:, None, :], order="C")
+    Y = np.multiply(V[held].T[:, :, None], p_R[:, None, :], order="C")
     if O is not None:
         Y = _real_times(O, Y.reshape(d, -1)).reshape(Y.shape)
-    Y *= p_L[:, None, :]
-    return _real_times(V_L, Y.reshape(d, -1)).reshape(Y.shape)
+    Y *= np.exp(-1j * np.outer(w, t_left))[:, None, :]
+    return _real_times(V, Y.reshape(d, -1)).reshape(Y.shape)
 
 
 def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
@@ -346,9 +308,16 @@ def _trace_plan(
     in_site: int,
     out_site: int,
 ) -> list[_TraceTerm]:
-    """The gathers and weights of ``channel_traces``; see there.
+    """The gathers and weights of the trace contraction.
 
-    They depend on the permutations, the held columns ``col_map`` and the
+    Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
+    r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
+    times the environment weight and q the output operator's value.  Rows
+    and columns are grouped by the sector pair (w, w') that V[r, c] and
+    V[r', c'] fall in, and only the matching sub-blocks of B_w and B_w'
+    are gathered; columns of zero environment weight are skipped, so the
+    blocks need hold only the ``_held_columns``, which ``col_map`` indexes.
+    The plan depends on the permutations, the held columns and the
     environment only, so a channel evaluated at many times is planned once.
     """
     n = basis.n
@@ -397,32 +366,51 @@ def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[
     return traces
 
 
-def channel_traces(
-    channel: SectorChannel, in_site: int, out_site: int, env_weights: np.ndarray
-) -> dict[str, complex]:
-    """Exact Pauli transfer traces of a sector-wise channel.
+class _FactoredChannel:
+    """A channel unitary V = P_dec (+)_w B_w P_enc with factored blocks.
 
-    Returns T_i = Tr[s^i_out E(s^i_in)] for i in {x, y, z} plus the
-    coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)], where
+    B_w = V_w diag(p(t_left)) O_w diag(p(t_right)) V_w^T acts on the
+    Hamming-weight-w sector of ``basis``; ``eig`` holds the sector
+    eigenpairs (w, V_w) and ``overlaps`` the real O_w, None for the
+    identity.  ``enc`` and ``dec`` are basis permutations given as gather
+    maps, so V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c]
+    both have weight w, and 0 otherwise; for self-inverse permutations
+    (CNOTs and the identity) this is the operator product.
+
+    ``traces`` gives T_i = Tr[s^i_out E(s^i_in)] for i in {x, y, z} plus
+    the coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)], where
     E(A) = Tr_rest[V (A (x) rho_env) V^dag] and ``env_weights`` is the
-    diagonal of rho_env over the full basis.  The average channel
-    fidelity is 1/2 + (T_x + T_y + T_z)/12.
-
-    Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
-    r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
-    times the environment weight and q the output operator's value.  Rows
-    and columns are grouped by the sector pair (w, w') that V[r, c] and
-    V[r', c'] fall in, and only the matching sub-blocks of B_w and B_w'
-    are gathered; columns of zero environment weight are skipped, so the
-    blocks need hold only the ``_held_columns``.
+    diagonal of rho_env over the full basis.  The average channel fidelity
+    is 1/2 + (T_x + T_y + T_z)/12.
     """
-    basis = channel.basis
-    col_map = basis.position if channel.col_position is None else channel.col_position
-    plan = _trace_plan(
-        basis, channel.enc, channel.dec, col_map, env_weights, in_site, out_site
-    )
-    traces = _contract(plan, [b[:, :, None] for b in channel.blocks], 1)
-    return {key: complex(v[0]) for key, v in traces.items()}
+
+    def __init__(self, basis, eig, overlaps, enc, dec, env_weights, in_site, out_site):
+        self._eig = eig
+        self._overlaps = overlaps
+        self._cols, col_position = _held_columns(basis, enc, env_weights, in_site)
+        self._plan = _trace_plan(basis, enc, dec, col_position, env_weights, in_site, out_site)
+        # times per batch: the stacked complex blocks stay under _BATCH_BYTES
+        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(eig, self._cols))
+        self._batch = max(1, _BATCH_BYTES // per_time)
+
+    def traces(self, t_left: np.ndarray, t_right: np.ndarray) -> list[dict[str, complex]]:
+        """The traces at each time pair (t_left[k], t_right[k]), one dict per pair.
+
+        Up to ``_batch`` pairs share one block product per sector and one
+        contraction.
+        """
+        if np.any(t_left < 0) or np.any(t_right < 0):
+            raise ValueError("time must be non-negative")
+        out = []
+        for start in range(0, t_left.size, self._batch):
+            tl, tr = t_left[start : start + self._batch], t_right[start : start + self._batch]
+            # the blocks are a temporary: one batch's are freed before the next is built
+            traces = _contract(self._plan, [
+                _sector_block(w, V, O, held, tl, tr)
+                for (w, V), O, held in zip(self._eig, self._overlaps, self._cols)
+            ], tl.size)
+            out += [{key: complex(v[i]) for key, v in traces.items()} for i in range(tl.size)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -433,22 +421,19 @@ class ExactChannelResult:
     fidelity_phase_corrected: float
     traces: dict[str, complex]
     model: str
-    wall_time: float  # seconds; a batch's time split evenly over its points
 
     @property
     def infidelity(self) -> float:
         return 1.0 - self.fidelity
 
 
-def _result_from_traces(
-    traces: dict[str, complex], model: str, wall_time: float
-) -> ExactChannelResult:
+def _result_from_traces(traces: dict[str, complex], model: str) -> ExactChannelResult:
     tx, ty, tz = (traces[k].real for k in ("x", "y", "z"))
     f_plain = 0.5 + (tx + ty + tz) / 12.0
     # A post-transfer z-phase gate can align the coherence transfer; the
     # best achievable coherence contribution is 4|s| in place of Tx+Ty.
     f_corr = 0.5 + (tz + 4.0 * abs(traces["s"])) / 12.0
-    return ExactChannelResult(float(f_plain), float(f_corr), traces, model, wall_time)
+    return ExactChannelResult(float(f_plain), float(f_corr), traces, model)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +484,6 @@ def _leg_couplings(p: ProtocolSpec, leg: str) -> tuple[np.ndarray, np.ndarray | 
         fields = np.zeros(n)
         fields[2 : N + 2] = p.chain_fields
     return J, fields
-
-
-def _leg_hamiltonian(p: ProtocolSpec, leg: str, cap: int) -> SectorHamiltonian:
-    """Full-space Hamiltonian of one transfer leg."""
-    J, fields = _leg_couplings(p, leg)
-    return build_many_body(J, p.n_total, fields, cap=cap)
 
 
 def _leg_a_eig(
@@ -570,11 +549,12 @@ class EncodedProtocolEngine:
 
     def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
                  readout="b", model="custom", cap: int = _DEFAULT_CAP):
+        if readout not in ("a", "b"):
+            raise ValueError(f"readout must be 'a' or 'b', not {readout!r}")
         self.proto = p = ProtocolSpec(
             n_chain, np.asarray(chain_couplings, float), float(g), 0.0, 0.0,
             chain_fields, readout, model,
         )
-        self.cap = cap
         n = p.n_total
         _check_cap(n, cap)
         basis = SectorBasis(n)
@@ -588,55 +568,31 @@ class EncodedProtocolEngine:
         env = mixed_environment(
             n, in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
         )
-        self._cols, self._col_position = _held_columns(basis, enc, env, in_site)
-        self._plan = _trace_plan(
-            basis, enc, dec, self._col_position, env, in_site, readout_site
-        )
-        self._eig = _leg_a_eig(p, basis, cap)
-        self._overlaps = [
+        eig = _leg_a_eig(p, basis, cap)
+        overlaps = [
             V[basis.position[self.leg_swap[idx]]].T @ V
-            for idx, (_, V) in zip(basis.sectors, self._eig)
+            for idx, (_, V) in zip(basis.sectors, eig)
         ]
-        # times per batch: the stacked complex blocks stay under _BATCH_BYTES
-        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(self._eig, self._cols))
-        self._batch = max(1, _BATCH_BYTES // per_time)
+        self._channel = _FactoredChannel(
+            basis, eig, overlaps, enc, dec, env, in_site, readout_site
+        )
 
     def fidelities(self, times, t_b=None) -> list[ExactChannelResult]:
         """Exact fidelities at leg times ``times`` (both legs, unless t_b differs).
 
         ``t_b`` is None (leg b as long as leg a), one time, or one per time.
         Both legs are block-diagonal in the same magnetization sectors, so
-        the protocol is the ``SectorChannel`` (encode CNOT, B_w A_w, decode
-        CNOT).  Up to ``_batch`` times share one block product per sector
-        and one contraction.
+        the protocol is one ``_FactoredChannel`` (encode CNOT, B_w A_w,
+        decode CNOT) with t_left = t_b and t_right = t_a.
         """
         t_a = np.asarray(times, float)
         if t_a.ndim != 1:
             raise ValueError("times must be a 1-D array")
         t_b = t_a if t_b is None else np.broadcast_to(np.asarray(t_b, float), t_a.shape)
-        if np.any(t_a < 0) or np.any(t_b < 0):
-            raise ValueError("time must be non-negative")
-        results = []
-        for start in range(0, t_a.size, self._batch):
-            t0 = _time.perf_counter()
-            ta, tb = t_a[start : start + self._batch], t_b[start : start + self._batch]
-            traces = self._batch_traces(ta, tb)
-            share = (_time.perf_counter() - t0) / ta.size
-            results += [
-                _result_from_traces(
-                    {key: complex(v[i]) for key, v in traces.items()}, self.proto.model, share
-                )
-                for i in range(ta.size)
-            ]
-        return results
-
-    def _batch_traces(self, t_a: np.ndarray, t_b: np.ndarray) -> dict[str, np.ndarray]:
-        # the blocks of one batch are freed before the next batch is built
-        blocks = [
-            _sector_block(V, _phases(w, t_b), O, _phases(w, t_a), V[cols])
-            for (w, V), O, cols in zip(self._eig, self._overlaps, self._cols)
+        return [
+            _result_from_traces(traces, self.proto.model)
+            for traces in self._channel.traces(t_b, t_a)
         ]
-        return _contract(self._plan, blocks, t_a.size)
 
     def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
         """Exact fidelity at leg time t (both legs, unless t_b differs)."""
@@ -671,31 +627,32 @@ def transfer_channel_traces(
     - ``single_swap``: evolve for t, read out at site N+1
     - ``remote_z``: evolve t, flip sz on site N+1, evolve t, read at 0
 
-    ``chain_bits`` optionally pins the chain sites to a product bit
-    configuration instead of the maximally mixed state (used to probe the
-    parity dependence of the one-way swap).
+    ``chain_bits``, N values in {0, 1}, optionally pins the chain sites to
+    a product bit configuration instead of the maximally mixed state (used
+    to probe the parity dependence of the one-way swap).
     """
     if kind not in ("double_swap", "single_swap", "remote_z"):
         raise ValueError(f"unknown channel kind {kind!r}")
     K = np.asarray(K)
     n = K.shape[0]
-    H = build_many_body_from_k(K, cap=cap)
-    out_site = n - 1 if kind == "single_swap" else 0
     fixed = {}
     if chain_bits is not None:
-        fixed = {1 + i: int(b) for i, b in enumerate(chain_bits)}
-    env = mixed_environment(n, 0, fixed=fixed)
+        bits = np.asarray(chain_bits)
+        if bits.shape != (n - 2,) or not np.isin(bits, (0, 1)).all():
+            raise ValueError(f"chain_bits must be {n - 2} values in {{0, 1}}")
+        fixed = {1 + i: int(b) for i, b in enumerate(bits)}
+    H = build_many_body_from_k(K, cap=cap)
+    basis, eig = H.basis, H.eig()
+    del H  # frees the Hamiltonian blocks: the channel needs only the eigenpairs
     identity = np.arange(1 << n)
-    cols, col_position = _held_columns(H.basis, identity, env, 0)
-    # the z flip S on site N+1 is diagonal: U S U = V diag(p) (V^T S V) diag(p) V^T
-    flip = 1.0 - 2.0 * ((identity >> (n - 1)) & 1)
-    blocks = []
-    for (w, V), idx, held in zip(H.eig(), H.basis.sectors, cols):
-        p = _phases(w, t)
-        if kind == "remote_z":
-            O = V.T @ (flip[idx][:, None] * V)
-            blocks.append(_sector_block(V, p, O, p, V[held])[:, :, 0])
-        else:
-            blocks.append(_sector_block(V, p, None, np.ones_like(p), V[held])[:, :, 0])
-    channel = SectorChannel(H.basis, blocks, identity, identity, col_position)
-    return channel_traces(channel, 0, out_site, env)
+    overlaps = [None] * (n + 1)
+    if kind == "remote_z":
+        # the z flip S on site N+1 is diagonal: U S U = V diag(p) (V^T S V) diag(p) V^T
+        flip = 1.0 - 2.0 * ((identity >> (n - 1)) & 1)
+        overlaps = [V.T @ (flip[idx][:, None] * V) for (_, V), idx in zip(eig, basis.sectors)]
+    out_site = n - 1 if kind == "single_swap" else 0
+    env = mixed_environment(n, 0, fixed=fixed)
+    channel = _FactoredChannel(basis, eig, overlaps, identity, identity, env, 0, out_site)
+    times = np.array([float(t)])
+    # a swap is one leg of evolution: O = 1 and no time on the left
+    return channel.traces(times if kind == "remote_z" else np.zeros(1), times)[0]

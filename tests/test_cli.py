@@ -292,6 +292,16 @@ class TestRunners:
         assert F == pytest.approx(1.0, abs=1e-3)
         assert gap < 1e-10  # exact engine agrees with the analytic formula
 
+    def test_dipolar_gap_floor(self):
+        # the 8-spin gap is rounding noise (4.4e-16 before the floor)
+        cfg = cli.ExperimentConfig(
+            "dipolar-ed", {"models": ["nearest_neighbor"], "total_spins": [8], "cap": 14}
+        )
+        (table,), _ = cli.run_dipolar_ed(cfg)
+        (row,) = table.rows
+        assert row[-1] == 0.0
+        assert table.metadata["nn_analytic_gap_floor"] == 1e-12
+
     def test_dipolar_summary_counters(self):
         cfg = cli.ExperimentConfig(
             "dipolar-ed",

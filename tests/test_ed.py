@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,13 @@ def uniform_k(N, g, register_field=None):
     if register_field is not None:
         K[0, 0] = K[N + 1, N + 1] = register_field
     return K
+
+
+def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
+    """Traces of P_dec (+)_w blocks[w] P_enc, every column of every block held."""
+    plan = ed._trace_plan(basis, enc, dec, basis.position, env, in_site, out_site)
+    traces = ed._contract(plan, [b[:, :, None] for b in blocks], 1)
+    return {key: complex(v[0]) for key, v in traces.items()}
 
 
 def sector_to_dense(H: ed.SectorHamiltonian) -> np.ndarray:
@@ -51,8 +59,6 @@ class TestSectorConstruction:
 
     def test_sector_dimensions(self):
         basis = ed.SectorBasis(6)
-        import math
-
         assert basis.dims() == [math.comb(6, w) for w in range(7)]
 
     def test_resource_cap(self):
@@ -83,7 +89,7 @@ class TestSectorConstruction:
     def test_unitary_blocks(self):
         K = uniform_k(3, 0.4)
         H = ed.build_many_body_from_k(K)
-        for U in ed.exact_unitary(H, 1.7):
+        for U in oracles.sector_unitaries(H.eig(), 1.7):
             assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-10)
 
 
@@ -125,6 +131,20 @@ class TestChannelTracesAgainstDenseOracle:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ed.transfer_channel_traces(uniform_k(2, 0.2), 1.0, "teleport")
+
+    @pytest.mark.parametrize("bits", [
+        [0, 1, 1, 0],  # one bit too many would pin the output register
+        [1, 0],  # one too few would leave a chain site mixed
+        [0, 2, 1],  # not a bit value
+    ])
+    def test_malformed_chain_bits(self, bits):
+        with pytest.raises(ValueError, match="chain_bits"):
+            ed.transfer_channel_traces(uniform_k(3, 0.5), 3.3, "single_swap", chain_bits=bits)
+
+    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
+    def test_negative_time(self, kind):
+        with pytest.raises(ValueError, match="non-negative"):
+            ed.transfer_channel_traces(uniform_k(3, 0.5), -1.0, kind)
 
 
 class TestEncodedProtocol:
@@ -213,6 +233,11 @@ class TestEncodedProtocol:
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
 
+    def test_unknown_readout(self):
+        J = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="readout"):
+            ed.EncodedProtocolEngine(2, J, 0.5, readout="B")
+
     def test_zero_time_is_identity_legs(self):
         # with no evolution the receiving pair never correlates with the
         # input, so the channel is maximally forgetful: F = 1/2
@@ -249,6 +274,12 @@ class TestEnvironmentWeights:
         assert np.allclose(a, b)
 
 
+def leg_hamiltonian(p: ed.ProtocolSpec, leg: str) -> ed.SectorHamiltonian:
+    """Full-space Hamiltonian of one transfer leg."""
+    J, fields = ed._leg_couplings(p, leg)
+    return ed.build_many_body(J, p.n_total, fields)
+
+
 def dipolar_spec(N):
     """Protocol on a full cube-law chain with non-zero chain fields."""
     r = np.arange(N, dtype=float)
@@ -267,8 +298,8 @@ class TestFactoredEngine:
     def test_leg_swap_maps_leg_a_onto_leg_b(self, N):
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        Ha = ed._leg_hamiltonian(p, "a", 14)
-        Hb = ed._leg_hamiltonian(p, "b", 14)
+        Ha = leg_hamiltonian(p, "a")
+        Hb = leg_hamiltonian(p, "b")
         for idx, A, B in zip(Ha.basis.sectors, Ha.blocks, Hb.blocks):
             perm = Ha.basis.position[engine.leg_swap[idx]]
             assert np.array_equal(A[perm][:, perm], B)
@@ -277,9 +308,9 @@ class TestFactoredEngine:
     def test_matches_two_leg_oracle(self, n_total):
         N = n_total - 4
         p = dipolar_spec(N)
-        Ha = ed._leg_hamiltonian(p, "a", 14)
+        Ha = leg_hamiltonian(p, "a")
         eig_a = [np.linalg.eigh(b) for b in Ha.blocks]
-        eig_b = [np.linalg.eigh(b) for b in ed._leg_hamiltonian(p, "b", 14).blocks]
+        eig_b = [np.linalg.eigh(b) for b in leg_hamiltonian(p, "b").blocks]
         site = p.site_index
         in_site, b, a = site("0a"), site("(N+1)b"), site("(N+1)a")
         env = ed.mixed_environment(n_total, in_site, fixed={site("0b"): 0},
@@ -294,8 +325,7 @@ class TestFactoredEngine:
             for (t_a, t_b), blocks in zip(times, products):
                 got = engine.fidelity(t_a, t_b).traces
                 dec = ed._cnot_perm(n_total, out_site, partner)
-                channel = ed.SectorChannel(Ha.basis, blocks, enc, dec)
-                want = ed.channel_traces(channel, in_site, out_site, env)
+                want = full_block_traces(Ha.basis, blocks, enc, dec, env, in_site, out_site)
                 for key in ("x", "y", "z", "s"):
                     assert abs(got[key] - want[key]) <= 1e-12
 
@@ -306,8 +336,8 @@ class TestFactoredEngine:
         N = n_total - 4
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        Ha = ed._leg_hamiltonian(p, "a", 14)
-        for H, (w, V) in zip(Ha.blocks, engine._eig):
+        Ha = leg_hamiltonian(p, "a")
+        for H, (w, V) in zip(Ha.blocks, engine._channel._eig):
             assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(H))) <= 1e-12
             assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-12
             assert np.max(np.abs(H @ V - V * w)) <= 1e-12
@@ -318,9 +348,15 @@ class TestFactoredEngine:
         N = 4
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        held = sum(len(c) for c in engine._cols)
+        held = sum(len(c) for c in engine._channel._cols)
         assert held == (1 << p.n_total) // 4
-        assert np.count_nonzero(engine._col_position >= 0) == held
+        site = p.site_index
+        env = ed.mixed_environment(p.n_total, site("0a"), fixed={site("0b"): 0},
+                                   correlated_pairs=[(site("(N+1)b"), site("(N+1)a"))])
+        enc = ed._cnot_perm(p.n_total, site("0a"), site("0b"))
+        cols, col_position = ed._held_columns(ed.SectorBasis(p.n_total), enc, env, site("0a"))
+        assert all(np.array_equal(a, b) for a, b in zip(cols, engine._channel._cols))
+        assert np.count_nonzero(col_position >= 0) == held
 
     def test_negative_time_rejected(self):
         N = 2
@@ -340,10 +376,9 @@ class TestFactoredEngine:
         identity = np.arange(1 << 4)
         col_position = H.basis.position.copy()
         col_position[5] = -1
-        channel = ed.SectorChannel(H.basis, ed.exact_unitary(H, 1.0), identity, identity,
-                                   col_position)
         with pytest.raises(ValueError, match="lack a column"):
-            ed.channel_traces(channel, 0, 3, ed.mixed_environment(4, 0))
+            ed._trace_plan(H.basis, identity, identity, col_position,
+                           ed.mixed_environment(4, 0), 0, 3)
 
 
 def assert_batch_matches_points(engine, times, t_b=None):
@@ -388,14 +423,15 @@ class TestBatchedFidelities:
         N = 8
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(engine._eig, engine._cols))
-        assert 1 < engine._batch and engine._batch * per_time <= ed._BATCH_BYTES
-        times = np.linspace(0.7, 1.3, engine._batch + 2) * 1.3 * N
+        channel = engine._channel
+        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(channel._eig, channel._cols))
+        assert 1 < channel._batch and channel._batch * per_time <= ed._BATCH_BYTES
+        times = np.linspace(0.7, 1.3, channel._batch + 2) * 1.3 * N
         assert_batch_matches_points(engine, times)
 
 
 class TestTransferChannelsAgainstEvolveBlocks:
-    """Factored transfer blocks against full ``evolve`` blocks (U, or U S U)."""
+    """Factored transfer blocks against full unitary blocks (U, or U S U)."""
 
     @pytest.mark.parametrize("polarized", [False, True])
     @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
@@ -411,15 +447,37 @@ class TestTransferChannelsAgainstEvolveBlocks:
         got = ed.transfer_channel_traces(K, t, kind, chain_bits=bits)
 
         H = ed.build_many_body_from_k(K)
-        U = ed.exact_unitary(H, t)
+        U = oracles.sector_unitaries(H.eig(), t)
         if kind == "remote_z":
             U = [(u * (1.0 - 2.0 * ((idx >> (n - 1)) & 1))) @ u
                  for u, idx in zip(U, H.basis.sectors)]
         fixed = {} if bits is None else {1 + i: int(b) for i, b in enumerate(bits)}
         identity = np.arange(1 << n)
-        want = ed.channel_traces(
-            ed.SectorChannel(H.basis, U, identity, identity),
-            0, n - 1 if kind == "single_swap" else 0, ed.mixed_environment(n, 0, fixed=fixed),
+        want = full_block_traces(
+            H.basis, U, identity, identity, ed.mixed_environment(n, 0, fixed=fixed),
+            0, n - 1 if kind == "single_swap" else 0,
         )
         for key in ("x", "y", "z", "s"):
             assert abs(got[key] - want[key]) <= 1e-12
+
+
+class TestTransferChannelMemory:
+    @pytest.mark.parametrize("kind, bound", [
+        ("double_swap", 5.0), ("single_swap", 5.0), ("remote_z", 5.674),
+    ])
+    def test_peak_memory_at_10_spins(self, kind, bound):
+        # in real sets of sector blocks; the Hamiltonian blocks are dropped
+        # after the eigensolve, so the swaps hold no overlaps and no H
+        # (measured: 4.66 sets for the swaps, 5.67 for remote_z)
+        n = 10
+        K = uniform_k(n - 2, 0.4)
+        sets = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8
+        # a first call in a process imports lazily loaded modules (0.75 sets)
+        ed.transfer_channel_traces(K, 7.3, kind)
+        tracemalloc.start()
+        try:
+            ed.transfer_channel_traces(K, 7.3, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * sets
