@@ -127,7 +127,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
                 },
             },
             "total_spins": _INT_LIST,
-            # 15 qubits already need 3.7-6.8 GB of sector blocks
+            # 15 qubits already need 2.5-6.8 GB of sector blocks
             "cap": {"type": "integer", "minimum": 6, "maximum": 15},
             **_COMMON_PROPS,
         },
@@ -497,8 +497,9 @@ _DIPOLAR_RULES = {
     "full_dipolar": RangeRule.FULL_DIPOLAR,
     "nnn_cancelled": RangeRule.NNN_CANCELLED,
 }
-# nn_analytic_gap below this is rounding noise and is written as 0.0, so the
-# CSV body does not depend on the exact engine's order of arithmetic
+# an nn_analytic_gap or |infidelity| below this is rounding noise and is
+# written as 0.0, so the CSV body does not depend on the exact engine's
+# order of arithmetic
 _GAP_FLOOR = 1e-12
 
 
@@ -508,9 +509,10 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     For each size the protocol parameters (g, t) are optimized on a local
     grid around the nearest-neighbor strong-coupling optimum; the
     nearest-neighbor rows double as an oracle check against the analytic
-    fidelity, with a gap below ``_GAP_FLOOR`` written as 0.0.  The
-    summary's ``grid_optima`` lists per CSV row the largest sector
-    dimension and whether the best g or t lies on an end of its grid.
+    fidelity.  A gap or an |infidelity| below ``_GAP_FLOOR`` is written
+    as 0.0.  The summary's ``grid_optima`` lists per CSV row the largest
+    sector dimension and whether the best g or t lies on an end of its
+    grid.
     """
     p = config.params
     table = ResultTable(
@@ -522,6 +524,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
                     "t in t0*[0.7..1.3] (13 pts; 5 at >= 12 spins)",
             "positions": "unit spacing, cube-law couplings",
             "nn_analytic_gap_floor": _GAP_FLOOR,
+            "infidelity_floor": _GAP_FLOOR,
         },
     )
     rows = []
@@ -550,7 +553,9 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
             if model == "nearest_neighbor":
                 gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong"))
                 gap = 0.0 if gap < _GAP_FLOOR else gap
-            table.add(model, n_total, N, g, t, 1.0 - F, F, gap)
+            infidelity = 1.0 - F
+            infidelity = 0.0 if abs(infidelity) < _GAP_FLOOR else infidelity
+            table.add(model, n_total, N, g, t, infidelity, F, gap)
             rows.append({
                 "model": model,
                 "total_spins": n_total,

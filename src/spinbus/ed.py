@@ -16,19 +16,28 @@ The complex products run as real GEMMs on the complex operand viewed as
 float64, and a block holds only the columns ``cols`` that the
 environment state reaches.
 
+The eigenvectors V_w are given as diagonal blocks that tile the sector
+in contiguous ranges, and every product runs block by block.  A plain
+channel eigensolves each sector whole, one block.  The encoded protocol
+numbers its sites so that the pair idle during leg a holds the two top
+bits (``ProtocolSpec``); each sector then splits into four contiguous
+idle-pattern ranges, and leg a's eigenvectors are four diagonal blocks
+from the n - 2 active sites, with no gathers or scatters.
+
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
 entries (0.32 GB at 14 spins), and measured with tracemalloc.  At 12
 spins a plain transfer channel peaks at about 4.3 such sets for the
 swaps (eigenvectors, the complex blocks and the contraction's gathers;
 the Hamiltonian is dropped after its eigensolve) and about 5.3 for
 ``remote_z``, which also holds its overlaps.  At 12 and 13 spins an
-encoded-protocol engine holds two (eigenvectors and overlaps) and peaks
-at about 2.2 while it is built, as it forms only the Hamiltonian of
-n - 2 sites.  Its ``fidelities`` stack the blocks of a batch of times,
-half a set per time (complex, a quarter of the columns), with as many
-times per batch as fit in ``_BATCH_BYTES`` and at least one; a batch
-peaks at about 1.5 times its stacked blocks on top of the held sets
-(0.7 sets for one time, from 13 spins on).
+encoded-protocol engine holds about 1.1 sets: the overlaps, plus leg
+a's eigenvector blocks (about 0.2, as the blocks of the patterns 01 and
+10 are one array).  It peaks at about 1.1 while it is built.  Its
+``fidelities`` stack the blocks of a batch of times, half a set per time
+(complex, a quarter of the columns), with as many times per batch as fit
+in ``_BATCH_BYTES`` and at least one; a batch peaks at about 1.5 times
+its stacked blocks on top of the held sets (0.7 sets for one time, from
+13 spins on, so 1.8 in all).
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -104,8 +113,8 @@ def _check_cap(n: int, cap: int) -> None:
         mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8 / 1e9
         raise ResourceLimitError(
             f"{n} qubits exceeds the cap of {cap}; an exact channel peaks at about "
-            f"three (encoded protocol) to five and a half (plain transfer) real sets "
-            f"of sector blocks, about {3 * mem:.1f}-{5.5 * mem:.1f} GB"
+            f"two (encoded protocol) to five and a half (plain transfer) real sets "
+            f"of sector blocks, about {2 * mem:.1f}-{5.5 * mem:.1f} GB"
         )
 
 
@@ -158,6 +167,10 @@ def build_many_body(
 def build_many_body_from_k(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian:
     """Many-body Hamiltonian whose single-excitation block equals K."""
     K = np.asarray(K)
+    if np.iscomplexobj(K):
+        if np.any(K.imag != 0):
+            raise ValueError("K must be real: XX hopping with complex amplitudes is not supported")
+        K = K.real
     n = K.shape[0]
     J = np.array(K, float)
     fields = np.diag(J).copy()
@@ -205,34 +218,55 @@ def _held_columns(
     return cols, col_position
 
 
-def _real_times(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Real A times C-ordered complex Y as one real GEMM, with no copies.
-
-    Viewed as float64, Y is a real matrix whose columns alternate between
-    the real and imaginary parts of Y's columns; A times it, viewed back
-    as complex, is A Y.
-    """
-    return (A @ Y.view(np.float64)).view(complex)
+def _as_real(a: np.ndarray) -> np.ndarray:
+    """A C-ordered complex array as a 2-D float64 view, (rows, 2 * rest)."""
+    return a.view(np.float64).reshape(a.shape[0], -1)
 
 
-def _sector_block(w, V, O, held, t_left, t_right) -> np.ndarray:
+def _row_blocks(blocks: list[np.ndarray]):
+    """Each diagonal block with the slice of rows (and columns) it covers."""
+    start = 0
+    for U in blocks:
+        yield slice(start, start + U.shape[0]), U
+        start += U.shape[0]
+
+
+def _sector_block(w, blocks, O, held, t_left, t_right) -> np.ndarray:
     """Held columns of B = V diag(p_L) O diag(p_R) V[held]^T at K times at once.
 
-    p_L and p_R hold the phases exp(-i w t) at the (K,) times ``t_left``
-    and ``t_right``; ``held`` lists the sector positions of the held
-    columns' basis states, and ``O`` is a real overlap, or None for the
-    identity.  Returns the (d, len(held), K) stack of blocks.  Contracted
-    right to left, so each product is one real GEMM over the columns of
-    every time.
+    V is block-diagonal: ``blocks`` are its diagonal blocks in order, each
+    a contiguous range of rows and columns.  p_L and p_R hold the phases
+    exp(-i w t) at the (K,) times ``t_left`` and ``t_right``; ``held``
+    lists the (ascending) sector positions of the held columns' basis
+    states, and ``O`` is a real overlap, or None for the identity.
+    Returns the (d, len(held), K) stack of blocks.  Contracted right to
+    left, block by block, so each product is one real GEMM over the
+    columns of every time, written straight into its slice of the stack:
+    viewed as float64, a C-ordered complex array is a real matrix whose
+    columns alternate between real and imaginary parts, and a real
+    matrix times it, viewed back as complex, is the complex product.
     """
-    d = V.shape[0]
+    d, c, k = w.size, held.size, t_left.size
     p_R = np.exp(-1j * np.outer(w, t_right))
-    # C order: the reshapes and _real_times' float64 views need no copies
-    Y = np.multiply(V[held].T[:, :, None], p_R[:, None, :], order="C")
-    if O is not None:
-        Y = _real_times(O, Y.reshape(d, -1)).reshape(Y.shape)
-    Y *= np.exp(-1j * np.outer(w, t_left))[:, None, :]
-    return _real_times(V, Y.reshape(d, -1)).reshape(Y.shape)
+    # Z = O diag(p_R) V[held]^T: block k's held columns are one slice of them
+    Z = np.zeros((d, c, k), complex) if O is None else None
+    for rows, U in _row_blocks(blocks):
+        h0, h1 = np.searchsorted(held, (rows.start, rows.stop))
+        # Y_k = V_k[held rows]^T diag(p_R), written into Z when O is the identity
+        Y = np.multiply(U[held[h0:h1] - rows.start].T[:, :, None], p_R[rows, None, :],
+                        out=Z[rows, h0:h1] if O is None else None, order="C")
+        if O is not None:
+            # Z is allocated after the first Y_k: allocated before it, with
+            # the same arrays alive, the heap's placement raised the peak RSS
+            # of a 12-spin remote_z call from 150 MB to 172 MB
+            Z = np.empty((d, c, k), complex) if Z is None else Z
+            np.matmul(O[:, rows], _as_real(Y), out=_as_real(Z)[:, 2 * k * h0 : 2 * k * h1])
+        del Y  # freed before the next block's, and before B is formed
+    Z *= np.exp(-1j * np.outer(w, t_left))[:, None, :]
+    B = np.empty_like(Z)
+    for rows, U in _row_blocks(blocks):
+        np.matmul(U, _as_real(Z[rows]), out=_as_real(B[rows]))
+    return B
 
 
 def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
@@ -370,12 +404,14 @@ class _FactoredChannel:
     """A channel unitary V = P_dec (+)_w B_w P_enc with factored blocks.
 
     B_w = V_w diag(p(t_left)) O_w diag(p(t_right)) V_w^T acts on the
-    Hamming-weight-w sector of ``basis``; ``eig`` holds the sector
-    eigenpairs (w, V_w) and ``overlaps`` the real O_w, None for the
-    identity.  ``enc`` and ``dec`` are basis permutations given as gather
-    maps, so V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c]
-    both have weight w, and 0 otherwise; for self-inverse permutations
-    (CNOTs and the identity) this is the operator product.
+    Hamming-weight-w sector of ``basis``; ``eig`` holds, per sector, the
+    eigenvalues and the diagonal blocks of V_w, which tile the sector in
+    contiguous ranges of rows and columns (one block for a full
+    eigensolve), and ``overlaps`` the real O_w, None for the identity.
+    ``enc`` and ``dec`` are basis permutations given as gather maps, so
+    V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c] both
+    have weight w, and 0 otherwise; for self-inverse permutations (CNOTs
+    and the identity) this is the operator product.
 
     ``traces`` gives T_i = Tr[s^i_out E(s^i_in)] for i in {x, y, z} plus
     the coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)], where
@@ -390,7 +426,7 @@ class _FactoredChannel:
         self._cols, col_position = _held_columns(basis, enc, env_weights, in_site)
         self._plan = _trace_plan(basis, enc, dec, col_position, env_weights, in_site, out_site)
         # times per batch: the stacked complex blocks stay under _BATCH_BYTES
-        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(eig, self._cols))
+        per_time = 16 * sum(w.size * len(c) for (w, _), c in zip(eig, self._cols))
         self._batch = max(1, _BATCH_BYTES // per_time)
 
     def traces(self, t_left: np.ndarray, t_right: np.ndarray) -> list[dict[str, complex]]:
@@ -399,15 +435,16 @@ class _FactoredChannel:
         Up to ``_batch`` pairs share one block product per sector and one
         contraction.
         """
-        if np.any(t_left < 0) or np.any(t_right < 0):
-            raise ValueError("time must be non-negative")
+        times = np.concatenate((t_left, t_right))
+        if not np.all(np.isfinite(times) & (times >= 0)):
+            raise ValueError("time must be finite and non-negative")
         out = []
         for start in range(0, t_left.size, self._batch):
             tl, tr = t_left[start : start + self._batch], t_right[start : start + self._batch]
             # the blocks are a temporary: one batch's are freed before the next is built
             traces = _contract(self._plan, [
-                _sector_block(w, V, O, held, tl, tr)
-                for (w, V), O, held in zip(self._eig, self._overlaps, self._cols)
+                _sector_block(w, blocks, O, held, tl, tr)
+                for (w, blocks), O, held in zip(self._eig, self._overlaps, self._cols)
             ], tl.size)
             out += [{key: complex(v[i]) for key, v in traces.items()} for i in range(tl.size)]
         return out
@@ -442,7 +479,14 @@ def _result_from_traces(traces: dict[str, complex], model: str) -> ExactChannelR
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Encoded two-leg transfer protocol on sites {0a, 0b, 1..N, (N+1)b, (N+1)a}.
+    """Encoded two-leg transfer protocol on sites {0a, 1..N, (N+1)a, 0b, (N+1)b}.
+
+    The sites are numbered in that order, so the bits of a basis state
+    hold leg a's sites first and the pair 0b, (N+1)b, idle during leg a,
+    on the two top bits.  Ordered by state value, each magnetization
+    sector then holds the idle patterns 00, 01, 10 and 11 in turn as
+    contiguous ranges, each in its active sector's own order, and leg a's
+    eigenvectors are contiguous diagonal blocks (``_leg_a_eig``).
 
     ``chain_couplings`` is the symmetric (N, N) coupling matrix of the bus;
     the registers attach with strength ``g`` to the nearest chain end.
@@ -466,67 +510,69 @@ class ProtocolSpec:
 
     def site_index(self, label: str) -> int:
         N = self.n_chain
-        return {"0a": 0, "0b": 1, "(N+1)b": N + 2, "(N+1)a": N + 3}[label]
+        return {"0a": 0, "(N+1)a": N + 1, "0b": N + 2, "(N+1)b": N + 3}[label]
 
 
 def _leg_couplings(p: ProtocolSpec, leg: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Couplings and fields of one transfer leg over all sites; the other pair is idle."""
     n = p.n_total
     N = p.n_chain
+    chain = slice(1, N + 1)  # sites 1..N
     J = np.zeros((n, n))
-    J[2 : N + 2, 2 : N + 2] = np.asarray(p.chain_couplings, float)
+    J[chain, chain] = np.asarray(p.chain_couplings, float)
     left = p.site_index("0b") if leg == "b" else p.site_index("0a")
     right = p.site_index("(N+1)b") if leg == "b" else p.site_index("(N+1)a")
-    J[left, 2] = J[2, left] = p.g
-    J[right, N + 1] = J[N + 1, right] = p.g
+    J[left, 1] = J[1, left] = p.g
+    J[right, N] = J[N, right] = p.g
     fields = None
     if p.chain_fields is not None:
         fields = np.zeros(n)
-        fields[2 : N + 2] = p.chain_fields
+        fields[chain] = p.chain_fields
     return J, fields
 
 
-def _leg_a_eig(
-    p: ProtocolSpec, basis: SectorBasis, cap: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigenpairs of leg a in every sector of ``basis``, from n - 2 sites.
+def _leg_a_eig(p: ProtocolSpec, cap: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Eigenpairs of leg a in every n-site sector, from the n - 2 active sites.
 
     During leg a the sites 0b and (N+1)b have no coupling and no field, so
     H_a = H_act (x) 1 on them, with H_act the Hamiltonian of the other
-    n - 2 (active) sites.  A weight-w eigenvector of H_a is a weight-(w - k)
-    eigenvector of H_act placed on the rows whose idle bits hold a pattern
-    of weight k, with the same eigenvalue.  The columns run over the idle
-    patterns 00, 01, 10, 11 in turn, so the eigenvalues are not sorted.
+    n - 2 (active) sites.  Those are the low bits, so the weight-w sector
+    holds the idle patterns 00, 01, 10, 11 in turn as contiguous ranges,
+    each in the order of the active sector of weight w, w - 1, w - 1 and
+    w - 2, and its eigenvectors are blockdiag(V_act[w], V_act[w-1],
+    V_act[w-1], V_act[w-2]).  Returns per sector the eigenvalues (in that
+    block order, so not sorted) and the non-empty blocks; the blocks of
+    the patterns 01 and 10 are one array.
     """
+    n = p.n_total
     J, fields = _leg_couplings(p, "a")
-    idle = (p.site_index("0b"), p.site_index("(N+1)b"))
-    active = np.array([i for i in range(basis.n) if i not in idle])
     H_act = build_many_body(
-        J[np.ix_(active, active)], active.size,
-        None if fields is None else fields[active], cap=cap,
+        J[: n - 2, : n - 2], n - 2, None if fields is None else fields[: n - 2], cap=cap
     )
-    states = np.arange(1 << basis.n)
-    # each state's active bits, packed, and its idle bit pattern
-    packed = np.zeros_like(states)
-    for k, site in enumerate(active):
-        packed |= ((states >> site) & 1) << k
-    pattern = ((states >> idle[0]) & 1) | (((states >> idle[1]) & 1) << 1)
     act_eig = H_act.eig()
     eig = []
-    for w, idx in enumerate(basis.sectors):
-        V = np.zeros((idx.size, idx.size))
-        energies = []
-        col = 0
-        for code, k in ((0, 0), (1, 1), (2, 1), (3, 2)):
-            rows = np.flatnonzero(pattern[idx] == code)
-            if rows.size == 0:
-                continue
-            e, U = act_eig[w - k]
-            V[rows, col : col + e.size] = U[H_act.basis.position[packed[idx[rows]]]]
-            energies.append(e)
-            col += e.size
-        eig.append((np.concatenate(energies), V))
+    for w in range(n + 1):
+        pairs = [act_eig[w - k] for k in (0, 1, 1, 2) if 0 <= w - k <= n - 2]
+        eig.append((np.concatenate([e for e, _ in pairs]), [U for _, U in pairs]))
     return eig
+
+
+def _block_overlap(blocks: list[np.ndarray], src: np.ndarray) -> np.ndarray:
+    """O = V[src]^T V for a block-diagonal V given by its diagonal ``blocks``.
+
+    ``src`` is a permutation of the sector positions.  Row r of V[src] is
+    row src[r] of V, which is non-zero in one column block only, so O is
+    formed one (row block j, column block k) pair at a time from the rows
+    r of block k whose src[r] falls in block j.
+    """
+    tiles = list(_row_blocks(blocks))
+    starts = np.array([rows.start for rows, _ in tiles])
+    owner = np.searchsorted(starts, np.stack((src, np.arange(src.size))), side="right") - 1
+    O = np.zeros((src.size, src.size))
+    for pair, r in _groups(owner[0] * len(tiles) + owner[1]).items():
+        (rows, U_j), (cols, U_k) = tiles[pair // len(tiles)], tiles[pair % len(tiles)]
+        O[rows, cols] = U_j[src[r] - rows.start].T @ U_k[r - cols.start]
+    return O
 
 
 class EncodedProtocolEngine:
@@ -543,17 +589,23 @@ class EncodedProtocolEngine:
     permutation that swaps 0a<->0b and (N+1)a<->(N+1)b; P keeps the
     Hamming weight, so in each sector V_b = P_w V_a (rows permuted) and
     the leg product is B_w A_w = P_w V_a diag(p_b) O_w diag(p_a) V_a^T
-    with the real overlap O_w = V_b^T V_a.  The leading P_w is folded into
-    the decode map.  The trace contraction is planned once per engine.
+    with the real overlap O_w = V_b^T V_a, formed block by block
+    (``_block_overlap``).  The leading P_w is folded into the decode map.
+    The engine holds V_a only as its diagonal blocks, and the trace
+    contraction is planned once per engine.
     """
 
     def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
                  readout="b", model="custom", cap: int = _DEFAULT_CAP):
         if readout not in ("a", "b"):
             raise ValueError(f"readout must be 'a' or 'b', not {readout!r}")
+        chain_couplings = np.asarray(chain_couplings, float)
+        if chain_couplings.shape != (n_chain, n_chain):
+            raise ValueError(f"chain_couplings must be an ({n_chain}, {n_chain}) matrix")
+        if chain_fields is not None and np.shape(chain_fields) != (n_chain,):
+            raise ValueError(f"chain_fields must be None or {n_chain} values")
         self.proto = p = ProtocolSpec(
-            n_chain, np.asarray(chain_couplings, float), float(g), 0.0, 0.0,
-            chain_fields, readout, model,
+            n_chain, chain_couplings, float(g), 0.0, 0.0, chain_fields, readout, model,
         )
         n = p.n_total
         _check_cap(n, cap)
@@ -568,10 +620,10 @@ class EncodedProtocolEngine:
         env = mixed_environment(
             n, in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
         )
-        eig = _leg_a_eig(p, basis, cap)
+        eig = _leg_a_eig(p, cap)
         overlaps = [
-            V[basis.position[self.leg_swap[idx]]].T @ V
-            for idx, (_, V) in zip(basis.sectors, eig)
+            _block_overlap(blocks, basis.position[self.leg_swap[idx]])
+            for idx, (_, blocks) in zip(basis.sectors, eig)
         ]
         self._channel = _FactoredChannel(
             basis, eig, overlaps, enc, dec, env, in_site, readout_site
@@ -642,14 +694,16 @@ def transfer_channel_traces(
             raise ValueError(f"chain_bits must be {n - 2} values in {{0, 1}}")
         fixed = {1 + i: int(b) for i, b in enumerate(bits)}
     H = build_many_body_from_k(K, cap=cap)
-    basis, eig = H.basis, H.eig()
+    basis = H.basis
+    # one block per sector: the full eigenvector matrix
+    eig = [(w, [V]) for w, V in H.eig()]
     del H  # frees the Hamiltonian blocks: the channel needs only the eigenpairs
     identity = np.arange(1 << n)
     overlaps = [None] * (n + 1)
     if kind == "remote_z":
         # the z flip S on site N+1 is diagonal: U S U = V diag(p) (V^T S V) diag(p) V^T
         flip = 1.0 - 2.0 * ((identity >> (n - 1)) & 1)
-        overlaps = [V.T @ (flip[idx][:, None] * V) for (_, V), idx in zip(eig, basis.sectors)]
+        overlaps = [V.T @ (flip[idx][:, None] * V) for (_, (V,)), idx in zip(eig, basis.sectors)]
     out_site = n - 1 if kind == "single_swap" else 0
     env = mixed_environment(n, 0, fixed=fixed)
     channel = _FactoredChannel(basis, eig, overlaps, identity, identity, env, 0, out_site)

@@ -302,6 +302,18 @@ class TestRunners:
         assert row[-1] == 0.0
         assert table.metadata["nn_analytic_gap_floor"] == 1e-12
 
+    def test_dipolar_infidelity_floor(self):
+        # the 6-spin optimum is 1 to rounding (infidelity 6.7e-16 before the floor)
+        cfg = cli.ExperimentConfig(
+            "dipolar-ed", {"models": ["nearest_neighbor"], "total_spins": [6], "cap": 14}
+        )
+        (table,), _ = cli.run_dipolar_ed(cfg)
+        (row,) = table.rows
+        infid, F = row[5], row[6]
+        assert abs(1.0 - F) < cli._GAP_FLOOR
+        assert infid == 0.0
+        assert table.metadata["infidelity_floor"] == 1e-12
+
     def test_dipolar_summary_counters(self):
         cfg = cli.ExperimentConfig(
             "dipolar-ed",

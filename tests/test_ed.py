@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from spinbus import ed
@@ -25,6 +26,11 @@ def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
     plan = ed._trace_plan(basis, enc, dec, basis.position, env, in_site, out_site)
     traces = ed._contract(plan, [b[:, :, None] for b in blocks], 1)
     return {key: complex(v[0]) for key, v in traces.items()}
+
+
+def dense_eig(channel):
+    """Per sector, the eigenvalues and dense V assembled from the diagonal blocks."""
+    return [(w, scipy.linalg.block_diag(*blocks)) for w, blocks in channel._eig]
 
 
 def sector_to_dense(H: ed.SectorHamiltonian) -> np.ndarray:
@@ -64,11 +70,11 @@ class TestSectorConstruction:
     def test_resource_cap(self):
         # one real set of sector blocks at 15 spins:
         # sum_w C(15, w)^2 * 8 B = C(30, 15) * 8 B = 1.24 GB; an exact
-        # channel peaks at three to five and a half of them
+        # channel peaks at two to five and a half of them
         J = np.zeros((15, 15))
         tracemalloc.start()
         try:
-            with pytest.raises(ed.ResourceLimitError, match=r"about 3\.7-6\.8 GB"):
+            with pytest.raises(ed.ResourceLimitError, match=r"about 2\.5-6\.8 GB"):
                 ed.build_many_body(J, 15, cap=14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -79,6 +85,20 @@ class TestSectorConstruction:
         # the encoded engine eigensolves 12 active sites, but 14 spins exceed a cap of 13
         with pytest.raises(ed.ResourceLimitError):
             ed.EncodedProtocolEngine(10, np.zeros((10, 10)), 0.5, cap=13)
+
+    def test_complex_k_rejected(self):
+        # an imaginary hopping would be dropped by a float cast
+        K = uniform_k(3, 0.4).astype(complex)
+        K[1, 2], K[2, 1] = 1j, -1j
+        with pytest.raises(ValueError, match="real"):
+            ed.build_many_body_from_k(K)
+        with pytest.raises(ValueError, match="real"):
+            ed.transfer_channel_traces(K, 2.0, "double_swap")
+        # a complex dtype with no imaginary part is the real matrix
+        real = uniform_k(3, 0.4)
+        H = ed.build_many_body_from_k(real.astype(complex))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(H.blocks, ed.build_many_body_from_k(real).blocks))
 
     def test_asymmetric_couplings_rejected(self):
         J = np.zeros((3, 3))
@@ -146,6 +166,12 @@ class TestChannelTracesAgainstDenseOracle:
         with pytest.raises(ValueError, match="non-negative"):
             ed.transfer_channel_traces(uniform_k(3, 0.5), -1.0, kind)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
+    def test_non_finite_time(self, kind, t):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ed.transfer_channel_traces(uniform_k(3, 0.5), t, kind)
+
 
 class TestEncodedProtocol:
     def _dense_protocol_traces(self, p: ed.ProtocolSpec):
@@ -154,16 +180,20 @@ class TestEncodedProtocol:
         N = p.n_chain
         site = p.site_index
 
+        # the chain sites 1..N sit between 0a and (N+1)a
+        first, last = site("0a") + 1, site("(N+1)a") - 1
+        chain = slice(first, last + 1)
+
         def leg_u(leg, t):
             J = np.zeros((n, n))
-            J[2 : N + 2, 2 : N + 2] = p.chain_couplings
+            J[chain, chain] = p.chain_couplings
             left = site("0b") if leg == "b" else site("0a")
             right = site("(N+1)b") if leg == "b" else site("(N+1)a")
-            J[left, 2] = J[2, left] = p.g
-            J[right, N + 1] = J[N + 1, right] = p.g
+            J[left, first] = J[first, left] = p.g
+            J[right, last] = J[last, right] = p.g
             fields = np.zeros(n)
             if p.chain_fields is not None:
-                fields[2 : N + 2] = p.chain_fields
+                fields[chain] = p.chain_fields
             return oracles.unitary(oracles.flip_flop_h(J, n, fields), t)
 
         enc = oracles.cnot(n, site("0a"), site("0b"))
@@ -232,6 +262,16 @@ class TestEncodedProtocol:
         want = self._dense_protocol_traces(p)
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
+
+    @pytest.mark.parametrize("couplings, fields", [
+        (1.0, None),  # a scalar would broadcast into an all-to-all bus
+        (np.ones((4, 4)) - np.eye(4), None),  # (N+1, N+1)
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), [0.1, 0.2]),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 0.1),
+    ])
+    def test_engine_input_shapes(self, couplings, fields):
+        with pytest.raises(ValueError, match="chain_"):
+            ed.EncodedProtocolEngine(3, couplings, 0.5, chain_fields=fields)
 
     def test_unknown_readout(self):
         J = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -337,10 +377,35 @@ class TestFactoredEngine:
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
         Ha = leg_hamiltonian(p, "a")
-        for H, (w, V) in zip(Ha.blocks, engine._channel._eig):
+        for H, (w, V) in zip(Ha.blocks, dense_eig(engine._channel)):
             assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(H))) <= 1e-12
             assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-12
             assert np.max(np.abs(H @ V - V * w)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_leg_a_blocks_tile_the_idle_patterns(self, N):
+        # 0b and (N+1)b are the two top bits, so each sector holds the idle
+        # patterns 00, 01, 10, 11 in turn, each in its active sector's order
+        p = dipolar_spec(N)
+        n = p.n_total
+        assert sorted((p.site_index("0b"), p.site_index("(N+1)b"))) == [n - 2, n - 1]
+        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        basis, active = ed.SectorBasis(n), ed.SectorBasis(n - 2)
+        for w, (energies, blocks) in enumerate(engine._channel._eig):
+            idx = basis.sectors[w]
+            want = [(code, w - k) for code, k in ((0, 0), (1, 1), (2, 1), (3, 2))
+                    if 0 <= w - k <= n - 2]
+            assert len(blocks) == len(want)
+            start = 0
+            for U, (code, w_act) in zip(blocks, want):
+                rows = idx[start : start + U.shape[0]]
+                assert U.shape == (active.sectors[w_act].size,) * 2
+                assert np.array_equal(rows, active.sectors[w_act] + (code << (n - 2)))
+                start += U.shape[0]
+            assert start == idx.size == energies.size
+            # the patterns 01 and 10 share one array
+            shared = [U for U, (code, _) in zip(blocks, want) if code in (1, 2)]
+            assert len(shared) in (0, 2) and all(U is shared[0] for U in shared)
 
     def test_blocks_hold_a_quarter_of_the_columns(self):
         # 0b is fixed and the receiving pair correlated: a quarter of the
@@ -369,6 +434,15 @@ class TestFactoredEngine:
             engine.fidelities([1.0, -1.0, 2.0])
         with pytest.raises(ValueError):
             engine.fidelities([1.0, 2.0], [3.0, -0.5])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        N = 2
+        engine = ed.EncodedProtocolEngine(N, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            engine.fidelities([t])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            engine.fidelities([1.0, 2.0], [3.0, t])
 
     def test_missing_column_rejected(self):
         K = uniform_k(2, 0.5)
@@ -424,7 +498,9 @@ class TestBatchedFidelities:
         p = dipolar_spec(N)
         engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
         channel = engine._channel
-        per_time = 16 * sum(V.shape[0] * len(c) for (_, V), c in zip(channel._eig, channel._cols))
+        per_time = 16 * sum(
+            V.shape[0] * len(c) for (_, V), c in zip(dense_eig(channel), channel._cols)
+        )
         assert 1 < channel._batch and channel._batch * per_time <= ed._BATCH_BYTES
         times = np.linspace(0.7, 1.3, channel._batch + 2) * 1.3 * N
         assert_batch_matches_points(engine, times)
@@ -459,6 +535,27 @@ class TestTransferChannelsAgainstEvolveBlocks:
         )
         for key in ("x", "y", "z", "s"):
             assert abs(got[key] - want[key]) <= 1e-12
+
+
+class TestEngineMemory:
+    def test_built_engine_holds_the_overlaps_and_the_blocks(self):
+        # in real sets of sector blocks: the overlaps O_w are one set, and
+        # V_a is held only as its diagonal blocks (3 C(10, w)-sized squares
+        # per sector at most, 0.2 sets); a dense V_a would be another set
+        # (measured: 1.09 sets, and 2.02 with a dense V_a)
+        N = 8
+        n = N + 4
+        sets = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8
+        p = dipolar_spec(N)
+        ed.EncodedProtocolEngine(2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        tracemalloc.start()
+        try:
+            engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(engine._channel._eig) == n + 1
+        assert held < 1.5 * sets
 
 
 class TestTransferChannelMemory:
