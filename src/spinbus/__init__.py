@@ -3,8 +3,8 @@
 Submodules:
 
 - ``chains``: coupling patterns, disorder realizations, Hamiltonian matrices
-- ``dynamics``: propagators, resonant-mode selection, pairing dynamics
-- ``fidelity``: closed-form channel fidelities, error budget, perturbation theory
+- ``dynamics``: propagators, resonant-mode selection by error budget, pairing dynamics
+- ``fidelity``: closed-form channel fidelities, perturbation theory
 - ``ed``: exact many-body channel fidelities (sector-blocked dense engine)
 - ``mirror``: stabilizer simulation of the globally-pulsed mirror architecture
 - ``cli``: reproducible experiment sweeps with CSV output

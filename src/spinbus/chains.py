@@ -302,32 +302,24 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
 
     Physical mode evolution carries a factor two: phi(t) = exp(-2iAt) phi.
     With ``include_registers`` the two exchange-coupled registers are
-    appended (hopping only, alpha entries g/2, diagonal B').
+    the first and last sites (hopping only, alpha entries g/2, diagonal
+    B'); without, A holds the chain rows and columns of that matrix.
     """
     if ModelKind(spec.model_kind) is not ModelKind.TFIM:
         raise ValueError("build_bdg_matrix expects a TFIM spec")
     n = spec.chain_length
-    bonds = _nn_bonds(spec)[1:-1]  # internal chain bonds only
-    B = spec.uniform_field
+    half = -_nn_bonds(spec)[1:-1] / 2.0  # -J/2 on the internal chain bonds
+    i = np.arange(1, n)  # bond (i, i+1), with the registers at 0 and n+1
+    alpha = np.zeros((n + 2, n + 2))
+    beta = np.zeros((n + 2, n + 2))
+    alpha[i, i + 1] = alpha[i + 1, i] = beta[i, i + 1] = half
+    beta[i + 1, i] = -half
+    alpha[np.arange(1, n + 1), np.arange(1, n + 1)] = spec.uniform_field
     if include_registers:
-        m = n + 2
-        alpha = np.zeros((m, m))
-        beta = np.zeros((m, m))
-        for i, J in enumerate(bonds, start=1):
-            alpha[i, i + 1] = alpha[i + 1, i] = -J / 2.0
-            beta[i, i + 1] = -J / 2.0
-            beta[i + 1, i] = +J / 2.0
-        alpha[np.arange(1, n + 1), np.arange(1, n + 1)] = B
-        Bp = spec.register_field if spec.register_field is not None else B
-        alpha[0, 0] = alpha[m - 1, m - 1] = Bp
+        Bp = spec.register_field if spec.register_field is not None else spec.uniform_field
+        alpha[0, 0] = alpha[n + 1, n + 1] = Bp
         alpha[0, 1] = alpha[1, 0] = spec.g_left / 2.0
         alpha[n, n + 1] = alpha[n + 1, n] = spec.g_right / 2.0
     else:
-        alpha = np.zeros((n, n))
-        beta = np.zeros((n, n))
-        for i, J in enumerate(bonds):
-            alpha[i, i + 1] = alpha[i + 1, i] = -J / 2.0
-            beta[i, i + 1] = -J / 2.0
-            beta[i + 1, i] = +J / 2.0
-        alpha += B * np.eye(n)
+        alpha, beta = alpha[1:-1, 1:-1], beta[1:-1, 1:-1]
     return np.block([[alpha, beta], [beta.T, -alpha]])

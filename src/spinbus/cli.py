@@ -212,14 +212,6 @@ class ExperimentConfig:
     realizations: int = 200
     out: str = "results"
 
-    def serialize(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        return cls(**d)
-
     @property
     def config_hash(self) -> str:
         # the output location does not affect the results, so two runs of
@@ -228,6 +220,16 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(d, sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number or constant as a finite float, else ``ConfigError``."""
+    # json.loads accepts NaN and Infinity and reads 1e999 as inf, and no
+    # schema bound rejects NaN: every comparison with it is false
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config number {text} is not finite")
+    return x
 
 
 def resolve_config(
@@ -247,7 +249,11 @@ def resolve_config(
     merged = {**DEFAULT_PARAMS[kind], "seed": 0, "realizations": 200}
     if config_path is not None:
         try:
-            doc = json.loads(Path(config_path).read_text())
+            doc = json.loads(
+                Path(config_path).read_text(),
+                parse_float=_finite_number,
+                parse_constant=_finite_number,
+            )
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -551,7 +557,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
             g, t = float(g_vals[i]), float(t_vals[j])
             gap = math.nan
             if model == "nearest_neighbor":
-                gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t).matrix, "strong"))
+                gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t), "strong"))
                 gap = 0.0 if gap < _GAP_FLOOR else gap
             infidelity = 1.0 - F
             infidelity = 0.0 if abs(infidelity) < _GAP_FLOOR else infidelity
@@ -583,10 +589,10 @@ def run_perturbative_check(config: ExperimentConfig) -> tuple[list[ResultTable],
             warnings.simplefilter("ignore")
             est = perturbative_infidelity(N, float(g))
         K = _uniform_k(N, g, est.register_field)
-        M = propagator(K, est.transfer_time).matrix
+        M = propagator(K, est.transfer_time)
         exact_t = 1.0 - abs(M[0, -1]) ** 2
         # the return amplitude is probed after the full out-and-back period
-        M2 = propagator(K, 2.0 * est.transfer_time).matrix
+        M2 = propagator(K, 2.0 * est.transfer_time)
         exact_r = abs(1.0 - M2[0, 0])
         ret_est = est.return_deficit if est.return_deficit is not None else math.nan
         rel = abs(exact_t - est.transfer_infidelity) / exact_t if exact_t > 0 else 0.0
@@ -621,7 +627,7 @@ def run_bosonic_demo(config: ExperimentConfig) -> tuple[list[ResultTable], dict]
         M = propagator(_uniform_k(N, g_eff), tau)
         res = bosonic_swap_and_thermal_error(M, 0.0, float(x))
         table.add(
-            float(x), g_eff, tau, abs(M.matrix[-1, 0]), res.epsilon,
+            float(x), g_eff, tau, abs(M[-1, 0]), res.epsilon,
             res.n_out, res.n_out,
         )
     return [table], {}
@@ -709,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinbus",
         description="Spin-chain state-transfer experiment sweeps (CSV output). "
-        "Lattice files for mirror-verify use one character per site: "
-        "R register, . impurity, # hole.",
+        "The mirror-verify config key lattice_text takes one character per "
+        "site: R register, . impurity, # hole.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in _RUNNERS:

@@ -19,10 +19,8 @@ from .chains import ChainSpec, ModelKind, build_bdg_matrix
 __all__ = [
     "EigenmodeSet",
     "ModeBudget",
-    "Propagator",
     "ResonantModeChoice",
     "BdGDiagonalization",
-    "DegenerateModeError",
     "NoTransferModeError",
     "eigenmodes",
     "evolve",
@@ -37,10 +35,6 @@ __all__ = [
 
 _END_AMPLITUDE_FLOOR = 1e-12
 _DEGENERACY_GAP = 1e-10
-
-
-class DegenerateModeError(ValueError):
-    """The requested transfer mode is not spectrally isolated."""
 
 
 class NoTransferModeError(ValueError):
@@ -70,26 +64,6 @@ class EigenmodeSet:
     @property
     def psi_right(self) -> np.ndarray:
         return self.vectors[-1, :]
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """M = exp(-iKt) with its evolution time."""
-
-    matrix: np.ndarray
-    time: float
-
-    @property
-    def m00(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def m0R(self) -> complex:
-        return complex(self.matrix[0, -1])
-
-    @property
-    def mRR(self) -> complex:
-        return complex(self.matrix[-1, -1])
 
 
 @dataclass(frozen=True)
@@ -141,12 +115,12 @@ def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def propagator(K: np.ndarray, t: float) -> Propagator:
-    """exp(-iKt) through a full Hermitian eigendecomposition."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
+def propagator(K: np.ndarray, t: float) -> np.ndarray:
+    """The matrix exp(-iKt), through a full Hermitian eigendecomposition."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("time must be finite and non-negative")
     w, v = np.linalg.eigh(np.asarray(K))
-    return Propagator(evolve(w, v, t), t)
+    return evolve(w, v, t)
 
 
 def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -171,9 +145,9 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
 
     ``K`` must be a finite real symmetric tridiagonal matrix, as every
     nearest-neighbour XX chain is, and ``times`` evenly spaced (as from
-    ``np.linspace``; a single time is allowed); anything else raises
-    ``ValueError``.  Returns arrays (m00, m0R, mRR, leak), where leak is
-    the register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}
+    ``np.linspace``; a single time is allowed) and finite; anything else
+    raises ``ValueError``.  Returns arrays (m00, m0R, mRR, leak), where
+    leak is the register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}
     entering the encoded fidelity.  Used by the strong-coupling optimizer
     where thousands of times share one eigendecomposition.
     """
@@ -195,6 +169,8 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
         raise ValueError("K must be a finite real symmetric tridiagonal matrix")
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times.size > 2:
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
@@ -237,11 +213,13 @@ class ModeBudget:
     def errors(self, g_max: float, n_chain: int, T1: float):
         """Matched couplings and error budget of every mode at once.
 
-        Returns (gL, gR, t_z, tau, eps) arrays: gL is the budget optimum
-        (D/2C)^(1/3) capped at ``g_max`` (``g_max`` itself when T1 is
-        infinite), and eps = gL^2 S_L + gR^2 S_R + N tau / T1 is the
-        error that ``fidelity.error_budget`` gives the same choice.
-        eps is inf for a mode that is not a candidate.
+        Returns (gL, gR, t_z, tau, eps) arrays.  With S_L and S_R the
+        off-resonant sums, eps = gL^2 S_L + gR^2 S_R + N tau / T1 is the
+        leakage plus the register decay, where
+        t_z = gL |psi_{z,L}| = gR |psi_{z,R}| and tau = pi / (sqrt(2) t_z).
+        gL is the optimum (D/2C)^(1/3) of eps = C gL^2 + D / gL, capped at
+        ``g_max`` (``g_max`` itself when T1 is infinite).  eps is inf for a
+        mode that is not a candidate.
         """
         if not T1 > 0:
             raise ValueError("T1 must be positive (may be infinite)")
@@ -302,41 +280,18 @@ def mode_budget(modes: EigenmodeSet) -> ModeBudget:
 def select_resonant_mode(
     modes: EigenmodeSet,
     g_max: float,
-    strategy: int | str = "min_error",
     chain_sites: int | None = None,
     T1: float = math.inf,
 ) -> ResonantModeChoice:
     """Pick the transfer mode z and match the register couplings to it.
 
-    ``strategy`` is either a fixed mode index or ``"min_error"``, which
-    minimizes the off-resonant-plus-decoherence error budget over all
-    candidate modes (with the per-mode optimal coupling when T1 is
-    finite, capped at ``g_max``; see :class:`ModeBudget`).  Modes without
-    usable end amplitudes or within 1e-10 of another mode are skipped.
-
-    Matching sets t_z = gL |psi_{z,L}| = gR |psi_{z,R}| with gL = g_max
-    and tau = pi / (sqrt(2) t_z).
+    The mode of lowest error budget wins, each at its optimal coupling
+    capped at ``g_max`` (see :class:`ModeBudget`); ``chain_sites``
+    (default: the number of modes) sets the decoherence term.  Raises
+    :class:`NoTransferModeError` when no mode is a candidate.
     """
-    if g_max <= 0:
+    if not g_max > 0:
         raise ValueError("g_max must be positive")
-    if isinstance(strategy, (int, np.integer)):
-        z = int(strategy)
-        aL = np.abs(modes.psi_left[z])
-        aR = np.abs(modes.psi_right[z])
-        if not (aL > _END_AMPLITUDE_FLOOR and aR > _END_AMPLITUDE_FLOOR):
-            raise NoTransferModeError(f"mode {z} has vanishing end amplitude")
-        gaps = np.abs(np.delete(modes.energies, z) - modes.energies[z])
-        if gaps.size and gaps.min() < _DEGENERACY_GAP:
-            raise DegenerateModeError(
-                f"mode {z} is degenerate (gap {gaps.min():.2e}); "
-                "the isolated-mode picture does not apply"
-            )
-        t_z = g_max * aL
-        gR = t_z / aR
-        tau = math.pi / (math.sqrt(2.0) * t_z)
-        return ResonantModeChoice(z, float(modes.energies[z]), g_max, float(gR), float(t_z), tau)
-    if strategy != "min_error":
-        raise ValueError(f"unknown strategy {strategy!r}")
     n_chain = chain_sites if chain_sites is not None else modes.n_sites
     return mode_budget(modes).select(g_max, n_chain, T1)[0]
 
@@ -461,7 +416,7 @@ class BosonicTransferResult:
 
 
 def bosonic_swap_and_thermal_error(
-    M: Propagator,
+    M: np.ndarray,
     n_bar_register: float,
     n_bar_chain: np.ndarray | float,
     n_bar_target: float = 0.0,
@@ -472,7 +427,7 @@ def bosonic_swap_and_thermal_error(
     occupation mixes the input with the M-weighted average occupation of
     the leaked modes: n_out = (1-eps) n_in + eps <n_eps>.
     """
-    Mm = M.matrix
+    Mm = np.asarray(M)
     n = Mm.shape[0] - 2
     eps = 1.0 - abs(Mm[-1, 0]) ** 2
     occ = np.empty(n + 2)

@@ -89,9 +89,6 @@ class SectorBasis:
         for idx in self.sectors:
             self.position[idx] = np.arange(len(idx))
 
-    def dims(self) -> list[int]:
-        return [len(s) for s in self.sectors]
-
 
 class SectorHamiltonian:
     """Magnetization-blocked dense Hamiltonian of an XX coupling map."""

@@ -1,10 +1,11 @@
-"""Closed-form channel fidelities and error estimates.
+"""Closed-form channel fidelities and weak-coupling estimates.
 
-All of these are functions of the single-particle propagator elements
+The fidelities are functions of the single-particle propagator elements
 (plus the chain parity for the one-way swap), so a full many-body
-simulation is never needed once M = exp(-iKt) is known.  The brute-force
-cross-checks live in the exact-diagonalization engine and the test
-suite.
+simulation is never needed once the matrix M = exp(-iKt) is known.  The
+brute-force cross-checks live in the exact-diagonalization engine and
+the test suite.  The transfer error budget and its matched coupling
+belong to mode selection: see ``dynamics.ModeBudget``.
 """
 
 from __future__ import annotations
@@ -15,26 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, ResonantModeChoice
-
 __all__ = [
     "FidelityReport",
-    "ErrorBudget",
     "PerturbativeEstimate",
     "f_double_swap",
     "f_single_swap",
     "f_encoded",
     "f_remote_z",
     "fidelity_report",
-    "error_budget",
-    "optimal_coupling",
     "perturbative_infidelity",
-    "perturbative_m00",
 ]
-
-
-def _matrix(M) -> np.ndarray:
-    return M.matrix if isinstance(M, Propagator) else np.asarray(M)
 
 
 def f_double_swap(M) -> float:
@@ -42,7 +33,7 @@ def f_double_swap(M) -> float:
 
     F_DS = 1/2 + (1/6)(2 Re M_00 + |M_00|^2).
     """
-    m00 = _matrix(M)[0, 0]
+    m00 = np.asarray(M)[0, 0]
     return 0.5 + (2.0 * m00.real + abs(m00) ** 2) / 6.0
 
 
@@ -55,7 +46,7 @@ def f_single_swap(M, chain_parity: float = 0.0) -> float:
     """
     if not -1.0 <= chain_parity <= 1.0:
         raise ValueError("parity expectation must lie in [-1, 1]")
-    m = _matrix(M)[0, -1]
+    m = np.asarray(M)[0, -1]
     return 0.5 + (2.0 * m.real * chain_parity + abs(m) ** 2) / 6.0
 
 
@@ -64,7 +55,7 @@ def _encoded_terms(M):
     if isinstance(M, tuple):
         m00, m0R, mRR, leak = (np.asarray(a) for a in M)
     else:
-        Mm = _matrix(M)
+        Mm = np.asarray(M)
         m00, m0R, mRR = Mm[0, 0], Mm[0, -1], Mm[-1, -1]
         leak = np.dot(Mm[-1, 1:-1], Mm[1:-1, 0])
     return m0R, m0R**2 - m00 * mRR, leak
@@ -79,9 +70,10 @@ def f_encoded(M, variant: str = "weak"):
     in the strong-coupling protocol.  Both carry the chain-decoding bonus
     term |sum_{i=1..N} M_{N+1,i} M_{i,0}|^2.
 
-    ``M`` is a propagator (a float is returned) or the tuple of element
-    arrays (m00, m0R, mRR, leak) from ``dynamics.propagator_elements``
-    (an array of fidelities is returned, one per time).
+    ``M`` is a propagator matrix (a float is returned) or the tuple of
+    element arrays (m00, m0R, mRR, leak) from
+    ``dynamics.propagator_elements`` (an array of fidelities is returned,
+    one per time).
     """
     if variant not in ("weak", "strong"):
         raise ValueError("variant must be 'weak' or 'strong'")
@@ -98,7 +90,7 @@ def f_remote_z(M) -> float:
     Uses m = <0| M S M |0> with S = diag(1, ..., 1, -1); valid only for
     complex symmetric M (real symmetric K), which is validated.
     """
-    Mm = _matrix(M)
+    Mm = np.asarray(M)
     if np.max(np.abs(Mm - Mm.T)) > 1e-8:
         raise ValueError("propagator is not symmetric; the closed form does not apply")
     S = np.ones(Mm.shape[0])
@@ -124,7 +116,7 @@ class FidelityReport:
 
 
 def fidelity_report(M, chain_parity: float = 0.0) -> FidelityReport:
-    Mm = _matrix(M)
+    Mm = np.asarray(M)
     return FidelityReport(
         f_double_swap=f_double_swap(M),
         f_single_swap=f_single_swap(M, chain_parity),
@@ -136,63 +128,6 @@ def fidelity_report(M, chain_parity: float = 0.0) -> FidelityReport:
         mRR=complex(Mm[-1, -1]),
         chain_parity=chain_parity,
     )
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Off-resonant leakage plus register depolarization during transfer."""
-
-    off_resonant: float
-    decoherence: float
-    per_mode: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return self.off_resonant + self.decoherence
-
-
-def error_budget(modes, choice: ResonantModeChoice, n_chain: int, T1: float) -> ErrorBudget:
-    """eps = sum_{k != z} (gL^2 |psi_kL|^2 + gR^2 |psi_kR|^2) / Delta_k^2 + N tau / T1."""
-    if T1 <= 0:
-        raise ValueError("T1 must be positive (may be infinite)")
-    z = choice.mode_index
-    delta = modes.energies - modes.energies[z]
-    aL2 = np.abs(modes.psi_left) ** 2
-    aR2 = np.abs(modes.psi_right) ** 2
-    mask = np.arange(len(delta)) != z
-    if np.any(np.abs(delta[mask]) < 1e-12):
-        raise ValueError("degenerate spectrum: some Delta_k vanishes")
-    per_mode = np.zeros(len(delta))
-    per_mode[mask] = (
-        choice.g_left**2 * aL2[mask] + choice.g_right**2 * aR2[mask]
-    ) / delta[mask] ** 2
-    off = float(per_mode.sum())
-    deco = 0.0 if math.isinf(T1) else n_chain * choice.transfer_time / T1
-    return ErrorBudget(off, float(deco), per_mode)
-
-
-def optimal_coupling(modes, z: int, n_chain: int, T1: float) -> tuple[float, float]:
-    """Closed-form coupling that minimizes the transfer error budget.
-
-    With matched couplings the budget is C gL^2 + D / gL, minimized at
-    gL* = (D / 2C)^(1/3); gR follows from the matching condition.
-    """
-    if not math.isfinite(T1) or T1 <= 0:
-        raise ValueError("optimal coupling needs a finite positive T1")
-    aL = np.abs(modes.psi_left)
-    aR = np.abs(modes.psi_right)
-    if aL[z] < 1e-12 or aR[z] < 1e-12:
-        raise ValueError("mode has vanishing end amplitude")
-    delta = modes.energies - modes.energies[z]
-    mask = np.arange(len(delta)) != z
-    if np.any(np.abs(delta[mask]) < 1e-12):
-        raise ValueError("degenerate spectrum: some Delta_k vanishes")
-    ratio2 = (aL[z] / aR[z]) ** 2
-    C = float(np.sum((aL[mask] ** 2 + ratio2 * aR[mask] ** 2) / delta[mask] ** 2))
-    D = n_chain * math.pi / (math.sqrt(2.0) * T1 * aL[z])
-    gL = (D / (2.0 * C)) ** (1.0 / 3.0)
-    gR = gL * aL[z] / aR[z]
-    return float(gL), float(gR)
 
 
 @dataclass(frozen=True)
@@ -249,19 +184,3 @@ def perturbative_infidelity(N: int, g: float, kappa: float = 1.0) -> Perturbativ
     est = float(np.sum(r * (1.0 + signs * np.cos(tilde[sel] * t))))
     return PerturbativeEstimate(est, None, delta, float(Delta[z - 1] + delta), t, z)
 
-
-def perturbative_m00(N: int, g: float, kappa: float = 1.0) -> float:
-    """Estimate of 1 - M_00 at the out-and-back time 2 tau (odd N).
-
-    At the one-way transfer time tau the register amplitude has moved to
-    the far end (M_00 ~ 0); the return amplitude is probed one full swap
-    period later.
-    """
-    if N % 2 == 0:
-        raise ValueError("the return-amplitude estimate applies to odd N")
-    k, Delta, Omega = _uniform_mode_params(N, g, kappa)
-    z = (N + 1) // 2
-    t2 = math.sqrt(N + 1) * math.pi / g  # 2 tau
-    sel = k < z
-    r = (Omega[sel] / Delta[sel]) ** 2
-    return float(np.sum(r * (1.0 - np.cos(Delta[sel] * t2))))

@@ -459,17 +459,6 @@ class LatticeMap:
             raise ValueError(f"unknown lattice characters {sorted(bad)}; use R . #")
         return cls(tuple(chars), len(rows), width)
 
-    @classmethod
-    def from_file(cls, path) -> "LatticeMap":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
-    def to_text(self) -> str:
-        return "\n".join(
-            "".join(self.kinds[r * self.n_cols : (r + 1) * self.n_cols])
-            for r in range(self.n_rows)
-        )
-
     # -- site bookkeeping: sites are (row, col) pairs --
 
     def kind(self, site: tuple[int, int]) -> str:

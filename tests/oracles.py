@@ -12,14 +12,20 @@ legs eigensolved and evolved as full complex blocks, the reference for
 the engine's one-eigensolve, factored, live-column blocks.
 ``ByteTableau`` is the stabilizer tableau with one byte per bit, the
 reference for the package's bit-packed ``mirror.Tableau`` beyond the
-dense oracle's 12 qubits.
+dense oracle's 12 qubits.  ``matched_choice``, ``error_budget`` and
+``optimal_coupling`` score one transfer mode at a time with scalar
+closed forms, the reference for the vectorized ``dynamics.ModeBudget``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
+
+from spinbus.dynamics import ResonantModeChoice
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -258,3 +264,81 @@ def _disjoint_edge_batches(edges) -> list[list[tuple[int, int]]]:
             batches.append([(a, b)])
             used.append({a, b})
     return batches
+
+
+def matched_choice(modes, z: int, g_left: float) -> ResonantModeChoice:
+    """Transfer through mode z with gL = ``g_left`` and gR matched to it.
+
+    t_z = gL |psi_{z,L}| = gR |psi_{z,R}| and tau = pi / (sqrt(2) t_z).
+    A mode with an end amplitude of at most 1e-12, or within 1e-10 of
+    another mode, is no transfer candidate and raises ``ValueError``.
+    """
+    aL = abs(modes.psi_left[z])
+    aR = abs(modes.psi_right[z])
+    if not (aL > 1e-12 and aR > 1e-12):
+        raise ValueError(f"mode {z} has vanishing end amplitude")
+    gaps = np.abs(np.delete(modes.energies, z) - modes.energies[z])
+    if gaps.size and gaps.min() < 1e-10:
+        raise ValueError(f"mode {z} is degenerate (gap {gaps.min():.2e})")
+    t_z = g_left * aL
+    tau = math.pi / (math.sqrt(2.0) * t_z)
+    return ResonantModeChoice(
+        z, float(modes.energies[z]), g_left, float(t_z / aR), float(t_z), tau
+    )
+
+
+@dataclass(frozen=True)
+class ErrorBudget:
+    """Off-resonant leakage plus register depolarization during transfer."""
+
+    off_resonant: float
+    decoherence: float
+    per_mode: np.ndarray
+
+    @property
+    def total(self) -> float:
+        return self.off_resonant + self.decoherence
+
+
+def error_budget(modes, choice: ResonantModeChoice, n_chain: int, T1: float) -> ErrorBudget:
+    """eps = sum_{k != z} (gL^2 |psi_kL|^2 + gR^2 |psi_kR|^2) / Delta_k^2 + N tau / T1."""
+    if T1 <= 0:
+        raise ValueError("T1 must be positive (may be infinite)")
+    z = choice.mode_index
+    delta = modes.energies - modes.energies[z]
+    aL2 = np.abs(modes.psi_left) ** 2
+    aR2 = np.abs(modes.psi_right) ** 2
+    mask = np.arange(len(delta)) != z
+    if np.any(np.abs(delta[mask]) < 1e-12):
+        raise ValueError("degenerate spectrum: some Delta_k vanishes")
+    per_mode = np.zeros(len(delta))
+    per_mode[mask] = (
+        choice.g_left**2 * aL2[mask] + choice.g_right**2 * aR2[mask]
+    ) / delta[mask] ** 2
+    off = float(per_mode.sum())
+    deco = 0.0 if math.isinf(T1) else n_chain * choice.transfer_time / T1
+    return ErrorBudget(off, float(deco), per_mode)
+
+
+def optimal_coupling(modes, z: int, n_chain: int, T1: float) -> tuple[float, float]:
+    """Closed-form coupling that minimizes the transfer error budget.
+
+    With matched couplings the budget is C gL^2 + D / gL, minimized at
+    gL* = (D / 2C)^(1/3); gR follows from the matching condition.
+    """
+    if not math.isfinite(T1) or T1 <= 0:
+        raise ValueError("optimal coupling needs a finite positive T1")
+    aL = np.abs(modes.psi_left)
+    aR = np.abs(modes.psi_right)
+    if aL[z] < 1e-12 or aR[z] < 1e-12:
+        raise ValueError("mode has vanishing end amplitude")
+    delta = modes.energies - modes.energies[z]
+    mask = np.arange(len(delta)) != z
+    if np.any(np.abs(delta[mask]) < 1e-12):
+        raise ValueError("degenerate spectrum: some Delta_k vanishes")
+    ratio2 = (aL[z] / aR[z]) ** 2
+    C = float(np.sum((aL[mask] ** 2 + ratio2 * aR[mask] ** 2) / delta[mask] ** 2))
+    D = n_chain * math.pi / (math.sqrt(2.0) * T1 * aL[z])
+    gL = (D / (2.0 * C)) ** (1.0 / 3.0)
+    gR = gL * aL[z] / aR[z]
+    return float(gL), float(gR)

@@ -49,7 +49,7 @@ def test_criterion_01_analytic_formulas_match_exact_channels():
         g = rng.uniform(0.1, 1.0)
         t = rng.uniform(0.5, 25.0)
         K = uniform_k(N, g)
-        M = dynamics.propagator(K, t).matrix
+        M = dynamics.propagator(K, t)
         pairs = [
             (fidelity.f_double_swap(M),
              plain_f(ed.transfer_channel_traces(K, t, "double_swap"))),
@@ -67,7 +67,7 @@ def test_criterion_01_analytic_formulas_match_exact_channels():
         g = rng.uniform(0.1, 1.0)
         t = rng.uniform(0.5, 25.0)
         K = uniform_k(N, g)
-        M = dynamics.propagator(K, t).matrix
+        M = dynamics.propagator(K, t)
         exact = plain_f(
             ed.transfer_channel_traces(K, t, "single_swap", chain_bits=np.ones(N, int))
         )
@@ -80,7 +80,7 @@ def test_criterion_01_analytic_formulas_match_exact_channels():
         g = rng.uniform(0.1, 1.0)
         t = rng.uniform(0.5, 25.0)
         res = ed.exact_channel_fidelity(ed.ProtocolSpec(N, J, g, t, t))
-        M = dynamics.propagator(uniform_k(N, g), t).matrix
+        M = dynamics.propagator(uniform_k(N, g), t)
         worst = max(worst, abs(fidelity.f_encoded(M, "weak") - res.fidelity))
         worst = max(
             worst,
@@ -109,7 +109,7 @@ def test_criterion_02_engineered_perfect_transfer():
             uniform_field=1.5 * (N + 1),
         )
         M = dynamics.propagator(chains.build_single_particle_matrix(spec), math.pi)
-        worst_mirror = max(worst_mirror, abs(1.0 - abs(M.matrix[0, -1])))
+        worst_mirror = max(worst_mirror, abs(1.0 - abs(M[0, -1])))
 
         spec = chains.ChainSpec(
             chains.ModelKind.XX, N, chains.Engineered(),
@@ -119,7 +119,7 @@ def test_criterion_02_engineered_perfect_transfer():
             chains.build_single_particle_matrix(spec), 2.0 * math.pi
         )
         worst_identity = max(
-            worst_identity, float(np.max(np.abs(M.matrix - np.eye(N + 2))))
+            worst_identity, float(np.max(np.abs(M - np.eye(N + 2))))
         )
     _report(
         "2", worst_mirror < 1e-10 and worst_identity < 1e-10,

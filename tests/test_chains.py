@@ -203,3 +203,16 @@ class TestBdGMatrix:
         assert beta[0, 1] == 0.0  # registers carry no pairing terms
         assert alpha[0, 0] == alpha[4, 4] == 1.1
         assert alpha[1, 1] == 0.9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+    @pytest.mark.parametrize("register_field", [None, 0.7])
+    def test_chain_only_is_the_chain_block_of_the_register_matrix(self, n, register_field):
+        rng = np.random.default_rng(n)
+        for pattern in (chains.Uniform(1.3), chains.Explicit(tuple(rng.uniform(0.2, 2.0, n - 1)))):
+            spec = chains.ChainSpec(
+                chains.ModelKind.TFIM, n, pattern, g_left=0.3, g_right=0.45,
+                uniform_field=-0.4, register_field=register_field,
+            )
+            full = chains.build_bdg_matrix(spec, include_registers=True)
+            chain = np.r_[1 : n + 1, n + 3 : 2 * n + 3]  # chain particle, then hole rows
+            assert chains.build_bdg_matrix(spec).tobytes() == full[np.ix_(chain, chain)].tobytes()

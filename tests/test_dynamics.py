@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spinbus import chains, dynamics, fidelity
+from spinbus import chains, dynamics
 
 
 def uniform_k(N, g, field=0.0, register_field=None):
@@ -24,7 +24,7 @@ class TestPropagator:
         rng = np.random.default_rng(seed)
         K = rng.normal(size=(6, 6))
         K = K + K.T
-        M = dynamics.propagator(K, t).matrix
+        M = dynamics.propagator(K, t)
         assert np.allclose(M @ M.conj().T, np.eye(6), atol=1e-10)
         # real symmetric K gives complex symmetric M
         assert np.allclose(M, M.T, atol=1e-10)
@@ -35,25 +35,34 @@ class TestPropagator:
         rng = np.random.default_rng(seed)
         K = rng.normal(size=(5, 5))
         K = K + K.T
-        Ma = dynamics.propagator(K, t1).matrix
-        Mb = dynamics.propagator(K, t2).matrix
-        Mab = dynamics.propagator(K, t1 + t2).matrix
+        Ma = dynamics.propagator(K, t1)
+        Mb = dynamics.propagator(K, t2)
+        Mab = dynamics.propagator(K, t1 + t2)
         assert np.allclose(Ma @ Mb, Mab, atol=1e-9)
 
     def test_zero_time_identity(self):
         K = uniform_k(4, 0.3)
-        assert np.allclose(dynamics.propagator(K, 0.0).matrix, np.eye(6))
+        assert np.allclose(dynamics.propagator(K, 0.0), np.eye(6))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             dynamics.propagator(uniform_k(3, 0.1), -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        K = uniform_k(3, 0.1)
+        with pytest.raises(ValueError):
+            dynamics.propagator(K, t)
+        for times in ([t], [0.0, t], [t, 0.0, 1.0]):
+            with pytest.raises(ValueError):
+                dynamics.propagator_elements(K, times)
 
     def test_elements_match_full_propagator(self):
         K = uniform_k(5, 0.4)
         times = np.linspace(0.7, 12.9, 7)
         m00, m0R, mRR, leak = dynamics.propagator_elements(K, times)
         for i, t in enumerate(times):
-            M = dynamics.propagator(K, t).matrix
+            M = dynamics.propagator(K, t)
             assert m00[i] == pytest.approx(M[0, 0], abs=1e-12)
             assert m0R[i] == pytest.approx(M[0, -1], abs=1e-12)
             assert mRR[i] == pytest.approx(M[-1, -1], abs=1e-12)
@@ -73,7 +82,7 @@ class TestPropagator:
         times = np.linspace(N / 2.0, 2.0 * N, n_times)
         m00, m0R, mRR, leak = dynamics.propagator_elements(K, times)
         for i, t in enumerate(times):
-            M = dynamics.propagator(K, t).matrix
+            M = dynamics.propagator(K, t)
             ref = (M[0, 0], M[0, -1], M[-1, -1], np.dot(M[-1, 1:-1], M[1:-1, 0]))
             got = (m00[i], m0R[i], mRR[i], leak[i])
             assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, (i, t)
@@ -181,7 +190,8 @@ class TestResonantModeSelection:
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
         z = 3  # the zero mode of the odd uniform chain
-        choice = dynamics.select_resonant_mode(modes, 0.1, strategy=z)
+        choice = dynamics.select_resonant_mode(modes, 0.1)
+        assert choice.mode_index == z
         aL = abs(modes.psi_left[z])
         aR = abs(modes.psi_right[z])
         assert choice.g_left == pytest.approx(0.1)
@@ -197,7 +207,7 @@ class TestResonantModeSelection:
         N = 9
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
-        choice = dynamics.select_resonant_mode(modes, 0.05, "min_error", chain_sites=N)
+        choice = dynamics.select_resonant_mode(modes, 0.05, chain_sites=N)
         assert abs(choice.energy) < 1e-12
 
     def test_degenerate_mode_raises(self):
@@ -211,24 +221,22 @@ class TestResonantModeSelection:
             [r * r, -r * r, r * r, -r * r],
         ])
         modes = dynamics.EigenmodeSet(np.array([-1.0, -1.0, 1.0, 1.0]), vectors)
-        with pytest.raises(dynamics.DegenerateModeError):
-            dynamics.select_resonant_mode(modes, 0.1, strategy=0)
+        with pytest.raises(dynamics.NoTransferModeError):
+            dynamics.select_resonant_mode(modes, 0.1)
 
     def test_degenerate_pair_skipped_in_min_error(self):
         # Realization 74 of a 50-site chain at sigma/d = 1, master seed 0:
         # two nearly decoupled odd segments leave a pair of modes 8e-13
-        # apart, which optimal_coupling would reject with a ValueError.
+        # apart, whose off-resonant sums divide by a vanishing gap.
         spec = chains.DisorderSpec(1.0, 1.0, master_seed=0)
         J = chains.couplings_from_positions(chains.sample_positions(spec, 50, 74))
         modes = dynamics.eigenmodes(J)
         gaps = np.diff(modes.energies)
         pair = int(np.argmin(gaps))
         assert gaps[pair] < 1e-12
-        with pytest.raises(ValueError):
-            fidelity.optimal_coupling(modes, pair, 50, 1e4)
         budget = dynamics.mode_budget(modes)
         assert not budget.candidate[pair] and not budget.candidate[pair + 1]
-        choice = dynamics.select_resonant_mode(modes, 0.5, "min_error", 50, T1=1e4)
+        choice = dynamics.select_resonant_mode(modes, 0.5, 50, T1=1e4)
         assert choice.mode_index not in (pair, pair + 1)
         assert budget.candidate[choice.mode_index]
 
@@ -236,9 +244,9 @@ class TestResonantModeSelection:
         N = 11
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
-        loose = dynamics.select_resonant_mode(modes, 10.0, "min_error", N, T1=1e4)
+        loose = dynamics.select_resonant_mode(modes, 10.0, N, T1=1e4)
         assert loose.g_left < 10.0  # optimum, not the cap
-        capped = dynamics.select_resonant_mode(modes, 1e-4, "min_error", N, T1=1e4)
+        capped = dynamics.select_resonant_mode(modes, 1e-4, N, T1=1e4)
         assert capped.g_left == pytest.approx(1e-4)
 
     def test_invalid_inputs(self):
@@ -246,8 +254,8 @@ class TestResonantModeSelection:
         modes = dynamics.eigenmodes(J)
         with pytest.raises(ValueError):
             dynamics.select_resonant_mode(modes, 0.0)
-        with pytest.raises(ValueError):
-            dynamics.select_resonant_mode(modes, 0.1, strategy="magic")
+        with pytest.raises(ValueError, match="g_max"):
+            dynamics.select_resonant_mode(modes, math.nan)
 
 
 class TestBdG:
@@ -387,15 +395,15 @@ def scalar_errors(modes, g_max, n_chain, T1):
     """eps of every candidate mode from the scalar closed forms, one mode at a time."""
     eps = {}
     for z in range(modes.n_sites):
-        try:  # the fixed-index strategy rejects unusable and degenerate modes
-            dynamics.select_resonant_mode(modes, g_max, strategy=z)
-        except (dynamics.NoTransferModeError, dynamics.DegenerateModeError):
+        try:  # unusable and degenerate modes are no candidates
+            oracles.matched_choice(modes, z, g_max)
+        except ValueError:
             continue
         gL = g_max
         if math.isfinite(T1):
-            gL = min(fidelity.optimal_coupling(modes, z, n_chain, T1)[0], g_max)
-        choice = dynamics.select_resonant_mode(modes, gL, strategy=z)
-        eps[z] = fidelity.error_budget(modes, choice, n_chain, T1).total
+            gL = min(oracles.optimal_coupling(modes, z, n_chain, T1)[0], g_max)
+        choice = oracles.matched_choice(modes, z, gL)
+        eps[z] = oracles.error_budget(modes, choice, n_chain, T1).total
     return eps
 
 
@@ -439,7 +447,7 @@ class TestModeBudget:
         runner_up = min((e for z, e in ref.items() if z != z_ref), default=math.inf)
         if runner_up > ref[z_ref] * (1.0 + 1e-9):
             assert choice.mode_index == z_ref
-        assert dynamics.select_resonant_mode(modes, g_max, "min_error", n, T1) == choice
+        assert dynamics.select_resonant_mode(modes, g_max, n, T1) == choice
 
     @pytest.mark.parametrize("T1", [math.inf, 1e3])
     def test_equal_error_broken_by_smaller_energy(self, T1):

@@ -65,7 +65,7 @@ class TestSectorConstruction:
 
     def test_sector_dimensions(self):
         basis = ed.SectorBasis(6)
-        assert basis.dims() == [math.comb(6, w) for w in range(7)]
+        assert [len(s) for s in basis.sectors] == [math.comb(6, w) for w in range(7)]
 
     def test_resource_cap(self):
         # one real set of sector blocks at 15 spins:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spinbus import chains, dynamics, fidelity
 
 
@@ -20,7 +21,7 @@ def random_propagator(seed, n=6, t=None):
     rng = np.random.default_rng(seed)
     K = rng.normal(size=(n, n))
     K = K + K.T
-    return dynamics.propagator(K, rng.uniform(0.5, 20.0) if t is None else t).matrix
+    return dynamics.propagator(K, rng.uniform(0.5, 20.0) if t is None else t)
 
 
 def ideal_mirror(n):
@@ -116,65 +117,70 @@ class TestEncodedElementForm:
 
 
 class TestErrorBudget:
+    """``dynamics.ModeBudget.errors`` against the scalar oracles."""
+
     def _modes(self, N=7):
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         return dynamics.eigenmodes(J)
 
     def test_hand_computed_off_resonant(self):
         modes = self._modes(3)
-        choice = dynamics.select_resonant_mode(modes, 0.1, strategy=1)
-        budget = fidelity.error_budget(modes, choice, 3, math.inf)
+        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(0.1, 3, math.inf)
         z = 1
+        assert gL[z] == 0.1
         expect = sum(
-            (choice.g_left**2 * abs(modes.psi_left[k]) ** 2
-             + choice.g_right**2 * abs(modes.psi_right[k]) ** 2)
+            (0.1**2 * abs(modes.psi_left[k]) ** 2 + gR[z] ** 2 * abs(modes.psi_right[k]) ** 2)
             / (modes.energies[k] - modes.energies[z]) ** 2
             for k in (0, 2)
         )
-        assert budget.off_resonant == pytest.approx(expect, rel=1e-12)
-        assert budget.decoherence == 0.0
-        assert budget.total == pytest.approx(expect, rel=1e-12)
+        assert eps[z] == pytest.approx(expect, rel=1e-12)
+        ref = oracles.error_budget(modes, oracles.matched_choice(modes, z, 0.1), 3, math.inf)
+        assert ref.decoherence == 0.0
+        assert ref.total == pytest.approx(expect, rel=1e-12)
 
     def test_decoherence_term(self):
         modes = self._modes(5)
-        choice = dynamics.select_resonant_mode(modes, 0.05, strategy=2)
-        budget = fidelity.error_budget(modes, choice, 5, T1=100.0)
-        assert budget.decoherence == pytest.approx(5 * choice.transfer_time / 100.0)
+        budget = dynamics.mode_budget(modes)
+        z = 2
+        gL, _, _, tau, eps = budget.errors(0.05, 5, 100.0)
+        off = budget.errors(gL[z], 5, math.inf)[-1][z]
+        assert eps[z] - off == pytest.approx(5 * tau[z] / 100.0, rel=1e-12)
+        ref = oracles.error_budget(modes, oracles.matched_choice(modes, z, gL[z]), 5, 100.0)
+        assert ref.decoherence == pytest.approx(5 * tau[z] / 100.0, rel=1e-12)
+        assert eps[z] == pytest.approx(ref.total, rel=1e-12)
 
     def test_quadratic_in_coupling(self):
         modes = self._modes(7)
-        c1 = dynamics.select_resonant_mode(modes, 0.02, strategy=3)
-        c2 = dynamics.select_resonant_mode(modes, 0.04, strategy=3)
-        b1 = fidelity.error_budget(modes, c1, 7, math.inf).off_resonant
-        b2 = fidelity.error_budget(modes, c2, 7, math.inf).off_resonant
-        assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
+        budget = dynamics.mode_budget(modes)
+        e1 = budget.errors(0.02, 7, math.inf)[-1]
+        e2 = budget.errors(0.04, 7, math.inf)[-1]
+        assert np.isfinite(e1).sum() >= 3
+        assert e2[budget.candidate] == pytest.approx(4.0 * e1[budget.candidate], rel=1e-12)
+        ref = oracles.error_budget(modes, oracles.matched_choice(modes, 3, 0.04), 7, math.inf)
+        assert e2[3] == pytest.approx(ref.off_resonant, rel=1e-12)
 
     def test_invalid_t1(self):
-        modes = self._modes(3)
-        choice = dynamics.select_resonant_mode(modes, 0.1, strategy=1)
-        with pytest.raises(ValueError):
-            fidelity.error_budget(modes, choice, 3, T1=0.0)
+        budget = dynamics.mode_budget(self._modes(3))
+        for T1 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                budget.errors(0.1, 3, T1)
 
     def test_optimal_coupling_is_stationary(self):
         modes = self._modes(9)
         z = 4
         T1 = 2.0e4
-        gL, gR = fidelity.optimal_coupling(modes, z, 9, T1)
+        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(10.0, 9, T1)
+        assert gL[z] < 10.0  # the optimum, not the cap
+        ref = oracles.optimal_coupling(modes, z, 9, T1)
+        assert (gL[z], gR[z]) == pytest.approx(ref, rel=1e-12)
 
         def total(g):
-            choice = dynamics.select_resonant_mode(modes, g, strategy=z)
-            return fidelity.error_budget(modes, choice, 9, T1).total
+            return oracles.error_budget(modes, oracles.matched_choice(modes, z, g), 9, T1).total
 
-        best = total(gL)
-        assert best < total(0.9 * gL)
-        assert best < total(1.1 * gL)
-        choice = dynamics.select_resonant_mode(modes, gL, strategy=z)
-        assert choice.g_right == pytest.approx(gR, rel=1e-10)
-
-    def test_optimal_coupling_needs_finite_t1(self):
-        modes = self._modes(5)
-        with pytest.raises(ValueError):
-            fidelity.optimal_coupling(modes, 2, 5, math.inf)
+        best = total(gL[z])
+        assert eps[z] == pytest.approx(best, rel=1e-12)
+        assert best < total(0.9 * gL[z])
+        assert best < total(1.1 * gL[z])
 
 
 class TestPerturbative:
@@ -208,16 +214,12 @@ class TestPerturbative:
         est2 = fidelity.perturbative_infidelity(10, 0.02)
         assert est2.delta == pytest.approx(4.0 * est.delta, rel=1e-12)
 
-    def test_return_deficit_even_n_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity.perturbative_m00(10, 0.01)
-
     def test_matches_exact_weak_coupling(self):
         # the real accuracy sweep is an acceptance test; spot-check one point
         N, g = 21, 0.005
         est = fidelity.perturbative_infidelity(N, g)
         K = uniform_k(N, g)
-        M = dynamics.propagator(K, est.transfer_time).matrix
+        M = dynamics.propagator(K, est.transfer_time)
         exact = 1.0 - abs(M[0, -1]) ** 2
         assert est.transfer_infidelity == pytest.approx(exact, rel=0.1)
 
