@@ -304,9 +304,16 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
     With ``include_registers`` the two exchange-coupled registers are
     the first and last sites (hopping only, alpha entries g/2, diagonal
     B'); without, A holds the chain rows and columns of that matrix.
+    The chain bonds are nearest-neighbour only, so a ``FromPositions``
+    pattern with a longer-range rule raises ``ValueError``.
     """
     if ModelKind(spec.model_kind) is not ModelKind.TFIM:
         raise ValueError("build_bdg_matrix expects a TFIM spec")
+    pat = spec.pattern
+    if isinstance(pat, FromPositions) and pat.rule is not RangeRule.NEAREST_NEIGHBOR:
+        raise ValueError(
+            f"build_bdg_matrix has nearest-neighbour bonds only, not the {pat.rule.value} rule"
+        )
     n = spec.chain_length
     half = -_nn_bonds(spec)[1:-1] / 2.0  # -J/2 on the internal chain bonds
     i = np.arange(1, n)  # bond (i, i+1), with the registers at 0 and n+1

@@ -31,6 +31,7 @@ from . import __version__
 from .chains import (
     ChainSpec,
     DisorderSpec,
+    FromPositions,
     ModelKind,
     RangeRule,
     Uniform,
@@ -543,12 +544,16 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
         g_vals = g0 * np.linspace(0.7, 1.3, 3 if big else 5)
         t_vals = t0 * np.linspace(0.7, 1.3, 5 if big else 13)
         for model in p["models"]:
-            J = couplings_from_positions(
-                tuple(float(i) for i in range(N)), _DIPOLAR_RULES[model]
-            )
+            pattern = FromPositions(range(N), _DIPOLAR_RULES[model])
+            Ks = [
+                build_single_particle_matrix(
+                    ChainSpec(ModelKind.XX, N, pattern, g_left=g, g_right=g)
+                )
+                for g in g_vals
+            ]
             best = None
-            for i, g in enumerate(g_vals):
-                engine = EncodedProtocolEngine(N, J, float(g), model=model, cap=p["cap"])
+            for i, K in enumerate(Ks):
+                engine = EncodedProtocolEngine(K, cap=p["cap"])
                 for j, res in enumerate(engine.fidelities(t_vals)):
                     F = res.fidelity_phase_corrected
                     if best is None or F > best[0]:
@@ -557,7 +562,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
             g, t = float(g_vals[i]), float(t_vals[j])
             gap = math.nan
             if model == "nearest_neighbor":
-                gap = abs(F - f_encoded(propagator(_uniform_k(N, g), t), "strong"))
+                gap = abs(F - f_encoded(propagator(Ks[i], t), "strong"))
                 gap = 0.0 if gap < _GAP_FLOOR else gap
             infidelity = 1.0 - F
             infidelity = 0.0 if abs(infidelity) < _GAP_FLOOR else infidelity

@@ -23,7 +23,6 @@ __all__ = [
     "BdGDiagonalization",
     "NoTransferModeError",
     "eigenmodes",
-    "evolve",
     "mode_budget",
     "propagator",
     "select_resonant_mode",
@@ -110,17 +109,12 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     return EigenmodeSet(w, v)
 
 
-def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) from the eigendecomposition H = v diag(w) v^dag."""
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def propagator(K: np.ndarray, t: float) -> np.ndarray:
     """The matrix exp(-iKt), through a full Hermitian eigendecomposition."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and non-negative")
     w, v = np.linalg.eigh(np.asarray(K))
-    return evolve(w, v, t)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -219,8 +213,12 @@ class ModeBudget:
         t_z = gL |psi_{z,L}| = gR |psi_{z,R}| and tau = pi / (sqrt(2) t_z).
         gL is the optimum (D/2C)^(1/3) of eps = C gL^2 + D / gL, capped at
         ``g_max`` (``g_max`` itself when T1 is infinite).  eps is inf for a
-        mode that is not a candidate.
+        mode that is not a candidate.  ``g_max`` must be finite and
+        positive: an uncoupled register would score a perfect transfer
+        that never happens.
         """
+        if not (math.isfinite(g_max) and g_max > 0):
+            raise ValueError("g_max must be finite and positive")
         if not T1 > 0:
             raise ValueError("T1 must be positive (may be infinite)")
         aL, aR = self.amp_left, self.amp_right
@@ -290,8 +288,6 @@ def select_resonant_mode(
     (default: the number of modes) sets the decoherence term.  Raises
     :class:`NoTransferModeError` when no mode is a candidate.
     """
-    if not g_max > 0:
-        raise ValueError("g_max must be positive")
     n_chain = chain_sites if chain_sites is not None else modes.n_sites
     return mode_budget(modes).select(g_max, n_chain, T1)[0]
 
@@ -384,8 +380,7 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
         d_ref=spec.d_ref,
     )
     A = build_bdg_matrix(full_spec, include_registers=True)
-    w, v = np.linalg.eigh(A)
-    U = evolve(w, v, 2.0 * tau)  # phi(t) = exp(-2iAt) phi
+    U = propagator(A, 2.0 * tau)  # phi(t) = exp(-2iAt) phi
     m = n + 2
     iL, iR = 0, n + 1  # particle rows of the registers
     block = np.array([[U[iL, iL], U[iL, iR]], [U[iR, iL], U[iR, iR]]])

@@ -18,11 +18,13 @@ environment state reaches.
 
 The eigenvectors V_w are given as diagonal blocks that tile the sector
 in contiguous ranges, and every product runs block by block.  A plain
-channel eigensolves each sector whole, one block.  The encoded protocol
-numbers its sites so that the pair idle during leg a holds the two top
-bits (``ProtocolSpec``); each sector then splits into four contiguous
-idle-pattern ranges, and leg a's eigenvectors are four diagonal blocks
-from the n - 2 active sites, with no gathers or scatters.
+channel eigensolves each sector whole, one block.  Both take the
+register-padded single-particle matrix K of ``chains``.  The encoded
+protocol numbers its sites so that leg a's active sites are K's rows and
+the pair idle during leg a holds the two top bits
+(``EncodedProtocolEngine``); each sector then splits into four
+contiguous idle-pattern ranges, and leg a's eigenvectors are four
+diagonal blocks from the n - 2 active sites, with no gathers or scatters.
 
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
 entries (0.32 GB at 14 spins), and measured with tracemalloc.  At 12
@@ -54,11 +56,8 @@ __all__ = [
     "ResourceLimitError",
     "SectorBasis",
     "SectorHamiltonian",
-    "ProtocolSpec",
     "ExactChannelResult",
     "build_many_body",
-    "build_many_body_from_k",
-    "exact_channel_fidelity",
     "EncodedProtocolEngine",
     "transfer_channel_traces",
     "mixed_environment",
@@ -115,31 +114,31 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def build_many_body(
-    J: np.ndarray,
-    n: int,
-    fields: np.ndarray | None = None,
-    cap: int = _DEFAULT_CAP,
-) -> SectorHamiltonian:
-    """Sector blocks of H = sum_{i<j} J_ij (s+_i s-_j + h.c.) + sum_i B_i n_i.
+def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian:
+    """Sector blocks of H = sum_{i<j} K_ij (s+_i s-_j + h.c.) + sum_i K_ii n_i.
 
-    ``J`` is a symmetric (n, n) coupling matrix (diagonal ignored) and
-    ``fields`` the per-site diagonal, i.e. exactly the off-diagonal and
-    diagonal of the corresponding single-particle matrix.  The additive
+    ``K`` is the real symmetric (n, n) single-particle matrix, and the
+    single-excitation block of H equals it: the off-diagonal entries are
+    the couplings and the diagonal entries the fields.  The additive
     constant from sz versus number operators is a global phase and is
     dropped.
     """
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be a square matrix")
+    n = K.shape[0]
     _check_cap(n, cap)
-    J = np.asarray(J, float)
-    if J.shape != (n, n) or not np.allclose(J, J.T, atol=1e-12):
-        raise ValueError("J must be a symmetric (n, n) matrix")
+    if np.iscomplexobj(K):
+        if np.any(K.imag != 0):
+            raise ValueError("K must be real: XX hopping with complex amplitudes is not supported")
+        K = K.real
+    K = np.asarray(K, float)
+    if not np.allclose(K, K.T, atol=1e-12):
+        raise ValueError("K must be symmetric")
     basis = SectorBasis(n)
     diag = np.zeros(1 << n)
-    if fields is not None:
-        fields = np.asarray(fields, float)
-        for i in range(n):
-            bit = (np.arange(1 << n) >> i) & 1
-            diag += fields[i] * bit
+    for i in np.flatnonzero(np.diagonal(K)):
+        diag += K[i, i] * ((np.arange(1 << n) >> i) & 1)
     blocks = []
     for idx in basis.sectors:
         dim = len(idx)
@@ -147,7 +146,7 @@ def build_many_body(
         H[np.arange(dim), np.arange(dim)] = diag[idx]
         for i in range(n):
             for j in range(i + 1, n):
-                if J[i, j] == 0.0:
+                if K[i, j] == 0.0:
                     continue
                 # states with bit i set, bit j clear flip-flop to partners
                 sel = (((idx >> i) & 1) == 1) & (((idx >> j) & 1) == 0)
@@ -155,24 +154,10 @@ def build_many_body(
                 dst = src ^ (1 << i) ^ (1 << j)
                 r = basis.position[src]
                 c = basis.position[dst]
-                H[r, c] += J[i, j]
-                H[c, r] += J[i, j]
+                H[r, c] += K[i, j]
+                H[c, r] += K[i, j]
         blocks.append(H)
     return SectorHamiltonian(n, blocks, basis)
-
-
-def build_many_body_from_k(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian:
-    """Many-body Hamiltonian whose single-excitation block equals K."""
-    K = np.asarray(K)
-    if np.iscomplexobj(K):
-        if np.any(K.imag != 0):
-            raise ValueError("K must be real: XX hopping with complex amplitudes is not supported")
-        K = K.real
-    n = K.shape[0]
-    J = np.array(K, float)
-    fields = np.diag(J).copy()
-    np.fill_diagonal(J, 0.0)
-    return build_many_body(J, n, fields, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -454,99 +439,40 @@ class ExactChannelResult:
     fidelity: float
     fidelity_phase_corrected: float
     traces: dict[str, complex]
-    model: str
 
     @property
     def infidelity(self) -> float:
         return 1.0 - self.fidelity
 
 
-def _result_from_traces(traces: dict[str, complex], model: str) -> ExactChannelResult:
+def _result_from_traces(traces: dict[str, complex]) -> ExactChannelResult:
     tx, ty, tz = (traces[k].real for k in ("x", "y", "z"))
     f_plain = 0.5 + (tx + ty + tz) / 12.0
     # A post-transfer z-phase gate can align the coherence transfer; the
     # best achievable coherence contribution is 4|s| in place of Tx+Ty.
     f_corr = 0.5 + (tz + 4.0 * abs(traces["s"])) / 12.0
-    return ExactChannelResult(float(f_plain), float(f_corr), traces, model)
+    return ExactChannelResult(float(f_plain), float(f_corr), traces)
 
 
 # ---------------------------------------------------------------------------
 # the paired (encoded) protocol
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Encoded two-leg transfer protocol on sites {0a, 1..N, (N+1)a, 0b, (N+1)b}.
-
-    The sites are numbered in that order, so the bits of a basis state
-    hold leg a's sites first and the pair 0b, (N+1)b, idle during leg a,
-    on the two top bits.  Ordered by state value, each magnetization
-    sector then holds the idle patterns 00, 01, 10 and 11 in turn as
-    contiguous ranges, each in its active sector's own order, and leg a's
-    eigenvectors are contiguous diagonal blocks (``_leg_a_eig``).
-
-    ``chain_couplings`` is the symmetric (N, N) coupling matrix of the bus;
-    the registers attach with strength ``g`` to the nearest chain end.
-    ``readout`` selects which physical qubit carries the logical output
-    after the decode CNOT ("b", the default, keeps the chain-decoding
-    bonus term).
-    """
-
-    n_chain: int
-    chain_couplings: np.ndarray
-    g: float
-    t_a: float
-    t_b: float
-    chain_fields: np.ndarray | None = None
-    readout: str = "b"
-    model: str = "custom"
-
-    @property
-    def n_total(self) -> int:
-        return self.n_chain + 4
-
-    def site_index(self, label: str) -> int:
-        N = self.n_chain
-        return {"0a": 0, "(N+1)a": N + 1, "0b": N + 2, "(N+1)b": N + 3}[label]
-
-
-def _leg_couplings(p: ProtocolSpec, leg: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Couplings and fields of one transfer leg over all sites; the other pair is idle."""
-    n = p.n_total
-    N = p.n_chain
-    chain = slice(1, N + 1)  # sites 1..N
-    J = np.zeros((n, n))
-    J[chain, chain] = np.asarray(p.chain_couplings, float)
-    left = p.site_index("0b") if leg == "b" else p.site_index("0a")
-    right = p.site_index("(N+1)b") if leg == "b" else p.site_index("(N+1)a")
-    J[left, 1] = J[1, left] = p.g
-    J[right, N] = J[N, right] = p.g
-    fields = None
-    if p.chain_fields is not None:
-        fields = np.zeros(n)
-        fields[chain] = p.chain_fields
-    return J, fields
-
-
-def _leg_a_eig(p: ProtocolSpec, cap: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+def _leg_a_eig(K: np.ndarray, cap: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Eigenpairs of leg a in every n-site sector, from the n - 2 active sites.
 
-    During leg a the sites 0b and (N+1)b have no coupling and no field, so
-    H_a = H_act (x) 1 on them, with H_act the Hamiltonian of the other
-    n - 2 (active) sites.  Those are the low bits, so the weight-w sector
-    holds the idle patterns 00, 01, 10, 11 in turn as contiguous ranges,
-    each in the order of the active sector of weight w, w - 1, w - 1 and
-    w - 2, and its eigenvectors are blockdiag(V_act[w], V_act[w-1],
-    V_act[w-1], V_act[w-2]).  Returns per sector the eigenvalues (in that
-    block order, so not sorted) and the non-empty blocks; the blocks of
-    the patterns 01 and 10 are one array.
+    The active sites 0a, 1..N, (N+1)a are K's rows.  During leg a the
+    sites 0b and (N+1)b have no coupling and no field, so H_a = H_act (x) 1
+    on them, with H_act = ``build_many_body(K)``.  The active sites are
+    the low bits, so the weight-w sector holds the idle patterns 00, 01,
+    10, 11 in turn as contiguous ranges, each in the order of the active
+    sector of weight w, w - 1, w - 1 and w - 2, and its eigenvectors are
+    blockdiag(V_act[w], V_act[w-1], V_act[w-1], V_act[w-2]).  Returns per
+    sector the eigenvalues (in that block order, so not sorted) and the
+    non-empty blocks; the blocks of the patterns 01 and 10 are one array.
     """
-    n = p.n_total
-    J, fields = _leg_couplings(p, "a")
-    H_act = build_many_body(
-        J[: n - 2, : n - 2], n - 2, None if fields is None else fields[: n - 2], cap=cap
-    )
-    act_eig = H_act.eig()
+    act_eig = build_many_body(K, cap=cap).eig()
+    n = K.shape[0] + 2
     eig = []
     for w in range(n + 1):
         pairs = [act_eig[w - k] for k in (0, 1, 1, 2) if 0 <= w - k <= n - 2]
@@ -575,11 +501,24 @@ def _block_overlap(blocks: list[np.ndarray], src: np.ndarray) -> np.ndarray:
 class EncodedProtocolEngine:
     """Reusable engine for scanning transfer times at fixed couplings.
 
-    The sector eigendecomposition depends on (chain couplings, g) only, so
-    a grid of times costs one factored block product per sector and one
-    contraction per batch of times.  The input qubit rides on 0_a; 0_b
-    starts in |up>; the chain is at infinite temperature; the receiving
-    pair starts in the classical logical mixture (|00><00| + |11><11|)/2.
+    ``K`` is the real symmetric (N+2)x(N+2) single-particle matrix of
+    leg a, registers in rows 0 and N+1, as ``chains`` builds it.  The
+    protocol runs on N + 4 sites, numbered {0a, 1..N, (N+1)a, 0b,
+    (N+1)b} in that order: leg a couples 0a and (N+1)a to the chain
+    through K, and leg b couples 0b and (N+1)b in their place.  The pair
+    0b, (N+1)b, idle during leg a, holds the two top bits, so each
+    magnetization sector holds the idle patterns 00, 01, 10 and 11 in
+    turn as contiguous ranges, each in its active sector's own order.
+    The idle pair carries no field, so the register entries K[0, 0] and
+    K[N+1, N+1] must be 0.
+
+    The sector eigendecomposition depends on K only, so a grid of times
+    costs one factored block product per sector and one contraction per
+    batch of times.  The input qubit rides on 0_a; 0_b starts in |up>;
+    the chain is at infinite temperature; the receiving pair starts in
+    the classical logical mixture (|00><00| + |11><11|)/2.  ``readout``
+    selects which physical qubit carries the logical output after the
+    decode CNOT ("b", the default, keeps the chain-decoding bonus term).
 
     Only leg a is eigensolved, and only on its n - 2 active sites
     (``_leg_a_eig``).  Leg b is H_b = P H_a P, with P the basis
@@ -592,38 +531,32 @@ class EncodedProtocolEngine:
     contraction is planned once per engine.
     """
 
-    def __init__(self, n_chain, chain_couplings, g, chain_fields=None,
-                 readout="b", model="custom", cap: int = _DEFAULT_CAP):
+    def __init__(self, K, readout="b", cap: int = _DEFAULT_CAP):
         if readout not in ("a", "b"):
             raise ValueError(f"readout must be 'a' or 'b', not {readout!r}")
-        chain_couplings = np.asarray(chain_couplings, float)
-        if chain_couplings.shape != (n_chain, n_chain):
-            raise ValueError(f"chain_couplings must be an ({n_chain}, {n_chain}) matrix")
-        if chain_fields is not None and np.shape(chain_fields) != (n_chain,):
-            raise ValueError(f"chain_fields must be None or {n_chain} values")
-        self.proto = p = ProtocolSpec(
-            n_chain, chain_couplings, float(g), 0.0, 0.0, chain_fields, readout, model,
-        )
-        n = p.n_total
+        K = np.asarray(K)
+        if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 3:
+            raise ValueError("K must be a square (N+2, N+2) matrix with N >= 1")
+        N = K.shape[0] - 2
+        if K[0, 0] != 0 or K[N + 1, N + 1] != 0:
+            raise ValueError("the register fields K[0, 0] and K[N+1, N+1] must be 0")
+        n = N + 4
         _check_cap(n, cap)
+        a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
+        eig = _leg_a_eig(K, cap)
         basis = SectorBasis(n)
-        b, a = p.site_index("(N+1)b"), p.site_index("(N+1)a")
-        self.leg_swap = _swap_perm(n, [(p.site_index("0a"), p.site_index("0b")), (b, a)])
+        self.leg_swap = _swap_perm(n, [(a0, b0), (bR, aR)])
         # the decode CNOT is controlled on the readout qubit
-        readout_site, partner = (b, a) if readout == "b" else (a, b)
-        in_site = p.site_index("0a")
-        enc = _cnot_perm(n, in_site, p.site_index("0b"))
+        readout_site, partner = (bR, aR) if readout == "b" else (aR, bR)
+        enc = _cnot_perm(n, a0, b0)
         dec = self.leg_swap[_cnot_perm(n, readout_site, partner)]
-        env = mixed_environment(
-            n, in_site, fixed={p.site_index("0b"): 0}, correlated_pairs=[(b, a)]
-        )
-        eig = _leg_a_eig(p, cap)
+        env = mixed_environment(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
         overlaps = [
             _block_overlap(blocks, basis.position[self.leg_swap[idx]])
             for idx, (_, blocks) in zip(basis.sectors, eig)
         ]
         self._channel = _FactoredChannel(
-            basis, eig, overlaps, enc, dec, env, in_site, readout_site
+            basis, eig, overlaps, enc, dec, env, a0, readout_site
         )
 
     def fidelities(self, times, t_b=None) -> list[ExactChannelResult]:
@@ -638,22 +571,11 @@ class EncodedProtocolEngine:
         if t_a.ndim != 1:
             raise ValueError("times must be a 1-D array")
         t_b = t_a if t_b is None else np.broadcast_to(np.asarray(t_b, float), t_a.shape)
-        return [
-            _result_from_traces(traces, self.proto.model)
-            for traces in self._channel.traces(t_b, t_a)
-        ]
+        return [_result_from_traces(traces) for traces in self._channel.traces(t_b, t_a)]
 
     def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
         """Exact fidelity at leg time t (both legs, unless t_b differs)."""
         return self.fidelities([t], t_b)[0]
-
-
-def exact_channel_fidelity(p: ProtocolSpec, cap: int = _DEFAULT_CAP) -> ExactChannelResult:
-    """Exact encoded-protocol fidelity for an unpolarized bus (one point)."""
-    engine = EncodedProtocolEngine(
-        p.n_chain, p.chain_couplings, p.g, p.chain_fields, p.readout, p.model, cap
-    )
-    return engine.fidelity(p.t_a, p.t_b)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +612,7 @@ def transfer_channel_traces(
         if bits.shape != (n - 2,) or not np.isin(bits, (0, 1)).all():
             raise ValueError(f"chain_bits must be {n - 2} values in {{0, 1}}")
         fixed = {1 + i: int(b) for i, b in enumerate(bits)}
-    H = build_many_body_from_k(K, cap=cap)
+    H = build_many_body(K, cap=cap)
     basis = H.basis
     # one block per sector: the full eigenvector matrix
     eig = [(w, [V]) for w, V in H.eig()]

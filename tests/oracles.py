@@ -7,7 +7,8 @@ is bit q of the basis index, bit 1 is a flipped spin (an excitation),
 and sigma_z = +1 on bit 0.
 
 ``signed_eigh`` applies the eigenmode sign convention column by column.
-``sector_leg_product`` is the encoded protocol's leg product with both
+``protocol_leg_ks`` lays out the encoded protocol's two legs from one
+chain matrix, and ``sector_leg_product`` is its leg product with both
 legs eigensolved and evolved as full complex blocks, the reference for
 the engine's one-eigensolve, factored, live-column blocks.
 ``ByteTableau`` is the stabilizer tableau with one byte per bit, the
@@ -109,6 +110,24 @@ def sector_leg_product(eig_a, eig_b, t_a: float, t_b: float) -> list[np.ndarray]
     Ua = sector_unitaries(eig_a, t_a)
     Ub = sector_unitaries(eig_b, t_b)
     return [B @ A for A, B in zip(Ua, Ub)]
+
+
+def protocol_leg_ks(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-particle matrices of the encoded protocol's two legs.
+
+    ``K`` is the (N+2)x(N+2) matrix of leg a.  The protocol's N + 4 sites
+    are numbered {0a, 1..N, (N+1)a, 0b, (N+1)b}: leg a is K on the first
+    N + 2 of them, and leg b is K with the registers 0a and (N+1)a
+    replaced by 0b and (N+1)b.  The sites a leg leaves out are idle.
+    """
+    K = np.asarray(K, float)
+    N = K.shape[0] - 2
+    legs = []
+    for sites in (np.arange(N + 2), np.r_[N + 2, 1 : N + 1, N + 3]):
+        leg = np.zeros((N + 4, N + 4))
+        leg[np.ix_(sites, sites)] = K
+        legs.append(leg)
+    return legs[0], legs[1]
 
 
 def cnot(n: int, control: int, target: int) -> np.ndarray:

@@ -75,11 +75,10 @@ def test_criterion_01_analytic_formulas_match_exact_channels():
 
     # encoded protocol on an 8-spin system (N = 4 chain)
     N = 4
-    J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
     for _ in range(20):
         g = rng.uniform(0.1, 1.0)
         t = rng.uniform(0.5, 25.0)
-        res = ed.exact_channel_fidelity(ed.ProtocolSpec(N, J, g, t, t))
+        res = ed.EncodedProtocolEngine(uniform_k(N, g)).fidelity(t)
         M = dynamics.propagator(uniform_k(N, g), t)
         worst = max(worst, abs(fidelity.f_encoded(M, "weak") - res.fidelity))
         worst = max(

@@ -204,6 +204,19 @@ class TestBdGMatrix:
         assert alpha[0, 0] == alpha[4, 4] == 1.1
         assert alpha[1, 1] == 0.9
 
+    @pytest.mark.parametrize("rule", [chains.RangeRule.FULL_DIPOLAR, chains.RangeRule.NNN_CANCELLED])
+    def test_long_range_positions_rejected(self, rule):
+        # the pairing matrix holds nearest-neighbour bonds only, so a
+        # long-range rule would lose its |i - j| > 1 couplings unnoticed
+        x = (0.0, 1.0, 2.0, 3.0, 4.0)
+        spec = chains.ChainSpec(chains.ModelKind.TFIM, 5, chains.FromPositions(x, rule))
+        for include_registers in (False, True):
+            with pytest.raises(ValueError, match=rule.value):
+                chains.build_bdg_matrix(spec, include_registers=include_registers)
+        nn = chains.ChainSpec(chains.ModelKind.TFIM, 5, chains.FromPositions(x))
+        A = chains.build_bdg_matrix(nn)
+        assert A[0, 1] == -0.5 and A[0, 2] == 0.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
     @pytest.mark.parametrize("register_field", [None, 0.7])
     def test_chain_only_is_the_chain_block_of_the_register_matrix(self, n, register_field):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbus import cli
@@ -412,6 +412,14 @@ class TestFuzzConfigs:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(_FUZZ_DOCS)).flatmap(
         lambda kind: st.tuples(st.just(kind), _FUZZ_DOCS[kind])))
+    # the derandomized draws almost never reach the non-finite edges of
+    # _num, so every subcommand with a float key runs one of them here
+    @example(case=("disorder-sweep", {"n_chain": 4, "realizations": 1, "t1_ms": [math.nan]}))
+    @example(case=("strong-scan", {"n_list": [4, 6], "n_times": 10, "g_grid": [0.0, math.inf, 3]}))
+    @example(case=("perturbative", {"n_chain": 5, "n_g": 2, "g_max": -math.inf}))
+    @example(case=("bosonic", {"n_chain": 3, "kt_over_omega": [math.nan]}))
+    @example(case=("mirror-verify", {"mirror_sizes": [2], "swap_chain_length": 2,
+                                     "hole_fraction": math.inf}))
     def test_exit_code_in_contract(self, case):
         command, doc = case
         with tempfile.TemporaryDirectory() as tmp:

@@ -464,6 +464,22 @@ class TestModeBudget:
         assert choice.mode_index == 2
         assert scalar_selection(modes, 0.1, 3, T1) == 2
 
+    @pytest.mark.parametrize("T1", [1e4, math.inf])
+    @pytest.mark.parametrize("g_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_g_max_must_be_finite_and_positive(self, g_max, T1):
+        # -1 would match a negative coupling and time, 0 would score an
+        # uncoupled register as a perfect transfer, and NaN and inf would
+        # fail later with errors that misname the fault
+        modes = dynamics.eigenmodes(np.diag(np.ones(6), 1) + np.diag(np.ones(6), -1))
+        budget = dynamics.mode_budget(modes)
+        with pytest.raises(ValueError, match="g_max must be finite and positive") as err:
+            budget.errors(g_max, 7, T1)
+        assert err.type is ValueError
+        with pytest.raises(ValueError, match="g_max"):
+            budget.select(g_max, 7, T1)
+        with pytest.raises(ValueError, match="g_max"):
+            dynamics.select_resonant_mode(modes, g_max, 7, T1)
+
     def test_no_candidate_raises(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])  # each mode lives on one end
         modes = dynamics.EigenmodeSet(np.array([-1.0, 1.0]), vectors)

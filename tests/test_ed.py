@@ -21,6 +21,33 @@ def uniform_k(N, g, register_field=None):
     return K
 
 
+def protocol_k(J, g, fields=None):
+    """Leg a's matrix: chain couplings J, both end couplings g, chain fields."""
+    N = len(J)
+    K = np.zeros((N + 2, N + 2))
+    K[1:-1, 1:-1] = J
+    K[0, 1] = K[1, 0] = K[N, N + 1] = K[N + 1, N] = g
+    if fields is not None:
+        K[np.arange(1, N + 1), np.arange(1, N + 1)] = fields
+    return K
+
+
+def dense_protocol_traces(K, t_a, t_b, readout="b"):
+    """The full encoded protocol rebuilt from dense kron primitives.
+
+    Sites {0a, 1..N, (N+1)a, 0b, (N+1)b}, each leg laid out by the oracle.
+    """
+    N = K.shape[0] - 2
+    n = N + 4
+    a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
+    Ua, Ub = (oracles.unitary(oracles.h_from_k(leg), t)
+              for leg, t in zip(oracles.protocol_leg_ks(K), (t_a, t_b)))
+    out_site, partner = (bR, aR) if readout == "b" else (aR, bR)
+    U = oracles.cnot(n, out_site, partner) @ Ub @ Ua @ oracles.cnot(n, a0, b0)
+    env = oracles.env_diag(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
+    return oracles.channel_traces(U, n, a0, out_site, env)
+
+
 def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
     """Traces of P_dec (+)_w blocks[w] P_enc, every column of every block held."""
     plan = ed._trace_plan(basis, enc, dec, basis.position, env, in_site, out_site)
@@ -51,14 +78,16 @@ class TestSectorConstruction:
         J = J + J.T
         np.fill_diagonal(J, 0.0)
         fields = rng.normal(size=n)
-        H = ed.build_many_body(J, n, fields)
+        K = J.copy()
+        np.fill_diagonal(K, fields)
+        H = ed.build_many_body(K)
         dense = oracles.flip_flop_h(J, n, fields)
         assert np.allclose(sector_to_dense(H), dense.real, atol=1e-12)
         assert np.max(np.abs(dense.imag)) == 0.0
 
     def test_from_k_single_excitation_block(self):
         K = uniform_k(3, 0.4, register_field=0.2)
-        H = ed.build_many_body_from_k(K)
+        H = ed.build_many_body(K)
         # sector of Hamming weight 1, ordered by bit position = site index
         block = H.blocks[1]
         assert np.allclose(block, K, atol=1e-12)
@@ -71,44 +100,44 @@ class TestSectorConstruction:
         # one real set of sector blocks at 15 spins:
         # sum_w C(15, w)^2 * 8 B = C(30, 15) * 8 B = 1.24 GB; an exact
         # channel peaks at two to five and a half of them
-        J = np.zeros((15, 15))
+        K = np.zeros((15, 15))
         tracemalloc.start()
         try:
             with pytest.raises(ed.ResourceLimitError, match=r"about 2\.5-6\.8 GB"):
-                ed.build_many_body(J, 15, cap=14)
+                ed.build_many_body(K, cap=14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # raised before any basis or block exists
         with pytest.raises(ed.ResourceLimitError):
-            ed.build_many_body_from_k(np.zeros((9, 9)), cap=8)
+            ed.build_many_body(np.zeros((9, 9)), cap=8)
         # the encoded engine eigensolves 12 active sites, but 14 spins exceed a cap of 13
         with pytest.raises(ed.ResourceLimitError):
-            ed.EncodedProtocolEngine(10, np.zeros((10, 10)), 0.5, cap=13)
+            ed.EncodedProtocolEngine(np.zeros((12, 12)), cap=13)
 
     def test_complex_k_rejected(self):
         # an imaginary hopping would be dropped by a float cast
         K = uniform_k(3, 0.4).astype(complex)
         K[1, 2], K[2, 1] = 1j, -1j
         with pytest.raises(ValueError, match="real"):
-            ed.build_many_body_from_k(K)
+            ed.build_many_body(K)
         with pytest.raises(ValueError, match="real"):
             ed.transfer_channel_traces(K, 2.0, "double_swap")
         # a complex dtype with no imaginary part is the real matrix
         real = uniform_k(3, 0.4)
-        H = ed.build_many_body_from_k(real.astype(complex))
+        H = ed.build_many_body(real.astype(complex))
         assert all(np.array_equal(a, b) for a, b in
-                   zip(H.blocks, ed.build_many_body_from_k(real).blocks))
+                   zip(H.blocks, ed.build_many_body(real).blocks))
 
     def test_asymmetric_couplings_rejected(self):
         J = np.zeros((3, 3))
         J[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            ed.build_many_body(J, 3)
+        with pytest.raises(ValueError, match="symmetric"):
+            ed.build_many_body(J)
 
     def test_unitary_blocks(self):
         K = uniform_k(3, 0.4)
-        H = ed.build_many_body_from_k(K)
+        H = ed.build_many_body(K)
         for U in oracles.sector_unitaries(H.eig(), 1.7):
             assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-10)
 
@@ -174,50 +203,11 @@ class TestChannelTracesAgainstDenseOracle:
 
 
 class TestEncodedProtocol:
-    def _dense_protocol_traces(self, p: ed.ProtocolSpec):
-        """The full encoded protocol rebuilt from dense kron primitives."""
-        n = p.n_total
-        N = p.n_chain
-        site = p.site_index
-
-        # the chain sites 1..N sit between 0a and (N+1)a
-        first, last = site("0a") + 1, site("(N+1)a") - 1
-        chain = slice(first, last + 1)
-
-        def leg_u(leg, t):
-            J = np.zeros((n, n))
-            J[chain, chain] = p.chain_couplings
-            left = site("0b") if leg == "b" else site("0a")
-            right = site("(N+1)b") if leg == "b" else site("(N+1)a")
-            J[left, first] = J[first, left] = p.g
-            J[right, last] = J[last, right] = p.g
-            fields = np.zeros(n)
-            if p.chain_fields is not None:
-                fields[chain] = p.chain_fields
-            return oracles.unitary(oracles.flip_flop_h(J, n, fields), t)
-
-        enc = oracles.cnot(n, site("0a"), site("0b"))
-        if p.readout == "b":
-            dec = oracles.cnot(n, site("(N+1)b"), site("(N+1)a"))
-            out_site = site("(N+1)b")
-        else:
-            dec = oracles.cnot(n, site("(N+1)a"), site("(N+1)b"))
-            out_site = site("(N+1)a")
-        U = dec @ leg_u("b", p.t_b) @ leg_u("a", p.t_a) @ enc
-        env = oracles.env_diag(
-            n, site("0a"),
-            fixed={site("0b"): 0},
-            correlated_pairs=[(site("(N+1)b"), site("(N+1)a"))],
-        )
-        return oracles.channel_traces(U, n, site("0a"), out_site, env)
-
     @pytest.mark.parametrize("readout", ["b", "a"])
     def test_matches_dense_oracle(self, readout):
-        N = 3
-        J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
-        p = ed.ProtocolSpec(N, J, g=0.6, t_a=4.2, t_b=4.2, readout=readout)
-        res = ed.exact_channel_fidelity(p)
-        want = self._dense_protocol_traces(p)
+        K = uniform_k(3, 0.6)
+        res = ed.EncodedProtocolEngine(K, readout=readout).fidelity(4.2)
+        want = dense_protocol_traces(K, 4.2, 4.2, readout)
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
         assert res.fidelity == pytest.approx(oracles.avg_fidelity(want), abs=1e-10)
@@ -226,25 +216,11 @@ class TestEncodedProtocol:
         )
 
     def test_asymmetric_leg_times(self):
-        N = 2
-        J = np.array([[0.0, 1.0], [1.0, 0.0]])
-        p = ed.ProtocolSpec(N, J, g=0.5, t_a=2.0, t_b=5.0)
-        res = ed.exact_channel_fidelity(p)
-        want = self._dense_protocol_traces(p)
+        K = uniform_k(2, 0.5)
+        res = ed.EncodedProtocolEngine(K).fidelity(2.0, 5.0)
+        want = dense_protocol_traces(K, 2.0, 5.0)
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
-
-    def test_engine_matches_one_shot(self):
-        N = 3
-        J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
-        engine = ed.EncodedProtocolEngine(N, J, 0.7)
-        for t in (1.0, 6.5):
-            a = engine.fidelity(t)
-            b = ed.exact_channel_fidelity(ed.ProtocolSpec(N, J, 0.7, t, t))
-            assert a.fidelity == pytest.approx(b.fidelity, abs=1e-12)
-            assert a.fidelity_phase_corrected == pytest.approx(
-                b.fidelity_phase_corrected, abs=1e-12
-            )
 
     @pytest.mark.parametrize("readout", ["a", "b"])
     @pytest.mark.parametrize("t_b", [3.7, 5.9])
@@ -255,35 +231,40 @@ class TestEncodedProtocol:
         np.fill_diagonal(dist, 1.0)
         J = 1.0 / dist**3
         np.fill_diagonal(J, 0.0)
-        fields = np.array([0.3, -0.2, 0.15, -0.4])
-        engine = ed.EncodedProtocolEngine(N, J, 0.55, chain_fields=fields, readout=readout)
-        res = engine.fidelity(3.7, t_b)
-        p = ed.ProtocolSpec(N, J, 0.55, 3.7, t_b, chain_fields=fields, readout=readout)
-        want = self._dense_protocol_traces(p)
+        K = protocol_k(J, 0.55, [0.3, -0.2, 0.15, -0.4])
+        res = ed.EncodedProtocolEngine(K, readout=readout).fidelity(3.7, t_b)
+        want = dense_protocol_traces(K, 3.7, t_b, readout)
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
 
-    @pytest.mark.parametrize("couplings, fields", [
-        (1.0, None),  # a scalar would broadcast into an all-to-all bus
-        (np.ones((4, 4)) - np.eye(4), None),  # (N+1, N+1)
-        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), [0.1, 0.2]),
-        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 0.1),
+    @pytest.mark.parametrize("K, match", [
+        pytest.param(1.0, "square", id="scalar"),
+        pytest.param(np.zeros((3, 4)), "square", id="not-square"),
+        pytest.param(np.zeros(5), "square", id="vector"),
+        pytest.param(np.zeros((2, 2)), "N >= 1", id="no-chain"),
+        pytest.param(protocol_k(np.triu(np.ones((3, 3)), 1), 0.5), "symmetric", id="asymmetric"),
+        pytest.param(uniform_k(3, 0.5) * (1.0 + 1.0j), "real", id="complex"),
+        # the idle pair carries no field, so a register field is rejected
+        pytest.param(uniform_k(3, 0.5, register_field=0.2), "register", id="register-fields"),
+        pytest.param(uniform_k(3, 0.5) + np.diag([0.2, 0.0, 0.0, 0.0, 0.0]), "register",
+                     id="field-on-register-0"),
+        pytest.param(uniform_k(3, 0.5) + np.diag([0.0, 0.0, 0.0, 0.0, -0.2]), "register",
+                     id="field-on-register-N+1"),
+        pytest.param(uniform_k(3, 0.5) + np.diag([np.nan, 0.0, 0.0, 0.0, 0.0]), "register",
+                     id="nan-on-register-0"),
     ])
-    def test_engine_input_shapes(self, couplings, fields):
-        with pytest.raises(ValueError, match="chain_"):
-            ed.EncodedProtocolEngine(3, couplings, 0.5, chain_fields=fields)
+    def test_engine_input_shapes(self, K, match):
+        with pytest.raises(ValueError, match=match):
+            ed.EncodedProtocolEngine(K)
 
     def test_unknown_readout(self):
-        J = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="readout"):
-            ed.EncodedProtocolEngine(2, J, 0.5, readout="B")
+            ed.EncodedProtocolEngine(uniform_k(2, 0.5), readout="B")
 
     def test_zero_time_is_identity_legs(self):
         # with no evolution the receiving pair never correlates with the
         # input, so the channel is maximally forgetful: F = 1/2
-        N = 2
-        J = np.array([[0.0, 1.0], [1.0, 0.0]])
-        res = ed.exact_channel_fidelity(ed.ProtocolSpec(N, J, 0.5, 0.0, 0.0))
+        res = ed.EncodedProtocolEngine(uniform_k(2, 0.5)).fidelity(0.0)
         assert res.fidelity == pytest.approx(0.5, abs=1e-12)
 
     def test_fidelity_bounds(self):
@@ -292,7 +273,7 @@ class TestEncodedProtocol:
         J = rng.normal(size=(N, N))
         J = np.abs(J + J.T)
         np.fill_diagonal(J, 0.0)
-        res = ed.exact_channel_fidelity(ed.ProtocolSpec(N, J, 0.8, 3.0, 3.0))
+        res = ed.EncodedProtocolEngine(protocol_k(J, 0.8)).fidelity(3.0)
         assert 0.0 <= res.fidelity <= 1.0
         assert res.fidelity <= res.fidelity_phase_corrected <= 1.0
         assert res.infidelity == pytest.approx(1.0 - res.fidelity)
@@ -314,21 +295,19 @@ class TestEnvironmentWeights:
         assert np.allclose(a, b)
 
 
-def leg_hamiltonian(p: ed.ProtocolSpec, leg: str) -> ed.SectorHamiltonian:
+def leg_hamiltonian(K, leg: str) -> ed.SectorHamiltonian:
     """Full-space Hamiltonian of one transfer leg."""
-    J, fields = ed._leg_couplings(p, leg)
-    return ed.build_many_body(J, p.n_total, fields)
+    return ed.build_many_body(oracles.protocol_leg_ks(K)["ab".index(leg)])
 
 
-def dipolar_spec(N):
-    """Protocol on a full cube-law chain with non-zero chain fields."""
+def dipolar_k(N):
+    """Leg a's matrix on a full cube-law chain with non-zero chain fields."""
     r = np.arange(N, dtype=float)
     dist = np.abs(r[:, None] - r[None, :])
     np.fill_diagonal(dist, 1.0)
     J = 1.0 / dist**3
     np.fill_diagonal(J, 0.0)
-    fields = np.random.default_rng(N).uniform(-0.4, 0.4, N)
-    return ed.ProtocolSpec(N, J, 0.55, 0.0, 0.0, chain_fields=fields)
+    return protocol_k(J, 0.55, np.random.default_rng(N).uniform(-0.4, 0.4, N))
 
 
 class TestFactoredEngine:
@@ -336,10 +315,10 @@ class TestFactoredEngine:
 
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_leg_swap_maps_leg_a_onto_leg_b(self, N):
-        p = dipolar_spec(N)
-        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        Ha = leg_hamiltonian(p, "a")
-        Hb = leg_hamiltonian(p, "b")
+        K = dipolar_k(N)
+        engine = ed.EncodedProtocolEngine(K)
+        Ha = leg_hamiltonian(K, "a")
+        Hb = leg_hamiltonian(K, "b")
         for idx, A, B in zip(Ha.basis.sectors, Ha.blocks, Hb.blocks):
             perm = Ha.basis.position[engine.leg_swap[idx]]
             assert np.array_equal(A[perm][:, perm], B)
@@ -347,21 +326,19 @@ class TestFactoredEngine:
     @pytest.mark.parametrize("n_total", [6, 8, 10, 12])
     def test_matches_two_leg_oracle(self, n_total):
         N = n_total - 4
-        p = dipolar_spec(N)
-        Ha = leg_hamiltonian(p, "a")
+        K = dipolar_k(N)
+        Ha = leg_hamiltonian(K, "a")
         eig_a = [np.linalg.eigh(b) for b in Ha.blocks]
-        eig_b = [np.linalg.eigh(b) for b in leg_hamiltonian(p, "b").blocks]
-        site = p.site_index
-        in_site, b, a = site("0a"), site("(N+1)b"), site("(N+1)a")
-        env = ed.mixed_environment(n_total, in_site, fixed={site("0b"): 0},
+        eig_b = [np.linalg.eigh(b) for b in leg_hamiltonian(K, "b").blocks]
+        # sites {0a, 1..N, (N+1)a, 0b, (N+1)b}
+        in_site, a, b0, b = 0, N + 1, N + 2, N + 3
+        env = ed.mixed_environment(n_total, in_site, fixed={b0: 0},
                                    correlated_pairs=[(b, a)])
-        enc = ed._cnot_perm(n_total, in_site, site("0b"))
+        enc = ed._cnot_perm(n_total, in_site, b0)
         times = ((1.3 * N, 1.3 * N), (1.1 * N, 1.6 * N))
         products = [oracles.sector_leg_product(eig_a, eig_b, *ts) for ts in times]
         for readout, (out_site, partner) in (("b", (b, a)), ("a", (a, b))):
-            engine = ed.EncodedProtocolEngine(
-                N, p.chain_couplings, p.g, p.chain_fields, readout=readout
-            )
+            engine = ed.EncodedProtocolEngine(K, readout=readout)
             for (t_a, t_b), blocks in zip(times, products):
                 got = engine.fidelity(t_a, t_b).traces
                 dec = ed._cnot_perm(n_total, out_site, partner)
@@ -373,10 +350,9 @@ class TestFactoredEngine:
     def test_leg_a_eigenpairs_from_active_sites(self, n_total):
         # the eigenpairs assembled from the n - 2 active sites against
         # eigh of each n-site leg-a block (chain fields on)
-        N = n_total - 4
-        p = dipolar_spec(N)
-        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
-        Ha = leg_hamiltonian(p, "a")
+        K = dipolar_k(n_total - 4)
+        engine = ed.EncodedProtocolEngine(K)
+        Ha = leg_hamiltonian(K, "a")
         for H, (w, V) in zip(Ha.blocks, dense_eig(engine._channel)):
             assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(H))) <= 1e-12
             assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-12
@@ -386,10 +362,11 @@ class TestFactoredEngine:
     def test_leg_a_blocks_tile_the_idle_patterns(self, N):
         # 0b and (N+1)b are the two top bits, so each sector holds the idle
         # patterns 00, 01, 10, 11 in turn, each in its active sector's order
-        p = dipolar_spec(N)
-        n = p.n_total
-        assert sorted((p.site_index("0b"), p.site_index("(N+1)b"))) == [n - 2, n - 1]
-        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        n = N + 4
+        engine = ed.EncodedProtocolEngine(dipolar_k(N))
+        # the leg swap exchanges K's registers 0 and N+1 with the top bits
+        assert engine.leg_swap[1] == 1 << (n - 2)
+        assert engine.leg_swap[1 << (N + 1)] == 1 << (n - 1)
         basis, active = ed.SectorBasis(n), ed.SectorBasis(n - 2)
         for w, (energies, blocks) in enumerate(engine._channel._eig):
             idx = basis.sectors[w]
@@ -411,21 +388,19 @@ class TestFactoredEngine:
         # 0b is fixed and the receiving pair correlated: a quarter of the
         # basis states carry environment weight
         N = 4
-        p = dipolar_spec(N)
-        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        n = N + 4
+        engine = ed.EncodedProtocolEngine(dipolar_k(N))
         held = sum(len(c) for c in engine._channel._cols)
-        assert held == (1 << p.n_total) // 4
-        site = p.site_index
-        env = ed.mixed_environment(p.n_total, site("0a"), fixed={site("0b"): 0},
-                                   correlated_pairs=[(site("(N+1)b"), site("(N+1)a"))])
-        enc = ed._cnot_perm(p.n_total, site("0a"), site("0b"))
-        cols, col_position = ed._held_columns(ed.SectorBasis(p.n_total), enc, env, site("0a"))
+        assert held == (1 << n) // 4
+        # sites {0a, 1..N, (N+1)a, 0b, (N+1)b}
+        env = ed.mixed_environment(n, 0, fixed={N + 2: 0}, correlated_pairs=[(N + 3, N + 1)])
+        enc = ed._cnot_perm(n, 0, N + 2)
+        cols, col_position = ed._held_columns(ed.SectorBasis(n), enc, env, 0)
         assert all(np.array_equal(a, b) for a, b in zip(cols, engine._channel._cols))
         assert np.count_nonzero(col_position >= 0) == held
 
     def test_negative_time_rejected(self):
-        N = 2
-        engine = ed.EncodedProtocolEngine(N, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        engine = ed.EncodedProtocolEngine(uniform_k(2, 0.5))
         with pytest.raises(ValueError):
             engine.fidelity(-1.0)
         with pytest.raises(ValueError):
@@ -437,8 +412,7 @@ class TestFactoredEngine:
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
-        N = 2
-        engine = ed.EncodedProtocolEngine(N, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        engine = ed.EncodedProtocolEngine(uniform_k(2, 0.5))
         with pytest.raises(ValueError, match="finite and non-negative"):
             engine.fidelities([t])
         with pytest.raises(ValueError, match="finite and non-negative"):
@@ -446,7 +420,7 @@ class TestFactoredEngine:
 
     def test_missing_column_rejected(self):
         K = uniform_k(2, 0.5)
-        H = ed.build_many_body_from_k(K)
+        H = ed.build_many_body(K)
         identity = np.arange(1 << 4)
         col_position = H.basis.position.copy()
         col_position[5] = -1
@@ -473,8 +447,7 @@ class TestBatchedFidelities:
 
     @pytest.fixture(scope="class")
     def engine(self):
-        p = dipolar_spec(4)
-        return ed.EncodedProtocolEngine(4, p.chain_couplings, p.g, p.chain_fields)
+        return ed.EncodedProtocolEngine(dipolar_k(4))
 
     def test_zero_time(self, engine):
         assert_batch_matches_points(engine, [0.0, 0.0, 3.0])
@@ -495,8 +468,7 @@ class TestBatchedFidelities:
 
     def test_grid_split_into_batches_at_12_spins(self):
         N = 8
-        p = dipolar_spec(N)
-        engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+        engine = ed.EncodedProtocolEngine(dipolar_k(N))
         channel = engine._channel
         per_time = 16 * sum(
             V.shape[0] * len(c) for (_, V), c in zip(dense_eig(channel), channel._cols)
@@ -522,7 +494,7 @@ class TestTransferChannelsAgainstEvolveBlocks:
         bits = rng.integers(0, 2, n - 2) if polarized else None
         got = ed.transfer_channel_traces(K, t, kind, chain_bits=bits)
 
-        H = ed.build_many_body_from_k(K)
+        H = ed.build_many_body(K)
         U = oracles.sector_unitaries(H.eig(), t)
         if kind == "remote_z":
             U = [(u * (1.0 - 2.0 * ((idx >> (n - 1)) & 1))) @ u
@@ -546,11 +518,11 @@ class TestEngineMemory:
         N = 8
         n = N + 4
         sets = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8
-        p = dipolar_spec(N)
-        ed.EncodedProtocolEngine(2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        K = dipolar_k(N)
+        ed.EncodedProtocolEngine(uniform_k(2, 0.5))
         tracemalloc.start()
         try:
-            engine = ed.EncodedProtocolEngine(N, p.chain_couplings, p.g, p.chain_fields)
+            engine = ed.EncodedProtocolEngine(K)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
