@@ -13,6 +13,7 @@ at the command-line boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -137,7 +138,9 @@ class ChainSpec:
     rows/columns 0 and N+1.  ``uniform_field`` is the diagonal field on
     every site (the transverse field for the TFIM); ``register_field``
     overrides it on the two registers (detuning for even-N transfer, or
-    the register frequency for the bosonic model).
+    the register frequency for the bosonic model).  These numbers, the
+    register couplings and the references must be finite; ``ValueError``
+    names a field that is not.
     """
 
     model_kind: ModelKind
@@ -155,6 +158,12 @@ class ChainSpec:
         n = self.chain_length
         if n < 1:
             raise ValueError("chain_length must be at least 1")
+        # NaN and inf pass every sign check below, and would surface later
+        # as an eigensolver failure that names the wrong fault
+        for name in ("g_left", "g_right", "register_field", "uniform_field", "kappa_ref", "d_ref"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.g_left < 0 or self.g_right < 0:
             raise ValueError("register couplings must be non-negative")
         if self.kappa_ref <= 0:
@@ -302,8 +311,12 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
 
     Physical mode evolution carries a factor two: phi(t) = exp(-2iAt) phi.
     With ``include_registers`` the two exchange-coupled registers are
-    the first and last sites (hopping only, alpha entries g/2, diagonal
-    B'); without, A holds the chain rows and columns of that matrix.
+    the first and last sites (hopping only, alpha entries J/2 of the two
+    register bonds, diagonal B'); without, A holds the chain rows and
+    columns of that matrix.  The register bonds are those of
+    :func:`build_single_particle_matrix`: g_left and g_right, except that
+    an ``Engineered`` profile and ``FromPositions`` coordinates of all
+    N+2 sites set them themselves.
     The chain bonds are nearest-neighbour only, so a ``FromPositions``
     pattern with a longer-range rule raises ``ValueError``.
     """
@@ -315,7 +328,8 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
             f"build_bdg_matrix has nearest-neighbour bonds only, not the {pat.rule.value} rule"
         )
     n = spec.chain_length
-    half = -_nn_bonds(spec)[1:-1] / 2.0  # -J/2 on the internal chain bonds
+    bonds = _nn_bonds(spec)  # the N+1 bonds of K, registers at both ends
+    half = -bonds[1:-1] / 2.0  # -J/2 on the internal chain bonds
     i = np.arange(1, n)  # bond (i, i+1), with the registers at 0 and n+1
     alpha = np.zeros((n + 2, n + 2))
     beta = np.zeros((n + 2, n + 2))
@@ -325,8 +339,8 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
     if include_registers:
         Bp = spec.register_field if spec.register_field is not None else spec.uniform_field
         alpha[0, 0] = alpha[n + 1, n + 1] = Bp
-        alpha[0, 1] = alpha[1, 0] = spec.g_left / 2.0
-        alpha[n, n + 1] = alpha[n + 1, n] = spec.g_right / 2.0
+        alpha[0, 1] = alpha[1, 0] = bonds[0] / 2.0
+        alpha[n, n + 1] = alpha[n + 1, n] = bonds[-1] / 2.0
     else:
         alpha, beta = alpha[1:-1, 1:-1], beta[1:-1, 1:-1]
     return np.block([[alpha, beta], [beta.T, -alpha]])

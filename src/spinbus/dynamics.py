@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainSpec, ModelKind, build_bdg_matrix
+from .chains import ChainSpec, Engineered, FromPositions, ModelKind, build_bdg_matrix
 
 __all__ = [
     "EigenmodeSet",
@@ -25,6 +25,9 @@ __all__ = [
     "eigenmodes",
     "mode_budget",
     "propagator",
+    "propagator_elements",
+    "tridiagonal_eigenpairs",
+    "transfer_elements",
     "select_resonant_mode",
     "bdg_diagonalize",
     "bdg_effective_swap_check",
@@ -134,22 +137,19 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (anchors[:, None, :] * steps[None, :, :]).reshape(-1, w.size)[:nt]
 
 
-def propagator_elements(K: np.ndarray, times: np.ndarray):
-    """Vectorized transfer elements of exp(-iKt) over evenly spaced times.
+def tridiagonal_eigenpairs(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and eigenvectors v (columns) of a chain matrix.
 
     ``K`` must be a finite real symmetric tridiagonal matrix, as every
-    nearest-neighbour XX chain is, and ``times`` evenly spaced (as from
-    ``np.linspace``; a single time is allowed) and finite; anything else
-    raises ``ValueError``.  Returns arrays (m00, m0R, mRR, leak), where
-    leak is the register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}
-    entering the encoded fidelity.  Used by the strong-coupling optimizer
-    where thousands of times share one eigendecomposition.
+    nearest-neighbour XX chain is; anything else raises ``ValueError``.
+    LAPACK ``dstevd`` is called directly: it is the driver that
+    ``scipy.linalg.eigh_tridiagonal`` uses for all eigenpairs, without
+    that wrapper's argument handling.
     """
     # imported here so that importing dynamics needs numpy only
     from scipy.linalg.lapack import dstevd
 
     K = np.asarray(K)
-    times = np.atleast_1d(np.asarray(times, float))
     if not (
         K.ndim == 2
         and K.shape[0] == K.shape[1]
@@ -161,6 +161,26 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
         == np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
     ):
         raise ValueError("K must be a finite real symmetric tridiagonal matrix")
+    # the wrapper wants len(e) = max(n - 1, 1)
+    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
+    w, v, info = dstevd(np.diagonal(K), e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    return w, v
+
+
+def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):
+    """Transfer elements of exp(-iKt) from K's eigenpairs, over evenly spaced times.
+
+    ``w`` are the eigenvalues of a real symmetric K, and ``vL`` and
+    ``vR`` the first and last rows of its eigenvector matrix (the two
+    registers).  ``times`` must be finite and evenly spaced (as from
+    ``np.linspace``; a single time is allowed), else ``ValueError``.
+    Returns arrays (m00, m0R, mRR, leak), where leak is the
+    register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}  entering
+    the encoded fidelity.  One eigensolve serves any number of calls.
+    """
+    times = np.atleast_1d(np.asarray(times, float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
     if not np.isfinite(times).all():
@@ -169,20 +189,22 @@ def propagator_elements(K: np.ndarray, times: np.ndarray):
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
             raise ValueError("times must be evenly spaced")
-    # the driver eigh_tridiagonal calls for all eigenpairs, without its
-    # argument handling; the wrapper wants len(e) = max(n - 1, 1)
-    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
-    w, v, info = dstevd(np.diagonal(K), e)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     phases = _phase_grid(w, times)  # (nt, n)
-    vL = v[0, :]
-    vR = v[-1, :]
     m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
     # (M^2)_{R,0} needs phases squared; subtract the register terms.
     # Real eigenvectors make M symmetric, so M_{R,0} = M_{0,R}.
     leak = (phases * phases) @ (vL * vR) - m0R * (m00 + mRR)
     return m00, m0R, mRR, leak
+
+
+def propagator_elements(K: np.ndarray, times: np.ndarray):
+    """The transfer elements of exp(-iKt) over evenly spaced times.
+
+    :func:`tridiagonal_eigenpairs` of ``K``, then :func:`transfer_elements`
+    of its register rows at ``times``; no (N+2)^2 propagator is formed.
+    """
+    w, v = tridiagonal_eigenpairs(K)
+    return transfer_elements(w, v[0], v[-1], times)
 
 
 @dataclass(frozen=True)
@@ -348,13 +370,21 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
     The chain-only matrix is diagonalized first; the registers are tuned
     to the selected quasiparticle energy and the full system evolved for
     tau = pi / (sqrt(2) g u_1) with u_1 the mode's particle amplitude on
-    the first chain site.  In the weak-coupling paramagnetic regime the
+    the first chain site.  g is ``g_left`` (``g_right`` if that is 0), so
+    an ``Engineered`` pattern or ``FromPositions`` coordinates of all
+    N+2 sites, which set the register bonds themselves, raise
+    ``ValueError``.  In the weak-coupling paramagnetic regime the
     returned exchange amplitude approaches 1; in the Majorana regime the
     hopping and pairing contributions cancel and it collapses.
     """
     if ModelKind(spec.model_kind) is not ModelKind.TFIM:
         raise ValueError("effective swap check expects a TFIM spec")
     n = spec.chain_length
+    pat = spec.pattern
+    if isinstance(pat, Engineered) or (isinstance(pat, FromPositions) and len(pat.positions) == n + 2):
+        # such a pattern sets the register bonds itself, so the registers
+        # would not couple at the g that the swap time is tuned to
+        raise ValueError("effective swap check tunes g; the pattern must leave the register bonds to it")
     diag = bdg_diagonalize(build_bdg_matrix(spec, include_registers=False))
     if mode_index is None:
         mode_index = int(np.argmin(diag.positive_energies))

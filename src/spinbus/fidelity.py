@@ -72,8 +72,8 @@ def f_encoded(M, variant: str = "weak"):
 
     ``M`` is a propagator matrix (a float is returned) or the tuple of
     element arrays (m00, m0R, mRR, leak) from
-    ``dynamics.propagator_elements`` (an array of fidelities is returned,
-    one per time).
+    ``dynamics.transfer_elements`` or ``dynamics.propagator_elements``
+    (an array of fidelities is returned, one per time).
     """
     if variant not in ("weak", "strong"):
         raise ValueError("variant must be 'weak' or 'strong'")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,14 @@ class TestChainSpecValidation:
             chains.ChainSpec(
                 chains.ModelKind.XX, 4, chains.FromPositions((0.0, 1.0, 2.0))
             )
+
+    @pytest.mark.parametrize(
+        "field", ["g_left", "g_right", "register_field", "uniform_field", "kappa_ref", "d_ref"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            chains.ChainSpec(chains.ModelKind.XX, 3, chains.Uniform(), **{field: value})
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +226,35 @@ class TestBdGMatrix:
         nn = chains.ChainSpec(chains.ModelKind.TFIM, 5, chains.FromPositions(x))
         A = chains.build_bdg_matrix(nn)
         assert A[0, 1] == -0.5 and A[0, 2] == 0.0
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            chains.Uniform(1.3),
+            chains.Engineered(),
+            chains.Explicit((0.8, 1.7)),
+            chains.FromPositions((0.0, 1.1, 2.0)),
+            chains.FromPositions((0.0, 0.9, 2.0, 3.2, 4.0)),
+        ],
+        ids=["uniform", "engineered", "explicit", "chain-positions", "all-positions"],
+    )
+    def test_register_bonds_are_those_of_k(self, pattern):
+        # the registers couple through the same bonds as in the XX twin's K
+        fields = dict(g_left=0.3, g_right=0.45, uniform_field=0.9)
+        K = chains.build_single_particle_matrix(
+            chains.ChainSpec(chains.ModelKind.XX, 3, pattern, **fields)
+        )
+        A = chains.build_bdg_matrix(
+            chains.ChainSpec(chains.ModelKind.TFIM, 3, pattern, **fields), include_registers=True
+        )
+        assert abs(A[0, 1]) == K[0, 1] / 2.0 and abs(A[3, 4]) == K[3, 4] / 2.0
+        assert A[1, 0] == A[0, 1] and A[4, 3] == A[3, 4]
+
+    def test_engineered_registers_ignore_g(self):
+        # an Engineered profile includes its register bonds, J_0 = J_N = sqrt(N+1)/2
+        spec = chains.ChainSpec(chains.ModelKind.TFIM, 3, chains.Engineered(), g_left=0.3)
+        A = chains.build_bdg_matrix(spec, include_registers=True)
+        assert A[0, 1] == A[3, 4] == 0.5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
     @pytest.mark.parametrize("register_field", [None, 0.7])

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbus import cli
+from spinbus.dynamics import propagator
+from spinbus.fidelity import f_encoded
 
 
 class TestConfig:
@@ -237,11 +240,52 @@ class TestRunners:
 
     def test_strong_optimum_two_site_exact(self):
         # N = 2 is solvable: g = sqrt(3)/2, t = pi gives perfect transfer
-        g, t, F, ok = cli._strong_coupling_optimum(2, (0.3, 1.1, 17), 400)
+        g, t, F, ok, _ = cli._strong_coupling_optimum(2, (0.3, 1.1, 17), 400)
         assert ok
         assert F == pytest.approx(1.0, abs=1e-8)
         assert g == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-4)
         assert t == pytest.approx(math.pi, abs=1e-3)
+
+    def test_strong_optimum_stays_in_its_domain(self):
+        # the polish searches g in [g_lo, g_hi] and t in [N/2, 2N] only;
+        # Nelder-Mead used to leave both, e.g. tau = 35 for N = 4
+        for N, n_g, n_times, (g_lo, g_hi) in itertools.product(
+            (2, 3, 4, 5, 8, 16), (1, 2, 3, 5), (10, 23),
+            ((0.0, 1.0), (0.0, 2.0), (0.5, 0.6), (1.2, 2.0)),
+        ):
+            case = (N, g_lo, g_hi, n_g, n_times)
+            g, t, F, ok, polish = cli._strong_coupling_optimum(N, (g_lo, g_hi, n_g), n_times)
+            assert N / 2.0 <= t <= 2.0 * N and g_lo <= g <= g_hi, case
+            assert polish["eigensolves"] > n_g, case
+            if ok:
+                assert not (polish["g_on_bracket_edge"] or polish["t_on_bracket_edge"]), case
+                assert F >= polish["grid_best_f"], case
+                K = cli._uniform_k(N, g)
+                assert abs(F - f_encoded(propagator(K, t), "strong")) <= 1e-12, case
+
+    @pytest.mark.parametrize(
+        "N, g_grid, F_min", [(4, (0.0, 1.0, 1), 0.9977), (5, (0.0, 2.0, 2), 0.9931)]
+    )
+    def test_strong_optimum_coarse_grid(self, N, g_grid, F_min):
+        # a one-point grid searches all of [g_lo, g_hi]
+        g, t, F, ok, _ = cli._strong_coupling_optimum(N, g_grid, 10)
+        assert ok and F > F_min
+        assert g_grid[0] < g < g_grid[1] and N / 2.0 < t < 2.0 * N
+
+    def test_strong_scan_polish_counters(self):
+        params = cli.DEFAULT_PARAMS["strong-scan"]
+        (table,), summary = cli.run_strong_coupling_scan(cli.ExperimentConfig("strong-scan", params))
+        polish = summary["polish"]
+        assert [r["n_chain"] for r in polish] == [row[0] for row in table.rows]
+        n_g = params["g_grid"][2]
+        for r, row in zip(polish, table.rows):
+            assert set(r) == {
+                "n_chain", "eigensolves", "grid_best_f", "g_on_bracket_edge", "t_on_bracket_edge"
+            }
+            assert n_g < r["eigensolves"] <= n_g + 20
+            assert r["grid_best_f"] <= row[3] and row[4] == 1
+            assert not (r["g_on_bracket_edge"] or r["t_on_bracket_edge"])
+        json.dumps(summary)  # the sidecar holds plain JSON types
 
     def test_perturbative_runner(self):
         cfg = cli.ExperimentConfig(

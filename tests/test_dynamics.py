@@ -87,9 +87,30 @@ class TestPropagator:
             got = (m00[i], m0R[i], mRR[i], leak[i])
             assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, (i, t)
 
+    @pytest.mark.parametrize("n_times", [600, 47, 1])
+    @pytest.mark.parametrize("N", [2, 7, 100])
+    def test_one_eigensolve_serves_every_time(self, N, n_times):
+        # the strong-scan polish eigensolves once per coupling and then
+        # asks for the elements at a grid of times and at single times
+        K = uniform_k(N, 0.6, register_field=0.05)
+        times = np.linspace(N / 2.0, 2.0 * N, n_times)
+        w, v = dynamics.tridiagonal_eigenpairs(K)
+        composed = dynamics.transfer_elements(w, v[0], v[-1], times)
+        for a, b in zip(composed, dynamics.propagator_elements(K, times)):
+            assert np.array_equal(a, b)
+        for i in (0, n_times // 2, n_times - 1):
+            M = dynamics.propagator(K, times[i])
+            got = np.ravel(dynamics.transfer_elements(w, v[0], v[-1], times[i]))
+            ref = (M[0, 0], M[0, -1], M[-1, -1], np.dot(M[-1, 1:-1], M[1:-1, 0]))
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
     def test_elements_reject_uneven_times(self):
         with pytest.raises(ValueError, match="evenly spaced"):
             dynamics.propagator_elements(uniform_k(5, 0.4), [0.7, 3.1, 12.9])
+        w, v = dynamics.tridiagonal_eigenpairs(uniform_k(5, 0.4))
+        for times in ([0.7, 3.1, 12.9], [math.nan], [0.0, math.inf], [], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="times"):
+                dynamics.transfer_elements(w, v[0], v[-1], times)
 
     @pytest.mark.parametrize(
         "K",
@@ -105,6 +126,8 @@ class TestPropagator:
     def test_elements_reject_non_tridiagonal(self, K):
         with pytest.raises(ValueError, match="tridiagonal"):
             dynamics.propagator_elements(K, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match="tridiagonal"):
+            dynamics.tridiagonal_eigenpairs(K)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 41, 102])
     def test_elements_bit_equal_with_eigh_tridiagonal(self, n, monkeypatch):
@@ -318,6 +341,19 @@ class TestBdG:
         res = dynamics.bdg_effective_swap_check(spec)
         assert res.exchange_amplitude > 0.99
         assert res.leakage < 0.02
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [chains.Engineered(), chains.FromPositions(tuple(float(i) for i in range(9)))],
+        ids=["engineered", "all-positions"],
+    )
+    def test_effective_swap_needs_tunable_registers(self, pattern):
+        # these patterns couple the registers at their own bonds, not at g
+        spec = chains.ChainSpec(
+            chains.ModelKind.TFIM, 7, pattern, g_left=0.02, uniform_field=2.0,
+        )
+        with pytest.raises(ValueError, match="register bonds"):
+            dynamics.bdg_effective_swap_check(spec)
 
     def test_effective_swap_majorana_collapse(self):
         spec = chains.ChainSpec(
