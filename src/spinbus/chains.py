@@ -59,6 +59,10 @@ class Uniform:
 
     kappa: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
+
 
 @dataclass(frozen=True)
 class Engineered:
@@ -77,7 +81,10 @@ class Explicit:
     values: tuple[float, ...]
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        values = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, got {values}")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,9 @@ class FromPositions:
 
     def __init__(self, positions, rule=RangeRule.NEAREST_NEIGHBOR):
         pos = tuple(float(x) for x in positions)
+        # NaN fails no comparison below
+        if not all(map(math.isfinite, pos)):
+            raise ValueError(f"positions must be finite, got {pos}")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("positions must be strictly increasing")
         object.__setattr__(self, "positions", pos)

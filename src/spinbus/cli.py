@@ -477,9 +477,11 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
 
     Returns (g, t, F, converged, polish).  ``converged`` holds only if
     both searches report success, neither optimum lies on an end of its
-    bracket, and F is at least the grid's best.  ``polish`` counts the
-    eigensolves and records the best grid fidelity and the two edge
-    flags.
+    bracket, and F is at least the grid's best.  A polish that ends below
+    the grid's best found a lesser local optimum: the grid's best point
+    (g_i, the argmax time of its row, its F) is returned in its place,
+    not converged.  ``polish`` counts the eigensolves and records the
+    best grid fidelity and the two edge flags.
     """
     g_lo, g_hi, n_g = g_grid
     n_g = int(n_g)
@@ -495,7 +497,8 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
         return ends, f_encoded(transfer_elements(*ends, times), "strong")
 
     grid = np.linspace(g_lo, g_hi, n_g)
-    grid_f = [row(g)[1].max() for g in grid]
+    grid_rows = [row(g)[1] for g in grid]
+    grid_f = [F.max() for F in grid_rows]
     i = int(np.argmax(grid_f))
 
     inner = {}  # g -> (t, inner search succeeded, t on its bracket edge)
@@ -521,8 +524,11 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
         "t_on_bracket_edge": t_edge,
     }
     F = float(-res.fun)
-    # a polish that ends below the grid's best found a lesser local optimum
-    converged = bool(res.success and t_ok and not (g_edge or t_edge) and F >= grid_f[i])
+    if F < grid_f[i]:
+        # the polish found a lesser local optimum: keep the grid's best point
+        t_i = float(times[np.argmax(grid_rows[i])])
+        return float(grid[i]), t_i, float(grid_f[i]), False, polish
+    converged = bool(res.success and t_ok and not (g_edge or t_edge))
     return float(res.x), t, F, converged, polish
 
 
@@ -580,8 +586,9 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     nearest-neighbor rows double as an oracle check against the analytic
     fidelity.  A gap or an |infidelity| below ``_GAP_FLOOR`` is written
     as 0.0.  The summary's ``grid_optima`` lists per CSV row the largest
-    sector dimension and whether the best g or t lies on an end of its
-    grid.
+    sector dimension, how many sectors of the best engine's active
+    Hamiltonian were eigensolved as parity blocks and how many whole, and
+    whether the best g or t lies on an end of its grid.
     """
     p = config.params
     table = ResultTable(
@@ -614,8 +621,10 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
                 for g in g_vals
             ]
             best = None
+            solves = []
             for i, K in enumerate(Ks):
                 engine = EncodedProtocolEngine(K, cap=p["cap"])
+                solves.append((engine.split_sectors, engine.whole_sectors))
                 for j, res in enumerate(engine.fidelities(t_vals)):
                     F = res.fidelity_phase_corrected
                     if best is None or F > best[0]:
@@ -633,6 +642,8 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
                 "model": model,
                 "total_spins": n_total,
                 "sector_dim_max": math.comb(n_total, n_total // 2),
+                "sectors_split": solves[i][0],
+                "sectors_whole": solves[i][1],
                 "g_on_grid_edge": i in (0, len(g_vals) - 1),
                 "t_on_grid_edge": j in (0, len(t_vals) - 1),
             })

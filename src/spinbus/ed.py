@@ -26,6 +26,11 @@ the pair idle during leg a holds the two top bits
 contiguous idle-pattern ranges, and leg a's eigenvectors are four
 diagonal blocks from the n - 2 active sites, with no gathers or scatters.
 
+A sector exactly invariant under site reversal (the uniform chain, evenly
+spaced dipolar chains with g_L = g_R) is eigensolved as its two parity
+blocks at about a quarter of the cost, any other sector whole
+(``SectorHamiltonian``); either way it yields one dense real V.
+
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
 entries (0.32 GB at 14 spins), and measured with tracemalloc.  At 12
 spins a plain transfer channel peaks at about 4.3 such sets for the
@@ -64,6 +69,9 @@ __all__ = [
 ]
 
 _DEFAULT_CAP = 14
+# smallest sector that ``SectorHamiltonian.eig`` splits by parity: below it
+# the split's fixed cost outweighs its saving
+_SPLIT_MIN_DIM = 100
 # bytes of one batch's stacked complex blocks in _FactoredChannel.traces
 _BATCH_BYTES = 64 * 2**20
 
@@ -89,18 +97,73 @@ class SectorBasis:
             self.position[idx] = np.arange(len(idx))
 
 
+def _parity_eigh(H: np.ndarray, mirror: np.ndarray):
+    """Eigenpairs of H from its two site-reversal parity blocks, or None.
+
+    ``mirror`` maps each sector position to that of the state with its
+    bits reversed.  Unless H[mirror][:, mirror] == H exactly, returns
+    None.  Otherwise the positions split into pairs (a, b = mirror[a]),
+    a < b, and self-mirrored states f.  The even states
+    (e_a + e_b)/sqrt 2 and e_f span the block [[H_aa + H_ab, sqrt 2 H_af],
+    [sqrt 2 H_fa, H_ff]], the odd states (e_a - e_b)/sqrt 2 the block
+    H_aa - H_ab, and the eigenvectors of both are scattered back into one
+    dense V.  The eigenvalues come back even block first, so not sorted.
+    """
+    if not np.array_equal(H[mirror[:, None], mirror], H):
+        return None
+    # V is allocated before the half-size blocks: allocated after them, the
+    # heap's placement raised the peak RSS of a 12-spin remote_z call from
+    # 154 MB to 157 MB
+    V = np.zeros_like(H)
+    pos = np.arange(mirror.size)
+    a = pos[pos < mirror]
+    b = mirror[a]
+    even = np.concatenate((a, pos[pos == mirror]))
+    m, e = a.size, even.size
+    E = H[even[:, None], even]
+    H_b = H[even[:, None], b]
+    w_odd, U_odd = np.linalg.eigh(E[:m, :m] - H_b[:m])
+    E[:, :m] += H_b
+    # the rows f now hold H_fa + H_fb = 2 H_fa; eigh reads only the lower triangle
+    E[m:, :m] *= math.sqrt(0.5)
+    w_even, U_even = np.linalg.eigh(E)
+    U_even[:m] *= math.sqrt(0.5)
+    U_odd *= math.sqrt(0.5)
+    V[even, :e] = U_even
+    V[b, :e] = U_even[:m]
+    V[a, e:] = U_odd
+    V[b, e:] = -U_odd
+    return np.concatenate((w_even, w_odd)), V
+
+
 class SectorHamiltonian:
-    """Magnetization-blocked dense Hamiltonian of an XX coupling map."""
+    """Magnetization-blocked dense Hamiltonian of an XX coupling map.
+
+    ``eig`` solves a sector of at least ``_SPLIT_MIN_DIM`` states by its two
+    parity blocks where the exact reversal test of ``_parity_eigh`` holds,
+    any other sector whole; ``split_sectors`` and ``whole_sectors`` count them.
+    """
 
     def __init__(self, n: int, blocks: list[np.ndarray], basis: SectorBasis):
         self.n = n
         self.blocks = blocks
         self.basis = basis
         self._eig: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.split_sectors = self.whole_sectors = 0
 
     def eig(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._eig is None:
-            self._eig = [np.linalg.eigh(b) for b in self.blocks]
+            basis = self.basis
+            self._eig = []
+            for idx, H in zip(basis.sectors, self.blocks):
+                pair = None
+                if idx.size >= _SPLIT_MIN_DIM:
+                    # each state with its bits reversed: its mirror image
+                    mirrored = sum(((idx >> i) & 1) << (self.n - 1 - i) for i in range(self.n))
+                    pair = _parity_eigh(H, basis.position[mirrored])
+                self.split_sectors += pair is not None
+                self.whole_sectors += pair is None
+                self._eig.append(pair or np.linalg.eigh(H))
         return self._eig
 
 
@@ -458,12 +521,12 @@ def _result_from_traces(traces: dict[str, complex]) -> ExactChannelResult:
 # the paired (encoded) protocol
 
 
-def _leg_a_eig(K: np.ndarray, cap: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+def _leg_a_eig(act: SectorHamiltonian) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Eigenpairs of leg a in every n-site sector, from the n - 2 active sites.
 
     The active sites 0a, 1..N, (N+1)a are K's rows.  During leg a the
     sites 0b and (N+1)b have no coupling and no field, so H_a = H_act (x) 1
-    on them, with H_act = ``build_many_body(K)``.  The active sites are
+    on them, with H_act = ``act`` = ``build_many_body(K)``.  The active sites are
     the low bits, so the weight-w sector holds the idle patterns 00, 01,
     10, 11 in turn as contiguous ranges, each in the order of the active
     sector of weight w, w - 1, w - 1 and w - 2, and its eigenvectors are
@@ -471,8 +534,8 @@ def _leg_a_eig(K: np.ndarray, cap: int) -> list[tuple[np.ndarray, list[np.ndarra
     sector the eigenvalues (in that block order, so not sorted) and the
     non-empty blocks; the blocks of the patterns 01 and 10 are one array.
     """
-    act_eig = build_many_body(K, cap=cap).eig()
-    n = K.shape[0] + 2
+    act_eig = act.eig()
+    n = act.n + 2
     eig = []
     for w in range(n + 1):
         pairs = [act_eig[w - k] for k in (0, 1, 1, 2) if 0 <= w - k <= n - 2]
@@ -543,7 +606,10 @@ class EncodedProtocolEngine:
         n = N + 4
         _check_cap(n, cap)
         a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
-        eig = _leg_a_eig(K, cap)
+        act = build_many_body(K, cap=cap)
+        eig = _leg_a_eig(act)
+        self.split_sectors, self.whole_sectors = act.split_sectors, act.whole_sectors
+        del act  # frees its Hamiltonian blocks before the overlaps are formed
         basis = SectorBasis(n)
         self.leg_swap = _swap_perm(n, [(a0, b0), (bR, aR)])
         # the decode CNOT is controlled on the readout qubit

@@ -114,6 +114,23 @@ class TestChainSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             chains.ChainSpec(chains.ModelKind.XX, 3, chains.Uniform(), **{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_uniform_kappa_rejected(self, value):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            chains.Uniform(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_explicit_bond_rejected(self, value):
+        with pytest.raises(ValueError, match="values must be finite"):
+            chains.Explicit((1.0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, value):
+        # NaN passes the increasing-order check, and inf ends an increasing list
+        positions = (0.0, 1.0, value) if value > 0 else (0.0, value, 2.0)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            chains.FromPositions(positions)
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             chains.ChainSpec(chains.ModelKind.XX, 3, chains.Uniform(), g_left=-0.1)

@@ -272,6 +272,16 @@ class TestRunners:
         assert ok and F > F_min
         assert g_grid[0] < g < g_grid[1] and N / 2.0 < t < 2.0 * N
 
+    def test_strong_optimum_keeps_a_better_grid_point(self):
+        # the polish of this coarse grid ends at F = 0.6565, below the grid's
+        # best of 0.6688: the grid's best point is returned, not converged
+        N, g_grid, n_times = 12, (1.2, 2.0, 3), 30
+        g, t, F, ok, polish = cli._strong_coupling_optimum(N, g_grid, n_times)
+        assert not ok
+        assert F >= polish["grid_best_f"] > 0.668
+        assert g in np.linspace(*g_grid) and t in np.linspace(N / 2.0, 2.0 * N, n_times)
+        assert abs(F - f_encoded(propagator(cli._uniform_k(N, g), t), "strong")) <= 1e-12
+
     def test_strong_scan_polish_counters(self):
         params = cli.DEFAULT_PARAMS["strong-scan"]
         (table,), summary = cli.run_strong_coupling_scan(cli.ExperimentConfig("strong-scan", params))
@@ -379,6 +389,10 @@ class TestRunners:
             (row[0], row[1]) for row in table.rows
         ]
         assert [r["sector_dim_max"] for r in optima] == [20, 20, 70, 70]
+        # the active sectors (at most 20 states) lie below the parity-split floor
+        assert [(r["sectors_split"], r["sectors_whole"]) for r in optima] == [
+            (0, 5), (0, 5), (0, 7), (0, 7)
+        ]
         # the optimum of these small chains lies inside both grids
         assert not any(r["g_on_grid_edge"] or r["t_on_grid_edge"] for r in optima)
 

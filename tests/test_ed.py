@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from spinbus import ed
@@ -30,6 +33,16 @@ def protocol_k(J, g, fields=None):
     if fields is not None:
         K[np.arange(1, N + 1), np.arange(1, N + 1)] = fields
     return K
+
+
+def cube_law_j(N):
+    """Cube-law couplings 1/|i - j|^3 between N unit-spaced chain sites."""
+    r = np.arange(N, dtype=float)
+    dist = np.abs(r[:, None] - r[None, :])
+    np.fill_diagonal(dist, 1.0)
+    J = 1.0 / dist**3
+    np.fill_diagonal(J, 0.0)
+    return J
 
 
 def dense_protocol_traces(K, t_a, t_b, readout="b"):
@@ -140,6 +153,136 @@ class TestSectorConstruction:
         H = ed.build_many_body(K)
         for U in oracles.sector_unitaries(H.eig(), 1.7):
             assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-10)
+
+
+def with_fields(K, fields):
+    K = K.copy()
+    np.fill_diagonal(K, fields)
+    return K
+
+
+def mirrored_fields(n):
+    """Mirror-symmetric fields in eighths, so that every sum of them is exact."""
+    h = (np.arange(n) % 3 - 1) / 8.0
+    return h + h[::-1]
+
+
+# n-site matrices K whose sector blocks are exactly invariant under site reversal
+MIRROR_KS = {
+    "uniform": lambda n: uniform_k(n - 2, 0.4),
+    "cube_law": lambda n: protocol_k(cube_law_j(n - 2), 0.55),
+    "mirrored_fields": lambda n: with_fields(uniform_k(n - 2, 0.4), mirrored_fields(n)),
+}
+
+
+def disordered_k(n):
+    K = uniform_k(n - 2, 0.4)
+    bonds = np.random.default_rng(n).uniform(0.5, 1.5, n - 1)
+    K[np.arange(n - 1), np.arange(1, n)] = K[np.arange(1, n), np.arange(n - 1)] = bonds
+    return K
+
+
+def unequal_ends_k(n):
+    K = uniform_k(n - 2, 0.4)
+    K[0, 1] = K[1, 0] = 0.3
+    return K
+
+
+# ... and whose blocks are not
+ASYMMETRIC_KS = {
+    "disordered": disordered_k,
+    "one_sided_field": lambda n: with_fields(uniform_k(n - 2, 0.4), np.eye(n)[1] / 4),
+    "unequal_ends": unequal_ends_k,
+}
+
+
+def assert_eig_matches_eigh(H):
+    """Every sector's eigenpairs against eigh of its block, to 1e-12."""
+    for block, (w, V) in zip(H.blocks, H.eig()):
+        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(block))) <= 1e-12
+        assert np.max(np.abs(block @ V - V * w)) <= 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(w.size))) <= 1e-12
+
+
+def big_sectors(n):
+    """How many sectors of n sites reach the parity-split floor."""
+    return sum(math.comb(n, w) >= ed._SPLIT_MIN_DIM for w in range(n + 1))
+
+
+class TestParitySplit:
+    """``SectorHamiltonian.eig`` splits mirror-symmetric sectors by parity."""
+
+    # odd and even n: both have self-mirrored states, and sectors above the floor
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("name", MIRROR_KS)
+    def test_mirror_symmetric_k_splits(self, name, n):
+        H = ed.build_many_body(MIRROR_KS[name](n))
+        assert_eig_matches_eigh(H)
+        assert (H.split_sectors, H.whole_sectors) == (big_sectors(n), n + 1 - big_sectors(n))
+        # with no floor every sector splits, the small ones too
+        with mock.patch.object(ed, "_SPLIT_MIN_DIM", 1):
+            H = ed.build_many_body(MIRROR_KS[name](n))
+            assert_eig_matches_eigh(H)
+        assert (H.split_sectors, H.whole_sectors) == (n + 1, 0)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("name", ASYMMETRIC_KS)
+    def test_asymmetric_k_solved_whole(self, name, n):
+        H = ed.build_many_body(ASYMMETRIC_KS[name](n))
+        assert_eig_matches_eigh(H)
+        assert (H.split_sectors, H.whole_sectors) == (0, n + 1)
+        # with no floor only the one-state sectors, all 0s or all 1s, split
+        with mock.patch.object(ed, "_SPLIT_MIN_DIM", 1):
+            H = ed.build_many_body(ASYMMETRIC_KS[name](n))
+            assert_eig_matches_eigh(H)
+        assert (H.split_sectors, H.whole_sectors) == (2, n - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_random_mirrored_couplings(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        A = A + A.T
+        # exactly mirror-symmetric: a + b == b + a in floating point
+        K = with_fields(A + A[::-1, ::-1], mirrored_fields(n))
+        with mock.patch.object(ed, "_SPLIT_MIN_DIM", 1):
+            H = ed.build_many_body(K)
+            assert_eig_matches_eigh(H)
+        assert (H.split_sectors, H.whole_sectors) == (n + 1, 0)
+
+    def test_12_spin_uniform_chain_splits_every_sector_above_the_floor(self):
+        # the sectors of 220 to 924 states carry most of a 12-spin eigensolve
+        n = 12
+        H = ed.build_many_body(uniform_k(n - 2, 0.4))
+        H.eig()
+        assert H.split_sectors == big_sectors(n) == 7
+        assert H.whole_sectors == n + 1 - 7
+        # an engine counts its 10 active sites' sectors: 120 to 252 states split
+        engine = ed.EncodedProtocolEngine(uniform_k(8, 0.5))
+        assert (engine.split_sectors, engine.whole_sectors) == (5, 6)
+
+    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
+    def test_channels_agree_with_whole_eigensolves(self, kind):
+        # split (unsorted, other eigenvectors in degenerate spaces) or
+        # whole, the traces are the same
+        K = uniform_k(8, 0.4)
+        got = ed.transfer_channel_traces(K, 7.3, kind)
+        with mock.patch.object(ed, "_SPLIT_MIN_DIM", math.inf):
+            want = ed.transfer_channel_traces(K, 7.3, kind)
+        for key in ("x", "y", "z", "s"):
+            assert abs(got[key] - want[key]) <= 1e-13
+
+    def test_engine_agrees_with_whole_eigensolves(self):
+        K = protocol_k(cube_law_j(6), 0.55)
+        times = np.linspace(4.0, 12.0, 5)
+        with mock.patch.object(ed, "_SPLIT_MIN_DIM", 1):
+            engine = ed.EncodedProtocolEngine(K)
+            got = engine.fidelities(times)
+        assert (engine.split_sectors, engine.whole_sectors) == (9, 0)
+        want = ed.EncodedProtocolEngine(K).fidelities(times)
+        for a, b in zip(got, want):
+            for key in ("x", "y", "z", "s"):
+                assert abs(a.traces[key] - b.traces[key]) <= 1e-13
 
 
 class TestChannelTracesAgainstDenseOracle:
@@ -302,12 +445,7 @@ def leg_hamiltonian(K, leg: str) -> ed.SectorHamiltonian:
 
 def dipolar_k(N):
     """Leg a's matrix on a full cube-law chain with non-zero chain fields."""
-    r = np.arange(N, dtype=float)
-    dist = np.abs(r[:, None] - r[None, :])
-    np.fill_diagonal(dist, 1.0)
-    J = 1.0 / dist**3
-    np.fill_diagonal(J, 0.0)
-    return protocol_k(J, 0.55, np.random.default_rng(N).uniform(-0.4, 0.4, N))
+    return protocol_k(cube_law_j(N), 0.55, np.random.default_rng(N).uniform(-0.4, 0.4, N))
 
 
 class TestFactoredEngine:
