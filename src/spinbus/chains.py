@@ -6,9 +6,11 @@ maps, single-particle hopping matrices for number-conserving models, and
 the real symmetric pairing (Bogoliubov-de-Gennes style) matrix for the
 transverse-field Ising chain.
 
-Internal units: the reference coupling strength is 1 and time is measured
-in its inverse.  Conversion to physical units (kHz, nm, ms) happens only
-at the command-line boundary.
+Internal units: couplings in units of the reference coupling kappa,
+times in 1/kappa and positions in units of the mean spacing d, so a unit
+gap carries the coupling 1 under the cube law J = (d/r)^3.  Conversion
+to physical units (kHz, nm, ms) happens only at the command-line
+boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "FromPositions",
     "CouplingPattern",
     "DisorderSpec",
-    "PositionsRealization",
     "ChainSpec",
     "sample_positions",
     "couplings_from_positions",
@@ -42,7 +43,6 @@ __all__ = [
 class ModelKind(str, Enum):
     XX = "XX"
     TFIM = "TFIM"
-    BOSONIC = "Bosonic"
 
 
 class RangeRule(str, Enum):
@@ -115,29 +115,21 @@ CouplingPattern = Union[Uniform, Engineered, Explicit, FromPositions]
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Gaussian positioning disorder along a 1D implantation axis."""
+    """Gaussian positioning disorder along a 1D implantation axis.
 
-    mean_spacing: float
+    ``sigma`` is the standard deviation of each gap, in units of the mean
+    spacing; it must be finite and non-negative.
+    """
+
     sigma: float
-    min_spacing_fraction: float = 0.2
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.mean_spacing <= 0:
-            raise ValueError("mean_spacing must be positive")
+        # NaN fails every comparison, so it is named before the sign check
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if not 0.0 < self.min_spacing_fraction < 1.0:
-            raise ValueError("min_spacing_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class PositionsRealization:
-    """One sampled set of site coordinates, with its RNG provenance."""
-
-    positions: tuple[float, ...]
-    master_seed: int
-    stream: int
 
 
 @dataclass(frozen=True)
@@ -147,10 +139,9 @@ class ChainSpec:
     ``chain_length`` counts bus sites only; the registers occupy matrix
     rows/columns 0 and N+1.  ``uniform_field`` is the diagonal field on
     every site (the transverse field for the TFIM); ``register_field``
-    overrides it on the two registers (detuning for even-N transfer, or
-    the register frequency for the bosonic model).  These numbers, the
-    register couplings and the references must be finite; ``ValueError``
-    names a field that is not.
+    overrides it on the two registers (the detuning for even-N transfer).
+    These numbers and the register couplings must be finite;
+    ``ValueError`` names a field that is not.
     """
 
     model_kind: ModelKind
@@ -160,8 +151,6 @@ class ChainSpec:
     g_right: float = 0.0
     register_field: float | None = None
     uniform_field: float = 0.0
-    kappa_ref: float = 1.0
-    d_ref: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
@@ -170,14 +159,12 @@ class ChainSpec:
             raise ValueError("chain_length must be at least 1")
         # NaN and inf pass every sign check below, and would surface later
         # as an eigensolver failure that names the wrong fault
-        for name in ("g_left", "g_right", "register_field", "uniform_field", "kappa_ref", "d_ref"):
+        for name in ("g_left", "g_right", "register_field", "uniform_field"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.g_left < 0 or self.g_right < 0:
             raise ValueError("register couplings must be non-negative")
-        if self.kappa_ref <= 0:
-            raise ValueError("kappa_ref must be positive")
         pat = self.pattern
         if isinstance(pat, Explicit) and len(pat.values) != n - 1:
             raise ValueError(
@@ -190,45 +177,38 @@ class ChainSpec:
             )
 
 
-def sample_positions(spec: DisorderSpec, n_sites: int, stream: int = 0) -> PositionsRealization:
-    """Draw one positions realization with independent Gaussian gaps.
+def sample_positions(spec: DisorderSpec, n_sites: int, stream: int = 0) -> np.ndarray:
+    """The coordinates of one realization, with independent Gaussian gaps.
 
-    Gaps below ``min_spacing_fraction * mean_spacing`` are rejected and
-    redrawn, which keeps the cube-law couplings finite.  The generator is
-    counter-based (Philox keyed by ``(master_seed, stream)``) so every
-    realization is reproducible independently of evaluation order.
+    Gaps of mean 1 below 0.2 are rejected and redrawn, which keeps the
+    cube-law couplings finite.  The generator is counter-based (Philox
+    keyed by ``(master_seed, stream)``) so every realization is
+    reproducible independently of evaluation order.
     """
     if n_sites < 2:
         raise ValueError("need at least two sites")
     rng = np.random.Generator(np.random.Philox(key=[spec.master_seed, stream]))
-    clamp = spec.min_spacing_fraction * spec.mean_spacing
-    gaps = rng.normal(spec.mean_spacing, spec.sigma, size=n_sites - 1)
+    gaps = rng.normal(1.0, spec.sigma, size=n_sites - 1)
     while True:
-        bad = gaps < clamp
+        bad = gaps < 0.2
         if not bad.any():
             break
-        gaps[bad] = rng.normal(spec.mean_spacing, spec.sigma, size=int(bad.sum()))
-    positions = np.concatenate([[0.0], np.cumsum(gaps)])
-    return PositionsRealization(tuple(positions), spec.master_seed, stream)
+        gaps[bad] = rng.normal(1.0, spec.sigma, size=int(bad.sum()))
+    return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-def couplings_from_positions(
-    pos: PositionsRealization | tuple[float, ...],
-    rule: RangeRule = RangeRule.NEAREST_NEIGHBOR,
-    kappa_ref: float = 1.0,
-    d_ref: float = 1.0,
-) -> np.ndarray:
-    """Full symmetric coupling matrix J_ij = kappa_ref (d_ref/|x_i-x_j|)^3.
+def couplings_from_positions(positions, rule: RangeRule = RangeRule.NEAREST_NEIGHBOR) -> np.ndarray:
+    """Full symmetric coupling matrix J_ij = 1/|x_i-x_j|^3.
 
     The range rule masks pairs: nearest-neighbor keeps |i-j| = 1 only,
     the NNN-cancelled rule zeroes |i-j| = 2 and keeps everything else.
     """
-    x = np.asarray(pos.positions if isinstance(pos, PositionsRealization) else pos, float)
+    x = np.asarray(positions, float)
     n = len(x)
     rule = RangeRule(rule)
     dist = np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(dist, np.inf)
-    J = kappa_ref * (d_ref / dist) ** 3
+    J = (1.0 / dist) ** 3
     sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     if rule is RangeRule.NEAREST_NEIGHBOR:
         J[sep != 1] = 0.0
@@ -265,7 +245,7 @@ def _nn_bonds(spec: ChainSpec) -> np.ndarray:
     elif isinstance(pat, FromPositions):
         x = np.asarray(pat.positions)
         gaps = np.diff(x)
-        inner = spec.kappa_ref * (spec.d_ref / gaps) ** 3
+        inner = (1.0 / gaps) ** 3
         if len(x) == n + 2:
             bonds = inner
         else:
@@ -276,7 +256,7 @@ def _nn_bonds(spec: ChainSpec) -> np.ndarray:
 
 
 def build_single_particle_matrix(spec: ChainSpec) -> np.ndarray:
-    """Hermitian (N+2)x(N+2) hopping matrix K for XX/bosonic chains.
+    """Hermitian (N+2)x(N+2) hopping matrix K for XX chains.
 
     Rows/columns 0 and N+1 are the registers.  The diagonal carries the
     uniform field everywhere and the register field (detuning) on the two
@@ -294,7 +274,7 @@ def build_single_particle_matrix(spec: ChainSpec) -> np.ndarray:
     if isinstance(spec.pattern, FromPositions) and spec.pattern.rule is not RangeRule.NEAREST_NEIGHBOR:
         # Long-range part among the positioned sites.
         x = spec.pattern.positions
-        J = couplings_from_positions(x, spec.pattern.rule, spec.kappa_ref, spec.d_ref)
+        J = couplings_from_positions(x, spec.pattern.rule)
         if len(x) == n + 2:
             K[:, :] = 0.0
             K += J

@@ -5,9 +5,10 @@ a CSV whose body is deterministic for a given config + seed (metadata
 lines are ``#``-prefixed) plus a sidecar JSON summary carrying the
 config hash, seeds and wall time.
 
-Physical units (kHz, nm, ms) are converted to internal units (reference
-coupling = 1) at this boundary only: times are measured in 1/kappa with
-kappa in cycles, so T1[1/kappa] = T1[ms] * kappa[kHz].
+Physical units (kHz, nm, ms) are converted to internal units (couplings
+in kappa, positions in the mean spacing d) at this boundary only: times
+are measured in 1/kappa with kappa in cycles, so T1[1/kappa] = T1[ms] *
+kappa[kHz].  Exact runs use the one protocol of ``ed.EncodedProtocolEngine``.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
-_COMMON_PROPS = {
-    "seed": {"type": "integer", "minimum": 0},
-    "realizations": {"type": "integer", "minimum": 1},
-}
+_COMMON_PROPS = {"seed": {"type": "integer", "minimum": 0}}
 
 _NUMBER_LIST = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 _INT_LIST = {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}}
@@ -99,6 +97,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
             },
             "g_max": {"type": "number", "exclusiveMinimum": 0},
             "pr_bins": {"type": "integer", "minimum": 2},
+            "realizations": {"type": "integer", "minimum": 1},
             **_COMMON_PROPS,
         },
     },
@@ -181,6 +180,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
         "t1_ms": [200.0, 5000.0],
         "g_max": 0.5,
         "pr_bins": 16,
+        "realizations": 200,
     },
     "strong-scan": {
         "n_list": list(range(10, 101, 5)),
@@ -211,7 +211,6 @@ class ExperimentConfig:
     kind: str
     params: dict
     seed: int = 0
-    realizations: int = 200
     out: str = "results"
 
     @property
@@ -245,10 +244,11 @@ def resolve_config(
 
     The merged document is validated once against the experiment's
     schema, so a flag is held to the same bounds as a config key.
+    ``realizations`` is a disorder-sweep parameter; other schemas reject it.
     """
     if kind not in PARAM_SCHEMAS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    merged = {**DEFAULT_PARAMS[kind], "seed": 0, "realizations": 200}
+    merged = {**DEFAULT_PARAMS[kind], "seed": 0}
     if config_path is not None:
         try:
             doc = json.loads(
@@ -270,8 +270,8 @@ def resolve_config(
         jsonschema.validate(merged, PARAM_SCHEMAS[kind])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config fails schema: {exc.message}") from exc
-    seed, realizations = merged.pop("seed"), merged.pop("realizations")
-    return ExperimentConfig(kind, merged, seed, realizations, out or "results")
+    seed = merged.pop("seed")
+    return ExperimentConfig(kind, merged, seed, out or "results")
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +392,12 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
     counts = []
 
     for sigma_nm in p["sigma_d_nm"]:
-        spec = DisorderSpec(1.0, sigma_nm / d, master_seed=config.seed)
+        spec = DisorderSpec(sigma_nm / d, master_seed=config.seed)
         fids = [[] for _ in t1_kappa]
         no_mode = [0] * len(t1_kappa)
         clipped = [0] * len(t1_kappa)
         bond_samples, prs = [], []
-        for stream in range(config.realizations):
+        for stream in range(p["realizations"]):
             J = couplings_from_positions(
                 sample_positions(spec, N, stream), RangeRule.NEAREST_NEIGHBOR
             )
@@ -802,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON parameter document (schema-validated)")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--out", help="output directory (default ./results)")
-        sp.add_argument("--realizations", type=int, help="ensemble size")
+        if kind == "disorder-sweep":
+            sp.add_argument("--realizations", type=int, help="ensemble size (default 200)")
     return parser
 
 
@@ -811,7 +812,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         config = resolve_config(
-            args.command, args.config, args.seed, args.out, args.realizations
+            args.command, args.config, args.seed, args.out, getattr(args, "realizations", None)
         )
         tables, summary = _RUNNERS[config.kind](config)
     except ConfigError as exc:

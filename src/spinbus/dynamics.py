@@ -5,6 +5,9 @@ resonant-mode selection with matched register couplings, the pairing
 (TFIM) sector with its orthogonal diagonalization and effective
 register-swap check, bosonic thermal-error bookkeeping, and the
 participation ratio localization diagnostic.
+
+Internal units: energies and couplings in units of the reference coupling
+kappa, times in 1/kappa.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ __all__ = [
     "eigenmodes",
     "mode_budget",
     "propagator",
-    "propagator_elements",
     "tridiagonal_eigenpairs",
     "transfer_elements",
     "select_resonant_mode",
@@ -96,16 +98,28 @@ class BdGDiagonalization:
         return self.energies[::2]
 
 
+def _hermitian(K, name: str) -> np.ndarray:
+    """``K`` as an array; ``ValueError`` unless square, finite and Hermitian.
+
+    ``eigh`` reads one triangle only, so it would solve any matrix silently.
+    """
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(K).all():
+        raise ValueError(f"{name} must be finite")
+    if not np.allclose(K, K.conj().T, atol=1e-12):
+        raise ValueError(f"{name} must be Hermitian")
+    return K
+
+
 def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     """Hermitian eigensolve with a deterministic sign convention.
 
     Each mode's largest-magnitude component is made positive so matched
     couplings and transfer times are platform-independent.
     """
-    H = np.asarray(chain_matrix)
-    if not np.allclose(H, H.conj().T, atol=1e-12):
-        raise ValueError("chain matrix must be Hermitian")
-    w, v = np.linalg.eigh(H)
+    w, v = np.linalg.eigh(_hermitian(chain_matrix, "chain matrix"))
     cols = np.arange(v.shape[1])
     flip = v[np.argmax(np.abs(v), axis=0), cols].real < 0
     v[:, flip] = -v[:, flip]
@@ -113,10 +127,13 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
 
 
 def propagator(K: np.ndarray, t: float) -> np.ndarray:
-    """The matrix exp(-iKt), through a full Hermitian eigendecomposition."""
+    """The matrix exp(-iKt), through a full Hermitian eigendecomposition.
+
+    ``K`` must be square, finite and Hermitian, and ``t`` finite and >= 0.
+    """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and non-negative")
-    w, v = np.linalg.eigh(np.asarray(K))
+    w, v = np.linalg.eigh(_hermitian(K, "K"))
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -178,7 +195,8 @@ def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):
     ``np.linspace``; a single time is allowed), else ``ValueError``.
     Returns arrays (m00, m0R, mRR, leak), where leak is the
     register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}  entering
-    the encoded fidelity.  One eigensolve serves any number of calls.
+    the encoded fidelity.  One eigensolve (:func:`tridiagonal_eigenpairs`)
+    serves any number of calls; no (N+2)^2 propagator is formed.
     """
     times = np.atleast_1d(np.asarray(times, float))
     if times.ndim != 1 or times.size == 0:
@@ -195,16 +213,6 @@ def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):
     # Real eigenvectors make M symmetric, so M_{R,0} = M_{0,R}.
     leak = (phases * phases) @ (vL * vR) - m0R * (m00 + mRR)
     return m00, m0R, mRR, leak
-
-
-def propagator_elements(K: np.ndarray, times: np.ndarray):
-    """The transfer elements of exp(-iKt) over evenly spaced times.
-
-    :func:`tridiagonal_eigenpairs` of ``K``, then :func:`transfer_elements`
-    of its register rows at ``times``; no (N+2)^2 propagator is formed.
-    """
-    w, v = tridiagonal_eigenpairs(K)
-    return transfer_elements(w, v[0], v[-1], times)
 
 
 @dataclass(frozen=True)
@@ -406,8 +414,6 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
         g_right=g,
         register_field=eps_z,
         uniform_field=spec.uniform_field,
-        kappa_ref=spec.kappa_ref,
-        d_ref=spec.d_ref,
     )
     A = build_bdg_matrix(full_spec, include_registers=True)
     U = propagator(A, 2.0 * tau)  # phi(t) = exp(-2iAt) phi

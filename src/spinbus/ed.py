@@ -48,6 +48,10 @@ its stacked blocks on top of the held sets (0.7 sets for one time, from
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
+
+Internal units: couplings and fields in units of kappa, times in 1/kappa.
+One encoded protocol, that of ``fidelity.f_encoded``: both legs last the
+same time and the logical output is read on qubit b.
 """
 
 from __future__ import annotations
@@ -184,7 +188,9 @@ def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian
     single-excitation block of H equals it: the off-diagonal entries are
     the couplings and the diagonal entries the fields.  The additive
     constant from sz versus number operators is a global phase and is
-    dropped.
+    dropped.  The fields are summed by mirror pairs of sites (i, n-1-i),
+    so mirror-symmetric fields give a state and its bit reversal the same
+    diagonal entry, bit for bit, as ``SectorHamiltonian.eig`` tests.
     """
     K = np.asarray(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -199,9 +205,14 @@ def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian
     if not np.allclose(K, K.T, atol=1e-12):
         raise ValueError("K must be symmetric")
     basis = SectorBasis(n)
+    h = np.diagonal(K)
     diag = np.zeros(1 << n)
-    for i in np.flatnonzero(np.diagonal(K)):
-        diag += K[i, i] * ((np.arange(1 << n) >> i) & 1)
+    for i in range((n + 1) // 2):
+        j = n - 1 - i
+        if h[i] != 0 or h[j] != 0:
+            states = np.arange(1 << n)
+            pair = h[i] * ((states >> i) & 1)
+            diag += pair if j == i else pair + h[j] * ((states >> j) & 1)
     blocks = []
     for idx in basis.sectors:
         dim = len(idx)
@@ -579,9 +590,9 @@ class EncodedProtocolEngine:
     costs one factored block product per sector and one contraction per
     batch of times.  The input qubit rides on 0_a; 0_b starts in |up>;
     the chain is at infinite temperature; the receiving pair starts in
-    the classical logical mixture (|00><00| + |11><11|)/2.  ``readout``
-    selects which physical qubit carries the logical output after the
-    decode CNOT ("b", the default, keeps the chain-decoding bonus term).
+    the classical logical mixture (|00><00| + |11><11|)/2.  Both legs last
+    the same time; the decode CNOT leaves the output on (N+1)b, which
+    keeps the chain-decoding bonus term.
 
     Only leg a is eigensolved, and only on its n - 2 active sites
     (``_leg_a_eig``).  Leg b is H_b = P H_a P, with P the basis
@@ -594,9 +605,7 @@ class EncodedProtocolEngine:
     contraction is planned once per engine.
     """
 
-    def __init__(self, K, readout="b", cap: int = _DEFAULT_CAP):
-        if readout not in ("a", "b"):
-            raise ValueError(f"readout must be 'a' or 'b', not {readout!r}")
+    def __init__(self, K, cap: int = _DEFAULT_CAP):
         K = np.asarray(K)
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 3:
             raise ValueError("K must be a square (N+2, N+2) matrix with N >= 1")
@@ -612,36 +621,30 @@ class EncodedProtocolEngine:
         del act  # frees its Hamiltonian blocks before the overlaps are formed
         basis = SectorBasis(n)
         self.leg_swap = _swap_perm(n, [(a0, b0), (bR, aR)])
-        # the decode CNOT is controlled on the readout qubit
-        readout_site, partner = (bR, aR) if readout == "b" else (aR, bR)
         enc = _cnot_perm(n, a0, b0)
-        dec = self.leg_swap[_cnot_perm(n, readout_site, partner)]
+        dec = self.leg_swap[_cnot_perm(n, bR, aR)]
         env = mixed_environment(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
         overlaps = [
             _block_overlap(blocks, basis.position[self.leg_swap[idx]])
             for idx, (_, blocks) in zip(basis.sectors, eig)
         ]
-        self._channel = _FactoredChannel(
-            basis, eig, overlaps, enc, dec, env, a0, readout_site
-        )
+        self._channel = _FactoredChannel(basis, eig, overlaps, enc, dec, env, a0, bR)
 
-    def fidelities(self, times, t_b=None) -> list[ExactChannelResult]:
-        """Exact fidelities at leg times ``times`` (both legs, unless t_b differs).
+    def fidelities(self, times) -> list[ExactChannelResult]:
+        """Exact fidelities at each leg time of ``times``, both legs that long.
 
-        ``t_b`` is None (leg b as long as leg a), one time, or one per time.
         Both legs are block-diagonal in the same magnetization sectors, so
         the protocol is one ``_FactoredChannel`` (encode CNOT, B_w A_w,
-        decode CNOT) with t_left = t_b and t_right = t_a.
+        decode CNOT) with t_left = t_right = t.
         """
-        t_a = np.asarray(times, float)
-        if t_a.ndim != 1:
+        t = np.asarray(times, float)
+        if t.ndim != 1:
             raise ValueError("times must be a 1-D array")
-        t_b = t_a if t_b is None else np.broadcast_to(np.asarray(t_b, float), t_a.shape)
-        return [_result_from_traces(traces) for traces in self._channel.traces(t_b, t_a)]
+        return [_result_from_traces(traces) for traces in self._channel.traces(t, t)]
 
-    def fidelity(self, t: float, t_b: float | None = None) -> ExactChannelResult:
-        """Exact fidelity at leg time t (both legs, unless t_b differs)."""
-        return self.fidelities([t], t_b)[0]
+    def fidelity(self, t: float) -> ExactChannelResult:
+        """Exact fidelity at leg time t."""
+        return self.fidelities([t])[0]
 
 
 # ---------------------------------------------------------------------------

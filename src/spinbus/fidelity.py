@@ -6,6 +6,9 @@ simulation is never needed once the matrix M = exp(-iKt) is known.  The
 brute-force cross-checks live in the exact-diagonalization engine and
 the test suite.  The transfer error budget and its matched coupling
 belong to mode selection: see ``dynamics.ModeBudget``.
+
+Internal units: couplings in units of the chain coupling kappa, times in
+1/kappa.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ def f_encoded(M, variant: str = "weak"):
 
     ``M`` is a propagator matrix (a float is returned) or the tuple of
     element arrays (m00, m0R, mRR, leak) from
-    ``dynamics.transfer_elements`` or ``dynamics.propagator_elements``
-    (an array of fidelities is returned, one per time).
+    ``dynamics.transfer_elements`` (an array of fidelities is returned,
+    one per time).
     """
     if variant not in ("weak", "strong"):
         raise ValueError("variant must be 'weak' or 'strong'")
@@ -142,29 +145,30 @@ class PerturbativeEstimate:
     mode_index: int
 
 
-def _uniform_mode_params(N: int, g: float, kappa: float):
+def _uniform_mode_params(N: int, g: float):
     k = np.arange(1, N + 1)
-    Delta = 2.0 * kappa * np.cos(np.pi * k / (N + 1))
+    Delta = 2.0 * np.cos(np.pi * k / (N + 1))
     Omega = (2.0 * g / math.sqrt(N + 1)) * np.sin(np.pi * k / (N + 1))
     return k, Delta, Omega
 
 
-def perturbative_infidelity(N: int, g: float, kappa: float = 1.0) -> PerturbativeEstimate:
+def perturbative_infidelity(N: int, g: float) -> PerturbativeEstimate:
     """Second-order estimate of the uniform-chain transfer infidelity.
 
-    Odd N tunnels through the exact zero mode; even N uses the tilded
-    gaps to the z = N/2 mode and returns the register detuning delta that
-    cancels the second-order phase mismatch.  Outside the perturbative
-    window g < kappa/sqrt(N) a warning is issued but the estimate is
-    still computed (the breakdown region is itself of interest).
+    The chain bonds are 1 (kappa) and the register couplings g.  Odd N
+    tunnels through the exact zero mode; even N uses the tilded gaps to
+    the z = N/2 mode and returns the register detuning delta that cancels
+    the second-order phase mismatch.  Outside the perturbative window
+    g < 1/sqrt(N) a warning is issued but the estimate is still computed
+    (the breakdown region is itself of interest).
     """
-    if g > kappa / math.sqrt(N):
+    if g > 1.0 / math.sqrt(N):
         warnings.warn(
             f"g = {g:.3g} exceeds the perturbative window kappa/sqrt(N) = "
-            f"{kappa / math.sqrt(N):.3g}; estimate unreliable",
+            f"{1.0 / math.sqrt(N):.3g}; estimate unreliable",
             stacklevel=2,
         )
-    k, Delta, Omega = _uniform_mode_params(N, g, kappa)
+    k, Delta, Omega = _uniform_mode_params(N, g)
     if N % 2:
         z = (N + 1) // 2
         t = math.sqrt(N + 1) * math.pi / (2.0 * g)

@@ -239,9 +239,8 @@ def test_criterion_06_disorder_breaks_transfer():
         {
             "n_chain": 51, "kappa_khz": 50.0, "d_nm": 10.0,
             "sigma_d_nm": [10.0 / 6.0], "t1_ms": [5000.0],
-            "g_max": 0.5, "pr_bins": 16,
+            "g_max": 0.5, "pr_bins": 16, "realizations": 200,
         },
-        realizations=200,
     )
     (grid, _), _ = cli.run_disorder_sweep(cfg)
     (row,) = grid.rows
@@ -360,9 +359,8 @@ def test_criterion_10_participation_ratio():
         {
             "n_chain": 25, "kappa_khz": 50.0, "d_nm": 10.0,
             "sigma_d_nm": [0.0, 10.0 / 6.0], "t1_ms": [5000.0],
-            "g_max": 0.5, "pr_bins": 12,
+            "g_max": 0.5, "pr_bins": 12, "realizations": 30,
         },
-        realizations=30,
     )
     (_, hist), _ = cli.run_disorder_sweep(cfg)
     means = {}

@@ -31,8 +31,15 @@ class TestConfig:
         assert cfg.params["n_chain"] == 5
         assert cfg.params["g"] == 0.01  # default preserved
         assert cfg.seed == 9
-        cfg2 = cli.resolve_config("bosonic", str(doc), 11, "outdir", 7)
-        assert (cfg2.seed, cfg2.out, cfg2.realizations) == (11, "outdir", 7)
+        cfg2 = cli.resolve_config("bosonic", str(doc), 11, "outdir", None)
+        assert (cfg2.seed, cfg2.out) == (11, "outdir")
+        # the ensemble size is a disorder-sweep parameter, default 200
+        sweep = cli.resolve_config("disorder-sweep", None, None, None, None)
+        assert sweep.params["realizations"] == 200
+        sweep = cli.resolve_config("disorder-sweep", None, None, None, 7)
+        assert sweep.params["realizations"] == 7
+        with pytest.raises(cli.ConfigError):
+            cli.resolve_config("bosonic", None, None, None, 7)
 
     def test_schema_violation(self, tmp_path):
         doc = tmp_path / "cfg.json"
@@ -92,6 +99,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["strong-scan", "dipolar-ed", "perturbative",
+                                         "bosonic", "mirror-verify"])
+    def test_realizations_flag_only_on_disorder_sweep(self, tmp_path, capsys, command):
+        # the other subcommands draw no ensemble, so argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--realizations", "5", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--realizations" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "command, doc",
         [
@@ -111,6 +128,7 @@ class TestExitCodes:
             ("strong-scan", {"n_list": [10, 15], "g_grid": [-0.5, 1.0, 5], "n_times": 50}),
             ("dipolar-ed", {"cap": 40, "total_spins": [24]}),
             ("dipolar-ed", {"cap": 16}),
+            ("strong-scan", {"n_list": [10, 15], "n_times": 10, "realizations": 5}),
             # json.dumps writes these as NaN and Infinity, which json.loads accepts
             ("bosonic", {"g": math.nan}),
             ("bosonic", {"kt_over_omega": [math.inf]}),
@@ -122,6 +140,7 @@ class TestExitCodes:
         ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
              "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
              "repeated-chain-length", "empty-g-grid", "negative-g", "cap-40", "cap-16",
+             "strong-scan-realizations",
              "nan-g", "inf-kt", "nan-sigma", "nan-holes", "inf-g-max", "minus-inf-g-max"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
@@ -198,9 +217,8 @@ class TestRunners:
             {
                 "n_chain": 9, "kappa_khz": 50.0, "d_nm": 10.0,
                 "sigma_d_nm": [0.0, 1.0], "t1_ms": [200.0],
-                "g_max": 0.5, "pr_bins": 4,
+                "g_max": 0.5, "pr_bins": 4, "realizations": 10,
             },
-            realizations=10,
         )
         (grid, hist), summary = cli.run_disorder_sweep(cfg)
         by_sigma = {row[0]: row for row in grid.rows}

@@ -45,20 +45,30 @@ def cube_law_j(N):
     return J
 
 
-def dense_protocol_traces(K, t_a, t_b, readout="b"):
+def dense_protocol_traces(K, t_a, t_b):
     """The full encoded protocol rebuilt from dense kron primitives.
 
-    Sites {0a, 1..N, (N+1)a, 0b, (N+1)b}, each leg laid out by the oracle.
+    Sites {0a, 1..N, (N+1)a, 0b, (N+1)b}, each leg laid out by the oracle;
+    the output is read on (N+1)b.
     """
     N = K.shape[0] - 2
     n = N + 4
     a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
     Ua, Ub = (oracles.unitary(oracles.h_from_k(leg), t)
               for leg, t in zip(oracles.protocol_leg_ks(K), (t_a, t_b)))
-    out_site, partner = (bR, aR) if readout == "b" else (aR, bR)
-    U = oracles.cnot(n, out_site, partner) @ Ub @ Ua @ oracles.cnot(n, a0, b0)
+    U = oracles.cnot(n, bR, aR) @ Ub @ Ua @ oracles.cnot(n, a0, b0)
     env = oracles.env_diag(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
-    return oracles.channel_traces(U, n, a0, out_site, env)
+    return oracles.channel_traces(U, n, a0, bR, env)
+
+
+def leg_traces(engine, t_a, t_b):
+    """The engine's channel with leg a lasting t_a and leg b t_b.
+
+    The engine runs both legs equally long; its factored channel takes
+    the two times apart (t_left = t_b, t_right = t_a), which pins down
+    which side of the overlap each leg's phases sit on.
+    """
+    return engine._channel.traces(np.array([float(t_b)]), np.array([float(t_a)]))[0]
 
 
 def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
@@ -167,11 +177,20 @@ def mirrored_fields(n):
     return h + h[::-1]
 
 
+def random_mirrored_fields(n):
+    """Mirror-symmetric fields of generic values, whose sums round."""
+    h = np.random.default_rng(1).uniform(-0.4, 0.4, n)
+    return h + h[::-1]
+
+
 # n-site matrices K whose sector blocks are exactly invariant under site reversal
 MIRROR_KS = {
     "uniform": lambda n: uniform_k(n - 2, 0.4),
     "cube_law": lambda n: protocol_k(cube_law_j(n - 2), 0.55),
     "mirrored_fields": lambda n: with_fields(uniform_k(n - 2, 0.4), mirrored_fields(n)),
+    # build_many_body sums the fields by mirror pairs, so these stay exact too
+    "random_mirrored_fields": lambda n: with_fields(uniform_k(n - 2, 0.4),
+                                                    random_mirrored_fields(n)),
 }
 
 
@@ -346,11 +365,10 @@ class TestChannelTracesAgainstDenseOracle:
 
 
 class TestEncodedProtocol:
-    @pytest.mark.parametrize("readout", ["b", "a"])
-    def test_matches_dense_oracle(self, readout):
+    def test_matches_dense_oracle(self):
         K = uniform_k(3, 0.6)
-        res = ed.EncodedProtocolEngine(K, readout=readout).fidelity(4.2)
-        want = dense_protocol_traces(K, 4.2, 4.2, readout)
+        res = ed.EncodedProtocolEngine(K).fidelity(4.2)
+        want = dense_protocol_traces(K, 4.2, 4.2)
         for key in ("x", "y", "z", "s"):
             assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
         assert res.fidelity == pytest.approx(oracles.avg_fidelity(want), abs=1e-10)
@@ -360,14 +378,13 @@ class TestEncodedProtocol:
 
     def test_asymmetric_leg_times(self):
         K = uniform_k(2, 0.5)
-        res = ed.EncodedProtocolEngine(K).fidelity(2.0, 5.0)
+        got = leg_traces(ed.EncodedProtocolEngine(K), 2.0, 5.0)
         want = dense_protocol_traces(K, 2.0, 5.0)
         for key in ("x", "y", "z", "s"):
-            assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
+            assert got[key] == pytest.approx(want[key], abs=1e-10)
 
-    @pytest.mark.parametrize("readout", ["a", "b"])
     @pytest.mark.parametrize("t_b", [3.7, 5.9])
-    def test_engine_dipolar_fields_against_dense_oracle(self, readout, t_b):
+    def test_engine_dipolar_fields_against_dense_oracle(self, t_b):
         N = 4
         r = np.arange(N, dtype=float)
         dist = np.abs(r[:, None] - r[None, :])
@@ -375,10 +392,10 @@ class TestEncodedProtocol:
         J = 1.0 / dist**3
         np.fill_diagonal(J, 0.0)
         K = protocol_k(J, 0.55, [0.3, -0.2, 0.15, -0.4])
-        res = ed.EncodedProtocolEngine(K, readout=readout).fidelity(3.7, t_b)
-        want = dense_protocol_traces(K, 3.7, t_b, readout)
+        got = leg_traces(ed.EncodedProtocolEngine(K), 3.7, t_b)
+        want = dense_protocol_traces(K, 3.7, t_b)
         for key in ("x", "y", "z", "s"):
-            assert res.traces[key] == pytest.approx(want[key], abs=1e-10)
+            assert got[key] == pytest.approx(want[key], abs=1e-10)
 
     @pytest.mark.parametrize("K, match", [
         pytest.param(1.0, "square", id="scalar"),
@@ -399,10 +416,6 @@ class TestEncodedProtocol:
     def test_engine_input_shapes(self, K, match):
         with pytest.raises(ValueError, match=match):
             ed.EncodedProtocolEngine(K)
-
-    def test_unknown_readout(self):
-        with pytest.raises(ValueError, match="readout"):
-            ed.EncodedProtocolEngine(uniform_k(2, 0.5), readout="B")
 
     def test_zero_time_is_identity_legs(self):
         # with no evolution the receiving pair never correlates with the
@@ -475,14 +488,13 @@ class TestFactoredEngine:
         enc = ed._cnot_perm(n_total, in_site, b0)
         times = ((1.3 * N, 1.3 * N), (1.1 * N, 1.6 * N))
         products = [oracles.sector_leg_product(eig_a, eig_b, *ts) for ts in times]
-        for readout, (out_site, partner) in (("b", (b, a)), ("a", (a, b))):
-            engine = ed.EncodedProtocolEngine(K, readout=readout)
-            for (t_a, t_b), blocks in zip(times, products):
-                got = engine.fidelity(t_a, t_b).traces
-                dec = ed._cnot_perm(n_total, out_site, partner)
-                want = full_block_traces(Ha.basis, blocks, enc, dec, env, in_site, out_site)
-                for key in ("x", "y", "z", "s"):
-                    assert abs(got[key] - want[key]) <= 1e-12
+        dec = ed._cnot_perm(n_total, b, a)
+        engine = ed.EncodedProtocolEngine(K)
+        for (t_a, t_b), blocks in zip(times, products):
+            got = leg_traces(engine, t_a, t_b)
+            want = full_block_traces(Ha.basis, blocks, enc, dec, env, in_site, b)
+            for key in ("x", "y", "z", "s"):
+                assert abs(got[key] - want[key]) <= 1e-12
 
     @pytest.mark.parametrize("n_total", [6, 8, 10, 12])
     def test_leg_a_eigenpairs_from_active_sites(self, n_total):
@@ -542,11 +554,7 @@ class TestFactoredEngine:
         with pytest.raises(ValueError):
             engine.fidelity(-1.0)
         with pytest.raises(ValueError):
-            engine.fidelity(1.0, -1.0)
-        with pytest.raises(ValueError):
             engine.fidelities([1.0, -1.0, 2.0])
-        with pytest.raises(ValueError):
-            engine.fidelities([1.0, 2.0], [3.0, -0.5])
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
@@ -554,7 +562,7 @@ class TestFactoredEngine:
         with pytest.raises(ValueError, match="finite and non-negative"):
             engine.fidelities([t])
         with pytest.raises(ValueError, match="finite and non-negative"):
-            engine.fidelities([1.0, 2.0], [3.0, t])
+            engine.fidelities([1.0, t, 2.0])
 
     def test_missing_column_rejected(self):
         K = uniform_k(2, 0.5)
@@ -567,13 +575,12 @@ class TestFactoredEngine:
                            ed.mixed_environment(4, 0), 0, 3)
 
 
-def assert_batch_matches_points(engine, times, t_b=None):
+def assert_batch_matches_points(engine, times):
     """``fidelities`` against one ``fidelity`` call per time, to 1e-13."""
-    batch = engine.fidelities(times, t_b)
+    batch = engine.fidelities(times)
     assert len(batch) == len(times)
-    t_bs = np.broadcast_to(times if t_b is None else t_b, np.shape(times))
-    for res, t, tb in zip(batch, times, t_bs):
-        one = engine.fidelity(float(t), float(tb))
+    for res, t in zip(batch, times):
+        one = engine.fidelity(float(t))
         for key in ("x", "y", "z", "s"):
             assert abs(res.traces[key] - one.traces[key]) <= 1e-13
         assert abs(res.fidelity - one.fidelity) <= 1e-13
@@ -598,8 +605,13 @@ class TestBatchedFidelities:
         assert_batch_matches_points(engine, [5.2])
 
     def test_unequal_leg_b_times(self, engine):
-        assert_batch_matches_points(engine, [2.0, 4.5, 6.1], [5.0, 0.0, 3.3])
-        assert_batch_matches_points(engine, [2.0, 4.5, 6.1], 3.7)
+        # the factored channel batches unequal left and right times alike
+        t_a, t_b = [2.0, 4.5, 6.1], [5.0, 0.0, 3.3]
+        batch = engine._channel.traces(np.array(t_b), np.array(t_a))
+        for got, ta, tb in zip(batch, t_a, t_b):
+            one = leg_traces(engine, ta, tb)
+            for key in ("x", "y", "z", "s"):
+                assert abs(got[key] - one[key]) <= 1e-13
 
     def test_empty_grid(self, engine):
         assert engine.fidelities([]) == []
