@@ -89,11 +89,9 @@ class Explicit:
 
 @dataclass(frozen=True)
 class FromPositions:
-    """Couplings derived from site coordinates by the cube law.
+    """Couplings of the N chain sites derived from their coordinates by the cube law.
 
-    ``positions`` may cover either the N chain sites only (register bonds
-    then come from the spec's g_left/g_right) or all N+2 sites including
-    the registers (register bonds follow the cube law as well).
+    The register bonds come from the spec's g_left and g_right.
     """
 
     positions: tuple[float, ...]
@@ -170,11 +168,8 @@ class ChainSpec:
             raise ValueError(
                 f"Explicit pattern needs {n - 1} internal bonds, got {len(pat.values)}"
             )
-        if isinstance(pat, FromPositions) and len(pat.positions) not in (n, n + 2):
-            raise ValueError(
-                "FromPositions needs N or N+2 coordinates "
-                f"(N={n}, got {len(pat.positions)})"
-            )
+        if isinstance(pat, FromPositions) and len(pat.positions) != n:
+            raise ValueError(f"FromPositions needs N={n} coordinates, got {len(pat.positions)}")
 
 
 def sample_positions(spec: DisorderSpec, n_sites: int, stream: int = 0) -> np.ndarray:
@@ -243,13 +238,8 @@ def _nn_bonds(spec: ChainSpec) -> np.ndarray:
     elif isinstance(pat, Explicit):
         bonds = np.concatenate([[spec.g_left], pat.values, [spec.g_right]])
     elif isinstance(pat, FromPositions):
-        x = np.asarray(pat.positions)
-        gaps = np.diff(x)
-        inner = (1.0 / gaps) ** 3
-        if len(x) == n + 2:
-            bonds = inner
-        else:
-            bonds = np.concatenate([[spec.g_left], inner, [spec.g_right]])
+        inner = (1.0 / np.diff(pat.positions)) ** 3
+        bonds = np.concatenate([[spec.g_left], inner, [spec.g_right]])
     else:
         raise TypeError(f"unknown coupling pattern {pat!r}")
     return bonds
@@ -272,16 +262,8 @@ def build_single_particle_matrix(spec: ChainSpec) -> np.ndarray:
     K[idx, idx + 1] = bonds
     K[idx + 1, idx] = bonds
     if isinstance(spec.pattern, FromPositions) and spec.pattern.rule is not RangeRule.NEAREST_NEIGHBOR:
-        # Long-range part among the positioned sites.
-        x = spec.pattern.positions
-        J = couplings_from_positions(x, spec.pattern.rule)
-        if len(x) == n + 2:
-            K[:, :] = 0.0
-            K += J
-        else:
-            K[1 : n + 1, 1 : n + 1] = J
-            K[0, 1] = K[1, 0] = spec.g_left
-            K[n, n + 1] = K[n + 1, n] = spec.g_right
+        # Long-range part among the chain sites; the registers stay nearest-neighbour.
+        K[1 : n + 1, 1 : n + 1] = couplings_from_positions(spec.pattern.positions, spec.pattern.rule)
     np.fill_diagonal(K, spec.uniform_field)
     if spec.register_field is not None:
         K[0, 0] = K[n + 1, n + 1] = spec.register_field
@@ -305,8 +287,7 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
     register bonds, diagonal B'); without, A holds the chain rows and
     columns of that matrix.  The register bonds are those of
     :func:`build_single_particle_matrix`: g_left and g_right, except that
-    an ``Engineered`` profile and ``FromPositions`` coordinates of all
-    N+2 sites set them themselves.
+    an ``Engineered`` profile sets them itself.
     The chain bonds are nearest-neighbour only, so a ``FromPositions``
     pattern with a longer-range rule raises ``ValueError``.
     """

@@ -703,7 +703,7 @@ def run_bosonic_demo(config: ExperimentConfig) -> tuple[list[ResultTable], dict]
         g_eff = p["g"] * math.sqrt(1.0 / x)
         tau = math.pi / (math.sqrt(2.0) * g_eff * z_amp)
         M = propagator(_uniform_k(N, g_eff), tau)
-        res = bosonic_swap_and_thermal_error(M, 0.0, float(x))
+        res = bosonic_swap_and_thermal_error(M, float(x))
         table.add(
             float(x), g_eff, tau, abs(M[-1, 0]), res.epsilon,
             res.n_out, res.n_out,
@@ -808,7 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on an argument error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     t0 = time.perf_counter()
     try:
         config = resolve_config(
@@ -821,7 +824,11 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    paths = _write_outputs(config, tables, summary, t0)
+    try:
+        paths = _write_outputs(config, tables, summary, t0)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK

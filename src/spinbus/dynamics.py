@@ -1,7 +1,8 @@
 """Diagonalization and time evolution of quadratic chain Hamiltonians.
 
 Covers the number-conserving (XX / bosonic) propagator M = exp(-iKt),
-resonant-mode selection with matched register couplings, the pairing
+resonant-mode selection with matched register couplings
+(``mode_budget(modes).select``), the pairing
 (TFIM) sector with its orthogonal diagonalization and effective
 register-swap check, bosonic thermal-error bookkeeping, and the
 participation ratio localization diagnostic.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainSpec, Engineered, FromPositions, ModelKind, build_bdg_matrix
+from .chains import ChainSpec, Engineered, ModelKind, build_bdg_matrix
 
 __all__ = [
     "EigenmodeSet",
@@ -30,7 +31,6 @@ __all__ = [
     "propagator",
     "tridiagonal_eigenpairs",
     "transfer_elements",
-    "select_resonant_mode",
     "bdg_diagonalize",
     "bdg_effective_swap_check",
     "bosonic_swap_and_thermal_error",
@@ -56,10 +56,6 @@ class EigenmodeSet:
 
     energies: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.vectors.shape[0]
 
     @property
     def psi_left(self) -> np.ndarray:
@@ -109,7 +105,7 @@ def _hermitian(K, name: str) -> np.ndarray:
     if not np.isfinite(K).all():
         raise ValueError(f"{name} must be finite")
     if not np.allclose(K, K.conj().T, atol=1e-12):
-        raise ValueError(f"{name} must be Hermitian")
+        raise ValueError(f"{name} must be Hermitian (symmetric, if real)")
     return K
 
 
@@ -305,23 +301,6 @@ def mode_budget(modes: EigenmodeSet) -> ModeBudget:
     return ModeBudget(E, aL, aR, candidate, off_left, off_right)
 
 
-def select_resonant_mode(
-    modes: EigenmodeSet,
-    g_max: float,
-    chain_sites: int | None = None,
-    T1: float = math.inf,
-) -> ResonantModeChoice:
-    """Pick the transfer mode z and match the register couplings to it.
-
-    The mode of lowest error budget wins, each at its optimal coupling
-    capped at ``g_max`` (see :class:`ModeBudget`); ``chain_sites``
-    (default: the number of modes) sets the decoherence term.  Raises
-    :class:`NoTransferModeError` when no mode is a candidate.
-    """
-    n_chain = chain_sites if chain_sites is not None else modes.n_sites
-    return mode_budget(modes).select(g_max, n_chain, T1)[0]
-
-
 def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
     """Orthogonal diagonalization of a real symmetric pairing matrix.
 
@@ -340,11 +319,9 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
 
     Rows are interleaved (+eps_k, -eps_k) with eps_k ascending.
     """
-    A = np.asarray(A, float)
+    A = _hermitian(np.asarray(A, float), "pairing matrix")
     if A.shape[0] % 2:
         raise ValueError("pairing matrix must have even dimension")
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise ValueError("pairing matrix must be symmetric")
     n = A.shape[0] // 2
     if not np.allclose(np.roll(A, n, axis=(0, 1)), -A, atol=1e-12):
         raise ValueError("pairing matrix must anticommute with the particle-hole swap")
@@ -372,33 +349,29 @@ class EffectiveSwapResult:
     mode_energy: float
 
 
-def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> EffectiveSwapResult:
+def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
     """Evolve the full pairing dynamics and report the register exchange.
 
     The chain-only matrix is diagonalized first; the registers are tuned
-    to the selected quasiparticle energy and the full system evolved for
+    to its lowest quasiparticle energy and the full system evolved for
     tau = pi / (sqrt(2) g u_1) with u_1 the mode's particle amplitude on
     the first chain site.  g is ``g_left`` (``g_right`` if that is 0), so
-    an ``Engineered`` pattern or ``FromPositions`` coordinates of all
-    N+2 sites, which set the register bonds themselves, raise
-    ``ValueError``.  In the weak-coupling paramagnetic regime the
+    an ``Engineered`` pattern, which sets the register bonds itself,
+    raises ``ValueError``.  In the weak-coupling paramagnetic regime the
     returned exchange amplitude approaches 1; in the Majorana regime the
     hopping and pairing contributions cancel and it collapses.
     """
     if ModelKind(spec.model_kind) is not ModelKind.TFIM:
         raise ValueError("effective swap check expects a TFIM spec")
     n = spec.chain_length
-    pat = spec.pattern
-    if isinstance(pat, Engineered) or (isinstance(pat, FromPositions) and len(pat.positions) == n + 2):
-        # such a pattern sets the register bonds itself, so the registers
-        # would not couple at the g that the swap time is tuned to
+    if isinstance(spec.pattern, Engineered):
+        # it sets the register bonds itself, so the registers would not
+        # couple at the g that the swap time is tuned to
         raise ValueError("effective swap check tunes g; the pattern must leave the register bonds to it")
     diag = bdg_diagonalize(build_bdg_matrix(spec, include_registers=False))
-    if mode_index is None:
-        mode_index = int(np.argmin(diag.positive_energies))
-    eps_z = float(diag.positive_energies[mode_index])
-    u = diag.O[2 * mode_index, :n]  # particle components of mode z
-    u1 = abs(u[0])
+    # the energies ascend, so the lowest mode z is rows 0 (+eps) and 1 (-eps)
+    eps_z = float(diag.positive_energies[0])
+    u1 = abs(diag.O[0, 0])  # particle amplitude of mode z on the first chain site
     if u1 < _END_AMPLITUDE_FLOOR:
         raise NoTransferModeError("selected mode has no amplitude on the chain end")
     g = spec.g_left if spec.g_left > 0 else spec.g_right
@@ -429,7 +402,7 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
         e = np.zeros(2 * m)
         e[idx] = 1.0
         basis.append(e)
-    for row in (2 * mode_index, 2 * mode_index + 1):
+    for row in (0, 1):
         vec = np.zeros(2 * m)
         vec[1 : n + 1] = diag.O[row, :n]
         vec[m + 1 : m + n + 1] = diag.O[row, n:]
@@ -443,31 +416,23 @@ def bdg_effective_swap_check(spec: ChainSpec, mode_index: int | None = None) -> 
 class BosonicTransferResult:
     epsilon: float
     n_out: float
-    leaked_occupation: float
 
 
-def bosonic_swap_and_thermal_error(
-    M: np.ndarray,
-    n_bar_register: float,
-    n_bar_chain: np.ndarray | float,
-    n_bar_target: float = 0.0,
-) -> BosonicTransferResult:
+def bosonic_swap_and_thermal_error(M: np.ndarray, n_bar_chain: np.ndarray | float) -> BosonicTransferResult:
     """Excess-noise bookkeeping for the oscillator-chain swap.
 
-    epsilon = 1 - |M_{N+1,0}|^2 is the leaked weight; the output
-    occupation mixes the input with the M-weighted average occupation of
-    the leaked modes: n_out = (1-eps) n_in + eps <n_eps>.
+    Both registers start in their ground state and the N chain modes at
+    the thermal occupations ``n_bar_chain``.  epsilon = 1 - |M_{N+1,0}|^2
+    is the leaked weight, and the output occupation is the M-weighted
+    sum n_out = sum_j |M_{N+1,j}|^2 n_j over all N+2 modes.
     """
     Mm = np.asarray(M)
     n = Mm.shape[0] - 2
     eps = 1.0 - abs(Mm[-1, 0]) ** 2
-    occ = np.empty(n + 2)
-    occ[0] = n_bar_register
+    occ = np.zeros(n + 2)
     occ[1:-1] = np.asarray(n_bar_chain) * np.ones(n)
-    occ[-1] = n_bar_target
     n_out = float(np.sum(np.abs(Mm[-1, :]) ** 2 * occ))
-    leaked = (n_out - (1.0 - eps) * n_bar_register) / eps if eps > 0 else 0.0
-    return BosonicTransferResult(float(eps), n_out, float(leaked))
+    return BosonicTransferResult(float(eps), n_out)
 
 
 def participation_ratio(psi: np.ndarray):

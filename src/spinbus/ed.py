@@ -61,6 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _hermitian
+
 __all__ = [
     "ResourceLimitError",
     "SectorBasis",
@@ -184,26 +186,23 @@ def _check_cap(n: int, cap: int) -> None:
 def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian:
     """Sector blocks of H = sum_{i<j} K_ij (s+_i s-_j + h.c.) + sum_i K_ii n_i.
 
-    ``K`` is the real symmetric (n, n) single-particle matrix, and the
-    single-excitation block of H equals it: the off-diagonal entries are
-    the couplings and the diagonal entries the fields.  The additive
+    ``K`` is the finite real symmetric (n, n) single-particle matrix
+    (else ``ValueError``), and the single-excitation block of H equals
+    it: the off-diagonal entries are the couplings and the diagonal
+    entries the fields.  The additive
     constant from sz versus number operators is a global phase and is
     dropped.  The fields are summed by mirror pairs of sites (i, n-1-i),
     so mirror-symmetric fields give a state and its bit reversal the same
     diagonal entry, bit for bit, as ``SectorHamiltonian.eig`` tests.
     """
     K = np.asarray(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("K must be a square matrix")
-    n = K.shape[0]
-    _check_cap(n, cap)
     if np.iscomplexobj(K):
         if np.any(K.imag != 0):
             raise ValueError("K must be real: XX hopping with complex amplitudes is not supported")
         K = K.real
-    K = np.asarray(K, float)
-    if not np.allclose(K, K.T, atol=1e-12):
-        raise ValueError("K must be symmetric")
+    K = _hermitian(np.asarray(K, float), "K")
+    n = K.shape[0]
+    _check_cap(n, cap)
     basis = SectorBasis(n)
     h = np.diagonal(K)
     diag = np.zeros(1 << n)
@@ -514,10 +513,6 @@ class ExactChannelResult:
     fidelity_phase_corrected: float
     traces: dict[str, complex]
 
-    @property
-    def infidelity(self) -> float:
-        return 1.0 - self.fidelity
-
 
 def _result_from_traces(traces: dict[str, complex]) -> ExactChannelResult:
     tx, ty, tz = (traces[k].real for k in ("x", "y", "z"))
@@ -642,10 +637,6 @@ class EncodedProtocolEngine:
             raise ValueError("times must be a 1-D array")
         return [_result_from_traces(traces) for traces in self._channel.traces(t, t)]
 
-    def fidelity(self, t: float) -> ExactChannelResult:
-        """Exact fidelity at leg time t."""
-        return self.fidelities([t])[0]
-
 
 # ---------------------------------------------------------------------------
 # plain transfer channels (oracles for the closed-form fidelities)
@@ -656,7 +647,6 @@ def transfer_channel_traces(
     t: float,
     kind: str,
     chain_bits: np.ndarray | None = None,
-    cap: int = _DEFAULT_CAP,
 ) -> dict[str, complex]:
     """Exact traces for the simple one-register-in channels.
 
@@ -681,7 +671,7 @@ def transfer_channel_traces(
         if bits.shape != (n - 2,) or not np.isin(bits, (0, 1)).all():
             raise ValueError(f"chain_bits must be {n - 2} values in {{0, 1}}")
         fixed = {1 + i: int(b) for i, b in enumerate(bits)}
-    H = build_many_body(K, cap=cap)
+    H = build_many_body(K)
     basis = H.basis
     # one block per sector: the full eigenvector matrix
     eig = [(w, [V]) for w, V in H.eig()]

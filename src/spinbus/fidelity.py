@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FidelityReport",
     "PerturbativeEstimate",
     "f_double_swap",
     "f_single_swap",
     "f_encoded",
     "f_remote_z",
-    "fidelity_report",
     "perturbative_infidelity",
 ]
 
@@ -101,36 +99,6 @@ def f_remote_z(M) -> float:
     m = (Mm * S) @ Mm[:, 0]
     m = m[0]
     return 0.5 + (abs(m) ** 2 - 2.0 * m.real) / 6.0
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """All four closed-form fidelities for one propagator."""
-
-    f_double_swap: float
-    f_single_swap: float
-    f_encoded_weak: float
-    f_encoded_strong: float
-    f_remote_z: float
-    m00: complex
-    m0R: complex
-    mRR: complex
-    chain_parity: float
-
-
-def fidelity_report(M, chain_parity: float = 0.0) -> FidelityReport:
-    Mm = np.asarray(M)
-    return FidelityReport(
-        f_double_swap=f_double_swap(M),
-        f_single_swap=f_single_swap(M, chain_parity),
-        f_encoded_weak=f_encoded(M, "weak"),
-        f_encoded_strong=f_encoded(M, "strong"),
-        f_remote_z=f_remote_z(M),
-        m00=complex(Mm[0, 0]),
-        m0R=complex(Mm[0, -1]),
-        mRR=complex(Mm[-1, -1]),
-        chain_parity=chain_parity,
-    )
 
 
 @dataclass(frozen=True)

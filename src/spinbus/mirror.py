@@ -698,10 +698,10 @@ def _apply_1q(M: np.ndarray, gate: np.ndarray, q: int, n: int) -> None:
     M[i1] = gate[1, 0] * r0 + gate[1, 1] * r1
 
 
-def dense_unitary(program: PulseProgram, n: int, cap: int = 12) -> np.ndarray:
-    """Exact 2^n unitary of a pulse program (qubit q = bit q of the index)."""
-    if n > cap:
-        raise ResourceLimitError(f"dense unitary needs 2^{n} dimensions; cap is 2^{cap}")
+def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
+    """Exact 2^n unitary of a pulse program (qubit q = bit q of the index), n <= 12."""
+    if n > 12:  # 2^12 x 2^12 complex entries take 268 MB
+        raise ResourceLimitError(f"dense unitary needs 2^{n} dimensions; cap is 2^12")
     if program.max_site() >= n:
         raise ValueError("program addresses sites outside the declared qubit count")
     dim = 1 << n
@@ -755,13 +755,13 @@ class DenseCheckReport:
         return self.max_deviation < 1e-10
 
 
-def dense_unitary_check(program: PulseProgram, n: int, cap: int = 12) -> DenseCheckReport:
+def dense_unitary_check(program: PulseProgram, n: int) -> DenseCheckReport:
     """Verify every tableau-predicted Pauli image against the exact unitary.
 
     For each generator P in {X_i, Z_i} the stabilizer claim U P U† = P'
     is checked in the equivalent (and matmul-free) form U P = P' U.
     """
-    U = dense_unitary(program, n, cap=cap)
+    U = dense_unitary(program, n)
     tab = clifford_apply(Tableau(n), program)
     dev = 0.0
     for i in range(n):

@@ -78,7 +78,7 @@ def test_criterion_01_analytic_formulas_match_exact_channels():
     for _ in range(20):
         g = rng.uniform(0.1, 1.0)
         t = rng.uniform(0.5, 25.0)
-        res = ed.EncodedProtocolEngine(uniform_k(N, g)).fidelity(t)
+        res = ed.EncodedProtocolEngine(uniform_k(N, g)).fidelities([t])[0]
         M = dynamics.propagator(uniform_k(N, g), t)
         worst = max(worst, abs(fidelity.f_encoded(M, "weak") - res.fidelity))
         worst = max(

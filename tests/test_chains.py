@@ -104,10 +104,10 @@ class TestChainSpecValidation:
             chains.ChainSpec(chains.ModelKind.XX, 4, chains.Explicit((1.0, 1.0)))
 
     def test_from_positions_count(self):
-        with pytest.raises(ValueError):
-            chains.ChainSpec(
-                chains.ModelKind.XX, 4, chains.FromPositions((0.0, 1.0, 2.0))
-            )
+        # the chain sites only: the registers couple through g_left and g_right
+        for x in ((0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)):
+            with pytest.raises(ValueError, match="N=4 coordinates"):
+                chains.ChainSpec(chains.ModelKind.XX, 4, chains.FromPositions(x))
 
     @pytest.mark.parametrize(
         "field", ["g_left", "g_right", "register_field", "uniform_field"]
@@ -161,15 +161,6 @@ class TestSingleParticleMatrix:
         spec = chains.ChainSpec(chains.ModelKind.TFIM, 3, chains.Uniform())
         with pytest.raises(ValueError):
             chains.build_single_particle_matrix(spec)
-
-    def test_positions_with_registers_cover_all_bonds(self):
-        x = (0.0, 1.0, 2.0, 3.0, 4.0)
-        spec = chains.ChainSpec(
-            chains.ModelKind.XX, 3, chains.FromPositions(x), g_left=9.0, g_right=9.0
-        )
-        K = chains.build_single_particle_matrix(spec)
-        # register bonds follow the cube law, not g_left/g_right
-        assert K[0, 1] == pytest.approx(1.0)
 
     def test_long_range_rule_fills_matrix(self):
         x = (0.0, 1.0, 2.0, 3.0)
@@ -254,9 +245,8 @@ class TestBdGMatrix:
             chains.Engineered(),
             chains.Explicit((0.8, 1.7)),
             chains.FromPositions((0.0, 1.1, 2.0)),
-            chains.FromPositions((0.0, 0.9, 2.0, 3.2, 4.0)),
         ],
-        ids=["uniform", "engineered", "explicit", "chain-positions", "all-positions"],
+        ids=["uniform", "engineered", "explicit", "chain-positions"],
     )
     def test_register_bonds_are_those_of_k(self, pattern):
         # the registers couple through the same bonds as in the XX twin's K

@@ -103,11 +103,34 @@ class TestExitCodes:
                                          "bosonic", "mirror-verify"])
     def test_realizations_flag_only_on_disorder_sweep(self, tmp_path, capsys, command):
         # the other subcommands draw no ensemble, so argparse rejects the flag
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--realizations", "5", "--out", str(tmp_path)])
-        assert exc.value.code == cli.EXIT_CONFIG
+        assert cli.main([command, "--realizations", "5", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "--realizations" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["strong-scan", "--seed", "x"],
+        ["no-such-command"],
+        [],
+    ], ids=["non-integer-seed", "unknown-subcommand", "no-subcommand"])
+    def test_argument_error_exits_2(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bosonic", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["file", "under-file"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker if target == "file" else blocker / "out"
+        assert cli.main(["bosonic", "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and err.count("\n") == 1
+        assert blocker.read_text() == "not a directory"
 
     @pytest.mark.parametrize(
         "command, doc",

@@ -232,7 +232,7 @@ class TestResonantModeSelection:
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
         z = 3  # the zero mode of the odd uniform chain
-        choice = dynamics.select_resonant_mode(modes, 0.1)
+        choice = dynamics.mode_budget(modes).select(0.1, N, math.inf)[0]
         assert choice.mode_index == z
         aL = abs(modes.psi_left[z])
         aR = abs(modes.psi_right[z])
@@ -249,7 +249,7 @@ class TestResonantModeSelection:
         N = 9
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
-        choice = dynamics.select_resonant_mode(modes, 0.05, chain_sites=N)
+        choice = dynamics.mode_budget(modes).select(0.05, N, math.inf)[0]
         assert abs(choice.energy) < 1e-12
 
     def test_degenerate_mode_raises(self):
@@ -264,7 +264,7 @@ class TestResonantModeSelection:
         ])
         modes = dynamics.EigenmodeSet(np.array([-1.0, -1.0, 1.0, 1.0]), vectors)
         with pytest.raises(dynamics.NoTransferModeError):
-            dynamics.select_resonant_mode(modes, 0.1)
+            dynamics.mode_budget(modes).select(0.1, 4, math.inf)
 
     def test_degenerate_pair_skipped_in_min_error(self):
         # Realization 74 of a 50-site chain at sigma/d = 1, master seed 0:
@@ -278,7 +278,7 @@ class TestResonantModeSelection:
         assert gaps[pair] < 1e-12
         budget = dynamics.mode_budget(modes)
         assert not budget.candidate[pair] and not budget.candidate[pair + 1]
-        choice = dynamics.select_resonant_mode(modes, 0.5, 50, T1=1e4)
+        choice = budget.select(0.5, 50, 1e4)[0]
         assert choice.mode_index not in (pair, pair + 1)
         assert budget.candidate[choice.mode_index]
 
@@ -286,18 +286,19 @@ class TestResonantModeSelection:
         N = 11
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
-        loose = dynamics.select_resonant_mode(modes, 10.0, N, T1=1e4)
+        budget = dynamics.mode_budget(modes)
+        loose = budget.select(10.0, N, 1e4)[0]
         assert loose.g_left < 10.0  # optimum, not the cap
-        capped = dynamics.select_resonant_mode(modes, 1e-4, N, T1=1e4)
+        capped = budget.select(1e-4, N, 1e4)[0]
         assert capped.g_left == pytest.approx(1e-4)
 
     def test_invalid_inputs(self):
         J = np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
-        modes = dynamics.eigenmodes(J)
+        budget = dynamics.mode_budget(dynamics.eigenmodes(J))
         with pytest.raises(ValueError):
-            dynamics.select_resonant_mode(modes, 0.0)
+            budget.select(0.0, 3, math.inf)
         with pytest.raises(ValueError, match="g_max"):
-            dynamics.select_resonant_mode(modes, math.nan)
+            budget.select(math.nan, 3, math.inf)
 
 
 class TestBdG:
@@ -327,6 +328,14 @@ class TestBdG:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             dynamics.bdg_diagonalize(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_pairing_matrix_rejected(self, value):
+        # symmetric and particle-hole structured, so only finiteness fails
+        A = chains.build_bdg_matrix(chains.ChainSpec(chains.ModelKind.TFIM, 3, chains.Uniform(1.0)))
+        A[0, 0], A[3, 3] = value, -value
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.bdg_diagonalize(A)
 
     def test_pairing_structure_required(self):
         # symmetric, but the hole block is not -alpha
@@ -363,11 +372,11 @@ class TestBdG:
 
     @pytest.mark.parametrize(
         "pattern",
-        [chains.Engineered(), chains.FromPositions(tuple(float(i) for i in range(9)))],
-        ids=["engineered", "all-positions"],
+        [chains.Engineered()],
+        ids=["engineered"],
     )
     def test_effective_swap_needs_tunable_registers(self, pattern):
-        # these patterns couple the registers at their own bonds, not at g
+        # this pattern couples the registers at its own bonds, not at g
         spec = chains.ChainSpec(
             chains.ModelKind.TFIM, 7, pattern, g_left=0.02, uniform_field=2.0,
         )
@@ -385,15 +394,26 @@ class TestBdG:
 
 class TestBosonic:
     def test_zero_temperature_passthrough(self):
+        # registers and chain all in their ground state: nothing leaks in
         K = uniform_k(5, 0.3)
         M = dynamics.propagator(K, 2.0)
-        res = dynamics.bosonic_swap_and_thermal_error(M, 0.7, 0.0)
-        assert res.n_out == pytest.approx((1.0 - res.epsilon) * 0.7)
+        res = dynamics.bosonic_swap_and_thermal_error(M, 0.0)
+        assert res.n_out == 0.0
+        assert res.epsilon == pytest.approx(1.0 - abs(M[-1, 0]) ** 2)
+
+    def test_chain_weight_sets_output_occupation(self):
+        # by unitarity the chain carries the weight 1 - |M_R0|^2 - |M_RR|^2
+        # of the output mode, each chain mode at occupation 3
+        K = uniform_k(5, 0.3)
+        M = dynamics.propagator(K, 2.0)
+        res = dynamics.bosonic_swap_and_thermal_error(M, 3.0)
+        chain_weight = 1.0 - abs(M[-1, 0]) ** 2 - abs(M[-1, -1]) ** 2
+        assert res.n_out == pytest.approx(3.0 * chain_weight, abs=1e-12)
 
     def test_occupation_conserved_bound(self):
         K = uniform_k(5, 0.3)
         M = dynamics.propagator(K, 2.0)
-        res = dynamics.bosonic_swap_and_thermal_error(M, 0.0, 3.0)
+        res = dynamics.bosonic_swap_and_thermal_error(M, 3.0)
         # leaked-in noise cannot exceed the hottest mode occupation
         assert 0.0 <= res.n_out <= 3.0
         assert 0.0 <= res.epsilon <= 1.0
@@ -449,7 +469,7 @@ class TestParticipationRatio:
 def scalar_errors(modes, g_max, n_chain, T1):
     """eps of every candidate mode from the scalar closed forms, one mode at a time."""
     eps = {}
-    for z in range(modes.n_sites):
+    for z in range(len(modes.energies)):
         try:  # unusable and degenerate modes are no candidates
             oracles.matched_choice(modes, z, g_max)
         except ValueError:
@@ -502,7 +522,6 @@ class TestModeBudget:
         runner_up = min((e for z, e in ref.items() if z != z_ref), default=math.inf)
         if runner_up > ref[z_ref] * (1.0 + 1e-9):
             assert choice.mode_index == z_ref
-        assert dynamics.select_resonant_mode(modes, g_max, n, T1) == choice
 
     @pytest.mark.parametrize("T1", [math.inf, 1e3])
     def test_equal_error_broken_by_smaller_energy(self, T1):
@@ -532,8 +551,6 @@ class TestModeBudget:
         assert err.type is ValueError
         with pytest.raises(ValueError, match="g_max"):
             budget.select(g_max, 7, T1)
-        with pytest.raises(ValueError, match="g_max"):
-            dynamics.select_resonant_mode(modes, g_max, 7, T1)
 
     def test_no_candidate_raises(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])  # each mode lives on one end

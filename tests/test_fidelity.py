@@ -86,10 +86,9 @@ class TestClosedForms:
         M = random_propagator(seed)
         rng = np.random.default_rng(seed + 1)
         parity = rng.uniform(-1.0, 1.0)
-        rep = fidelity.fidelity_report(M, parity)
         for f in (
-            rep.f_double_swap, rep.f_single_swap,
-            rep.f_encoded_weak, rep.f_encoded_strong, rep.f_remote_z,
+            fidelity.f_double_swap(M), fidelity.f_single_swap(M, parity),
+            fidelity.f_encoded(M, "weak"), fidelity.f_encoded(M, "strong"), fidelity.f_remote_z(M),
         ):
             assert 0.0 <= f <= 1.0 + 1e-12
 
