@@ -306,6 +306,20 @@ class ResultTable:
                 )
 
 
+def _check_out_dir(out: str) -> None:
+    """``NotADirectoryError`` unless ``out`` is a directory or could be made one.
+
+    The path or, if it does not exist, its nearest existing ancestor must
+    be a directory.  Nothing is created: a run that fails leaves no
+    output directory behind.
+    """
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"not a directory: {path}")
+
+
 def _write_outputs(
     config: ExperimentConfig, tables: list[ResultTable], summary: dict, t0: float
 ) -> list[Path]:
@@ -817,6 +831,7 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(
             args.command, args.config, args.seed, args.out, getattr(args, "realizations", None)
         )
+        _check_out_dir(config.out)  # before the run, which can take seconds
         tables, summary = _RUNNERS[config.kind](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -824,6 +839,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except NotADirectoryError as exc:  # only _check_out_dir: the runners touch no files
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         paths = _write_outputs(config, tables, summary, t0)
     except OSError as exc:

@@ -112,10 +112,18 @@ def _hermitian(K, name: str) -> np.ndarray:
 def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     """Hermitian eigensolve with a deterministic sign convention.
 
-    Each mode's largest-magnitude component is made positive so matched
-    couplings and transfer times are platform-independent.
+    A finite real symmetric tridiagonal matrix (every nearest-neighbour
+    chain) is solved by LAPACK ``dstevd``, as in
+    :func:`tridiagonal_eigenpairs`; every other matrix by ``eigh``, after
+    the square, finite and Hermitian checks.  Each mode's
+    largest-magnitude component is made positive so matched couplings and
+    transfer times are platform-independent.
     """
-    w, v = np.linalg.eigh(_hermitian(chain_matrix, "chain matrix"))
+    K = np.asarray(chain_matrix)
+    if _real_tridiagonal(K):
+        w, v = _dstevd(K)
+    else:
+        w, v = np.linalg.eigh(_hermitian(K, "chain matrix"))
     cols = np.arange(v.shape[1])
     flip = v[np.argmax(np.abs(v), axis=0), cols].real < 0
     v[:, flip] = -v[:, flip]
@@ -150,6 +158,33 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (anchors[:, None, :] * steps[None, :, :]).reshape(-1, w.size)[:nt]
 
 
+def _real_tridiagonal(K: np.ndarray) -> bool:
+    """Whether the array ``K`` is a finite real symmetric tridiagonal matrix, exactly."""
+    return (
+        K.ndim == 2
+        and K.shape[0] == K.shape[1]
+        and np.isrealobj(K)
+        and np.isfinite(K).all()
+        and np.array_equal(np.diagonal(K, 1), np.diagonal(K, -1))
+        # no nonzero entry off the three diagonals
+        and np.count_nonzero(K)
+        == np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
+    )
+
+
+def _dstevd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a matrix that passes :func:`_real_tridiagonal`, by LAPACK ``dstevd``."""
+    # imported here so that importing dynamics needs numpy only
+    from scipy.linalg.lapack import dstevd
+
+    # the wrapper wants len(e) = max(n - 1, 1)
+    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
+    w, v, info = dstevd(np.diagonal(K), e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    return w, v
+
+
 def tridiagonal_eigenpairs(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w (ascending) and eigenvectors v (columns) of a chain matrix.
 
@@ -159,27 +194,10 @@ def tridiagonal_eigenpairs(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``scipy.linalg.eigh_tridiagonal`` uses for all eigenpairs, without
     that wrapper's argument handling.
     """
-    # imported here so that importing dynamics needs numpy only
-    from scipy.linalg.lapack import dstevd
-
     K = np.asarray(K)
-    if not (
-        K.ndim == 2
-        and K.shape[0] == K.shape[1]
-        and np.isrealobj(K)
-        and np.isfinite(K).all()
-        and np.array_equal(np.diagonal(K, 1), np.diagonal(K, -1))
-        # no nonzero entry off the three diagonals
-        and np.count_nonzero(K)
-        == np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
-    ):
+    if not _real_tridiagonal(K):
         raise ValueError("K must be a finite real symmetric tridiagonal matrix")
-    # the wrapper wants len(e) = max(n - 1, 1)
-    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
-    w, v, info = dstevd(np.diagonal(K), e)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
-    return w, v
+    return _dstevd(K)
 
 
 def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):

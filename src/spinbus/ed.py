@@ -663,16 +663,15 @@ def transfer_channel_traces(
     """
     if kind not in ("double_swap", "single_swap", "remote_z"):
         raise ValueError(f"unknown channel kind {kind!r}")
-    K = np.asarray(K)
-    n = K.shape[0]
+    H = build_many_body(K)  # validates K before its shape is read
+    basis = H.basis
+    n = basis.n
     fixed = {}
     if chain_bits is not None:
         bits = np.asarray(chain_bits)
         if bits.shape != (n - 2,) or not np.isin(bits, (0, 1)).all():
             raise ValueError(f"chain_bits must be {n - 2} values in {{0, 1}}")
         fixed = {1 + i: int(b) for i, b in enumerate(bits)}
-    H = build_many_body(K)
-    basis = H.basis
     # one block per sector: the full eigenvector matrix
     eig = [(w, [V]) for w, V in H.eig()]
     del H  # frees the Hamiltonian blocks: the channel needs only the eigenpairs

@@ -132,6 +132,45 @@ class TestExitCodes:
         assert err.startswith("output error") and err.count("\n") == 1
         assert blocker.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("target", ["file", "under-file"])
+    @pytest.mark.parametrize("command", ["strong-scan", "dipolar-ed"])
+    def test_unwritable_output_reported_before_run(self, tmp_path, capsys, monkeypatch,
+                                                   command, target):
+        def no_run(config):
+            raise AssertionError("the experiment ran before the output path was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, command, no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker if target == "file" else blocker / "a" / "b"
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_new_output_directory_made_only_after_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b"
+
+        def runner(config):
+            assert not (tmp_path / "a").exists()
+            return cli.run_bosonic_demo(config)
+
+        monkeypatch.setitem(cli._RUNNERS, "bosonic", runner)
+        assert cli.main(["bosonic", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "bosonic_summary.json").is_file()
+
+    def test_disorder_sweep_never_calls_dense_eigh(self, tmp_path, monkeypatch):
+        # every nearest-neighbour chain of the sweep is solved by dstevd
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh called by the disorder sweep")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_chain": 11, "sigma_d_nm": [0.0, 1.0], "t1_ms": [200.0]}))
+        code = cli.main(["disorder-sweep", "--config", str(path), "--realizations", "4",
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+
     @pytest.mark.parametrize(
         "command, doc",
         [

@@ -173,6 +173,17 @@ class TestPropagator:
             assert np.array_equal(a, b)
 
 
+@pytest.fixture
+def no_dstevd(monkeypatch):
+    """Fail the test if a matrix reaches LAPACK dstevd."""
+    from scipy.linalg import lapack
+
+    def fail(*args, **kwargs):
+        raise AssertionError("dstevd called on a matrix that is not real symmetric tridiagonal")
+
+    monkeypatch.setattr(lapack, "dstevd", fail)
+
+
 class TestEigenmodes:
     def test_uniform_chain_spectrum(self):
         # energies 2 kappa cos(pi k / (N+1)) for the isolated uniform chain
@@ -224,6 +235,50 @@ class TestEigenmodes:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             dynamics.eigenmodes(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_disordered_chain_takes_dstevd(self, stream, monkeypatch):
+        # a nearest-neighbour chain is real symmetric tridiagonal, so it
+        # never reaches eigh; its modes are eigh's, after the sign convention
+        spec = chains.DisorderSpec(1.0 / 6.0, master_seed=0)  # sigma = d/6
+        J = chains.couplings_from_positions(chains.sample_positions(spec, 51, stream))
+        w, v = oracles.signed_eigh(J)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a tridiagonal chain")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        modes = dynamics.eigenmodes(J)
+        assert np.max(np.abs(modes.energies - w)) <= 1e-12
+        assert np.max(np.abs(modes.vectors - v)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["complex-tridiagonal", "full-dipolar"])
+    def test_other_matrices_keep_eigh(self, kind, no_dstevd):
+        if kind == "complex-tridiagonal":
+            e = np.array([1.0 + 0.5j, 0.7 - 0.2j, 1.3j, 0.4])
+            H = np.diag(np.arange(5.0)) + np.diag(e, 1) + np.diag(e.conj(), -1)
+        else:
+            positions = chains.sample_positions(chains.DisorderSpec(0.1), 12)
+            H = chains.couplings_from_positions(positions, chains.RangeRule.FULL_DIPOLAR)
+
+        modes = dynamics.eigenmodes(H)
+        w, v = oracles.signed_eigh(H)
+        assert modes.energies.tobytes() == w.tobytes()
+        assert modes.vectors.tobytes() == v.tobytes()
+
+    def test_asymmetric_tridiagonal_rejected(self, no_dstevd):
+        # same nonzero pattern as a chain, unequal off-diagonals: the
+        # structure test sends it to the Hermitian check, never to dstevd
+        K = np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+        K[3, 2] = 2.0
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            dynamics.eigenmodes(K)
+
+    def test_non_finite_chain_rejected(self):
+        K = np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+        K[2, 3] = K[3, 2] = math.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            dynamics.eigenmodes(K)
 
 
 class TestResonantModeSelection:

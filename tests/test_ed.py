@@ -172,6 +172,12 @@ class TestSectorConstruction:
         with pytest.raises(ValueError, match="finite"):
             entry(K)
 
+    @pytest.mark.parametrize("K", [1.0, np.zeros(3)], ids=["scalar", "vector"])
+    def test_channel_traces_reject_non_matrix_k(self, K):
+        # K is validated before its shape sizes the chain_bits check
+        with pytest.raises(ValueError, match="K must be a square matrix"):
+            ed.transfer_channel_traces(K, 1.0, "remote_z")
+
     def test_unitary_blocks(self):
         K = uniform_k(3, 0.4)
         H = ed.build_many_body(K)
