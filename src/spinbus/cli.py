@@ -46,7 +46,6 @@ from .dynamics import (
     mode_budget,
     participation_ratio,
     propagator,
-    tridiagonal_eigenpairs,
     transfer_elements,
     bosonic_swap_and_thermal_error,
 )
@@ -123,9 +122,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
             "models": {
                 "type": "array",
                 "minItems": 1,
-                "items": {
-                    "enum": ["nearest_neighbor", "full_dipolar", "nnn_cancelled"]
-                },
+                "items": {"enum": [rule.value for rule in RangeRule]},
             },
             "total_spins": _INT_LIST,
             # 15 qubits already need 2.5-6.8 GB of sector blocks
@@ -188,7 +185,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
         "n_times": 600,
     },
     "dipolar-ed": {
-        "models": ["nearest_neighbor", "full_dipolar", "nnn_cancelled"],
+        "models": [rule.value for rule in RangeRule],
         "total_spins": [6, 8, 10, 12],
         "cap": 14,
     },
@@ -503,12 +500,11 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     eigensolves = 0
 
     def row(g):
-        """The eigenpairs' register rows and the fidelity at every grid time."""
+        """The chain's eigenmodes and the fidelity at every grid time."""
         nonlocal eigensolves
         eigensolves += 1
-        w, v = tridiagonal_eigenpairs(_uniform_k(N, g))
-        ends = (w, v[0], v[-1])
-        return ends, f_encoded(transfer_elements(*ends, times), "strong")
+        modes = eigenmodes(_uniform_k(N, g))
+        return modes, f_encoded(transfer_elements(modes, times), "strong")
 
     grid = np.linspace(g_lo, g_hi, n_g)
     grid_rows = [row(g)[1] for g in grid]
@@ -518,10 +514,10 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     inner = {}  # g -> (t, inner search succeeded, t on its bracket edge)
 
     def neg_best(g):
-        ends, F = row(g)
+        modes, F = row(g)
         j = int(np.argmax(F))
         lo, hi = times[max(j - 1, 0)], times[min(j + 1, n_times - 1)]
-        res = minimize(lambda t: -f_encoded(transfer_elements(*ends, t), "strong")[0], lo, hi)
+        res = minimize(lambda t: -f_encoded(transfer_elements(modes, t), "strong")[0], lo, hi)
         inner[g] = (float(res.x), bool(res.success), _on_edge(res.x, lo, hi))
         return res.fun
 
@@ -581,11 +577,6 @@ def run_strong_coupling_scan(config: ExperimentConfig) -> tuple[list[ResultTable
     return [table], summary
 
 
-_DIPOLAR_RULES = {
-    "nearest_neighbor": RangeRule.NEAREST_NEIGHBOR,
-    "full_dipolar": RangeRule.FULL_DIPOLAR,
-    "nnn_cancelled": RangeRule.NNN_CANCELLED,
-}
 # an nn_analytic_gap or |infidelity| below this is rounding noise and is
 # written as 0.0, so the CSV body does not depend on the exact engine's
 # order of arithmetic
@@ -627,7 +618,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
         g_vals = g0 * np.linspace(0.7, 1.3, 3 if big else 5)
         t_vals = t0 * np.linspace(0.7, 1.3, 5 if big else 13)
         for model in p["models"]:
-            pattern = FromPositions(range(N), _DIPOLAR_RULES[model])
+            pattern = FromPositions(range(N), model)
             Ks = [
                 build_single_particle_matrix(
                     ChainSpec(ModelKind.XX, N, pattern, g_left=g, g_right=g)
@@ -646,7 +637,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
             F, i, j = best
             g, t = float(g_vals[i]), float(t_vals[j])
             gap = math.nan
-            if model == "nearest_neighbor":
+            if pattern.rule is RangeRule.NEAREST_NEIGHBOR:
                 gap = abs(F - f_encoded(propagator(Ks[i], t), "strong"))
                 gap = 0.0 if gap < _GAP_FLOOR else gap
             infidelity = 1.0 - F

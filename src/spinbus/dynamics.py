@@ -29,7 +29,6 @@ __all__ = [
     "eigenmodes",
     "mode_budget",
     "propagator",
-    "tridiagonal_eigenpairs",
     "transfer_elements",
     "bdg_diagonalize",
     "bdg_effective_swap_check",
@@ -47,7 +46,7 @@ class NoTransferModeError(ValueError):
 
 @dataclass(frozen=True)
 class EigenmodeSet:
-    """Orthonormal eigenmodes of a chain-only Hermitian matrix.
+    """Orthonormal eigenmodes of a Hermitian chain matrix.
 
     ``energies`` ascend; ``vectors[:, k]`` is mode k.  The left/right end
     amplitudes psi_{k,L} and psi_{k,R} drive the matched-coupling and
@@ -95,16 +94,18 @@ class BdGDiagonalization:
 
 
 def _hermitian(K, name: str) -> np.ndarray:
-    """``K`` as an array; ``ValueError`` unless square, finite and Hermitian.
+    """``K`` as an array; ``ValueError`` unless non-empty, square, finite and Hermitian.
 
     ``eigh`` reads one triangle only, so it would solve any matrix silently.
     """
     K = np.asarray(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if K.size == 0:
+        raise ValueError(f"{name} must not be empty")
     if not np.isfinite(K).all():
         raise ValueError(f"{name} must be finite")
-    if not np.allclose(K, K.conj().T, atol=1e-12):
+    if not np.allclose(K, K.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError(f"{name} must be Hermitian (symmetric, if real)")
     return K
 
@@ -112,12 +113,12 @@ def _hermitian(K, name: str) -> np.ndarray:
 def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     """Hermitian eigensolve with a deterministic sign convention.
 
-    A finite real symmetric tridiagonal matrix (every nearest-neighbour
-    chain) is solved by LAPACK ``dstevd``, as in
-    :func:`tridiagonal_eigenpairs`; every other matrix by ``eigh``, after
-    the square, finite and Hermitian checks.  Each mode's
-    largest-magnitude component is made positive so matched couplings and
-    transfer times are platform-independent.
+    The one eigensolve of a chain matrix: a finite real symmetric
+    tridiagonal matrix (every nearest-neighbour chain) is solved by LAPACK
+    ``dstevd``; every other matrix by ``eigh``, after the square, finite
+    and Hermitian checks.  Each mode's largest-magnitude component is made
+    positive so matched couplings and transfer times are
+    platform-independent.
     """
     K = np.asarray(chain_matrix)
     if _real_tridiagonal(K):
@@ -131,14 +132,16 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
 
 
 def propagator(K: np.ndarray, t: float) -> np.ndarray:
-    """The matrix exp(-iKt), through a full Hermitian eigendecomposition.
+    """The matrix exp(-iKt), from the eigenmodes of ``K``.
 
-    ``K`` must be square, finite and Hermitian, and ``t`` finite and >= 0.
+    ``K`` must be non-empty, square, finite and Hermitian, and ``t``
+    finite and >= 0.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and non-negative")
-    w, v = np.linalg.eigh(_hermitian(K, "K"))
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    modes = eigenmodes(K)
+    v = modes.vectors
+    return (v * np.exp(-1j * modes.energies * t)) @ v.conj().T
 
 
 def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -159,10 +162,10 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _real_tridiagonal(K: np.ndarray) -> bool:
-    """Whether the array ``K`` is a finite real symmetric tridiagonal matrix, exactly."""
+    """Whether the array ``K`` is a non-empty finite real symmetric tridiagonal matrix, exactly."""
     return (
         K.ndim == 2
-        and K.shape[0] == K.shape[1]
+        and K.shape[0] == K.shape[1] > 0  # an empty K fails _hermitian
         and np.isrealobj(K)
         and np.isfinite(K).all()
         and np.array_equal(np.diagonal(K, 1), np.diagonal(K, -1))
@@ -185,33 +188,20 @@ def _dstevd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def tridiagonal_eigenpairs(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w (ascending) and eigenvectors v (columns) of a chain matrix.
+def transfer_elements(modes: EigenmodeSet, times):
+    """Transfer elements of exp(-iKt) from the eigenmodes of K, over evenly spaced times.
 
-    ``K`` must be a finite real symmetric tridiagonal matrix, as every
-    nearest-neighbour XX chain is; anything else raises ``ValueError``.
-    LAPACK ``dstevd`` is called directly: it is the driver that
-    ``scipy.linalg.eigh_tridiagonal`` uses for all eigenpairs, without
-    that wrapper's argument handling.
+    ``modes`` are :func:`eigenmodes` of a real symmetric K, registers in
+    its first and last rows; complex eigenvectors raise ``ValueError``.
+    ``times`` must be finite and evenly spaced (as from ``np.linspace``;
+    a single time is allowed), else ``ValueError``.  Returns arrays
+    (m00, m0R, mRR, leak), where leak is the register-excluded chain sum
+    sum_{i=1..N} M_{N+1,i} M_{i,0}  entering the encoded fidelity.  One
+    eigensolve serves any number of calls; no (N+2)^2 propagator is
+    formed.
     """
-    K = np.asarray(K)
-    if not _real_tridiagonal(K):
-        raise ValueError("K must be a finite real symmetric tridiagonal matrix")
-    return _dstevd(K)
-
-
-def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):
-    """Transfer elements of exp(-iKt) from K's eigenpairs, over evenly spaced times.
-
-    ``w`` are the eigenvalues of a real symmetric K, and ``vL`` and
-    ``vR`` the first and last rows of its eigenvector matrix (the two
-    registers).  ``times`` must be finite and evenly spaced (as from
-    ``np.linspace``; a single time is allowed), else ``ValueError``.
-    Returns arrays (m00, m0R, mRR, leak), where leak is the
-    register-excluded chain sum  sum_{i=1..N} M_{N+1,i} M_{i,0}  entering
-    the encoded fidelity.  One eigensolve (:func:`tridiagonal_eigenpairs`)
-    serves any number of calls; no (N+2)^2 propagator is formed.
-    """
+    if np.iscomplexobj(modes.vectors):
+        raise ValueError("transfer elements need the real eigenvectors of a real symmetric K")
     times = np.atleast_1d(np.asarray(times, float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
@@ -221,6 +211,7 @@ def transfer_elements(w: np.ndarray, vL: np.ndarray, vR: np.ndarray, times):
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
             raise ValueError("times must be evenly spaced")
+    w, vL, vR = modes.energies, modes.psi_left, modes.psi_right
     phases = _phase_grid(w, times)  # (nt, n)
     m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
     # (M^2)_{R,0} needs phases squared; subtract the register terms.
@@ -341,7 +332,7 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
     if A.shape[0] % 2:
         raise ValueError("pairing matrix must have even dimension")
     n = A.shape[0] // 2
-    if not np.allclose(np.roll(A, n, axis=(0, 1)), -A, atol=1e-12):
+    if not np.allclose(np.roll(A, n, axis=(0, 1)), -A, rtol=0.0, atol=1e-12):
         raise ValueError("pairing matrix must anticommute with the particle-hole swap")
     X, s, Yt = np.linalg.svd(A[:n, :n] - A[:n, n:])
     x, y = X.T[::-1], Yt[::-1]  # row k: the k-th smallest singular pair
@@ -358,13 +349,11 @@ def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:
 
 @dataclass(frozen=True)
 class EffectiveSwapResult:
-    """Register-subspace map extracted from the full pairing dynamics."""
+    """Register exchange and leakage extracted from the full pairing dynamics."""
 
-    register_block: np.ndarray  # 2x2, particle-sector amplitudes
     exchange_amplitude: float
     leakage: float
     transfer_time: float
-    mode_energy: float
 
 
 def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
@@ -410,7 +399,6 @@ def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
     U = propagator(A, 2.0 * tau)  # phi(t) = exp(-2iAt) phi
     m = n + 2
     iL, iR = 0, n + 1  # particle rows of the registers
-    block = np.array([[U[iL, iL], U[iL, iR]], [U[iR, iL], U[iR, iR]]])
 
     # Leakage: weight of the evolved left-register mode outside the span
     # of {register particle/hole modes, +-z chain quasiparticles}.
@@ -427,7 +415,7 @@ def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
         basis.append(vec)
     Q = np.linalg.qr(np.array(basis).T)[0]
     leak = 1.0 - float(np.linalg.norm(Q.conj().T @ col) ** 2)
-    return EffectiveSwapResult(block, float(abs(U[iR, iL])), leak, tau, eps_z)
+    return EffectiveSwapResult(float(abs(U[iR, iL])), leak, tau)
 
 
 @dataclass(frozen=True)

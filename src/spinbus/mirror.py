@@ -546,12 +546,8 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
     if _images_permutation(tab, trio) != {trio[0]: trio[2], trio[1]: trio[1], trio[2]: trio[0]}:
         raise AssertionError("Q_M failed its mirror verification")
 
-    # Q_L: mirror the shorter flanking chain, refocus the longer one
-    if len(left) == len(right):
-        raise AsymmetryUnavailableError(
-            "equal-length flanking chains: no cycle count mirrors one side "
-            "while refocusing the other (asymmetry unavailable)"
-        )
+    # Q_L: mirror the shorter flanking chain, refocus the longer one; no
+    # cycle count does both for equal lengths, so the count raises for them
     short, long_ = (left, right) if len(left) < len(right) else (right, left)
     k = _refocus_and_mirror_cycles(len(short), len(long_))
     sites = tuple(idx[s] for s in short) + tuple(idx[s] for s in long_)

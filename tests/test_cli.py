@@ -160,16 +160,25 @@ class TestExitCodes:
         assert (out / "bosonic_summary.json").is_file()
 
     def test_disorder_sweep_never_calls_dense_eigh(self, tmp_path, monkeypatch):
-        # every nearest-neighbour chain of the sweep is solved by dstevd
+        # every chain matrix of these runners is nearest-neighbour, so
+        # eigenmodes solves it by dstevd (propagators included)
         def no_eigh(*args, **kwargs):
-            raise AssertionError("dense eigh called by the disorder sweep")
+            raise AssertionError("dense eigh called on a nearest-neighbour chain")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_chain": 11, "sigma_d_nm": [0.0, 1.0], "t1_ms": [200.0]}))
-        code = cli.main(["disorder-sweep", "--config", str(path), "--realizations", "4",
-                         "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_OK
+        runs = {
+            "disorder-sweep": ({"n_chain": 11, "sigma_d_nm": [0.0, 1.0], "t1_ms": [200.0]},
+                               ["--realizations", "4"]),
+            "strong-scan": ({"n_list": [4, 8], "g_grid": [0.3, 1.1, 9], "n_times": 200}, []),
+            "perturbative": ({"n_chain": 11, "n_g": 3}, []),
+            "bosonic": ({"n_chain": 5}, []),
+        }
+        for command, (doc, extra) in runs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(doc))
+            code = cli.main([command, "--config", str(path), *extra,
+                             "--out", str(tmp_path / command)])
+            assert code == cli.EXIT_OK, command
 
     @pytest.mark.parametrize(
         "command, doc",

@@ -19,8 +19,17 @@ def uniform_k(N, g, field=0.0, register_field=None):
 
 def elements(K, times):
     """The transfer elements of exp(-iKt) at ``times``, from one eigensolve of K."""
-    w, v = dynamics.tridiagonal_eigenpairs(K)
-    return dynamics.transfer_elements(w, v[0], v[-1], times)
+    return dynamics.transfer_elements(dynamics.eigenmodes(K), times)
+
+
+def random_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+# off by 5e-6 relative: numpy's default rtol of 1e-5 would call it symmetric
+NEARLY_SYMMETRIC = np.array([[0.0, 1.0], [1.0 + 5e-6, 0.0]])
 
 
 class TestPropagator:
@@ -50,6 +59,12 @@ class TestPropagator:
         K = uniform_k(4, 0.3)
         assert np.allclose(dynamics.propagator(K, 0.0), np.eye(6))
 
+    def test_empty_k_rejected(self):
+        # not left to dstevd, which raises its own error type for n = 0
+        for entry in (dynamics.eigenmodes, lambda K: dynamics.propagator(K, 1.0)):
+            with pytest.raises(ValueError, match="must not be empty"):
+                entry(np.zeros((0, 0)))
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             dynamics.propagator(uniform_k(3, 0.1), -1.0)
@@ -73,6 +88,30 @@ class TestPropagator:
             dynamics.propagator([[0.0, 1.0], [0.0, 0.0]], 1.0)
         with pytest.raises(ValueError, match="Hermitian"):
             dynamics.propagator([[0.0, 1j], [1j, 0.0]], 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            dynamics.propagator(NEARLY_SYMMETRIC, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 102])
+    def test_tridiagonal_matches_dense_eigh(self, n, monkeypatch):
+        # the tridiagonal K goes to dstevd; the reference is an independent
+        # dense eigh, so the two solvers check each other
+        K = random_tridiagonal(n, n)
+        w, v = np.linalg.eigh(K)
+        times = (0.0, 0.37, 5.0, 3.0 * n)
+        refs = [(v * np.exp(-1j * w * t)) @ v.T for t in times]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a tridiagonal K")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for t, ref in zip(times, refs):
+            assert np.max(np.abs(dynamics.propagator(K, t) - ref)) <= 1e-12
+
+    def test_dense_k_never_reaches_dstevd(self, no_dstevd):
+        positions = chains.sample_positions(chains.DisorderSpec(0.1), 8)
+        K = chains.couplings_from_positions(positions, chains.RangeRule.FULL_DIPOLAR)
+        M = dynamics.propagator(K, 1.3)
+        assert np.allclose(M @ M.conj().T, np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, t):
@@ -120,44 +159,34 @@ class TestPropagator:
         # asks for the elements at a grid of times and at single times
         K = uniform_k(N, 0.6, register_field=0.05)
         times = np.linspace(N / 2.0, 2.0 * N, n_times)
-        w, v = dynamics.tridiagonal_eigenpairs(K)
+        modes = dynamics.eigenmodes(K)
         for i in (0, n_times // 2, n_times - 1):
             M = dynamics.propagator(K, times[i])
-            got = np.ravel(dynamics.transfer_elements(w, v[0], v[-1], times[i]))
+            got = np.ravel(dynamics.transfer_elements(modes, times[i]))
             ref = (M[0, 0], M[0, -1], M[-1, -1], np.dot(M[-1, 1:-1], M[1:-1, 0]))
             assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_elements_reject_uneven_times(self):
-        w, v = dynamics.tridiagonal_eigenpairs(uniform_k(5, 0.4))
+        modes = dynamics.eigenmodes(uniform_k(5, 0.4))
         for times in ([0.7, 3.1, 12.9], [math.nan], [0.0, math.inf], [], [[1.0, 2.0]]):
             with pytest.raises(ValueError, match="times"):
-                dynamics.transfer_elements(w, v[0], v[-1], times)
+                dynamics.transfer_elements(modes, times)
 
-    @pytest.mark.parametrize(
-        "K",
-        [
-            np.ones((4, 4)),  # dense
-            np.diag(np.ones(3), 1),  # not symmetric
-            np.diag(np.ones(4)) + 1j * np.diag(np.ones(3), 1) - 1j * np.diag(np.ones(3), -1),
-            np.ones(4),  # not a matrix
-            np.diag([1.0, np.nan, 0.0]),  # not finite
-        ],
-        ids=["dense", "asymmetric", "complex-hermitian", "vector", "nan"],
-    )
-    def test_elements_reject_non_tridiagonal(self, K):
-        with pytest.raises(ValueError, match="tridiagonal"):
-            dynamics.tridiagonal_eigenpairs(K)
+    def test_elements_reject_complex_modes(self):
+        # M_{R,0} = M_{0,R} holds for a real symmetric K only
+        e = np.array([1.0 + 0.5j, 0.7 - 0.2j, 1.3j])
+        H = np.diag(np.arange(4.0)) + np.diag(e, 1) + np.diag(e.conj(), -1)
+        with pytest.raises(ValueError, match="real"):
+            dynamics.transfer_elements(dynamics.eigenmodes(H), [1.0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 41, 102])
     def test_elements_bit_equal_with_eigh_tridiagonal(self, n, monkeypatch):
-        # tridiagonal_eigenpairs calls LAPACK dstevd itself; swapping in
+        # eigenmodes calls LAPACK dstevd itself; swapping in
         # scipy's eigh_tridiagonal (whose driver for all eigenpairs is
         # dstevd) must not change a bit of the transfer elements
         from scipy.linalg import eigh_tridiagonal, lapack
 
-        rng = np.random.default_rng(n)
-        d, e = rng.normal(size=n), rng.normal(size=n - 1)
-        K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        K = random_tridiagonal(n, n)
         times = np.linspace(0.0, 3.0 * n, 37)
         got = elements(K, times)
         calls = []
@@ -235,6 +264,8 @@ class TestEigenmodes:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             dynamics.eigenmodes(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            dynamics.eigenmodes(NEARLY_SYMMETRIC)
 
     @pytest.mark.parametrize("stream", [0, 1, 2])
     def test_disordered_chain_takes_dstevd(self, stream, monkeypatch):
@@ -396,6 +427,13 @@ class TestBdG:
         # symmetric, but the hole block is not -alpha
         with pytest.raises(ValueError, match="particle-hole"):
             dynamics.bdg_diagonalize(np.diag([1.0, 2.0, -1.0, -3.0]))
+        # the -alpha block off by 2e-6 relative, within numpy's default rtol
+        A = chains.build_bdg_matrix(
+            chains.ChainSpec(chains.ModelKind.TFIM, 3, chains.Uniform(1.0), uniform_field=2.0)
+        )
+        A[3:, 3:] *= 1.0 + 2e-6
+        with pytest.raises(ValueError, match="particle-hole"):
+            dynamics.bdg_diagonalize(A)
 
     @pytest.mark.parametrize("N", [10, 20, 30, 40])
     def test_majorana_regime_partners(self, N):

@@ -157,6 +157,10 @@ class TestSectorConstruction:
         J[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             ed.build_many_body(J)
+        # off by 5e-6 relative: numpy's default rtol of 1e-5 would accept it
+        J[1, 0] = 1.0 + 5e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            ed.build_many_body(J)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [

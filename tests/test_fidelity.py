@@ -107,8 +107,7 @@ class TestEncodedElementForm:
         e = rng.uniform(-1.5, 1.5, n - 1)
         K = np.diag(rng.uniform(-1.0, 1.0, n)) + np.diag(e, 1) + np.diag(e, -1)
         times = np.linspace(0.0, rng.uniform(1.0, 50.0), n_times)
-        w, v = dynamics.tridiagonal_eigenpairs(K)
-        elements = dynamics.transfer_elements(w, v[0], v[-1], times)
+        elements = dynamics.transfer_elements(dynamics.eigenmodes(K), times)
         for variant in ("weak", "strong"):
             F = fidelity.f_encoded(elements, variant)
             assert F.shape == times.shape
