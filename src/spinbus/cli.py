@@ -827,7 +827,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:  # e.g. a dense K of an impossible size
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except NotADirectoryError as exc:  # only _check_out_dir: the runners touch no files

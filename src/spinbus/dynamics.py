@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +51,15 @@ class EigenmodeSet:
 
     ``energies`` ascend; ``vectors[:, k]`` is mode k.  The left/right end
     amplitudes psi_{k,L} and psi_{k,R} drive the matched-coupling and
-    error-budget formulas.
+    error-budget formulas.  ``chiral`` marks a symmetric spectrum,
+    energies[n-1-k] = -energies[k]: :func:`eigenmodes` sets it for a real
+    tridiagonal K with a zero diagonal (a bipartite chain), and
+    :func:`transfer_elements` then sums over the upper half of the modes.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
+    chiral: bool = False
 
     @property
     def psi_left(self) -> np.ndarray:
@@ -63,6 +68,35 @@ class EigenmodeSet:
     @property
     def psi_right(self) -> np.ndarray:
         return self.vectors[-1, :]
+
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real weights that fold each mode pair (k, n-1-k) of a chiral set into mode k.
+
+        With P = exp(-i w_k t) over the m = n - n//2 upper modes and x any
+        of psi_L^2, psi_L psi_R and psi_R^2, a pair contributes
+        x_k P + x_kbar conj(P) = Re(P) (x_k + x_kbar) + i Im(P) (x_k - x_kbar).
+        That needs only w_kbar = -w_k, and it does not depend on the basis
+        that the eigensolver picks in a degenerate subspace (at g = 0 the
+        decoupled registers add two zero modes).  The zero mode of an odd
+        n is its own partner, and takes x_kbar = 0.  Rows 2j and
+        2j+1 weight Re(P_j) and Im(P_j); columns 2e and 2e+1 give the real
+        and imaginary parts of element e, so a real product with
+        ``P.view(float)`` is a complex (n_times, 3) array.  The second
+        array holds the psi_L psi_R columns, for the phases P^2.
+        """
+        n = self.energies.size
+        h = n // 2
+        vL, vR = self.psi_left, self.psi_right
+        x = np.array([vL * vL, vL * vR, vR * vR])
+        up = x[:, h:]
+        down = np.zeros_like(up)
+        down[:, n % 2:] = x[:, :h][:, ::-1]
+        W = np.zeros((n - h, 2, 3, 2))
+        W[:, 0, :, 0] = (up + down).T
+        W[:, 1, :, 1] = (up - down).T
+        W = W.reshape(2 * (n - h), 6)
+        return W, np.ascontiguousarray(W[:, 2:4])
 
 
 @dataclass(frozen=True)
@@ -121,14 +155,16 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     platform-independent.
     """
     K = np.asarray(chain_matrix)
+    chiral = False
     if _real_tridiagonal(K):
         w, v = _dstevd(K)
+        chiral = not np.diagonal(K).any()
     else:
         w, v = np.linalg.eigh(_hermitian(K, "chain matrix"))
     cols = np.arange(v.shape[1])
     flip = v[np.argmax(np.abs(v), axis=0), cols].real < 0
     v[:, flip] = -v[:, flip]
-    return EigenmodeSet(w, v)
+    return EigenmodeSet(w, v, chiral)
 
 
 def propagator(K: np.ndarray, t: float) -> np.ndarray:
@@ -198,7 +234,8 @@ def transfer_elements(modes: EigenmodeSet, times):
     (m00, m0R, mRR, leak), where leak is the register-excluded chain sum
     sum_{i=1..N} M_{N+1,i} M_{i,0}  entering the encoded fidelity.  One
     eigensolve serves any number of calls; no (N+2)^2 propagator is
-    formed.
+    formed.  For ``modes.chiral`` the phase grid and the sums span only
+    the n - n//2 upper modes, each folded with its mirror partner n-1-k.
     """
     if np.iscomplexobj(modes.vectors):
         raise ValueError("transfer elements need the real eigenvectors of a real symmetric K")
@@ -212,11 +249,19 @@ def transfer_elements(modes: EigenmodeSet, times):
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
             raise ValueError("times must be evenly spaced")
     w, vL, vR = modes.energies, modes.psi_left, modes.psi_right
-    phases = _phase_grid(w, times)  # (nt, n)
-    m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
-    # (M^2)_{R,0} needs phases squared; subtract the register terms.
+    # (M^2)_{R,0} needs phases squared; the register terms are subtracted below
+    if modes.chiral:
+        W, W2 = modes._fold
+        phases = _phase_grid(w[w.size // 2 :], times)  # the upper modes: (nt, n - n//2)
+        m00, m0R, mRR = (phases.view(np.float64) @ W).view(np.complex128).T
+        phases *= phases  # in place: one grid-sized buffer at a time
+        m2 = (phases.view(np.float64) @ W2).view(np.complex128)[:, 0]
+    else:
+        phases = _phase_grid(w, times)  # (nt, n)
+        m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
+        m2 = (phases * phases) @ (vL * vR)
     # Real eigenvectors make M symmetric, so M_{R,0} = M_{0,R}.
-    leak = (phases * phases) @ (vL * vR) - m0R * (m00 + mRR)
+    leak = m2 - m0R * (m00 + mRR)
     return m00, m0R, mRR, leak
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbus import cli
-from spinbus.dynamics import propagator
+from spinbus.dynamics import propagator, transfer_elements
 from spinbus.fidelity import f_encoded
 
 
@@ -92,6 +93,20 @@ class TestExitCodes:
         code = cli.main(["dipolar-ed", "--config", str(doc), "--out", str(tmp_path)])
         assert code == cli.EXIT_RESOURCE
         assert "resource error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("strong-scan", {"n_list": [10_000_000, 10_000_005]}),
+        ("perturbative", {"n_chain": 10_000_000}),
+    ])
+    def test_impossible_dense_k_is_a_resource_error(self, tmp_path, capsys, command, doc):
+        # numpy refuses the 728 TiB chain matrix at once and allocates nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
 
     def test_flag_held_to_schema(self, tmp_path, capsys):
         code = cli.main(["disorder-sweep", "--realizations", "0", "--out", str(tmp_path)])
@@ -326,6 +341,35 @@ class TestRunners:
         for _, g, tau, F, ok in rows:
             assert 0.0 < g < 1.5 and tau > 0 and 0.5 <= F <= 1.0 and ok
         assert "fit_exponent" in summary
+
+    def test_strong_scan_g_zero_rows_match_the_full_sum(self, tmp_path, monkeypatch):
+        # at g = 0 the registers decouple: an even chain has a degenerate
+        # pair of zero modes, an odd one a degenerate triple, and dstevd
+        # returns any basis of them.  The folded sum must not depend on it.
+        n_times, seen, gs = 40, [], []
+        uniform_k = cli._uniform_k
+
+        def record_g(N, g, *args):
+            gs.append(g)
+            return uniform_k(N, g, *args)
+
+        def record(modes, times):
+            if np.size(times) == n_times:  # a grid row, not a Brent step
+                seen.append((gs[-1], modes, times))
+            return transfer_elements(modes, times)
+
+        monkeypatch.setattr(cli, "_uniform_k", record_g)
+        monkeypatch.setattr(cli, "transfer_elements", record)
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({"n_list": [4, 7], "g_grid": [0.0, 1.2, 5], "n_times": n_times}))
+        assert cli.main(["strong-scan", "--config", str(doc), "--out", str(tmp_path)]) == cli.EXIT_OK
+        at_zero = [(modes, times) for g, modes, times in seen if g == 0.0]
+        assert len(at_zero) == 2
+        for modes, times in at_zero:
+            assert modes.chiral
+            folded = f_encoded(transfer_elements(modes, times), "strong")
+            full = f_encoded(transfer_elements(dataclasses.replace(modes, chiral=False), times), "strong")
+            assert np.max(np.abs(folded - full)) <= 1e-12
 
     def test_strong_optimum_two_site_exact(self):
         # N = 2 is solvable: g = sqrt(3)/2, t = pi gives perfect transfer

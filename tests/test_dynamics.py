@@ -202,6 +202,78 @@ class TestPropagator:
             assert np.array_equal(a, b)
 
 
+def end_coupled_chain(n, g):
+    """A zero-diagonal chain of n >= 1 sites: unit bonds and end bonds g, as uniform_k(n - 2, g)."""
+    e = np.ones(n - 1)
+    if n > 1:
+        e[[0, -1]] = g
+    return np.diag(e, 1) + np.diag(e, -1)
+
+
+def full_sum(modes, times):
+    """The transfer elements as the plain complex sum over all n modes."""
+    w, vL, vR = modes.energies, modes.psi_left, modes.psi_right
+    P = np.exp(-1j * np.outer(times, w))
+    m00, m0R, mRR = P @ (vL * vL), P @ (vL * vR), P @ (vR * vR)
+    return m00, m0R, mRR, (P * P) @ (vL * vR) - m0R * (m00 + mRR)
+
+
+class TestChiralFold:
+    """``transfer_elements`` over the upper half of a symmetric spectrum."""
+
+    def assert_fold_matches_full_sum(self, K):
+        modes = dynamics.eigenmodes(K)
+        assert modes.chiral
+        n = K.shape[0]
+        for n_times in (1, 2, 47, 600):
+            times = np.linspace(n / 2.0, 2.0 * n, n_times)
+            got, want = elements(K, times), full_sum(modes, times)
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-12, n_times
+
+    # g = 0 decouples the end sites: their two zero modes (three, at odd n)
+    # are degenerate, and dstevd returns any basis of them
+    @pytest.mark.parametrize("g", [0.0, 1e-300, 0.3, 5.0])
+    @pytest.mark.parametrize("n", [*range(1, 13), 41, 100, 101, 102])
+    def test_end_coupled_chain(self, n, g):
+        self.assert_fold_matches_full_sum(end_coupled_chain(n, g))
+
+    @pytest.mark.parametrize("n", [3, 8, 41, 100, 101])
+    def test_random_chain_with_a_zero_bond(self, n):
+        rng = np.random.default_rng(n)
+        e = rng.uniform(0.2, 1.5, n - 1)
+        e[rng.integers(n - 1)] = 0.0  # two uncoupled pieces
+        self.assert_fold_matches_full_sum(np.diag(e, 1) + np.diag(e, -1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 102])
+    def test_phase_grid_spans_the_upper_modes(self, n, monkeypatch):
+        sizes = []
+        phase_grid = dynamics._phase_grid
+        monkeypatch.setattr(
+            dynamics, "_phase_grid", lambda w, times: sizes.append(w.size) or phase_grid(w, times)
+        )
+        elements(end_coupled_chain(n, 0.6), np.linspace(0.0, 5.0, 9))
+        assert sizes == [n - n // 2]
+
+    def test_uniform_chain_is_chiral(self):
+        assert dynamics.eigenmodes(uniform_k(10, 0.7)).chiral
+        assert not dynamics.eigenmodes(uniform_k(10, 0.7, register_field=0.05)).chiral
+
+    @pytest.mark.parametrize("site", [0, 5, 11])
+    def test_any_diagonal_entry_takes_the_full_sum(self, site):
+        K = uniform_k(10, 0.7)
+        K[site, site] = 1e-300
+        assert not dynamics.eigenmodes(K).chiral
+
+    def test_other_matrices_take_the_full_sum(self):
+        # a dense K with a zero diagonal goes to eigh, and is not bipartite
+        positions = chains.sample_positions(chains.DisorderSpec(0.1), 8)
+        K = chains.couplings_from_positions(positions, chains.RangeRule.FULL_DIPOLAR)
+        assert not np.diagonal(K).any()
+        assert not dynamics.eigenmodes(K).chiral
+        modes = dynamics.eigenmodes(uniform_k(4, 0.7))
+        assert not dynamics.EigenmodeSet(modes.energies, modes.vectors).chiral
+
+
 @pytest.fixture
 def no_dstevd(monkeypatch):
     """Fail the test if a matrix reaches LAPACK dstevd."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -101,13 +101,25 @@ class TestClosedForms:
 
 class TestEncodedElementForm:
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**6), n=st.integers(3, 40), n_times=st.integers(1, 60))
-    def test_element_form_matches_matrix_form(self, seed, n, n_times):
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(3, 40),
+        n_times=st.integers(1, 60),
+        zero_diagonal=st.booleans(),
+    )
+    @example(seed=0, n=10, n_times=60, zero_diagonal=True)
+    @example(seed=0, n=11, n_times=60, zero_diagonal=True)
+    def test_element_form_matches_matrix_form(self, seed, n, n_times, zero_diagonal):
+        # a zero diagonal makes the spectrum symmetric, and transfer_elements
+        # folds the sum over its mode pairs
         rng = np.random.default_rng(seed)
         e = rng.uniform(-1.5, 1.5, n - 1)
-        K = np.diag(rng.uniform(-1.0, 1.0, n)) + np.diag(e, 1) + np.diag(e, -1)
+        d = np.zeros(n) if zero_diagonal else rng.uniform(-1.0, 1.0, n)
+        K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         times = np.linspace(0.0, rng.uniform(1.0, 50.0), n_times)
-        elements = dynamics.transfer_elements(dynamics.eigenmodes(K), times)
+        modes = dynamics.eigenmodes(K)
+        assert modes.chiral == zero_diagonal
+        elements = dynamics.transfer_elements(modes, times)
         for variant in ("weak", "strong"):
             F = fidelity.f_encoded(elements, variant)
             assert F.shape == times.shape
