@@ -764,7 +764,7 @@ def run_mirror_verify(config: ExperimentConfig) -> tuple[list[ResultTable], dict
     L = p["swap_chain_length"]
     for k in range(1, L):
         try:
-            mirror_mod.verify_swap(mirror_mod.propagated_swap(k, L), L, (k - 1, k))
+            mirror_mod.verify_swap(mirror_mod.propagated_swap(k, range(L)), L, (k - 1, k))
             table.add("propagated_swap", k, "pass", f"swap({k},{k + 1}) exact")
         except AssertionError as exc:
             table.add("propagated_swap", k, "fail", str(exc))

@@ -145,14 +145,14 @@ def _hermitian(K, name: str) -> np.ndarray:
 
 
 def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
-    """Hermitian eigensolve with a deterministic sign convention.
+    """Hermitian eigensolve, the one eigensolve of a chain matrix.
 
-    The one eigensolve of a chain matrix: a finite real symmetric
-    tridiagonal matrix (every nearest-neighbour chain) is solved by LAPACK
-    ``dstevd``; every other matrix by ``eigh``, after the square, finite
-    and Hermitian checks.  Each mode's largest-magnitude component is made
-    positive so matched couplings and transfer times are
-    platform-independent.
+    A finite real symmetric tridiagonal matrix (every nearest-neighbour
+    chain) is solved by LAPACK ``dstevd``; every other matrix by ``eigh``,
+    after the square, finite and Hermitian checks.  A mode's sign (its
+    phase, for a complex matrix) is whatever the solver returns: every
+    consumer uses products of a mode with its own conjugate, or
+    magnitudes.
     """
     K = np.asarray(chain_matrix)
     chiral = False
@@ -161,9 +161,6 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
         chiral = not np.diagonal(K).any()
     else:
         w, v = np.linalg.eigh(_hermitian(K, "chain matrix"))
-    cols = np.arange(v.shape[1])
-    flip = v[np.argmax(np.abs(v), axis=0), cols].real < 0
-    v[:, flip] = -v[:, flip]
     return EigenmodeSet(w, v, chiral)
 
 

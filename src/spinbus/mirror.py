@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "GlobalHadamard",
     "GlobalCZ",
     "Local",
-    "Repeat",
     "PulseProgram",
     "Tableau",
     "PauliImage",
@@ -94,24 +93,21 @@ class Local:
             raise ValueError(f"unknown local gate {self.gate!r}; use one of {LOCAL_GATES}")
 
 
-@dataclass(frozen=True)
-class Repeat:
-    """A sub-program applied ``count`` times."""
-
-    block: "PulseProgram"
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("repeat count must be non-negative")
+Layer = Union[GlobalHadamard, GlobalCZ, Local]
 
 
-Layer = Union[GlobalHadamard, GlobalCZ, Local, Repeat]
+def _layer_sites(layer: Layer) -> Iterable[int]:
+    """The sites a layer addresses, a site once per mention."""
+    if isinstance(layer, GlobalHadamard):
+        return layer.sites
+    if isinstance(layer, GlobalCZ):
+        return itertools.chain.from_iterable(layer.edges)
+    return (layer.site,)
 
 
 @dataclass(frozen=True)
 class PulseProgram:
-    """An ordered sequence of pulse layers, applied left to right."""
+    """A flat sequence of pulse layers, applied left to right."""
 
     layers: tuple[Layer, ...] = ()
 
@@ -119,33 +115,17 @@ class PulseProgram:
         return PulseProgram(self.layers + other.layers)
 
     def repeat(self, count: int) -> "PulseProgram":
+        """The program run ``count`` times; the layer objects are shared."""
         if count < 0:
             raise ValueError("repeat count must be non-negative")
-        return PulseProgram((Repeat(self, count),)) if self.layers else self
-
-    def flattened(self) -> Iterator[Layer]:
-        """Yield primitive (non-Repeat) layers in execution order."""
-        for layer in self.layers:
-            if isinstance(layer, Repeat):
-                for _ in range(layer.count):
-                    yield from layer.block.flattened()
-            else:
-                yield layer
+        return PulseProgram(self.layers * count)
 
     @property
     def n_layers(self) -> int:
-        return sum(1 for _ in self.flattened())
+        return len(self.layers)
 
     def max_site(self) -> int:
-        m = -1
-        for layer in self.flattened():
-            if isinstance(layer, GlobalHadamard):
-                m = max(m, max(layer.sites, default=-1))
-            elif isinstance(layer, GlobalCZ):
-                m = max(m, max((max(e) for e in layer.edges), default=-1))
-            else:
-                m = max(m, layer.site)
-        return m
+        return max((q for layer in self.layers for q in _layer_sites(layer)), default=-1)
 
 
 def chain_edges(sites: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -308,15 +288,13 @@ class Tableau:
 def clifford_apply(state: Tableau, program: PulseProgram) -> Tableau:
     """Conjugate the tableau through a pulse program (returns a new tableau)."""
     t = state.copy()
-    for layer in program.flattened():
+    for layer in program.layers:
         if isinstance(layer, GlobalHadamard):
             t.apply_hadamard(layer.sites)
         elif isinstance(layer, GlobalCZ):
             t.apply_cz(layer.edges)
-        elif isinstance(layer, Local):
+        else:
             t.apply_local(layer.gate, layer.site)
-        else:  # pragma: no cover - flattened() removes Repeat
-            raise TypeError(f"unexpected layer {layer!r}")
     return t
 
 
@@ -358,33 +336,35 @@ def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
     return corrections
 
 
-def propagated_swap(n: int, chain_length: int) -> PulseProgram:
-    """Swap qubits ``n`` and ``n+1`` (1-based) of a chain using global cycles.
+def propagated_swap(n: int, sites: Iterable[int]) -> PulseProgram:
+    """Swap the ``n``-th and ``n+1``-th qubits (1-based) of a chain using global cycles.
 
-    The construction cuts the chain's controlled-phase layer at the two
-    bonds surrounding the target pair, runs three full cycles (which
-    mirror the isolated pair, i.e. swap it), and then refocuses each side
-    segment with extra cycles restricted to that segment: a segment of
-    length l returns to the identity after any multiple of 2(l+1)
-    cycles, so (-3) mod 2(l+1) extra cycles undo the three it received.
-    Local single-qubit residues may remain on the chain ends.
+    ``sites`` lists the chain's distinct qubit labels in chain order; the
+    program acts on those labels and on no other qubit.  The construction
+    cuts the chain's controlled-phase layer at the two bonds surrounding
+    the target pair, runs three full cycles (which mirror the isolated
+    pair, i.e. swap it), and then refocuses each side segment with extra
+    cycles restricted to that segment: a segment of length l returns to
+    the identity after any multiple of 2(l+1) cycles, so (-3) mod 2(l+1)
+    extra cycles undo the three it received.  Local single-qubit
+    residues may remain on the chain ends.
     """
-    L = chain_length
+    chain = tuple(sites)
+    L = len(chain)
     if L < 2:
         raise ValueError("chain length must be at least 2")
+    if len(set(chain)) != L:
+        raise ValueError("chain sites must be distinct")
     if not 1 <= n < L:
         raise ValueError(f"pair index must satisfy 1 <= n < {L}")
-    a, b = n - 1, n  # 0-based pair
-    all_sites = tuple(range(L))
-    cut = {(a - 1, a), (b, b + 1)}
-    kept = tuple(e for e in chain_edges(all_sites) if e not in cut)
-    prog = mirror_cycles(all_sites, kept, 3)
-    for seg in (tuple(range(0, a)), tuple(range(b + 1, L))):
-        l = len(seg)
-        if l == 0:
-            continue
-        extra = (-3) % (2 * (l + 1))
-        prog = prog + mirror_cycles(seg, chain_edges(seg), extra)
+    left, pair, right = chain[: n - 1], chain[n - 1 : n + 1], chain[n + 1 :]
+    # the bonds on either side of the pair are cut
+    kept = chain_edges(left) + chain_edges(pair) + chain_edges(right)
+    prog = mirror_cycles(chain, kept, 3)
+    for seg in (left, right):
+        if seg:
+            extra = (-3) % (2 * (len(seg) + 1))
+            prog = prog + mirror_cycles(seg, chain_edges(seg), extra)
     return prog
 
 
@@ -642,8 +622,7 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
             seg = lattice.row_segment(s1)
             pos = {s: i for i, s in enumerate(seg)}
             n_pair = min(pos[s1], pos[s2]) + 1  # 1-based pair index in segment
-            local = propagated_swap(n_pair, len(seg))
-            program = program + _remap_program(local, [idx[s] for s in seg])
+            program = program + propagated_swap(n_pair, [idx[s] for s in seg])
         else:
             program = program + pair_swap_program(idx[s1], idx[s2])
     tab = clifford_apply(Tableau(len(idx)), program)
@@ -652,21 +631,6 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
         if img.single_site() != idx[dst]:
             raise AssertionError(f"route verification failed: {kind} image {img}")
     return RoutePlan(tuple(moves), program.n_layers, program)
-
-
-def _remap_program(program: PulseProgram, site_map: list[int]) -> PulseProgram:
-    """Relabel a program's local site numbers through ``site_map``."""
-
-    def remap_layer(layer: Layer) -> Layer:
-        if isinstance(layer, GlobalHadamard):
-            return GlobalHadamard(tuple(site_map[s] for s in layer.sites))
-        if isinstance(layer, GlobalCZ):
-            return GlobalCZ(tuple((site_map[a], site_map[b]) for a, b in layer.edges))
-        if isinstance(layer, Local):
-            return Local(site_map[layer.site], layer.gate)
-        return Repeat(_remap_program(layer.block, site_map), layer.count)
-
-    return PulseProgram(tuple(remap_layer(l) for l in program.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +662,14 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
     """Exact 2^n unitary of a pulse program (qubit q = bit q of the index), n <= 12."""
     if n > 12:  # 2^12 x 2^12 complex entries take 268 MB
         raise ResourceLimitError(f"dense unitary needs 2^{n} dimensions; cap is 2^12")
-    if program.max_site() >= n:
-        raise ValueError("program addresses sites outside the declared qubit count")
+    for layer in program.layers:
+        bad = [q for q in _layer_sites(layer) if not 0 <= q < n]
+        if bad:
+            raise ValueError(f"site {bad[0]} out of range for {n} qubits")
     dim = 1 << n
     M = np.eye(dim, dtype=complex)
     idx = np.arange(dim)
-    for layer in program.flattened():
+    for layer in program.layers:
         if isinstance(layer, GlobalHadamard):
             for q in layer.sites:
                 _apply_1q(M, _H2, q, n)
@@ -713,7 +679,7 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
                 both = ((idx >> a) & 1) & ((idx >> b) & 1)
                 sign *= 1.0 - 2.0 * both
             M *= sign[:, None]
-        elif isinstance(layer, Local):
+        else:
             _apply_1q(M, _GATES_1Q[layer.gate], layer.site, n)
     return M
 
@@ -731,7 +697,7 @@ def _dense_pauli_action(img: PauliImage, M: np.ndarray, side: str) -> np.ndarray
     for q in np.flatnonzero(img.z):
         zbits ^= (idx >> q) & 1
     coef = (1j ** (img.phase % 4)) * (1.0 - 2.0 * zbits)
-    if side == "left":  # (P M)_{jk} = coef_{j^x} ... careful: row j of PM is coef_j-source
+    if side == "left":
         # (P M)[j, :] = i^ph (-1)^{z.(j^x)} M[j ^ x, :]
         return coef[idx ^ xmask][:, None] * M[idx ^ xmask, :]
     # (M P)[:, k] = i^ph (-1)^{z.k} M[:, k ^ x]

@@ -6,7 +6,9 @@ package's sector-blocked engine.  Conventions match the package: site q
 is bit q of the basis index, bit 1 is a flipped spin (an excitation),
 and sigma_z = +1 on bit 0.
 
-``signed_eigh`` applies the eigenmode sign convention column by column.
+``signed_eigh`` is eigh with each mode's sign fixed by ``fix_signs``;
+a test applies the same ``fix_signs`` to ``dynamics.eigenmodes``, whose
+signs are the solver's, before comparing vectors.
 ``protocol_leg_ks`` lays out the encoded protocol's two legs from one
 chain matrix, and ``sector_leg_product`` is its leg product with both
 legs eigensolved and evolved as full complex blocks, the reference for
@@ -77,18 +79,27 @@ def tfim_h(bonds: np.ndarray, B: float, n: int) -> np.ndarray:
     return H
 
 
-def signed_eigh(H: np.ndarray):
-    """eigh with each mode's largest-magnitude component made positive.
+def fix_signs(v: np.ndarray) -> np.ndarray:
+    """A copy of ``v`` with each column's largest-magnitude component given
+    a non-negative real part, one column at a time.
 
-    The sign convention applied one column at a time, the reference for
-    ``dynamics.eigenmodes``.
+    Eigenvectors are defined up to sign, so two solvers (or two LAPACK
+    builds) may return a column and its negative; comparing vectors needs
+    one convention on both sides.
     """
-    w, v = np.linalg.eigh(H)
+    v = v.copy()
     for k in range(v.shape[1]):
         j = int(np.argmax(np.abs(v[:, k])))
         if v[j, k].real < 0:
             v[:, k] = -v[:, k]
-    return w, v
+    return v
+
+
+def signed_eigh(H: np.ndarray):
+    """eigh with the signs fixed by :func:`fix_signs`: the reference
+    eigenpairs for ``dynamics.eigenmodes`` after ``fix_signs``."""
+    w, v = np.linalg.eigh(H)
+    return w, fix_signs(v)
 
 
 def unitary(H: np.ndarray, t: float) -> np.ndarray:

@@ -298,7 +298,7 @@ def test_criterion_08_mirror_constructions():
         rep = mirror.dense_unitary_check(mirror.mirror_program(n), n)
         worst_dense = max(worst_dense, rep.max_deviation)
     for k in range(1, 16):
-        mirror.verify_swap(mirror.propagated_swap(k, 16), 16, (k - 1, k))
+        mirror.verify_swap(mirror.propagated_swap(k, range(16)), 16, (k - 1, k))
     lattice = cli._random_lattice(8, 8, 0.1, seed=0)
     regs = lattice.registers()
     plan = mirror.route(lattice, regs[0], regs[-1])

@@ -477,6 +477,30 @@ class TestRunners:
         route_rows = [r for r in table.rows if r[0] == "route"]
         assert route_rows[0][2] == "pass"
 
+    def test_mirror_verify_csv_body_pinned(self, tmp_path):
+        # integers and strings only, so the body is the same on every platform
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({
+            "mirror_sizes": [1, 2, 5], "swap_chain_length": 5,
+            "lattice_text": "R..#.\n.#...\n....R",
+        }))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["mirror-verify", "--config", str(doc), "--seed", "0", "--out", str(out)])
+        assert code == 0
+        lines = (out / "mirror-verify_verification.csv").read_text().splitlines()
+        assert [l for l in lines if not l.startswith("#")] == [
+            "construct,size,status,detail",
+            "mirror,1,pass,X0->+X0 Z0->+Z0",
+            "mirror,2,pass,X0->+X1 Z0->+Z1",
+            "mirror,5,pass,X0->+X4 Z0->+Z4",
+            'propagated_swap,1,pass,"swap(1,2) exact"',
+            'propagated_swap,2,pass,"swap(2,3) exact"',
+            'propagated_swap,3,pass,"swap(3,4) exact"',
+            'propagated_swap,4,pass,"swap(4,5) exact"',
+            'route,3x5,pass,"6 moves, 50 layers"',
+        ]
+
     def test_dipolar_small(self):
         cfg = cli.ExperimentConfig(
             "dipolar-ed",

@@ -67,7 +67,12 @@ class TestPulsePrograms:
         q = p + p
         assert q.n_layers == 2
         assert p.repeat(3).n_layers == 3
-        assert list(p.repeat(0).flattened()) == []
+        assert p.repeat(0).layers == ()
+        # a repeat is flat, and shares its layer objects
+        cycle = mirror.mirror_cycles((0, 1), ((0, 1),), 1)
+        r = cycle.repeat(3)
+        assert r.layers == cycle.layers * 3
+        assert all(a is b for a, b in zip(r.layers, cycle.layers * 3))
 
     def test_repeat_validation(self):
         p = mirror.PulseProgram((mirror.Local(0, "X"),))
@@ -156,7 +161,7 @@ class TestTableau:
         n, program = case
         packed = mirror.clifford_apply(mirror.Tableau(n), program)
         ref = oracles.ByteTableau(n)
-        for layer in program.flattened():
+        for layer in program.layers:
             if isinstance(layer, mirror.GlobalHadamard):
                 ref.apply_hadamard(layer.sites)
             elif isinstance(layer, mirror.GlobalCZ):
@@ -205,17 +210,17 @@ class TestMirrorConstruction:
 class TestPropagatedSwap:
     @pytest.mark.parametrize("k", list(range(1, 8)))
     def test_swap_on_8_chain(self, k):
-        prog = mirror.propagated_swap(k, 8)
+        prog = mirror.propagated_swap(k, range(8))
         mirror.verify_swap(prog, 8, (k - 1, k))
 
     def test_swap_against_dense(self):
         for k in (1, 3, 5):
-            prog = mirror.propagated_swap(k, 6)
+            prog = mirror.propagated_swap(k, range(6))
             rep = mirror.dense_unitary_check(prog, 6)
             assert rep.ok
 
     def test_double_swap_is_identity_permutation(self):
-        prog = mirror.propagated_swap(3, 7)
+        prog = mirror.propagated_swap(3, range(7))
         tab = mirror.clifford_apply(mirror.Tableau(7), prog + prog)
         for i in range(7):
             assert tab.image("x", i).single_site() == i
@@ -223,11 +228,34 @@ class TestPropagatedSwap:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            mirror.propagated_swap(0, 5)
+            mirror.propagated_swap(0, range(5))
         with pytest.raises(ValueError):
-            mirror.propagated_swap(5, 5)
+            mirror.propagated_swap(5, range(5))
         with pytest.raises(ValueError):
-            mirror.propagated_swap(1, 1)
+            mirror.propagated_swap(1, range(1))
+        with pytest.raises(ValueError, match="distinct"):
+            mirror.propagated_swap(1, (0, 1, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_swap_on_scattered_labels(self, data):
+        # the chain's labels are shuffled and non-contiguous inside a larger
+        # register: the program swaps the k-th pair and fixes every other qubit
+        L = data.draw(st.integers(2, 10), label="L")
+        n = data.draw(st.integers(L, L + 6), label="n")
+        k = data.draw(st.integers(1, L - 1), label="k")
+        sites = data.draw(st.permutations(range(n)), label="labels")[:L]
+        prog = mirror.propagated_swap(k, sites)
+        tab = mirror.clifford_apply(mirror.Tableau(n), prog)
+        want = list(range(n))
+        a, b = sites[k - 1], sites[k]
+        want[a], want[b] = b, a
+        for q in range(n):
+            assert tab.image("x", q).single_site() == want[q]
+            assert tab.image("z", q).single_site() == want[q]
+        assert prog.max_site() == max(sites)
+        if n <= 6:
+            assert mirror.dense_unitary_check(prog, n).ok
 
 
 class TestDirectedSwaps:
@@ -372,4 +400,16 @@ class TestDenseOracle:
     def test_site_bounds_enforced(self):
         prog = mirror.PulseProgram((mirror.Local(5, "X"),))
         with pytest.raises(ValueError):
+            mirror.dense_unitary(prog, 3)
+
+    @pytest.mark.parametrize("layer", [
+        mirror.GlobalHadamard((0, -1)),
+        mirror.GlobalCZ(((0, -1),)),
+        mirror.Local(-1, "X"),
+    ], ids=["hadamard", "cz", "local"])
+    def test_negative_sites_rejected(self, layer):
+        # an upper-bound check alone lets these through: the CZ would give
+        # the identity, the local gate numpy's "negative shift count"
+        prog = mirror.PulseProgram((layer,))
+        with pytest.raises(ValueError, match="site -1 out of range for 3 qubits"):
             mirror.dense_unitary(prog, 3)
