@@ -87,16 +87,20 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "n_chain": {"type": "integer", "minimum": 2},
-            "kappa_khz": {"type": "number", "exclusiveMinimum": 0},
-            "d_nm": {"type": "number", "exclusiveMinimum": 0},
-            "sigma_d_nm": {**_NUMBER_LIST, "items": {"type": "number", "minimum": 0}},
-            "t1_ms": {
-                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0}
+            "n_chain": {"type": "integer", "minimum": 2, "default": 51},
+            "kappa_khz": {"type": "number", "exclusiveMinimum": 0, "default": 50.0},
+            "d_nm": {"type": "number", "exclusiveMinimum": 0, "default": 10.0},
+            "sigma_d_nm": {
+                **_NUMBER_LIST, "items": {"type": "number", "minimum": 0},
+                "default": [0.0, 0.5, 1.0, 10.0 / 6.0],
             },
-            "g_max": {"type": "number", "exclusiveMinimum": 0},
-            "pr_bins": {"type": "integer", "minimum": 2},
-            "realizations": {"type": "integer", "minimum": 1},
+            "t1_ms": {
+                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0},
+                "default": [200.0, 5000.0],
+            },
+            "g_max": {"type": "number", "exclusiveMinimum": 0, "default": 0.5},
+            "pr_bins": {"type": "integer", "minimum": 2, "default": 16},
+            "realizations": {"type": "integer", "minimum": 1, "default": 200},
             **_COMMON_PROPS,
         },
     },
@@ -104,14 +108,20 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "n_list": _INT_LIST,
+            "n_list": {**_INT_LIST, "default": list(range(10, 101, 5))},
+            # [g_lo, g_hi, n]: g_lo < g_hi is checked by the runner
             "g_grid": {
                 "type": "array",
-                "items": {"type": "number"},
+                "prefixItems": [
+                    {"type": "number", "minimum": 0},
+                    {"type": "number"},
+                    {"type": "integer", "minimum": 1},
+                ],
                 "minItems": 3,
                 "maxItems": 3,
+                "default": [0.25, 1.2, 39],
             },
-            "n_times": {"type": "integer", "minimum": 10},
+            "n_times": {"type": "integer", "minimum": 10, "default": 600},
             **_COMMON_PROPS,
         },
     },
@@ -123,10 +133,15 @@ PARAM_SCHEMAS: dict[str, dict] = {
                 "type": "array",
                 "minItems": 1,
                 "items": {"enum": [rule.value for rule in RangeRule]},
+                "default": [rule.value for rule in RangeRule],
             },
-            "total_spins": _INT_LIST,
+            # the chain is total_spins - 4 spins long and needs at least 2
+            "total_spins": {
+                **_INT_LIST, "items": {"type": "integer", "minimum": 6},
+                "default": [6, 8, 10, 12],
+            },
             # 15 qubits already need 2.5-6.8 GB of sector blocks
-            "cap": {"type": "integer", "minimum": 6, "maximum": 15},
+            "cap": {"type": "integer", "minimum": 6, "maximum": 15, "default": 14},
             **_COMMON_PROPS,
         },
     },
@@ -134,10 +149,10 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "n_chain": {"type": "integer", "minimum": 2},
-            "g_min": {"type": "number", "exclusiveMinimum": 0},
-            "g_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_g": {"type": "integer", "minimum": 2},
+            "n_chain": {"type": "integer", "minimum": 2, "default": 51},
+            "g_min": {"type": "number", "exclusiveMinimum": 0, "default": 0.002},
+            "g_max": {"type": "number", "exclusiveMinimum": 0, "default": 0.4},
+            "n_g": {"type": "integer", "minimum": 2, "default": 25},
             **_COMMON_PROPS,
         },
     },
@@ -145,10 +160,11 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "n_chain": {"type": "integer", "minimum": 2},
-            "g": {"type": "number", "exclusiveMinimum": 0},
+            "n_chain": {"type": "integer", "minimum": 2, "default": 9},
+            "g": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
             "kt_over_omega": {
-                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0}
+                **_NUMBER_LIST, "items": {"type": "number", "exclusiveMinimum": 0},
+                "default": [1.0, 10.0, 100.0],
             },
             **_COMMON_PROPS,
         },
@@ -157,47 +173,21 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "mirror_sizes": _INT_LIST,
-            "swap_chain_length": {"type": "integer", "minimum": 2},
+            "mirror_sizes": {**_INT_LIST, "default": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]},
+            "swap_chain_length": {"type": "integer", "minimum": 2, "default": 16},
             "lattice_text": {"type": "string"},
-            "lattice_rows": {"type": "integer", "minimum": 1},
-            "lattice_cols": {"type": "integer", "minimum": 1},
-            "hole_fraction": {"type": "number", "minimum": 0, "maximum": 0.5},
+            "lattice_rows": {"type": "integer", "minimum": 1, "default": 8},
+            "lattice_cols": {"type": "integer", "minimum": 1, "default": 8},
+            "hole_fraction": {"type": "number", "minimum": 0, "maximum": 0.5, "default": 0.1},
             **_COMMON_PROPS,
         },
     },
 }
 
+# "default" is an annotation: jsonschema.validate ignores it
 DEFAULT_PARAMS: dict[str, dict] = {
-    "disorder-sweep": {
-        "n_chain": 51,
-        "kappa_khz": 50.0,
-        "d_nm": 10.0,
-        "sigma_d_nm": [0.0, 0.5, 1.0, 10.0 / 6.0],
-        "t1_ms": [200.0, 5000.0],
-        "g_max": 0.5,
-        "pr_bins": 16,
-        "realizations": 200,
-    },
-    "strong-scan": {
-        "n_list": list(range(10, 101, 5)),
-        "g_grid": [0.25, 1.2, 39],
-        "n_times": 600,
-    },
-    "dipolar-ed": {
-        "models": [rule.value for rule in RangeRule],
-        "total_spins": [6, 8, 10, 12],
-        "cap": 14,
-    },
-    "perturbative": {"n_chain": 51, "g_min": 0.002, "g_max": 0.4, "n_g": 25},
-    "bosonic": {"n_chain": 9, "g": 0.01, "kt_over_omega": [1.0, 10.0, 100.0]},
-    "mirror-verify": {
-        "mirror_sizes": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
-        "swap_chain_length": 16,
-        "lattice_rows": 8,
-        "lattice_cols": 8,
-        "hole_fraction": 0.1,
-    },
+    kind: {k: v["default"] for k, v in schema["properties"].items() if "default" in v}
+    for kind, schema in PARAM_SCHEMAS.items()
 }
 
 
@@ -545,9 +535,9 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
 def run_strong_coupling_scan(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Optimal end coupling g_M, transfer time and fidelity versus N, with fit."""
     p = config.params
-    g_lo, g_hi, n_g = p["g_grid"]
-    if not (0 <= g_lo < g_hi and int(n_g) >= 1):
-        raise ConfigError("g_grid must be [g_lo, g_hi, n] with 0 <= g_lo < g_hi and n >= 1")
+    g_lo, g_hi, _ = p["g_grid"]
+    if not g_lo < g_hi:
+        raise ConfigError("g_grid must be [g_lo, g_hi, n] with g_lo < g_hi")
     table = ResultTable(
         "gm_scan",
         ("n_chain", "g_m", "tau", "f_encoded", "converged"),
@@ -611,8 +601,6 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     rows = []
     for n_total in p["total_spins"]:
         N = n_total - 4
-        if N < 2:
-            raise ConfigError(f"total_spins={n_total} leaves no usable chain")
         g0, t0, *_ = _strong_coupling_optimum(N, (0.3, 1.1, 17), 400)
         big = n_total >= 12
         g_vals = g0 * np.linspace(0.7, 1.3, 3 if big else 5)
@@ -808,7 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--out", help="output directory (default ./results)")
         if kind == "disorder-sweep":
-            sp.add_argument("--realizations", type=int, help="ensemble size (default 200)")
+            default = PARAM_SCHEMAS[kind]["properties"]["realizations"]["default"]
+            sp.add_argument("--realizations", type=int, help=f"ensemble size (default {default})")
     return parser
 
 

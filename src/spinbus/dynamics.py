@@ -226,8 +226,8 @@ def transfer_elements(modes: EigenmodeSet, times):
 
     ``modes`` are :func:`eigenmodes` of a real symmetric K, registers in
     its first and last rows; complex eigenvectors raise ``ValueError``.
-    ``times`` must be finite and evenly spaced (as from ``np.linspace``;
-    a single time is allowed), else ``ValueError``.  Returns arrays
+    ``times`` must be finite, non-negative and evenly spaced (as from
+    ``np.linspace``; a single time is allowed), else ``ValueError``.  Returns arrays
     (m00, m0R, mRR, leak), where leak is the register-excluded chain sum
     sum_{i=1..N} M_{N+1,i} M_{i,0}  entering the encoded fidelity.  One
     eigensolve serves any number of calls; no (N+2)^2 propagator is
@@ -239,8 +239,8 @@ def transfer_elements(modes: EigenmodeSet, times):
     times = np.atleast_1d(np.asarray(times, float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and non-negative")
     if times.size > 2:
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):

@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class PulseProgram:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    def max_site(self) -> int:
-        return max((q for layer in self.layers for q in _layer_sites(layer)), default=-1)
 
 
 def chain_edges(sites: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -303,16 +300,26 @@ def clifford_apply(state: Tableau, program: PulseProgram) -> Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _images_permutation(tab: Tableau, sites: Iterable[int]) -> dict[int, int] | None:
-    """Map site -> image site if every X_i/Z_i lands on one common site."""
-    out: dict[int, int] = {}
-    for i in sites:
-        jx = tab.image("x", i).single_site()
-        jz = tab.image("z", i).single_site()
-        if jx is None or jx != jz:
-            return None
-        out[i] = jx
-    return out
+def _check_images(
+    name: str, program: PulseProgram, n: int, want: dict[int, int]
+) -> Iterator[tuple[int, PauliImage, PauliImage]]:
+    """Require X_i and Z_i to conjugate to single-site Paulis on ``want[i]``.
+
+    The program runs on a fresh ``n``-qubit tableau; the first failing
+    site raises an ``AssertionError`` naming the construction.  Yields
+    ``(i, image of X_i, image of Z_i)`` for every ``i`` of ``want`` once
+    checked; it checks only as far as it is iterated (``list`` runs it
+    whole).  A caller keeps only what it needs of each image: all of them
+    hold 2n^2 bytes, 0.5 MB for the 512-site mirror.
+    """
+    tab = clifford_apply(Tableau(n), program)
+    for i, target in want.items():
+        ix, iz = tab.image("x", i), tab.image("z", i)
+        if ix.single_site() != target or iz.single_site() != target:
+            raise AssertionError(
+                f"{name}: site {i}: images {ix} / {iz} are not single-site Paulis at {target}"
+            )
+        yield i, ix, iz
 
 
 def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
@@ -322,18 +329,8 @@ def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
     extracted single-qubit corrections); raises if any image is not a
     single-site Pauli at the mirrored position.
     """
-    tab = clifford_apply(Tableau(n), program)
-    corrections: dict[int, tuple[str, str]] = {}
-    for i in range(n):
-        ix = tab.image("x", i)
-        iz = tab.image("z", i)
-        target = n - 1 - i
-        if ix.single_site() != target or iz.single_site() != target:
-            raise AssertionError(
-                f"site {i}: images {ix} / {iz} are not single-site Paulis at {target}"
-            )
-        corrections[i] = (str(ix), str(iz))
-    return corrections
+    want = {i: n - 1 - i for i in range(n)}
+    return {i: (str(ix), str(iz)) for i, ix, iz in _check_images("mirror", program, n, want)}
 
 
 def propagated_swap(n: int, sites: Iterable[int]) -> PulseProgram:
@@ -374,16 +371,11 @@ def verify_swap(program: PulseProgram, chain_length: int, pair: tuple[int, int])
     Every X_i and Z_i must conjugate to a single-site Pauli, with the two
     pair sites exchanged and all others fixed; returns the permutation.
     """
-    tab = clifford_apply(Tableau(chain_length), program)
-    perm = _images_permutation(tab, range(chain_length))
-    if perm is None:
-        raise AssertionError("program does not act as a permutation on single-site Paulis")
     a, b = pair
     want = {i: i for i in range(chain_length)}
     want[a], want[b] = b, a
-    if perm != want:
-        raise AssertionError(f"program permutes sites as {perm}, expected swap of {pair}")
-    return perm
+    list(_check_images(f"swap of {pair}", program, chain_length, want))
+    return want
 
 
 def _refocus_and_mirror_cycles(l_mirror: int, l_refocus: int) -> int:
@@ -522,9 +514,7 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
     # Q_M: three-site mirror {left neighbor, register, right neighbor}
     trio = [idx[left[0]], idx[register], idx[right[0]]]
     q_m = mirror_cycles(trio, chain_edges(trio), 4)
-    tab = clifford_apply(Tableau(len(idx)), q_m)
-    if _images_permutation(tab, trio) != {trio[0]: trio[2], trio[1]: trio[1], trio[2]: trio[0]}:
-        raise AssertionError("Q_M failed its mirror verification")
+    list(_check_images("Q_M", q_m, len(idx), dict(zip(trio, reversed(trio)))))
 
     # Q_L: mirror the shorter flanking chain, refocus the longer one; no
     # cycle count does both for equal lengths, so the count raises for them
@@ -533,11 +523,9 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
     sites = tuple(idx[s] for s in short) + tuple(idx[s] for s in long_)
     edges = chain_edges([idx[s] for s in short]) + chain_edges([idx[s] for s in long_])
     q_l = mirror_cycles(sites, edges, k)
-    tab = clifford_apply(Tableau(len(idx)), q_l)
-    want = {idx[s]: idx[short[len(short) - 1 - i]] for i, s in enumerate(short)}
+    want = {idx[s]: idx[t] for s, t in zip(short, reversed(short))}
     want.update({idx[s]: idx[s] for s in long_})
-    if _images_permutation(tab, [idx[s] for s in short + long_]) != want:
-        raise AssertionError("Q_L failed its mirror/refocus verification")
+    list(_check_images("Q_L", q_l, len(idx), want))
 
     return {"Q_M": q_m, "Q_L": q_l}
 
@@ -625,11 +613,7 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
             program = program + propagated_swap(n_pair, [idx[s] for s in seg])
         else:
             program = program + pair_swap_program(idx[s1], idx[s2])
-    tab = clifford_apply(Tableau(len(idx)), program)
-    for kind in ("x", "z"):
-        img = tab.image(kind, idx[src])
-        if img.single_site() != idx[dst]:
-            raise AssertionError(f"route verification failed: {kind} image {img}")
+    list(_check_images(f"route {src}->{dst}", program, len(idx), {idx[src]: idx[dst]}))
     return RoutePlan(tuple(moves), program.n_layers, program)
 
 
@@ -666,6 +650,8 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
         bad = [q for q in _layer_sites(layer) if not 0 <= q < n]
         if bad:
             raise ValueError(f"site {bad[0]} out of range for {n} qubits")
+        if isinstance(layer, GlobalCZ) and any(a == b for a, b in layer.edges):
+            raise ValueError("CZ needs two distinct sites")
     dim = 1 << n
     M = np.eye(dim, dtype=complex)
     idx = np.arange(dim)

@@ -42,6 +42,43 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config("bosonic", None, None, None, 7)
 
+    def test_defaults_pinned(self):
+        # the defaults live in the schemas' "default" annotations
+        assert cli.DEFAULT_PARAMS == {
+            "disorder-sweep": {
+                "n_chain": 51,
+                "kappa_khz": 50.0,
+                "d_nm": 10.0,
+                "sigma_d_nm": [0.0, 0.5, 1.0, 10.0 / 6.0],
+                "t1_ms": [200.0, 5000.0],
+                "g_max": 0.5,
+                "pr_bins": 16,
+                "realizations": 200,
+            },
+            "strong-scan": {
+                "n_list": list(range(10, 101, 5)),
+                "g_grid": [0.25, 1.2, 39],
+                "n_times": 600,
+            },
+            "dipolar-ed": {
+                "models": ["nearest_neighbor", "full_dipolar", "nnn_cancelled"],
+                "total_spins": [6, 8, 10, 12],
+                "cap": 14,
+            },
+            "perturbative": {"n_chain": 51, "g_min": 0.002, "g_max": 0.4, "n_g": 25},
+            "bosonic": {"n_chain": 9, "g": 0.01, "kt_over_omega": [1.0, 10.0, 100.0]},
+            "mirror-verify": {
+                "mirror_sizes": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
+                "swap_chain_length": 16,
+                "lattice_rows": 8,
+                "lattice_cols": 8,
+                "hole_fraction": 0.1,
+            },
+        }
+        for kind, schema in cli.PARAM_SCHEMAS.items():
+            assert "default" not in schema["properties"]["seed"], kind
+        assert "default" not in cli.PARAM_SCHEMAS["mirror-verify"]["properties"]["lattice_text"]
+
     def test_schema_violation(self, tmp_path):
         doc = tmp_path / "cfg.json"
         doc.write_text(json.dumps({"n_chain": "many"}))
@@ -212,6 +249,9 @@ class TestExitCodes:
             ("strong-scan", {"n_list": [10, 10], "n_times": 10}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [1.0, 0.5, 0], "n_times": 50}),
             ("strong-scan", {"n_list": [10, 15], "g_grid": [-0.5, 1.0, 5], "n_times": 50}),
+            ("strong-scan", {"n_list": [10, 15], "g_grid": [1.0, 0.5, 5], "n_times": 50}),
+            ("strong-scan", {"n_list": [10, 15], "g_grid": [0.25, 1.2, 5.7], "n_times": 50}),
+            ("dipolar-ed", {"total_spins": [5]}),
             ("dipolar-ed", {"cap": 40, "total_spins": [24]}),
             ("dipolar-ed", {"cap": 16}),
             ("strong-scan", {"n_list": [10, 15], "n_times": 10, "realizations": 5}),
@@ -225,7 +265,8 @@ class TestExitCodes:
         ],
         ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
              "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
-             "repeated-chain-length", "empty-g-grid", "negative-g", "cap-40", "cap-16",
+             "repeated-chain-length", "empty-g-grid", "negative-g", "reversed-g-grid",
+             "fractional-g-grid-n", "five-spins", "cap-40", "cap-16",
              "strong-scan-realizations",
              "nan-g", "inf-kt", "nan-sigma", "nan-holes", "inf-g-max", "minus-inf-g-max"],
     )

@@ -66,8 +66,13 @@ class TestPropagator:
                 entry(np.zeros((0, 0)))
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            dynamics.propagator(uniform_k(3, 0.1), -1.0)
+        # the transfer elements keep the propagator's and exact engine's contract
+        K = uniform_k(3, 0.1)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            dynamics.propagator(K, -1.0)
+        for times in ([-1.0], [-1.0, -0.5], [-1.0, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                elements(K, times)
 
     def test_non_square_k_rejected(self):
         for K in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):

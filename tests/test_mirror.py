@@ -79,12 +79,6 @@ class TestPulsePrograms:
         with pytest.raises(ValueError):
             p.repeat(-1)
 
-    def test_max_site(self):
-        p = mirror.PulseProgram(
-            (mirror.GlobalCZ(((1, 4),)), mirror.GlobalHadamard((0, 2)))
-        )
-        assert p.max_site() == 4
-
     def test_local_gate_validated(self):
         with pytest.raises(ValueError):
             mirror.Local(0, "T")
@@ -189,7 +183,7 @@ class TestMirrorConstruction:
     def test_wrong_cycle_count_fails(self):
         sites = tuple(range(4))
         bad = mirror.mirror_cycles(sites, mirror.chain_edges(sites), 3)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="^mirror: site 0: "):
             mirror.verify_mirror(bad, 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -211,7 +205,22 @@ class TestPropagatedSwap:
     @pytest.mark.parametrize("k", list(range(1, 8)))
     def test_swap_on_8_chain(self, k):
         prog = mirror.propagated_swap(k, range(8))
-        mirror.verify_swap(prog, 8, (k - 1, k))
+        perm = mirror.verify_swap(prog, 8, (k - 1, k))
+        assert perm == {i: {k - 1: k, k: k - 1}.get(i, i) for i in range(8)}
+
+    def test_wrong_pair_fails(self):
+        # the program swaps (2, 3); the first site off the wanted map is 1
+        prog = mirror.propagated_swap(3, range(6))
+        with pytest.raises(AssertionError, match=r"^swap of \(1, 2\): site 1: "):
+            mirror.verify_swap(prog, 6, (1, 2))
+
+    def test_z_image_checked(self):
+        # a CNOT with control 1 and target 0 fixes X_0 but spreads Z_0
+        prog = mirror.PulseProgram(
+            (mirror.Local(0, "H"), mirror.GlobalCZ(((0, 1),)), mirror.Local(0, "H"))
+        )
+        with pytest.raises(AssertionError, match=r"site 0: images \+X0 / \+Z0\*Z1 "):
+            mirror.verify_swap(prog, 2, (0, 0))
 
     def test_swap_against_dense(self):
         for k in (1, 3, 5):
@@ -253,7 +262,8 @@ class TestPropagatedSwap:
         for q in range(n):
             assert tab.image("x", q).single_site() == want[q]
             assert tab.image("z", q).single_site() == want[q]
-        assert prog.max_site() == max(sites)
+        # the program addresses exactly the chain's labels
+        assert {q for layer in prog.layers for q in mirror._layer_sites(layer)} == set(sites)
         if n <= 6:
             assert mirror.dense_unitary_check(prog, n).ok
 
@@ -291,6 +301,23 @@ class TestDirectedSwaps:
         lat = mirror.LatticeMap.from_text("..R...")
         with pytest.raises(ValueError):
             mirror.directed_swap_programs(lat, (0, 0))
+
+    @pytest.mark.parametrize("construction", ["Q_M", "Q_L"])
+    def test_check_names_construction(self, monkeypatch, construction):
+        # Q_M is built and checked before Q_L, so an empty Q_M fails first;
+        # an empty Q_L needs Q_M's four cycles left intact
+        real = mirror.mirror_cycles
+        monkeypatch.setattr(
+            mirror, "mirror_cycles",
+            lambda sites, edges, count: (
+                real(sites, edges, count)
+                if (count == 4) == (construction == "Q_L") else mirror.PulseProgram()
+            ),
+        )
+        # a mirrored chain of one site is fixed by any program: use 3 and 4
+        lat = mirror.LatticeMap.from_text("...R....")
+        with pytest.raises(AssertionError, match=f"^{construction}: site "):
+            mirror.directed_swap_programs(lat, (0, 3))
 
     def test_q_m_against_dense(self):
         lat = mirror.LatticeMap.from_text(".R..")
@@ -375,6 +402,12 @@ class TestRouting:
         with pytest.raises(ValueError):
             mirror.route(lat, (0, 1), (0, 2))
 
+    def test_check_names_construction(self, monkeypatch):
+        monkeypatch.setattr(mirror, "propagated_swap", lambda n, sites: mirror.PulseProgram())
+        lat = mirror.LatticeMap.from_text("R...R")
+        with pytest.raises(AssertionError, match=r"^route \(0, 0\)->\(0, 4\): site 0: "):
+            mirror.route(lat, (0, 0), (0, 4))
+
     def test_route_program_against_dense(self):
         lat = mirror.LatticeMap.from_text("R.#\n...\n..R")
         plan = mirror.route(lat, (0, 0), (2, 2))
@@ -401,6 +434,14 @@ class TestDenseOracle:
         prog = mirror.PulseProgram((mirror.Local(5, "X"),))
         with pytest.raises(ValueError):
             mirror.dense_unitary(prog, 3)
+
+    def test_cz_self_edge_rejected(self):
+        # diag(1, -1, 1, -1) would be Z on qubit 0, not a controlled phase
+        prog = mirror.PulseProgram((mirror.GlobalCZ(((0, 0),)),))
+        for run in (lambda: mirror.dense_unitary(prog, 2),
+                    lambda: mirror.clifford_apply(mirror.Tableau(2), prog)):
+            with pytest.raises(ValueError, match="CZ needs two distinct sites"):
+                run()
 
     @pytest.mark.parametrize("layer", [
         mirror.GlobalHadamard((0, -1)),
