@@ -26,7 +26,6 @@ __all__ = [
     "ModelKind",
     "RangeRule",
     "Uniform",
-    "Engineered",
     "Explicit",
     "FromPositions",
     "CouplingPattern",
@@ -55,23 +54,13 @@ class RangeRule(str, Enum):
 
 @dataclass(frozen=True)
 class Uniform:
-    """All nearest-neighbor bonds equal to ``kappa``."""
+    """All N-1 internal nearest-neighbor bonds equal to ``kappa``."""
 
     kappa: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise ValueError(f"kappa must be finite, got {self.kappa}")
-
-
-@dataclass(frozen=True)
-class Engineered:
-    """Perfect-transfer bond profile J_i = (1/2) sqrt((i+1)(N+1-i)).
-
-    Covers every bond of the (N+2)-site chain including the two register
-    bonds, so the register couplings of the owning :class:`ChainSpec` are
-    ignored.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,10 +78,7 @@ class Explicit:
 
 @dataclass(frozen=True)
 class FromPositions:
-    """Couplings of the N chain sites derived from their coordinates by the cube law.
-
-    The register bonds come from the spec's g_left and g_right.
-    """
+    """Couplings of the N chain sites derived from their coordinates by the cube law."""
 
     positions: tuple[float, ...]
     rule: RangeRule = RangeRule.NEAREST_NEIGHBOR
@@ -108,7 +94,7 @@ class FromPositions:
         object.__setattr__(self, "rule", RangeRule(rule))
 
 
-CouplingPattern = Union[Uniform, Engineered, Explicit, FromPositions]
+CouplingPattern = Union[Uniform, Explicit, FromPositions]
 
 
 @dataclass(frozen=True)
@@ -135,9 +121,11 @@ class ChainSpec:
     """Declarative description of a bus chain plus its two registers.
 
     ``chain_length`` counts bus sites only; the registers occupy matrix
-    rows/columns 0 and N+1.  ``uniform_field`` is the diagonal field on
-    every site (the transverse field for the TFIM); ``register_field``
-    overrides it on the two registers (the detuning for even-N transfer).
+    rows/columns 0 and N+1, and whatever the pattern, they couple to the
+    chain ends through ``g_left`` and ``g_right``.  ``uniform_field`` is
+    the diagonal field on every site (the transverse field for the TFIM);
+    ``register_field`` overrides it on the two registers (the detuning for
+    even-N transfer).
     These numbers and the register couplings must be finite;
     ``ValueError`` names a field that is not.
     """
@@ -225,49 +213,44 @@ def engineered_couplings(n_chain: int) -> np.ndarray:
     return 0.5 * np.sqrt((i + 1.0) * (n_chain + 1.0 - i))
 
 
-def _nn_bonds(spec: ChainSpec) -> np.ndarray:
-    """All N+1 nearest-neighbor bonds of the (N+2)-site system."""
+def _chain_matrix(spec: ChainSpec) -> np.ndarray:
+    """The register-padded (N+2)x(N+2) matrix of any spec, whatever its model.
+
+    The chain block comes from the pattern, the register bonds are g_left
+    and g_right, and the diagonal is the uniform field, with the register
+    field (if set) on rows 0 and N+1.
+    """
     n = spec.chain_length
     pat = spec.pattern
-    if isinstance(pat, Uniform):
-        bonds = np.full(n + 1, pat.kappa)
-        bonds[0] = spec.g_left
-        bonds[-1] = spec.g_right
-    elif isinstance(pat, Engineered):
-        bonds = engineered_couplings(n)
-    elif isinstance(pat, Explicit):
-        bonds = np.concatenate([[spec.g_left], pat.values, [spec.g_right]])
-    elif isinstance(pat, FromPositions):
-        inner = (1.0 / np.diff(pat.positions)) ** 3
-        bonds = np.concatenate([[spec.g_left], inner, [spec.g_right]])
+    K = np.zeros((n + 2, n + 2))
+    if isinstance(pat, FromPositions):
+        K[1 : n + 1, 1 : n + 1] = couplings_from_positions(pat.positions, pat.rule)
+    elif isinstance(pat, (Uniform, Explicit)):
+        i = np.arange(1, n)  # chain bond (i, i+1), with the registers at 0 and n+1
+        K[i, i + 1] = K[i + 1, i] = pat.kappa if isinstance(pat, Uniform) else pat.values
     else:
         raise TypeError(f"unknown coupling pattern {pat!r}")
-    return bonds
+    K[0, 1] = K[1, 0] = spec.g_left
+    K[n, n + 1] = K[n + 1, n] = spec.g_right
+    np.fill_diagonal(K, spec.uniform_field)
+    if spec.register_field is not None:
+        K[0, 0] = K[n + 1, n + 1] = spec.register_field
+    return K
 
 
 def build_single_particle_matrix(spec: ChainSpec) -> np.ndarray:
     """Hermitian (N+2)x(N+2) hopping matrix K for XX chains.
 
-    Rows/columns 0 and N+1 are the registers.  The diagonal carries the
-    uniform field everywhere and the register field (detuning) on the two
-    register entries.  The propagator of every analytic fidelity formula
-    is exp(-i K t).
+    Rows/columns 0 and N+1 are the registers, coupled to the chain ends
+    by g_left and g_right only; a ``FromPositions`` chain carries every
+    pair its range rule keeps.  The diagonal carries the uniform field
+    everywhere and the register field (detuning) on the two register
+    entries.  The propagator of every analytic fidelity formula is
+    exp(-i K t).
     """
     if spec.model_kind is ModelKind.TFIM:
         raise ValueError("TFIM chains have pairing terms; use build_bdg_matrix")
-    n = spec.chain_length
-    K = np.zeros((n + 2, n + 2))
-    bonds = _nn_bonds(spec)
-    idx = np.arange(n + 1)
-    K[idx, idx + 1] = bonds
-    K[idx + 1, idx] = bonds
-    if isinstance(spec.pattern, FromPositions) and spec.pattern.rule is not RangeRule.NEAREST_NEIGHBOR:
-        # Long-range part among the chain sites; the registers stay nearest-neighbour.
-        K[1 : n + 1, 1 : n + 1] = couplings_from_positions(spec.pattern.positions, spec.pattern.rule)
-    np.fill_diagonal(K, spec.uniform_field)
-    if spec.register_field is not None:
-        K[0, 0] = K[n + 1, n + 1] = spec.register_field
-    return K
+    return _chain_matrix(spec)
 
 
 def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.ndarray:
@@ -282,12 +265,11 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
         A = [[alpha, beta], [beta^T, -alpha]]
 
     Physical mode evolution carries a factor two: phi(t) = exp(-2iAt) phi.
-    With ``include_registers`` the two exchange-coupled registers are
-    the first and last sites (hopping only, alpha entries J/2 of the two
-    register bonds, diagonal B'); without, A holds the chain rows and
-    columns of that matrix.  The register bonds are those of
-    :func:`build_single_particle_matrix`: g_left and g_right, except that
-    an ``Engineered`` profile sets them itself.
+    alpha and beta come from the spec's padded matrix K, the one of
+    :func:`build_single_particle_matrix`.  With ``include_registers`` the
+    two exchange-coupled registers are the first and last sites (hopping
+    only, alpha entries g_left/2 and g_right/2, diagonal B'); without, A
+    holds the chain rows and columns of that matrix.
     The chain bonds are nearest-neighbour only, so a ``FromPositions``
     pattern with a longer-range rule raises ``ValueError``.
     """
@@ -298,20 +280,14 @@ def build_bdg_matrix(spec: ChainSpec, include_registers: bool = False) -> np.nda
         raise ValueError(
             f"build_bdg_matrix has nearest-neighbour bonds only, not the {pat.rule.value} rule"
         )
-    n = spec.chain_length
-    bonds = _nn_bonds(spec)  # the N+1 bonds of K, registers at both ends
-    half = -bonds[1:-1] / 2.0  # -J/2 on the internal chain bonds
-    i = np.arange(1, n)  # bond (i, i+1), with the registers at 0 and n+1
-    alpha = np.zeros((n + 2, n + 2))
-    beta = np.zeros((n + 2, n + 2))
+    K = _chain_matrix(spec)
+    i = np.arange(1, spec.chain_length)  # chain bond (i, i+1)
+    half = -K[i, i + 1] / 2.0  # -J/2 on the internal chain bonds
+    alpha = K / 2.0  # J/2 on the register bonds
+    np.fill_diagonal(alpha, np.diagonal(K))
+    beta = np.zeros_like(K)
     alpha[i, i + 1] = alpha[i + 1, i] = beta[i, i + 1] = half
     beta[i + 1, i] = -half
-    alpha[np.arange(1, n + 1), np.arange(1, n + 1)] = spec.uniform_field
-    if include_registers:
-        Bp = spec.register_field if spec.register_field is not None else spec.uniform_field
-        alpha[0, 0] = alpha[n + 1, n + 1] = Bp
-        alpha[0, 1] = alpha[1, 0] = bonds[0] / 2.0
-        alpha[n, n + 1] = alpha[n + 1, n] = bonds[-1] / 2.0
-    else:
+    if not include_registers:
         alpha, beta = alpha[1:-1, 1:-1], beta[1:-1, 1:-1]
     return np.block([[alpha, beta], [beta.T, -alpha]])

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import jsonschema
-from scipy.optimize import minimize_scalar
 
 from . import __version__
 from .chains import (
@@ -108,7 +107,8 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "n_list": {**_INT_LIST, "default": list(range(10, 101, 5))},
+            # a repeated length would weigh twice in the exponent fit
+            "n_list": {**_INT_LIST, "uniqueItems": True, "default": list(range(10, 101, 5))},
             # [g_lo, g_hi, n]: g_lo < g_hi is checked by the runner
             "g_grid": {
                 "type": "array",
@@ -184,7 +184,16 @@ PARAM_SCHEMAS: dict[str, dict] = {
     },
 }
 
-# "default" is an annotation: jsonschema.validate ignores it
+# jsonschema counts an integer-valued float such as 20.0 as an "integer";
+# the runners need a Python int, and a bool is not one either
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+# "default" is an annotation: validation ignores it
 DEFAULT_PARAMS: dict[str, dict] = {
     kind: {k: v["default"] for k, v in schema["properties"].items() if "default" in v}
     for kind, schema in PARAM_SCHEMAS.items()
@@ -254,7 +263,7 @@ def resolve_config(
         if val is not None:
             merged[key] = val
     try:
-        jsonschema.validate(merged, PARAM_SCHEMAS[kind])
+        jsonschema.validate(merged, PARAM_SCHEMAS[kind], cls=_Validator)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config fails schema: {exc.message}") from exc
     seed = merged.pop("seed")
@@ -450,8 +459,11 @@ def minimize(fun, lo: float, hi: float):
     """Brent's bounded minimum of the scalar ``fun`` on [lo, hi] (scipy's result).
 
     A module-level name, so that perfbench's tracer counts the searches
-    and their evaluations.
+    and their evaluations.  scipy.optimize is imported here, on first
+    use, so that subcommands without a search never load scipy.
     """
+    from scipy.optimize import minimize_scalar
+
     return minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL})
 
 

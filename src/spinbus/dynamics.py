@@ -14,12 +14,12 @@ kappa, times in 1/kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .chains import ChainSpec, Engineered, ModelKind, build_bdg_matrix
+from .chains import ChainSpec, ModelKind, build_bdg_matrix
 
 __all__ = [
     "EigenmodeSet",
@@ -404,19 +404,14 @@ def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
     The chain-only matrix is diagonalized first; the registers are tuned
     to its lowest quasiparticle energy and the full system evolved for
     tau = pi / (sqrt(2) g u_1) with u_1 the mode's particle amplitude on
-    the first chain site.  g is ``g_left`` (``g_right`` if that is 0), so
-    an ``Engineered`` pattern, which sets the register bonds itself,
-    raises ``ValueError``.  In the weak-coupling paramagnetic regime the
-    returned exchange amplitude approaches 1; in the Majorana regime the
-    hopping and pairing contributions cancel and it collapses.
+    the first chain site.  g is ``g_left`` (``g_right`` if that is 0).
+    In the weak-coupling paramagnetic regime the returned exchange
+    amplitude approaches 1; in the Majorana regime the hopping and pairing
+    contributions cancel and it collapses.
     """
     if ModelKind(spec.model_kind) is not ModelKind.TFIM:
         raise ValueError("effective swap check expects a TFIM spec")
     n = spec.chain_length
-    if isinstance(spec.pattern, Engineered):
-        # it sets the register bonds itself, so the registers would not
-        # couple at the g that the swap time is tuned to
-        raise ValueError("effective swap check tunes g; the pattern must leave the register bonds to it")
     diag = bdg_diagonalize(build_bdg_matrix(spec, include_registers=False))
     # the energies ascend, so the lowest mode z is rows 0 (+eps) and 1 (-eps)
     eps_z = float(diag.positive_energies[0])
@@ -428,16 +423,8 @@ def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
         raise ValueError("register coupling must be positive")
     tau = math.pi / (math.sqrt(2.0) * g * u1)
 
-    full_spec = ChainSpec(
-        model_kind=ModelKind.TFIM,
-        chain_length=n,
-        pattern=spec.pattern,
-        g_left=g,
-        g_right=g,
-        register_field=eps_z,
-        uniform_field=spec.uniform_field,
-    )
-    A = build_bdg_matrix(full_spec, include_registers=True)
+    tuned = replace(spec, g_left=g, g_right=g, register_field=eps_z)
+    A = build_bdg_matrix(tuned, include_registers=True)
     U = propagator(A, 2.0 * tau)  # phi(t) = exp(-2iAt) phi
     m = n + 2
     iL, iR = 0, n + 1  # particle rows of the registers
@@ -445,17 +432,11 @@ def bdg_effective_swap_check(spec: ChainSpec) -> EffectiveSwapResult:
     # Leakage: weight of the evolved left-register mode outside the span
     # of {register particle/hole modes, +-z chain quasiparticles}.
     col = U[:, iL]
-    basis = []
-    for idx in (iL, iR, iL + m, iR + m):
-        e = np.zeros(2 * m)
-        e[idx] = 1.0
-        basis.append(e)
-    for row in (0, 1):
-        vec = np.zeros(2 * m)
-        vec[1 : n + 1] = diag.O[row, :n]
-        vec[m + 1 : m + n + 1] = diag.O[row, n:]
-        basis.append(vec)
-    Q = np.linalg.qr(np.array(basis).T)[0]
+    basis = np.zeros((2 * m, 6))
+    basis[[iL, iR, iL + m, iR + m], np.arange(4)] = 1.0
+    basis[1 : n + 1, 4:] = diag.O[:2, :n].T
+    basis[m + 1 : m + n + 1, 4:] = diag.O[:2, n:].T
+    Q = np.linalg.qr(basis)[0]
     leak = 1.0 - float(np.linalg.norm(Q.conj().T @ col) ** 2)
     return EffectiveSwapResult(float(abs(U[iR, iL])), leak, tau)
 

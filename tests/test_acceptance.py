@@ -103,16 +103,19 @@ def test_criterion_02_engineered_perfect_transfer():
     worst_mirror = 0.0
     worst_identity = 0.0
     for N in (4, 9, 20, 51):
+        # the profile's end bonds are the register couplings
+        J = chains.engineered_couplings(N)
+        engineered = dict(pattern=chains.Explicit(J[1:-1]), g_left=J[0], g_right=J[-1])
         spec = chains.ChainSpec(
-            chains.ModelKind.XX, N, chains.Engineered(),
-            uniform_field=1.5 * (N + 1),
+            chains.ModelKind.XX, N, **engineered, uniform_field=1.5 * (N + 1),
         )
-        M = dynamics.propagator(chains.build_single_particle_matrix(spec), math.pi)
+        K = chains.build_single_particle_matrix(spec)
+        assert np.array_equal(np.diagonal(K, 1), J)
+        M = dynamics.propagator(K, math.pi)
         worst_mirror = max(worst_mirror, abs(1.0 - abs(M[0, -1])))
 
         spec = chains.ChainSpec(
-            chains.ModelKind.XX, N, chains.Engineered(),
-            uniform_field=0.5 * (N + 1),
+            chains.ModelKind.XX, N, **engineered, uniform_field=0.5 * (N + 1),
         )
         M = dynamics.propagator(
             chains.build_single_particle_matrix(spec), 2.0 * math.pi

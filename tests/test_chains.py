@@ -20,9 +20,14 @@ class TestEngineeredCouplings:
         assert np.allclose(J, J[::-1])
 
     def test_linear_spectrum(self):
-        # The engineered profile makes the (N+2)-site spectrum exactly linear.
-        spec = chains.ChainSpec(chains.ModelKind.XX, 7, chains.Engineered())
+        # The engineered profile makes the (N+2)-site spectrum exactly linear;
+        # its end bonds are the register couplings.
+        J = chains.engineered_couplings(7)
+        spec = chains.ChainSpec(
+            chains.ModelKind.XX, 7, chains.Explicit(J[1:-1]), g_left=J[0], g_right=J[-1]
+        )
         K = chains.build_single_particle_matrix(spec)
+        assert np.array_equal(np.diagonal(K, 1), J)
         w = np.linalg.eigvalsh(K)
         gaps = np.diff(w)
         assert np.allclose(gaps, gaps[0], atol=1e-12)
@@ -176,6 +181,16 @@ class TestSingleParticleMatrix:
         assert K[0, 1] == 0.2 and K[4, 5] == 0.2
         assert K[0, 2] == 0.0  # registers stay nearest-neighbor coupled
 
+    @pytest.mark.parametrize("rule", list(chains.RangeRule))
+    def test_chain_block_is_couplings_from_positions(self, rule):
+        # every range rule goes through the one cube law
+        x = (0.0, 0.9, 2.2, 3.0, 4.4, 5.1)
+        spec = chains.ChainSpec(
+            chains.ModelKind.XX, 6, chains.FromPositions(x, rule), g_left=0.2, g_right=0.3
+        )
+        chain = chains.build_single_particle_matrix(spec)[1:-1, 1:-1]
+        assert chain.tobytes() == chains.couplings_from_positions(x, rule).tobytes()
+
 
 class TestBdGMatrix:
     def test_xx_spec_rejected(self):
@@ -242,11 +257,10 @@ class TestBdGMatrix:
         "pattern",
         [
             chains.Uniform(1.3),
-            chains.Engineered(),
             chains.Explicit((0.8, 1.7)),
             chains.FromPositions((0.0, 1.1, 2.0)),
         ],
-        ids=["uniform", "engineered", "explicit", "chain-positions"],
+        ids=["uniform", "explicit", "chain-positions"],
     )
     def test_register_bonds_are_those_of_k(self, pattern):
         # the registers couple through the same bonds as in the XX twin's K
@@ -259,12 +273,6 @@ class TestBdGMatrix:
         )
         assert abs(A[0, 1]) == K[0, 1] / 2.0 and abs(A[3, 4]) == K[3, 4] / 2.0
         assert A[1, 0] == A[0, 1] and A[4, 3] == A[3, 4]
-
-    def test_engineered_registers_ignore_g(self):
-        # an Engineered profile includes its register bonds, J_0 = J_N = sqrt(N+1)/2
-        spec = chains.ChainSpec(chains.ModelKind.TFIM, 3, chains.Engineered(), g_left=0.3)
-        A = chains.build_bdg_matrix(spec, include_registers=True)
-        assert A[0, 1] == A[3, 4] == 0.5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
     @pytest.mark.parametrize("register_field", [None, 0.7])

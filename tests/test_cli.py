@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -109,6 +112,17 @@ class TestConfig:
 
 
 TINY_MIRROR = {"mirror_sizes": [1], "swap_chain_length": 2}
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by the one function that searches
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, spinbus, spinbus.cli; print('scipy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -262,13 +276,23 @@ class TestExitCodes:
             ("mirror-verify", {"hole_fraction": math.nan}),
             ("perturbative", {"g_max": math.inf, "n_g": 3, "n_chain": 11}),
             ("perturbative", {"g_max": -math.inf, "n_g": 3, "n_chain": 11}),
+            # jsonschema's own "integer" admits an integer-valued float
+            ("strong-scan", {"n_list": [4, 6], "n_times": 20.0}),
+            ("perturbative", {"n_chain": 5.0, "n_g": 3.0}),
+            ("disorder-sweep", {"n_chain": 5.0, "realizations": 2.0}),
+            ("mirror-verify", {"mirror_sizes": [2.0], "swap_chain_length": 3.0,
+                               "lattice_text": "R.R"}),
+            ("bosonic", {"seed": 1.0}),
+            ("dipolar-ed", {"cap": 14.0, "total_spins": [6]}),
         ],
         ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
              "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
              "repeated-chain-length", "empty-g-grid", "negative-g", "reversed-g-grid",
              "fractional-g-grid-n", "five-spins", "cap-40", "cap-16",
              "strong-scan-realizations",
-             "nan-g", "inf-kt", "nan-sigma", "nan-holes", "inf-g-max", "minus-inf-g-max"],
+             "nan-g", "inf-kt", "nan-sigma", "nan-holes", "inf-g-max", "minus-inf-g-max",
+             "float-n-times", "float-n-chain", "float-realizations", "float-mirror-size",
+             "float-seed", "float-cap"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"
@@ -278,6 +302,15 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_chain_length_exits_2(self, tmp_path, capsys):
+        # a repeated N would weigh twice in the N^a fit
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_list": [10, 10, 15, 20], "g_grid": [0.25, 1.2, 9],
+                                    "n_times": 60}))
+        code = cli.main(["strong-scan", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "has non-unique elements" in capsys.readouterr().err
 
     def test_success_exit(self, tmp_path):
         assert cli.main(["bosonic", "--out", str(tmp_path)]) == cli.EXIT_OK

@@ -507,19 +507,6 @@ class TestBdG:
         assert res.exchange_amplitude > 0.99
         assert res.leakage < 0.02
 
-    @pytest.mark.parametrize(
-        "pattern",
-        [chains.Engineered()],
-        ids=["engineered"],
-    )
-    def test_effective_swap_needs_tunable_registers(self, pattern):
-        # this pattern couples the registers at its own bonds, not at g
-        spec = chains.ChainSpec(
-            chains.ModelKind.TFIM, 7, pattern, g_left=0.02, uniform_field=2.0,
-        )
-        with pytest.raises(ValueError, match="register bonds"):
-            dynamics.bdg_effective_swap_check(spec)
-
     def test_effective_swap_majorana_collapse(self):
         spec = chains.ChainSpec(
             chains.ModelKind.TFIM, 10, chains.Uniform(1.0),
