@@ -141,6 +141,9 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
         n = self.chain_length
+        # a float would fail later inside numpy, and True would build N = 1
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"chain_length must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("chain_length must be at least 1")
         # NaN and inf pass every sign check below, and would surface later

@@ -748,8 +748,8 @@ def run_mirror_verify(config: ExperimentConfig) -> tuple[list[ResultTable], dict
             p["lattice_rows"], p["lattice_cols"], p["hole_fraction"], config.seed
         )
     regs = lattice.registers()
-    if not regs:
-        raise ConfigError("lattice_text has no register site R to route between")
+    if len(regs) < 2:
+        raise ConfigError(f"routing needs two register sites R; the lattice has {len(regs)}")
     table = ResultTable(
         "verification",
         ("construct", "size", "status", "detail"),

@@ -2,13 +2,14 @@
 
 A chain of qubits driven by alternating global controlled-phase and
 Hadamard layers performs a mirror permutation of its state after a fixed
-number of cycles.  Everything in this layer is Clifford (H, CZ, Pauli,
-S), so a stabilizer tableau simulates it exactly; a dense state-vector
+number of cycles.  Every pulse layer is a Hadamard or a controlled-phase
+layer, so a stabilizer tableau simulates it exactly; a dense state-vector
 oracle is kept only for independent verification on small systems.
 
 Conventions: a Pauli operator is stored as ``i^phase * prod_q X_q^{x_q}
-Z_q^{z_q}`` with ``phase`` mod 4.  A pulse "cycle" applies the CZ layer
-first and the Hadamard layer second.
+Z_q^{z_q}`` with ``phase`` mod 4.  H and CZ carry every image of X_i or
+Z_i to a phase of 0 or 2, a sign only.  A pulse "cycle" applies the CZ
+layer first and the Hadamard layer second.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -28,7 +30,6 @@ __all__ = [
     "RoutingError",
     "GlobalHadamard",
     "GlobalCZ",
-    "Local",
     "PulseProgram",
     "Tableau",
     "PauliImage",
@@ -50,9 +51,6 @@ __all__ = [
     "dense_unitary_check",
 ]
 
-LOCAL_GATES = ("X", "Y", "Z", "H", "S")
-
-
 class AsymmetryUnavailableError(ValueError):
     """The two chain lengths admit no common refocus/mirror cycle count."""
 
@@ -73,6 +71,9 @@ class GlobalHadamard:
 
     sites: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "sites", tuple(map(operator.index, self.sites)))
+
 
 @dataclass(frozen=True)
 class GlobalCZ:
@@ -80,29 +81,19 @@ class GlobalCZ:
 
     edges: tuple[tuple[int, int], ...]
 
-
-@dataclass(frozen=True)
-class Local:
-    """A single-qubit gate on one individually addressed site."""
-
-    site: int
-    gate: str
-
     def __post_init__(self):
-        if self.gate not in LOCAL_GATES:
-            raise ValueError(f"unknown local gate {self.gate!r}; use one of {LOCAL_GATES}")
+        edges = tuple((operator.index(a), operator.index(b)) for a, b in self.edges)
+        object.__setattr__(self, "edges", edges)
 
 
-Layer = Union[GlobalHadamard, GlobalCZ, Local]
+Layer = Union[GlobalHadamard, GlobalCZ]
 
 
 def _layer_sites(layer: Layer) -> Iterable[int]:
     """The sites a layer addresses, a site once per mention."""
     if isinstance(layer, GlobalHadamard):
         return layer.sites
-    if isinstance(layer, GlobalCZ):
-        return itertools.chain.from_iterable(layer.edges)
-    return (layer.site,)
+    return itertools.chain.from_iterable(layer.edges)
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,10 @@ def mirror_program(n: int) -> PulseProgram:
 
 @dataclass(frozen=True)
 class PauliImage:
-    """A Pauli operator in the form i^phase * prod X^x Z^z."""
+    """A Pauli operator in the form i^phase * prod X^x Z^z.
+
+    ``phase`` is mod 4; an image under H and CZ layers has phase 0 or 2.
+    """
 
     phase: int  # mod 4
     x: np.ndarray  # uint8 bits
@@ -175,7 +169,7 @@ class PauliImage:
         return int(s[0]) if len(s) == 1 else None
 
     def __str__(self) -> str:
-        sign = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase % 4]
+        sign = {0: "+", 2: "-"}[self.phase % 4]
         names = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
         terms = [
             f"{names[(int(self.x[q]), int(self.z[q]))]}{q}"
@@ -191,9 +185,10 @@ class Tableau:
     U Z_g U†.  Bits are packed along the generator axis, as in the CHP
     and Stim layouts: ``x[q]`` and ``z[q]`` are word-vectors holding
     qubit q's X and Z bit of all 2n images, 64 generators per ``uint64``
-    word, and the phase mod 4 is two packed bit-planes, ``r[0]`` (low)
-    and ``r[1]`` (high).  A layer on m sites is a few operations on m
-    word-vectors, so a global layer costs O(n^2 / 64) word operations.
+    word.  H and CZ keep every image's phase at 0 or 2, so the phase is
+    one packed sign plane ``r``: bit g set means phase 2 on image g.  A
+    layer on m sites is a few operations on m word-vectors, so a global
+    layer costs O(n^2 / 64) word operations.
     """
 
     def __init__(self, n: int):
@@ -203,16 +198,10 @@ class Tableau:
         words = -(-2 * n // 64)
         self.x = np.zeros((n, words), dtype=np.uint64)
         self.z = np.zeros((n, words), dtype=np.uint64)
-        self.r = np.zeros((2, words), dtype=np.uint64)
+        self.r = np.zeros(words, dtype=np.uint64)
         q = np.arange(n)
         for plane, g in ((self.x, q), (self.z, q + n)):
             plane[q, g // 64] = np.left_shift(np.uint64(1), (g % 64).astype(np.uint64))
-
-    def copy(self) -> "Tableau":
-        t = Tableau.__new__(Tableau)
-        t.n = self.n
-        t.x, t.z, t.r = self.x.copy(), self.z.copy(), self.r.copy()
-        return t
 
     def _sites(self, sites: Iterable[int]) -> np.ndarray:
         """Sites as an index array, range-checked in one pass."""
@@ -229,7 +218,7 @@ class Tableau:
         # a site listed k times receives H^k
         s = np.flatnonzero(np.bincount(s, minlength=self.n) & 1)
         x, z = self.x[s], self.z[s]
-        self.r[1] ^= np.bitwise_xor.reduce(x & z, axis=0)
+        self.r ^= np.bitwise_xor.reduce(x & z, axis=0)
         self.x[s], self.z[s] = z, x
 
     def apply_cz(self, edges: tuple[tuple[int, int], ...]) -> None:
@@ -242,29 +231,9 @@ class Tableau:
         # x is never written by a CZ layer, so the whole commuting layer
         # reads the pre-layer x; ufunc.at accumulates repeated columns
         xa, xb = self.x[ea], self.x[eb]
-        self.r[1] ^= np.bitwise_xor.reduce(xa & xb, axis=0)
+        self.r ^= np.bitwise_xor.reduce(xa & xb, axis=0)
         np.bitwise_xor.at(self.z, ea, xb)
         np.bitwise_xor.at(self.z, eb, xa)
-
-    def apply_local(self, gate: str, site: int) -> None:
-        if not 0 <= site < self.n:
-            raise ValueError(f"site {site} out of range for {self.n} qubits")
-        x, z, r = self.x[site], self.z[site], self.r
-        if gate == "H":
-            r[1] ^= x & z
-            self.x[site], self.z[site] = z.copy(), x.copy()
-        elif gate == "S":
-            r[1] ^= r[0] & x
-            r[0] ^= x
-            z ^= x
-        elif gate == "X":
-            r[1] ^= z
-        elif gate == "Z":
-            r[1] ^= x
-        elif gate == "Y":
-            r[1] ^= x ^ z
-        else:
-            raise ValueError(f"unknown local gate {gate!r}")
 
     # -- inspection --
 
@@ -275,23 +244,19 @@ class Tableau:
         if not 0 <= site < self.n:
             raise ValueError("site out of range")
         word, bit = divmod(site if kind == "x" else self.n + site, 64)
-        x, z, r = (
-            ((plane[:, word] >> np.uint64(bit)) & 1).astype(np.uint8)
-            for plane in (self.x, self.z, self.r)
-        )
-        return PauliImage(int(r[0]) + 2 * int(r[1]), x, z)
+        bit = np.uint64(bit)
+        x, z = (((plane[:, word] >> bit) & 1).astype(np.uint8) for plane in (self.x, self.z))
+        return PauliImage(2 * int((self.r[word] >> bit) & 1), x, z)
 
 
-def clifford_apply(state: Tableau, program: PulseProgram) -> Tableau:
-    """Conjugate the tableau through a pulse program (returns a new tableau)."""
-    t = state.copy()
+def clifford_apply(program: PulseProgram, n: int) -> Tableau:
+    """Conjugate a fresh ``n``-qubit tableau through a pulse program."""
+    t = Tableau(n)
     for layer in program.layers:
         if isinstance(layer, GlobalHadamard):
             t.apply_hadamard(layer.sites)
-        elif isinstance(layer, GlobalCZ):
-            t.apply_cz(layer.edges)
         else:
-            t.apply_local(layer.gate, layer.site)
+            t.apply_cz(layer.edges)
     return t
 
 
@@ -312,7 +277,7 @@ def _check_images(
     whole).  A caller keeps only what it needs of each image: all of them
     hold 2n^2 bytes, 0.5 MB for the 512-site mirror.
     """
-    tab = clifford_apply(Tableau(n), program)
+    tab = clifford_apply(program, n)
     for i, target in want.items():
         ix, iz = tab.image("x", i), tab.image("z", i)
         if ix.single_site() != target or iz.single_site() != target:
@@ -534,8 +499,8 @@ def pair_swap_program(a: int, b: int) -> PulseProgram:
     """Exact SWAP of two qubits from H and CZ (three CNOT decomposition)."""
     if a == b:
         raise ValueError("need two distinct sites")
-    cnot_ab = (Local(b, "H"), GlobalCZ(((a, b),)), Local(b, "H"))
-    cnot_ba = (Local(a, "H"), GlobalCZ(((a, b),)), Local(a, "H"))
+    h_a, h_b, cz = GlobalHadamard((a,)), GlobalHadamard((b,)), GlobalCZ(((a, b),))
+    cnot_ab, cnot_ba = (h_b, cz, h_b), (h_a, cz, h_a)
     return PulseProgram(cnot_ab + cnot_ba + cnot_ab)
 
 
@@ -622,13 +587,6 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
 # ---------------------------------------------------------------------------
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-_GATES_1Q = {
-    "H": _H2,
-    "S": np.diag([1.0, 1.0j]),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "Z": np.diag([1.0, -1.0]),
-}
 
 
 def _apply_1q(M: np.ndarray, gate: np.ndarray, q: int, n: int) -> None:
@@ -659,14 +617,12 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
         if isinstance(layer, GlobalHadamard):
             for q in layer.sites:
                 _apply_1q(M, _H2, q, n)
-        elif isinstance(layer, GlobalCZ):
+        else:
             sign = np.ones(dim)
             for a, b in layer.edges:
                 both = ((idx >> a) & 1) & ((idx >> b) & 1)
                 sign *= 1.0 - 2.0 * both
             M *= sign[:, None]
-        else:
-            _apply_1q(M, _GATES_1Q[layer.gate], layer.site, n)
     return M
 
 
@@ -710,7 +666,7 @@ def dense_unitary_check(program: PulseProgram, n: int) -> DenseCheckReport:
     is checked in the equivalent (and matmul-free) form U P = P' U.
     """
     U = dense_unitary(program, n)
-    tab = clifford_apply(Tableau(n), program)
+    tab = clifford_apply(program, n)
     dev = 0.0
     for i in range(n):
         for kind in ("x", "z"):

@@ -255,25 +255,6 @@ class ByteTableau:
             self.zs[:, ba] ^= x[:, bb]
             self.zs[:, bb] ^= x[:, ba]
 
-    def apply_local(self, gate: str, site: int) -> None:
-        x = self.xs[:, site]
-        z = self.zs[:, site]
-        if gate == "H":
-            self.phase += 2 * (x & z)
-            self.xs[:, site], self.zs[:, site] = z.copy(), x.copy()
-        elif gate == "S":
-            self.phase += x
-            self.zs[:, site] = z ^ x
-        elif gate == "X":
-            self.phase += 2 * z
-        elif gate == "Z":
-            self.phase += 2 * x
-        elif gate == "Y":
-            self.phase += 2 * (x ^ z)
-        else:
-            raise ValueError(f"unknown local gate {gate!r}")
-        self.phase %= 4
-
     def image(self, kind: str, site: int) -> tuple[int, np.ndarray, np.ndarray]:
         """(phase, x bits, z bits) of the image of X_site or Z_site."""
         row = site if kind == "x" else self.n + site

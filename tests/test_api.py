@@ -23,9 +23,10 @@ def test_star_import(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_benchmark_harness_names_resolve():
+def test_benchmark_harness_names_resolve(tmp_path):
     # the benchmark's checks and tracer call these library names; a
     # rename would otherwise show first as a failed benchmark run
+    import json
     import sys
     from pathlib import Path
 
@@ -52,9 +53,17 @@ def test_benchmark_harness_names_resolve():
     originals = (dynamics.eigenmodes, cli.minimize)
     t = tracer.Tracer()
     t.install(spinbus)  # wraps cli.minimize among the rest
+    cfg = tmp_path / "mirror.json"
+    cfg.write_text(json.dumps({"mirror_sizes": [1, 2], "swap_chain_length": 3,
+                               "lattice_text": "R.R"}))
     try:
         assert (dynamics.eigenmodes, cli.minimize) != originals
+        # a traced mirror-verify must still see its tableau layers
+        code = cli.main(["mirror-verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
     finally:
         t.uninstall()
     assert (dynamics.eigenmodes, cli.minimize) == originals
+    assert code == cli.EXIT_OK
+    assert t.counters["mirror.qubit_layers"] > 0
+    assert not any(t.errors.values()), dict(t.errors)
     assert c.attempted == 4 and c.failed == 0, c.reasons

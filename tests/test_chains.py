@@ -139,6 +139,15 @@ class TestChainSpecValidation:
         with pytest.raises(ValueError, match="positions must be finite"):
             chains.FromPositions(positions)
 
+    @pytest.mark.parametrize("value", [3.0, True, "3"])
+    def test_non_integer_chain_length_rejected(self, value):
+        with pytest.raises(ValueError, match="chain_length must be an integer"):
+            chains.ChainSpec(chains.ModelKind.XX, value, chains.Uniform())
+
+    def test_numpy_integer_chain_length_accepted(self):
+        spec = chains.ChainSpec(chains.ModelKind.XX, np.int64(3), chains.Uniform())
+        assert chains.build_single_particle_matrix(spec).shape == (5, 5)
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             chains.ChainSpec(chains.ModelKind.XX, 3, chains.Uniform(), g_left=-0.1)

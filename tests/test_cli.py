@@ -250,6 +250,8 @@ class TestExitCodes:
         "command, doc",
         [
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "...\n..."}),
+            ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R..\n..."}),
+            ("mirror-verify", {**TINY_MIRROR, "lattice_rows": 1, "lattice_cols": 1}),
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R..\n."}),
             ("mirror-verify", {**TINY_MIRROR, "lattice_text": "R.Q"}),
             ("mirror-verify", {**TINY_MIRROR, "lattice_rows": 1, "lattice_cols": 3,
@@ -285,8 +287,9 @@ class TestExitCodes:
             ("bosonic", {"seed": 1.0}),
             ("dipolar-ed", {"cap": 14.0, "total_spins": [6]}),
         ],
-        ids=["no-register", "ragged", "unknown-char", "too-many-holes", "negative-kt",
-             "zero-kt", "negative-sigma", "negative-t1", "zero-t1", "one-chain-length",
+        ids=["no-register", "one-register", "one-site-lattice", "ragged", "unknown-char",
+             "too-many-holes", "negative-kt", "zero-kt", "negative-sigma", "negative-t1",
+             "zero-t1", "one-chain-length",
              "repeated-chain-length", "empty-g-grid", "negative-g", "reversed-g-grid",
              "fractional-g-grid-n", "five-spins", "cap-40", "cap-16",
              "strong-scan-realizations",
