@@ -78,8 +78,9 @@ class ConfigError(ValueError):
 
 _COMMON_PROPS = {"seed": {"type": "integer", "minimum": 0}}
 
-_NUMBER_LIST = {"type": "array", "minItems": 1, "items": {"type": "number"}}
-_INT_LIST = {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}}
+# each entry of a list writes its own CSV rows: a repeated entry is rejected
+_NUMBER_LIST = {"type": "array", "minItems": 1, "uniqueItems": True, "items": {"type": "number"}}
+_INT_LIST = {**_NUMBER_LIST, "items": {"type": "integer", "minimum": 1}}
 
 PARAM_SCHEMAS: dict[str, dict] = {
     "disorder-sweep": {
@@ -108,7 +109,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "additionalProperties": False,
         "properties": {
             # a repeated length would weigh twice in the exponent fit
-            "n_list": {**_INT_LIST, "uniqueItems": True, "default": list(range(10, 101, 5))},
+            "n_list": {**_INT_LIST, "default": list(range(10, 101, 5))},
             # [g_lo, g_hi, n]: g_lo < g_hi is checked by the runner
             "g_grid": {
                 "type": "array",
@@ -131,7 +132,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
         "properties": {
             "models": {
                 "type": "array",
-                "minItems": 1,
+                "minItems": 1, "uniqueItems": True,
                 "items": {"enum": [rule.value for rule in RangeRule]},
                 "default": [rule.value for rule in RangeRule],
             },
@@ -418,7 +419,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
             budget = mode_budget(modes)
             for i, T1 in enumerate(t1_kappa):
                 try:
-                    eps = budget.select(p["g_max"], N, T1)[1]
+                    eps = budget.select(p["g_max"], T1)[1]
                 except NoTransferModeError:
                     no_mode[i] += 1
                     eps = 1.0

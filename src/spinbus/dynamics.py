@@ -70,33 +70,35 @@ class EigenmodeSet:
         return self.vectors[-1, :]
 
     @cached_property
-    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real weights that fold each mode pair (k, n-1-k) of a chiral set into mode k.
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept modes' energies, and real weights that fold every mode into them.
 
-        With P = exp(-i w_k t) over the m = n - n//2 upper modes and x any
-        of psi_L^2, psi_L psi_R and psi_R^2, a pair contributes
+        A chiral set keeps its n - n//2 upper modes, each k with partner
+        kbar = n-1-k; any other set keeps all n, with no partner (x_kbar = 0).
+        With P = exp(-i w_k t) and x any of psi_L^2, psi_L psi_R and
+        psi_R^2, a kept mode contributes
         x_k P + x_kbar conj(P) = Re(P) (x_k + x_kbar) + i Im(P) (x_k - x_kbar).
         That needs only w_kbar = -w_k, and it does not depend on the basis
         that the eigensolver picks in a degenerate subspace (at g = 0 the
         decoupled registers add two zero modes).  The zero mode of an odd
-        n is its own partner, and takes x_kbar = 0.  Rows 2j and
+        chiral n is its own partner, and takes x_kbar = 0.  Rows 2j and
         2j+1 weight Re(P_j) and Im(P_j); columns 2e and 2e+1 give the real
         and imaginary parts of element e, so a real product with
-        ``P.view(float)`` is a complex (n_times, 3) array.  The second
+        ``P.view(float)`` is a complex (n_times, 3) array.  The last
         array holds the psi_L psi_R columns, for the phases P^2.
         """
         n = self.energies.size
-        h = n // 2
+        h = n // 2 if self.chiral else 0  # the modes folded into a partner
         vL, vR = self.psi_left, self.psi_right
         x = np.array([vL * vL, vL * vR, vR * vR])
         up = x[:, h:]
         down = np.zeros_like(up)
-        down[:, n % 2:] = x[:, :h][:, ::-1]
+        down[:, n - 2 * h :] = x[:, :h][:, ::-1]
         W = np.zeros((n - h, 2, 3, 2))
         W[:, 0, :, 0] = (up + down).T
         W[:, 1, :, 1] = (up - down).T
         W = W.reshape(2 * (n - h), 6)
-        return W, np.ascontiguousarray(W[:, 2:4])
+        return self.energies[h:], W, np.ascontiguousarray(W[:, 2:4])
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ def transfer_elements(modes: EigenmodeSet, times):
     (m00, m0R, mRR, leak), where leak is the register-excluded chain sum
     sum_{i=1..N} M_{N+1,i} M_{i,0}  entering the encoded fidelity.  One
     eigensolve serves any number of calls; no (N+2)^2 propagator is
-    formed.  For ``modes.chiral`` the phase grid and the sums span only
-    the n - n//2 upper modes, each folded with its mirror partner n-1-k.
+    formed.  The phase grid and the sums span the modes ``modes._fold``
+    keeps: for ``modes.chiral`` the n - n//2 upper modes, else all n.
     """
     if np.iscomplexobj(modes.vectors):
         raise ValueError("transfer elements need the real eigenvectors of a real symmetric K")
@@ -245,18 +247,12 @@ def transfer_elements(modes: EigenmodeSet, times):
         even = np.linspace(times[0], times[-1], times.size)
         if np.max(np.abs(times - even)) > 1e-12 * np.max(np.abs(times)):
             raise ValueError("times must be evenly spaced")
-    w, vL, vR = modes.energies, modes.psi_left, modes.psi_right
+    w, W, W2 = modes._fold
+    phases = _phase_grid(w, times)  # (nt, kept modes)
+    m00, m0R, mRR = (phases.view(np.float64) @ W).view(np.complex128).T
     # (M^2)_{R,0} needs phases squared; the register terms are subtracted below
-    if modes.chiral:
-        W, W2 = modes._fold
-        phases = _phase_grid(w[w.size // 2 :], times)  # the upper modes: (nt, n - n//2)
-        m00, m0R, mRR = (phases.view(np.float64) @ W).view(np.complex128).T
-        phases *= phases  # in place: one grid-sized buffer at a time
-        m2 = (phases.view(np.float64) @ W2).view(np.complex128)[:, 0]
-    else:
-        phases = _phase_grid(w, times)  # (nt, n)
-        m00, m0R, mRR = (phases @ np.stack([vL * vL, vL * vR, vR * vR], axis=1)).T
-        m2 = (phases * phases) @ (vL * vR)
+    phases *= phases  # in place: one grid-sized buffer at a time
+    m2 = (phases.view(np.float64) @ W2).view(np.complex128)[:, 0]
     # Real eigenvectors make M symmetric, so M_{R,0} = M_{0,R}.
     leak = m2 - m0R * (m00 + mRR)
     return m00, m0R, mRR, leak
@@ -281,12 +277,12 @@ class ModeBudget:
     off_left: np.ndarray
     off_right: np.ndarray
 
-    def errors(self, g_max: float, n_chain: int, T1: float):
+    def errors(self, g_max: float, T1: float):
         """Matched couplings and error budget of every mode at once.
 
         Returns (gL, gR, t_z, tau, eps) arrays.  With S_L and S_R the
         off-resonant sums, eps = gL^2 S_L + gR^2 S_R + N tau / T1 is the
-        leakage plus the register decay, where
+        leakage plus the register decay, N the number of modes, where
         t_z = gL |psi_{z,L}| = gR |psi_{z,R}| and tau = pi / (sqrt(2) t_z).
         gL is the optimum (D/2C)^(1/3) of eps = C gL^2 + D / gL, capped at
         ``g_max`` (``g_max`` itself when T1 is infinite).  eps is inf for a
@@ -299,6 +295,7 @@ class ModeBudget:
         if not T1 > 0:
             raise ValueError("T1 must be positive (may be infinite)")
         aL, aR = self.amp_left, self.amp_right
+        n_chain = self.energies.size
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if math.isinf(T1):
                 gL = np.full(aL.shape, float(g_max))
@@ -315,12 +312,12 @@ class ModeBudget:
         eps[~self.candidate] = np.inf
         return gL, gR, t_z, tau, eps
 
-    def select(self, g_max: float, n_chain: int, T1: float) -> tuple[ResonantModeChoice, float]:
+    def select(self, g_max: float, T1: float) -> tuple[ResonantModeChoice, float]:
         """The mode of lowest error (on equal error, the smaller |E|) and its error.
 
         Raises :class:`NoTransferModeError` when no mode is a candidate.
         """
-        gL, gR, t_z, tau, eps = self.errors(g_max, n_chain, T1)
+        gL, gR, t_z, tau, eps = self.errors(g_max, T1)
         best = eps.min()
         if math.isinf(best):
             raise NoTransferModeError("no mode has usable end amplitudes and an isolated energy")

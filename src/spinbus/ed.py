@@ -4,16 +4,16 @@ The Hamiltonians conserve total magnetization, so they block-diagonalize
 by Hamming weight of the computational basis.  Every protocol channel is
 one ``_FactoredChannel``: a basis permutation (the encode CNOT, or the
 identity), one unitary block per magnetization sector, and another
-permutation (the decode CNOT).  It contracts the Pauli transfer traces
-against the diagonal environment state block by block, so no 2^n x 2^n
-matrix is ever formed.
+permutation (the decode CNOT).  It contracts T_z and the coherence
+amplitude s (T_x = T_y = 2 Re s) against the diagonal environment state
+block by block, so no 2^n x 2^n matrix is ever formed.
 
 Every channel block has the factored form
-B_w = V_w diag(p_L) O_w diag(p_R) V_w[cols]^T, with real eigenvectors V,
-phases p = exp(-i w t) at a left and a right time and a real sector
-overlap O_w fixed per channel (the identity for one leg of evolution).
-The complex products run as real GEMMs on the complex operand viewed as
-float64, and a block holds only the columns ``cols`` that the
+B_w = V_w diag(p) O_w diag(p) V_w[cols]^T, with real eigenvectors V,
+phases p = exp(-i w t) at one leg time t and a real sector overlap O_w
+fixed per channel (the identity for the swaps, two legs of half their
+time).  The complex products run as real GEMMs on the complex operand
+viewed as float64, and a block holds only the columns ``cols`` that the
 environment state reaches.
 
 The eigenvectors V_w are given as diagonal blocks that tile the sector
@@ -252,18 +252,19 @@ def _swap_perm(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _held_columns(
-    basis: SectorBasis, enc: np.ndarray, env_weights: np.ndarray, in_site: int
+    basis: SectorBasis, enc: np.ndarray, env_weights: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The block columns the trace contraction reads, per sector and as a map.
 
     The traces read the columns of the basis states enc[c] and
     enc[c ^ in_bit] for every c of non-zero environment weight, and no
-    others.  Returns the sector positions of those states for each sector
-    (ascending) and the map from each basis state to its column in blocks
-    holding only them, -1 where such a block does not hold it.
+    others; ``mixed_environment`` never weighs the input site, so they
+    are the enc[c] (``_trace_plan`` checks it).  Returns the sector
+    positions of those states for each sector (ascending) and the map
+    from each basis state to its column in blocks holding only them, -1
+    where such a block does not hold it.
     """
-    live = np.flatnonzero(env_weights)
-    read = enc[np.union1d(live, live ^ (1 << in_site))]
+    read = enc[np.flatnonzero(env_weights)]
     col_position = np.full(1 << basis.n, -1, dtype=np.int64)
     cols = []
     for w in range(basis.n + 1):
@@ -286,14 +287,15 @@ def _row_blocks(blocks: list[np.ndarray]):
         start += U.shape[0]
 
 
-def _sector_block(w, blocks, O, held, t_left, t_right) -> np.ndarray:
-    """Held columns of B = V diag(p_L) O diag(p_R) V[held]^T at K times at once.
+def _sector_block(w, blocks, O, held, times) -> np.ndarray:
+    """Held columns of B = V diag(p) O diag(p) V[held]^T at K times at once.
 
     V is block-diagonal: ``blocks`` are its diagonal blocks in order, each
-    a contiguous range of rows and columns.  p_L and p_R hold the phases
-    exp(-i w t) at the (K,) times ``t_left`` and ``t_right``; ``held``
-    lists the (ascending) sector positions of the held columns' basis
-    states, and ``O`` is a real overlap, or None for the identity.
+    a contiguous range of rows and columns.  p holds the phases
+    exp(-i w t) at the (K,) leg times ``times``, one ``exp`` for both
+    sides; ``held`` lists the (ascending) sector positions of the held
+    columns' basis states, and ``O`` is a real overlap, or None for the
+    identity.
     Returns the (d, len(held), K) stack of blocks.  Contracted right to
     left, block by block, so each product is one real GEMM over the
     columns of every time, written straight into its slice of the stack:
@@ -301,14 +303,14 @@ def _sector_block(w, blocks, O, held, t_left, t_right) -> np.ndarray:
     columns alternate between real and imaginary parts, and a real
     matrix times it, viewed back as complex, is the complex product.
     """
-    d, c, k = w.size, held.size, t_left.size
-    p_R = np.exp(-1j * np.outer(w, t_right))
-    # Z = O diag(p_R) V[held]^T: block k's held columns are one slice of them
+    d, c, k = w.size, held.size, times.size
+    p = np.exp(-1j * np.outer(w, times))
+    # Z = O diag(p) V[held]^T: block k's held columns are one slice of them
     Z = np.zeros((d, c, k), complex) if O is None else None
     for rows, U in _row_blocks(blocks):
         h0, h1 = np.searchsorted(held, (rows.start, rows.stop))
-        # Y_k = V_k[held rows]^T diag(p_R), written into Z when O is the identity
-        Y = np.multiply(U[held[h0:h1] - rows.start].T[:, :, None], p_R[rows, None, :],
+        # Y_k = V_k[held rows]^T diag(p), written into Z when O is the identity
+        Y = np.multiply(U[held[h0:h1] - rows.start].T[:, :, None], p[rows, None, :],
                         out=Z[rows, h0:h1] if O is None else None, order="C")
         if O is not None:
             # Z is allocated after the first Y_k: allocated before it, with
@@ -317,7 +319,7 @@ def _sector_block(w, blocks, O, held, t_left, t_right) -> np.ndarray:
             Z = np.empty((d, c, k), complex) if Z is None else Z
             np.matmul(O[:, rows], _as_real(Y), out=_as_real(Z)[:, 2 * k * h0 : 2 * k * h1])
         del Y  # freed before the next block's, and before B is formed
-    Z *= np.exp(-1j * np.outer(w, t_left))[:, None, :]
+    Z *= p[:, None, :]
     B = np.empty_like(Z)
     for rows, U in _row_blocks(blocks):
         np.matmul(U, _as_real(Z[rows]), out=_as_real(B[rows]))
@@ -349,15 +351,12 @@ def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
     return w
 
 
-# Single-site operators as (flip, [value on bit 0, value on bit 1]):
-# op|b> = value_b |b ^ flip>.  Bit 0 is spin up, so |1><0| lowers.
-_X = (1, np.array([1.0, 1.0]))
-_Y = (1, np.array([1j, -1j]))
-_Z = (0, np.array([1.0, -1.0]))
-_LOWER = (1, np.array([1.0, 0.0]))  # |1><0|
-_RAISE = (1, np.array([0.0, 1.0]))  # |0><1|
-# trace name -> (input operator, output operator); both flip alike
-_TRACE_OPS = {"x": (_X, _X), "y": (_Y, _Y), "z": (_Z, _Z), "s": (_LOWER, _RAISE)}
+# trace name -> (flip, input and output operator values on bits 0 and 1):
+# op|b> = value_b |b ^ flip>.  Bit 0 is spin up, so s takes the input
+# |1><0| (lowers) to the output |0><1| (raises).  T_x and T_y need no
+# contraction: T_x + T_y = 4 Re s, and excitation conservation gives T_x = T_y.
+_TRACE_OPS = {"z": (0, np.array([1.0, -1.0]), np.array([1.0, -1.0])),
+              "s": (1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
 
 
 def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
@@ -370,22 +369,21 @@ def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class _TraceTerm:
-    """One sector pair (w, w2) of the trace contraction.
+    """One sector pair (w, w2) of the contraction of the trace ``key``.
 
     Sums conj(B_w[rows, cols]) * B_w2[rows2, cols2] against the output
-    weights ``q`` (one row per trace in ``keys``) on the left and the
-    input weights ``d`` on the right.
+    weights ``q`` on the left and the input weights ``d`` on the right.
     """
 
-    keys: tuple[str, ...]
+    key: str
     w: int
     w2: int
     rows: np.ndarray
     cols: np.ndarray
     rows2: np.ndarray
     cols2: np.ndarray
-    q: np.ndarray  # (len(keys), len(rows))
-    d: np.ndarray  # (len(keys), len(cols))
+    q: np.ndarray  # (len(rows),)
+    d: np.ndarray  # (len(cols),)
 
 
 def _trace_plan(
@@ -397,7 +395,7 @@ def _trace_plan(
     in_site: int,
     out_site: int,
 ) -> list[_TraceTerm]:
-    """The gathers and weights of the trace contraction.
+    """The gathers and weights of the contraction of T_z and s.
 
     Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
     r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
@@ -420,10 +418,9 @@ def _trace_plan(
     in_bit = (live >> in_site) & 1
     out_bit = (states >> out_site) & 1
     plan = []
-    for flip in (0, 1):
-        keys = tuple(k for k, (op_in, _) in _TRACE_OPS.items() if op_in[0] == flip)
-        d = np.array([_TRACE_OPS[k][0][1][in_bit] * env_weights[live] for k in keys])
-        q = np.array([_TRACE_OPS[k][1][1][out_bit ^ flip] for k in keys])
+    for key, (flip, op_in, op_out) in _TRACE_OPS.items():
+        d = op_in[in_bit] * env_weights[live]
+        q = op_out[out_bit ^ flip]
         rows2 = states ^ (flip << out_site)
         cols2 = live ^ (flip << in_site)
         row_groups = _groups(row_sector * stride + row_sector[rows2])
@@ -434,31 +431,29 @@ def _trace_plan(
                 continue
             w, w2 = divmod(pair, stride)
             plan.append(_TraceTerm(
-                keys, w, w2, row_pos[R], col_pos[live[C]],
-                row_pos[rows2[R]], col_pos[cols2[C]], q[:, R], d[:, C],
+                key, w, w2, row_pos[R], col_pos[live[C]],
+                row_pos[rows2[R]], col_pos[cols2[C]], q[R], d[C],
             ))
     return plan
 
 
 def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[str, np.ndarray]:
-    """The traces at each of k times from (d_w, c_w, k) stacks of blocks."""
+    """T_z and s at each of k times from (d_w, c_w, k) stacks of blocks."""
     traces = {key: np.zeros(k, complex) for key in _TRACE_OPS}
     for term in plan:
         # the gathers are copies: conjugate and multiply in place
         M = blocks[term.w][term.rows[:, None], term.cols]
         np.conjugate(M, out=M)
         M *= blocks[term.w2][term.rows2[:, None], term.cols2]
-        # rows first, as one GEMM over the merged (column, time) axis
-        Z = (term.q @ M.reshape(len(term.rows), -1)).reshape(len(term.keys), -1, k)
-        for key, v in zip(term.keys, np.einsum("jck,jc->jk", Z, term.d)):
-            traces[key] += v
+        # rows first, over the merged (column, time) axis
+        traces[term.key] += term.d @ (term.q @ M.reshape(len(term.rows), -1)).reshape(-1, k)
     return traces
 
 
 class _FactoredChannel:
     """A channel unitary V = P_dec (+)_w B_w P_enc with factored blocks.
 
-    B_w = V_w diag(p(t_left)) O_w diag(p(t_right)) V_w^T acts on the
+    B_w = V_w diag(p(t)) O_w diag(p(t)) V_w^T acts on the
     Hamming-weight-w sector of ``basis``; ``eig`` holds, per sector, the
     eigenvalues and the diagonal blocks of V_w, which tile the sector in
     contiguous ranges of rows and columns (one block for a full
@@ -471,37 +466,39 @@ class _FactoredChannel:
     ``traces`` gives T_i = Tr[s^i_out E(s^i_in)] for i in {x, y, z} plus
     the coherence-transfer amplitude s = Tr[s^+_out E(s^-_in)], where
     E(A) = Tr_rest[V (A (x) rho_env) V^dag] and ``env_weights`` is the
-    diagonal of rho_env over the full basis.  The average channel fidelity
-    is 1/2 + (T_x + T_y + T_z)/12.
+    diagonal of rho_env over the full basis.  Only T_z and s are
+    contracted: T_x + T_y = 2 Tr[s^+ E(s^-)] + c.c. = 4 Re s, and V
+    conserves the excitation number, so T_x = T_y = 2 Re s.  The average
+    channel fidelity is 1/2 + (T_x + T_y + T_z)/12 = 1/2 + (T_z + 4 Re s)/12.
     """
 
     def __init__(self, basis, eig, overlaps, enc, dec, env_weights, in_site, out_site):
         self._eig = eig
         self._overlaps = overlaps
-        self._cols, col_position = _held_columns(basis, enc, env_weights, in_site)
+        self._cols, col_position = _held_columns(basis, enc, env_weights)
         self._plan = _trace_plan(basis, enc, dec, col_position, env_weights, in_site, out_site)
         # times per batch: the stacked complex blocks stay under _BATCH_BYTES
         per_time = 16 * sum(w.size * len(c) for (w, _), c in zip(eig, self._cols))
         self._batch = max(1, _BATCH_BYTES // per_time)
 
-    def traces(self, t_left: np.ndarray, t_right: np.ndarray) -> list[dict[str, complex]]:
-        """The traces at each time pair (t_left[k], t_right[k]), one dict per pair.
+    def traces(self, times: np.ndarray) -> list[dict[str, complex]]:
+        """The traces x, y, z and s at each leg time t of ``times``, one dict per time.
 
-        Up to ``_batch`` pairs share one block product per sector and one
+        Up to ``_batch`` times share one block product per sector and one
         contraction.
         """
-        times = np.concatenate((t_left, t_right))
         if not np.all(np.isfinite(times) & (times >= 0)):
             raise ValueError("time must be finite and non-negative")
         out = []
-        for start in range(0, t_left.size, self._batch):
-            tl, tr = t_left[start : start + self._batch], t_right[start : start + self._batch]
+        for start in range(0, times.size, self._batch):
+            t = times[start : start + self._batch]
             # the blocks are a temporary: one batch's are freed before the next is built
             traces = _contract(self._plan, [
-                _sector_block(w, blocks, O, held, tl, tr)
+                _sector_block(w, blocks, O, held, t)
                 for (w, blocks), O, held in zip(self._eig, self._overlaps, self._cols)
-            ], tl.size)
-            out += [{key: complex(v[i]) for key, v in traces.items()} for i in range(tl.size)]
+            ], t.size)
+            out += [{"x": complex(2 * s.real), "y": complex(2 * s.real), "z": z, "s": s}
+                    for z, s in zip(traces["z"].tolist(), traces["s"].tolist())]
         return out
 
 
@@ -515,11 +512,11 @@ class ExactChannelResult:
 
 
 def _result_from_traces(traces: dict[str, complex]) -> ExactChannelResult:
-    tx, ty, tz = (traces[k].real for k in ("x", "y", "z"))
-    f_plain = 0.5 + (tx + ty + tz) / 12.0
+    tz, s = traces["z"].real, traces["s"]
+    f_plain = 0.5 + (tz + 4.0 * s.real) / 12.0  # T_x + T_y = 4 Re s
     # A post-transfer z-phase gate can align the coherence transfer; the
     # best achievable coherence contribution is 4|s| in place of Tx+Ty.
-    f_corr = 0.5 + (tz + 4.0 * abs(traces["s"])) / 12.0
+    f_corr = 0.5 + (tz + 4.0 * abs(s)) / 12.0
     return ExactChannelResult(float(f_plain), float(f_corr), traces)
 
 
@@ -593,8 +590,8 @@ class EncodedProtocolEngine:
     (``_leg_a_eig``).  Leg b is H_b = P H_a P, with P the basis
     permutation that swaps 0a<->0b and (N+1)a<->(N+1)b; P keeps the
     Hamming weight, so in each sector V_b = P_w V_a (rows permuted) and
-    the leg product is B_w A_w = P_w V_a diag(p_b) O_w diag(p_a) V_a^T
-    with the real overlap O_w = V_b^T V_a, formed block by block
+    the leg product is B_w A_w = P_w V_a diag(p) O_w diag(p) V_a^T, p the
+    phases at the leg time, with the real overlap O_w = V_b^T V_a, formed block by block
     (``_block_overlap``).  The leading P_w is folded into the decode map.
     The engine holds V_a only as its diagonal blocks, and the trace
     contraction is planned once per engine.
@@ -630,12 +627,12 @@ class EncodedProtocolEngine:
 
         Both legs are block-diagonal in the same magnetization sectors, so
         the protocol is one ``_FactoredChannel`` (encode CNOT, B_w A_w,
-        decode CNOT) with t_left = t_right = t.
+        decode CNOT) at leg time t.
         """
         t = np.asarray(times, float)
         if t.ndim != 1:
             raise ValueError("times must be a 1-D array")
-        return [_result_from_traces(traces) for traces in self._channel.traces(t, t)]
+        return [_result_from_traces(traces) for traces in self._channel.traces(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +681,5 @@ def transfer_channel_traces(
     out_site = n - 1 if kind == "single_swap" else 0
     env = mixed_environment(n, 0, fixed=fixed)
     channel = _FactoredChannel(basis, eig, overlaps, identity, identity, env, 0, out_site)
-    times = np.array([float(t)])
-    # a swap is one leg of evolution: O = 1 and no time on the left
-    return channel.traces(times if kind == "remote_z" else np.zeros(1), times)[0]
+    # a swap evolves for t: two legs of t/2 with O = 1 between them
+    return channel.traces(np.array([float(t) if kind == "remote_z" else 0.5 * float(t)]))[0]

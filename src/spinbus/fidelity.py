@@ -128,8 +128,13 @@ def perturbative_infidelity(N: int, g: float) -> PerturbativeEstimate:
     the z = N/2 mode and returns the register detuning delta that cancels
     the second-order phase mismatch.  Outside the perturbative window
     g < 1/sqrt(N) a warning is issued but the estimate is still computed
-    (the breakdown region is itself of interest).
+    (the breakdown region is itself of interest).  N must be an integer
+    >= 1 and g finite and positive, else ``ValueError``.
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"g must be finite and positive, got {g!r}")
     if g > 1.0 / math.sqrt(N):
         warnings.warn(
             f"g = {g:.3g} exceeds the perturbative window kappa/sqrt(N) = "

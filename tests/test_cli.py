@@ -286,6 +286,13 @@ class TestExitCodes:
                                "lattice_text": "R.R"}),
             ("bosonic", {"seed": 1.0}),
             ("dipolar-ed", {"cap": 14.0, "total_spins": [6]}),
+            # each entry writes its own rows: a repeated one would write them twice
+            ("disorder-sweep", {"sigma_d_nm": [0.5, 0.5]}),
+            ("disorder-sweep", {"t1_ms": [200.0, 200.0]}),
+            ("dipolar-ed", {"models": ["nearest_neighbor", "nearest_neighbor"]}),
+            ("dipolar-ed", {"total_spins": [6, 6]}),
+            ("bosonic", {"kt_over_omega": [10.0, 10.0]}),
+            ("mirror-verify", {"mirror_sizes": [2, 2]}),
         ],
         ids=["no-register", "one-register", "one-site-lattice", "ragged", "unknown-char",
              "too-many-holes", "negative-kt", "zero-kt", "negative-sigma", "negative-t1",
@@ -295,7 +302,9 @@ class TestExitCodes:
              "strong-scan-realizations",
              "nan-g", "inf-kt", "nan-sigma", "nan-holes", "inf-g-max", "minus-inf-g-max",
              "float-n-times", "float-n-chain", "float-realizations", "float-mirror-size",
-             "float-seed", "float-cap"],
+             "float-seed", "float-cap",
+             "repeated-sigma", "repeated-t1", "repeated-model", "repeated-total-spins",
+             "repeated-kt", "repeated-mirror-size"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"

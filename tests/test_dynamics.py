@@ -259,6 +259,21 @@ class TestChiralFold:
         elements(end_coupled_chain(n, 0.6), np.linspace(0.0, 5.0, 9))
         assert sizes == [n - n // 2]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 102])
+    def test_other_sets_keep_every_mode(self, n, monkeypatch):
+        # with a field no mode has a partner: the fold is the full sum
+        sizes = []
+        phase_grid = dynamics._phase_grid
+        monkeypatch.setattr(
+            dynamics, "_phase_grid", lambda w, times: sizes.append(w.size) or phase_grid(w, times)
+        )
+        modes = dynamics.eigenmodes(end_coupled_chain(n, 0.6) + np.diag(np.full(n, 0.05)))
+        assert not modes.chiral
+        times = np.linspace(0.0, 5.0, 9)
+        got, want = dynamics.transfer_elements(modes, times), full_sum(modes, times)
+        assert sizes == [n]
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-12
+
     def test_uniform_chain_is_chiral(self):
         assert dynamics.eigenmodes(uniform_k(10, 0.7)).chiral
         assert not dynamics.eigenmodes(uniform_k(10, 0.7, register_field=0.05)).chiral
@@ -362,7 +377,7 @@ class TestResonantModeSelection:
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
         z = 3  # the zero mode of the odd uniform chain
-        choice = dynamics.mode_budget(modes).select(0.1, N, math.inf)[0]
+        choice = dynamics.mode_budget(modes).select(0.1, math.inf)[0]
         assert choice.mode_index == z
         aL = abs(modes.psi_left[z])
         aR = abs(modes.psi_right[z])
@@ -379,7 +394,7 @@ class TestResonantModeSelection:
         N = 9
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
-        choice = dynamics.mode_budget(modes).select(0.05, N, math.inf)[0]
+        choice = dynamics.mode_budget(modes).select(0.05, math.inf)[0]
         assert abs(choice.energy) < 1e-12
 
     def test_degenerate_mode_raises(self):
@@ -394,7 +409,7 @@ class TestResonantModeSelection:
         ])
         modes = dynamics.EigenmodeSet(np.array([-1.0, -1.0, 1.0, 1.0]), vectors)
         with pytest.raises(dynamics.NoTransferModeError):
-            dynamics.mode_budget(modes).select(0.1, 4, math.inf)
+            dynamics.mode_budget(modes).select(0.1, math.inf)
 
     def test_degenerate_pair_skipped_in_min_error(self):
         # Realization 74 of a 50-site chain at sigma/d = 1, master seed 0:
@@ -408,7 +423,7 @@ class TestResonantModeSelection:
         assert gaps[pair] < 1e-12
         budget = dynamics.mode_budget(modes)
         assert not budget.candidate[pair] and not budget.candidate[pair + 1]
-        choice = budget.select(0.5, 50, 1e4)[0]
+        choice = budget.select(0.5, 1e4)[0]
         assert choice.mode_index not in (pair, pair + 1)
         assert budget.candidate[choice.mode_index]
 
@@ -417,18 +432,18 @@ class TestResonantModeSelection:
         J = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         modes = dynamics.eigenmodes(J)
         budget = dynamics.mode_budget(modes)
-        loose = budget.select(10.0, N, 1e4)[0]
+        loose = budget.select(10.0, 1e4)[0]
         assert loose.g_left < 10.0  # optimum, not the cap
-        capped = budget.select(1e-4, N, 1e4)[0]
+        capped = budget.select(1e-4, 1e4)[0]
         assert capped.g_left == pytest.approx(1e-4)
 
     def test_invalid_inputs(self):
         J = np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
         budget = dynamics.mode_budget(dynamics.eigenmodes(J))
         with pytest.raises(ValueError):
-            budget.select(0.0, 3, math.inf)
+            budget.select(0.0, math.inf)
         with pytest.raises(ValueError, match="g_max"):
-            budget.select(math.nan, 3, math.inf)
+            budget.select(math.nan, math.inf)
 
 
 class TestBdG:
@@ -633,11 +648,11 @@ class TestModeBudget:
         modes = dynamics.eigenmodes(K)
         budget = dynamics.mode_budget(modes)
         ref = scalar_errors(modes, g_max, n, T1)
-        eps = budget.errors(g_max, n, T1)[-1]
+        eps = budget.errors(g_max, T1)[-1]
         assert sorted(ref) == list(np.flatnonzero(budget.candidate))
         for z, e in ref.items():
             assert abs(eps[z] - e) <= 1e-12 * e
-        choice, best = budget.select(g_max, n, T1)
+        choice, best = budget.select(g_max, T1)
         z_ref = scalar_selection(modes, g_max, n, T1)
         assert abs(best - ref[z_ref]) <= 1e-12 * best
         # Modes whose eps agree to rounding are a tie that rounding breaks
@@ -656,9 +671,9 @@ class TestModeBudget:
         vectors = np.array([[r, 0.0, r], [0.0, 1.0, 0.0], [r, 0.0, -r]])
         modes = dynamics.EigenmodeSet(np.array([-2.0, -1.0, 0.0]), vectors)
         budget = dynamics.mode_budget(modes)
-        eps = budget.errors(0.1, 3, T1)[-1]
+        eps = budget.errors(0.1, T1)[-1]
         assert eps[0] == eps[2] and math.isinf(eps[1])
-        choice, _ = budget.select(0.1, 3, T1)
+        choice, _ = budget.select(0.1, T1)
         assert choice.mode_index == 2
         assert scalar_selection(modes, 0.1, 3, T1) == 2
 
@@ -671,13 +686,13 @@ class TestModeBudget:
         modes = dynamics.eigenmodes(np.diag(np.ones(6), 1) + np.diag(np.ones(6), -1))
         budget = dynamics.mode_budget(modes)
         with pytest.raises(ValueError, match="g_max must be finite and positive") as err:
-            budget.errors(g_max, 7, T1)
+            budget.errors(g_max, T1)
         assert err.type is ValueError
         with pytest.raises(ValueError, match="g_max"):
-            budget.select(g_max, 7, T1)
+            budget.select(g_max, T1)
 
     def test_no_candidate_raises(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])  # each mode lives on one end
         modes = dynamics.EigenmodeSet(np.array([-1.0, 1.0]), vectors)
         with pytest.raises(dynamics.NoTransferModeError):
-            dynamics.mode_budget(modes).select(0.1, 2, 1e3)
+            dynamics.mode_budget(modes).select(0.1, 1e3)

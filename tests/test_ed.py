@@ -61,18 +61,8 @@ def dense_protocol_traces(K, t_a, t_b):
     return oracles.channel_traces(U, n, a0, bR, env)
 
 
-def leg_traces(engine, t_a, t_b):
-    """The engine's channel with leg a lasting t_a and leg b t_b.
-
-    The engine runs both legs equally long; its factored channel takes
-    the two times apart (t_left = t_b, t_right = t_a), which pins down
-    which side of the overlap each leg's phases sit on.
-    """
-    return engine._channel.traces(np.array([float(t_b)]), np.array([float(t_a)]))[0]
-
-
 def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
-    """Traces of P_dec (+)_w blocks[w] P_enc, every column of every block held."""
+    """T_z and s of P_dec (+)_w blocks[w] P_enc, every column of every block held."""
     plan = ed._trace_plan(basis, enc, dec, basis.position, env, in_site, out_site)
     traces = ed._contract(plan, [b[:, :, None] for b in blocks], 1)
     return {key: complex(v[0]) for key, v in traces.items()}
@@ -400,15 +390,8 @@ class TestEncodedProtocol:
             oracles.phase_corrected_fidelity(want), abs=1e-10
         )
 
-    def test_asymmetric_leg_times(self):
-        K = uniform_k(2, 0.5)
-        got = leg_traces(ed.EncodedProtocolEngine(K), 2.0, 5.0)
-        want = dense_protocol_traces(K, 2.0, 5.0)
-        for key in ("x", "y", "z", "s"):
-            assert got[key] == pytest.approx(want[key], abs=1e-10)
-
-    @pytest.mark.parametrize("t_b", [3.7, 5.9])
-    def test_engine_dipolar_fields_against_dense_oracle(self, t_b):
+    @pytest.mark.parametrize("t", [3.7, 5.9])
+    def test_engine_dipolar_fields_against_dense_oracle(self, t):
         N = 4
         r = np.arange(N, dtype=float)
         dist = np.abs(r[:, None] - r[None, :])
@@ -416,8 +399,8 @@ class TestEncodedProtocol:
         J = 1.0 / dist**3
         np.fill_diagonal(J, 0.0)
         K = protocol_k(J, 0.55, [0.3, -0.2, 0.15, -0.4])
-        got = leg_traces(ed.EncodedProtocolEngine(K), 3.7, t_b)
-        want = dense_protocol_traces(K, 3.7, t_b)
+        got = ed.EncodedProtocolEngine(K).fidelities([t])[0].traces
+        want = dense_protocol_traces(K, t, t)
         for key in ("x", "y", "z", "s"):
             assert got[key] == pytest.approx(want[key], abs=1e-10)
 
@@ -509,15 +492,13 @@ class TestFactoredEngine:
         env = ed.mixed_environment(n_total, in_site, fixed={b0: 0},
                                    correlated_pairs=[(b, a)])
         enc = ed._cnot_perm(n_total, in_site, b0)
-        times = ((1.3 * N, 1.3 * N), (1.1 * N, 1.6 * N))
-        products = [oracles.sector_leg_product(eig_a, eig_b, *ts) for ts in times]
+        times = (1.3 * N, 1.6 * N)
+        products = [oracles.sector_leg_product(eig_a, eig_b, t, t) for t in times]
         dec = ed._cnot_perm(n_total, b, a)
-        engine = ed.EncodedProtocolEngine(K)
-        for (t_a, t_b), blocks in zip(times, products):
-            got = leg_traces(engine, t_a, t_b)
+        for res, blocks in zip(ed.EncodedProtocolEngine(K).fidelities(times), products):
             want = full_block_traces(Ha.basis, blocks, enc, dec, env, in_site, b)
-            for key in ("x", "y", "z", "s"):
-                assert abs(got[key] - want[key]) <= 1e-12
+            for key in want:
+                assert abs(res.traces[key] - want[key]) <= 1e-12
 
     @pytest.mark.parametrize("n_total", [6, 8, 10, 12])
     def test_leg_a_eigenpairs_from_active_sites(self, n_total):
@@ -568,7 +549,7 @@ class TestFactoredEngine:
         # sites {0a, 1..N, (N+1)a, 0b, (N+1)b}
         env = ed.mixed_environment(n, 0, fixed={N + 2: 0}, correlated_pairs=[(N + 3, N + 1)])
         enc = ed._cnot_perm(n, 0, N + 2)
-        cols, col_position = ed._held_columns(ed.SectorBasis(n), enc, env, 0)
+        cols, col_position = ed._held_columns(ed.SectorBasis(n), enc, env)
         assert all(np.array_equal(a, b) for a, b in zip(cols, engine._channel._cols))
         assert np.count_nonzero(col_position >= 0) == held
 
@@ -627,15 +608,6 @@ class TestBatchedFidelities:
     def test_single_time(self, engine):
         assert_batch_matches_points(engine, [5.2])
 
-    def test_unequal_leg_b_times(self, engine):
-        # the factored channel batches unequal left and right times alike
-        t_a, t_b = [2.0, 4.5, 6.1], [5.0, 0.0, 3.3]
-        batch = engine._channel.traces(np.array(t_b), np.array(t_a))
-        for got, ta, tb in zip(batch, t_a, t_b):
-            one = leg_traces(engine, ta, tb)
-            for key in ("x", "y", "z", "s"):
-                assert abs(got[key] - one[key]) <= 1e-13
-
     def test_empty_grid(self, engine):
         assert engine.fidelities([]) == []
 
@@ -678,8 +650,50 @@ class TestTransferChannelsAgainstEvolveBlocks:
             H.basis, U, identity, identity, ed.mixed_environment(n, 0, fixed=fixed),
             0, n - 1 if kind == "single_swap" else 0,
         )
-        for key in ("x", "y", "z", "s"):
+        for key in want:
             assert abs(got[key] - want[key]) <= 1e-12
+
+
+def assert_x_and_y_from_s(traces, tol):
+    """T_x = T_y and T_x + T_y = 4 Re s, to ``tol``."""
+    assert abs(traces["x"] - traces["y"]) <= tol
+    assert abs(traces["x"] + traces["y"] - 4.0 * traces["s"].real) <= tol
+
+
+class TestTraceIdentity:
+    """T_x = T_y = 2 Re s, which lets ``ed`` contract only T_z and s.
+
+    T_x + T_y = 4 Re s holds for any channel, and T_x = T_y for an
+    excitation-conserving one.  The identity is checked on the Kronecker
+    oracle, which shares no code with ``ed``.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
+    def test_plain_channels_with_random_site_weights(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 5
+        # every pair bonded, with chain fields
+        K = rng.uniform(0.2, 1.0, (n, n))
+        K = K + K.T
+        np.fill_diagonal(K, rng.uniform(-0.3, 0.3, n))
+        U = oracles.unitary(oracles.h_from_k(K), rng.uniform(1.0, 10.0))
+        if kind == "remote_z":
+            U = U @ oracles.op_on(oracles.SZ, n - 1, n) @ U
+        p = rng.uniform(0.0, 1.0, n)
+        env = oracles.env_diag(n, 0, site_weights={q: (p[q], 1.0 - p[q]) for q in range(1, n)})
+        traces = oracles.channel_traces(U, n, 0, n - 1 if kind == "single_swap" else 0, env)
+        assert_x_and_y_from_s(traces, 1e-12)
+
+    def test_encoded_protocol_with_unequal_legs(self):
+        assert_x_and_y_from_s(dense_protocol_traces(dipolar_k(3), 2.0, 5.0), 1e-12)
+
+    def test_engine_and_kinds_return_two_re_s(self):
+        res = ed.EncodedProtocolEngine(dipolar_k(3)).fidelities([0.0, 2.0, 5.0])
+        kinds = [ed.transfer_channel_traces(uniform_k(3, 0.5), 4.1, kind)
+                 for kind in ("double_swap", "single_swap", "remote_z")]
+        for traces in [r.traces for r in res] + kinds:
+            assert traces["x"] == traces["y"] == complex(2 * traces["s"].real)
 
 
 class TestEngineMemory:

@@ -136,7 +136,7 @@ class TestErrorBudget:
 
     def test_hand_computed_off_resonant(self):
         modes = self._modes(3)
-        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(0.1, 3, math.inf)
+        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(0.1, math.inf)
         z = 1
         assert gL[z] == 0.1
         expect = sum(
@@ -153,8 +153,8 @@ class TestErrorBudget:
         modes = self._modes(5)
         budget = dynamics.mode_budget(modes)
         z = 2
-        gL, _, _, tau, eps = budget.errors(0.05, 5, 100.0)
-        off = budget.errors(gL[z], 5, math.inf)[-1][z]
+        gL, _, _, tau, eps = budget.errors(0.05, 100.0)
+        off = budget.errors(gL[z], math.inf)[-1][z]
         assert eps[z] - off == pytest.approx(5 * tau[z] / 100.0, rel=1e-12)
         ref = oracles.error_budget(modes, oracles.matched_choice(modes, z, gL[z]), 5, 100.0)
         assert ref.decoherence == pytest.approx(5 * tau[z] / 100.0, rel=1e-12)
@@ -163,8 +163,8 @@ class TestErrorBudget:
     def test_quadratic_in_coupling(self):
         modes = self._modes(7)
         budget = dynamics.mode_budget(modes)
-        e1 = budget.errors(0.02, 7, math.inf)[-1]
-        e2 = budget.errors(0.04, 7, math.inf)[-1]
+        e1 = budget.errors(0.02, math.inf)[-1]
+        e2 = budget.errors(0.04, math.inf)[-1]
         assert np.isfinite(e1).sum() >= 3
         assert e2[budget.candidate] == pytest.approx(4.0 * e1[budget.candidate], rel=1e-12)
         ref = oracles.error_budget(modes, oracles.matched_choice(modes, 3, 0.04), 7, math.inf)
@@ -174,13 +174,13 @@ class TestErrorBudget:
         budget = dynamics.mode_budget(self._modes(3))
         for T1 in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                budget.errors(0.1, 3, T1)
+                budget.errors(0.1, T1)
 
     def test_optimal_coupling_is_stationary(self):
         modes = self._modes(9)
         z = 4
         T1 = 2.0e4
-        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(10.0, 9, T1)
+        gL, gR, _, _, eps = dynamics.mode_budget(modes).errors(10.0, T1)
         assert gL[z] < 10.0  # the optimum, not the cap
         ref = oracles.optimal_coupling(modes, z, 9, T1)
         assert (gL[z], gR[z]) == pytest.approx(ref, rel=1e-12)
@@ -233,6 +233,16 @@ class TestPerturbative:
         M = dynamics.propagator(K, est.transfer_time)
         exact = 1.0 - abs(M[0, -1]) ** 2
         assert est.transfer_infidelity == pytest.approx(exact, rel=0.1)
+
+    @pytest.mark.parametrize("N, g, name", [
+        (0, 0.01, "N"), (-3, 0.01, "N"), (2.0, 0.01, "N"), (True, 0.01, "N"),
+        (10, 0.0, "g"), (10, -0.1, "g"), (10, math.nan, "g"), (10, math.inf, "g"),
+    ])
+    def test_invalid_arguments_rejected(self, N, g, name):
+        # g = 0 and N = 0 divided by zero, a negative g gave a negative
+        # transfer time and a NaN g a NaN estimate
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fidelity.perturbative_infidelity(N, g)
 
     def test_estimates_nonnegative(self):
         for N in (9, 10, 33, 34):
