@@ -11,10 +11,13 @@ block by block, so no 2^n x 2^n matrix is ever formed.
 Every channel block has the factored form
 B_w = V_w diag(p) O_w diag(p) V_w[cols]^T, with real eigenvectors V,
 phases p = exp(-i w t) at one leg time t and a real sector overlap O_w
-fixed per channel (the identity for the swaps, two legs of half their
-time).  The complex products run as real GEMMs on the complex operand
-viewed as float64, and a block holds only the columns ``cols`` that the
-environment state reaches.
+fixed per channel.  The encoded protocol holds O_w dense.  A plain
+channel's legs meet at a reflection S = 1 - 2 Pi_m, so
+O_w = 1 - 2 V_w[m]^T V_w[m] is applied as two thin products and never
+formed: m holds the rows that the z flip of ``remote_z`` negates, and
+none for the swaps, two legs of half their time.  The complex products
+run as real GEMMs on the complex operand viewed as float64, and a block
+holds only the columns ``cols`` that the environment state reaches.
 
 The eigenvectors V_w are given as diagonal blocks that tile the sector
 in contiguous ranges, and every product runs block by block.  A plain
@@ -33,18 +36,19 @@ blocks at about a quarter of the cost, any other sector whole
 
 Memory is counted in real sets of sector blocks, sum_w C(n, w)^2 float64
 entries (0.32 GB at 14 spins), and measured with tracemalloc.  At 12
-spins a plain transfer channel peaks at about 4.3 such sets for the
-swaps (eigenvectors, the complex blocks and the contraction's gathers;
-the Hamiltonian is dropped after its eigensolve) and about 5.3 for
-``remote_z``, which also holds its overlaps.  At 12 and 13 spins an
-encoded-protocol engine holds about 1.1 sets: the overlaps, plus leg
-a's eigenvector blocks (about 0.2, as the blocks of the patterns 01 and
-10 are one array).  It peaks at about 1.1 while it is built.  Its
-``fidelities`` stack the blocks of a batch of times, half a set per time
-(complex, a quarter of the columns), with as many times per batch as fit
-in ``_BATCH_BYTES`` and at least one; a batch peaks at about 1.5 times
-its stacked blocks on top of the held sets (0.7 sets for one time, from
-13 spins on, so 1.8 in all).
+spins a plain transfer channel peaks at about 3.65 such sets, the swaps
+and ``remote_z`` alike: the eigenvectors (one set), the complex blocks
+(two) and the contraction's |B|^2 temporary of the largest sector (0.6);
+the Hamiltonian is dropped after its eigensolve, and no overlap is held.
+At 12 and 13 spins an encoded-protocol engine holds about 1.1 sets: the
+overlaps, plus leg a's eigenvector blocks (about 0.2, as the blocks of
+the patterns 01 and 10 are one array).  It peaks at about 1.1 while it
+is built.  Its ``fidelities`` stack the blocks of a batch of times, half
+a set per time (complex, a quarter of the columns), with as many times
+per batch as fit in ``_BATCH_BYTES`` and at least one; a batch peaks at
+about 1.3 times its stacked blocks on top of the held sets, the |B|^2
+temporary included (0.6 sets for one time, from 13 spins on, so 1.7 in
+all).
 
 Bit convention: bit value 1 marks a flipped spin (an "excitation");
 ``|0>`` is spin up, so sz has eigenvalue +1 on bit 0.
@@ -178,8 +182,8 @@ def _check_cap(n: int, cap: int) -> None:
         mem = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8 / 1e9
         raise ResourceLimitError(
             f"{n} qubits exceeds the cap of {cap}; an exact channel peaks at about "
-            f"two (encoded protocol) to five and a half (plain transfer) real sets "
-            f"of sector blocks, about {2 * mem:.1f}-{5.5 * mem:.1f} GB"
+            f"1.7 (encoded protocol) to 3.6 (plain transfer) real sets of sector "
+            f"blocks, about {1.7 * mem:.1f}-{3.6 * mem:.1f} GB"
         )
 
 
@@ -294,8 +298,12 @@ def _sector_block(w, blocks, O, held, times) -> np.ndarray:
     a contiguous range of rows and columns.  p holds the phases
     exp(-i w t) at the (K,) leg times ``times``, one ``exp`` for both
     sides; ``held`` lists the (ascending) sector positions of the held
-    columns' basis states, and ``O`` is a real overlap, or None for the
-    identity.
+    columns' basis states.  ``O`` is either a dense real overlap or, for a
+    V of one block, the ascending sector positions m of a reflection
+    S = 1 - 2 Pi_m between the legs: O = V^T S V = 1 - 2 V[m]^T V[m] (the
+    identity when m is empty), applied as two thin GEMMs, so nothing d x d
+    is formed; it reflects on the fewer of m and the other rows r, as
+    S = -(1 - 2 Pi_r).
     Returns the (d, len(held), K) stack of blocks.  Contracted right to
     left, block by block, so each product is one real GEMM over the
     columns of every time, written straight into its slice of the stack:
@@ -305,20 +313,33 @@ def _sector_block(w, blocks, O, held, times) -> np.ndarray:
     """
     d, c, k = w.size, held.size, times.size
     p = np.exp(-1j * np.outer(w, times))
+    dense = O.ndim == 2
     # Z = O diag(p) V[held]^T: block k's held columns are one slice of them
-    Z = np.zeros((d, c, k), complex) if O is None else None
+    Z = None if dense else np.zeros((d, c, k), complex)
     for rows, U in _row_blocks(blocks):
         h0, h1 = np.searchsorted(held, (rows.start, rows.stop))
-        # Y_k = V_k[held rows]^T diag(p), written into Z when O is the identity
+        # Y_k = V_k[held rows]^T diag(p), written into Z for a reflection
         Y = np.multiply(U[held[h0:h1] - rows.start].T[:, :, None], p[rows, None, :],
-                        out=Z[rows, h0:h1] if O is None else None, order="C")
-        if O is not None:
+                        out=None if dense else Z[rows, h0:h1], order="C")
+        if dense:
             # Z is allocated after the first Y_k: allocated before it, with
             # the same arrays alive, the heap's placement raised the peak RSS
-            # of a 12-spin remote_z call from 150 MB to 172 MB
+            # of a 12-spin channel with dense overlaps from 150 MB to 172 MB
             Z = np.empty((d, c, k), complex) if Z is None else Z
             np.matmul(O[:, rows], _as_real(Y), out=_as_real(Z)[:, 2 * k * h0 : 2 * k * h1])
         del Y  # freed before the next block's, and before B is formed
+    if not dense and O.size:
+        (V,) = blocks
+        if 2 * O.size > d:
+            # S = -(1 - 2 Pi_r): reflect on the other rows r, and fold the
+            # sign into the phases of the second leg
+            O, p = np.delete(np.arange(d), O), -p
+        V_m = V[O]
+        T = V_m @ _as_real(Z)
+        T *= 2.0
+        Z_real = _as_real(Z)
+        Z_real -= V_m.T @ T  # Z - 2 V[m]^T V[m] Z
+        del V_m, T
     Z *= p[:, None, :]
     B = np.empty_like(Z)
     for rows, U in _row_blocks(blocks):
@@ -373,17 +394,20 @@ class _TraceTerm:
 
     Sums conj(B_w[rows, cols]) * B_w2[rows2, cols2] against the output
     weights ``q`` on the left and the input weights ``d`` on the right.
+    A diagonal term (w2 = w, rows2 = rows, cols2 = cols) has no gathers:
+    its index arrays are None, and q and d weigh all the rows and columns
+    of B_w in its own order, so it sums q |B_w|^2 d.
     """
 
     key: str
     w: int
     w2: int
-    rows: np.ndarray
-    cols: np.ndarray
-    rows2: np.ndarray
-    cols2: np.ndarray
-    q: np.ndarray  # (len(rows),)
-    d: np.ndarray  # (len(cols),)
+    rows: np.ndarray | None
+    cols: np.ndarray | None
+    rows2: np.ndarray | None
+    cols2: np.ndarray | None
+    q: np.ndarray  # (len(rows),), or (rows of B_w,) for a diagonal term
+    d: np.ndarray  # (len(cols),), or (columns of B_w,) for a diagonal term
 
 
 def _trace_plan(
@@ -400,10 +424,12 @@ def _trace_plan(
     Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
     r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
     times the environment weight and q the output operator's value.  Rows
-    and columns are grouped by the sector pair (w, w') that V[r, c] and
-    V[r', c'] fall in, and only the matching sub-blocks of B_w and B_w'
-    are gathered; columns of zero environment weight are skipped, so the
-    blocks need hold only the ``_held_columns``, which ``col_map`` indexes.
+    and columns of zero weight are dropped (half of each for s), and the
+    rest are grouped by the sector pair (w, w') that V[r, c] and V[r', c']
+    fall in; only the matching sub-blocks of B_w and B_w' are gathered.
+    The blocks need hold only the ``_held_columns``, which ``col_map``
+    indexes.  T_z flips no bit, so its terms are diagonal: their weights
+    are scattered into block order here, and they need no gathers.
     The plan depends on the permutations, the held columns and the
     environment only, so a channel evaluated at many times is planned once.
     """
@@ -421,19 +447,27 @@ def _trace_plan(
     for key, (flip, op_in, op_out) in _TRACE_OPS.items():
         d = op_in[in_bit] * env_weights[live]
         q = op_out[out_bit ^ flip]
-        rows2 = states ^ (flip << out_site)
-        cols2 = live ^ (flip << in_site)
-        row_groups = _groups(row_sector * stride + row_sector[rows2])
-        col_groups = _groups(col_sector[live] * stride + col_sector[cols2])
+        # the rows and columns of non-zero weight, and their flipped partners
+        rows, cols = np.flatnonzero(q), np.flatnonzero(d)
+        q, d, cols = q[rows], d[cols], live[cols]
+        rows2, cols2 = rows ^ (flip << out_site), cols ^ (flip << in_site)
+        row_groups = _groups(row_sector[rows] * stride + row_sector[rows2])
+        col_groups = _groups(col_sector[cols] * stride + col_sector[cols2])
         for pair, R in row_groups.items():
             C = col_groups.get(pair)
             if C is None:
                 continue
             w, w2 = divmod(pair, stride)
-            plan.append(_TraceTerm(
-                key, w, w2, row_pos[R], col_pos[live[C]],
-                row_pos[rows2[R]], col_pos[cols2[C]], q[R], d[C],
-            ))
+            r, c = row_pos[rows[R]], col_pos[cols[C]]
+            if flip:
+                plan.append(_TraceTerm(key, w, w2, r, c, row_pos[rows2[R]], col_pos[cols2[C]],
+                                       q[R], d[C]))
+                continue
+            # diagonal: the weights in block order, zero where the block is not weighed
+            q_w = np.zeros(basis.sectors[w].size)
+            d_w = np.zeros(col_map[basis.sectors[w]].max() + 1)
+            q_w[r], d_w[c] = q[R], d[C]
+            plan.append(_TraceTerm(key, w, w, None, None, None, None, q_w, d_w))
     return plan
 
 
@@ -441,8 +475,16 @@ def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[
     """T_z and s at each of k times from (d_w, c_w, k) stacks of blocks."""
     traces = {key: np.zeros(k, complex) for key in _TRACE_OPS}
     for term in plan:
+        B = blocks[term.w]
+        if term.rows is None:
+            # squares of the float view: |B|^2 as its real and imaginary
+            # parts in turn, summed once the rows are contracted (the
+            # temporary is freed at once, before the next term's)
+            q_sq = term.q @ np.square(_as_real(B))
+            traces[term.key] += term.d @ q_sq.reshape(-1, k, 2).sum(axis=2)
+            continue
         # the gathers are copies: conjugate and multiply in place
-        M = blocks[term.w][term.rows[:, None], term.cols]
+        M = B[term.rows[:, None], term.cols]
         np.conjugate(M, out=M)
         M *= blocks[term.w2][term.rows2[:, None], term.cols2]
         # rows first, over the merged (column, time) axis
@@ -457,7 +499,8 @@ class _FactoredChannel:
     Hamming-weight-w sector of ``basis``; ``eig`` holds, per sector, the
     eigenvalues and the diagonal blocks of V_w, which tile the sector in
     contiguous ranges of rows and columns (one block for a full
-    eigensolve), and ``overlaps`` the real O_w, None for the identity.
+    eigensolve), and ``overlaps`` per sector either the dense real O_w or
+    the rows m of a reflection between the legs (``_sector_block``).
     ``enc`` and ``dec`` are basis permutations given as gather maps, so
     V[r, c] = B_w[pos(dec[r]), pos(enc[c])] when dec[r] and enc[c] both
     have weight w, and 0 otherwise; for self-inverse permutations (CNOTs
@@ -673,13 +716,13 @@ def transfer_channel_traces(
     eig = [(w, [V]) for w, V in H.eig()]
     del H  # frees the Hamiltonian blocks: the channel needs only the eigenpairs
     identity = np.arange(1 << n)
-    overlaps = [None] * (n + 1)
-    if kind == "remote_z":
-        # the z flip S on site N+1 is diagonal: U S U = V diag(p) (V^T S V) diag(p) V^T
-        flip = 1.0 - 2.0 * ((identity >> (n - 1)) & 1)
-        overlaps = [V.T @ (flip[idx][:, None] * V) for (_, (V,)), idx in zip(eig, basis.sectors)]
+    # the z flip on site N+1 between the legs is the reflection S = 1 - 2 Pi_m,
+    # m the sector rows with that (top) bit set, and U S U = V diag(p)
+    # (1 - 2 V[m]^T V[m]) diag(p) V^T; the swaps reflect no rows (S = 1)
+    reflect = [np.flatnonzero(idx >> (n - 1)) if kind == "remote_z" else idx[:0]
+               for idx in basis.sectors]
     out_site = n - 1 if kind == "single_swap" else 0
     env = mixed_environment(n, 0, fixed=fixed)
-    channel = _FactoredChannel(basis, eig, overlaps, identity, identity, env, 0, out_site)
+    channel = _FactoredChannel(basis, eig, reflect, identity, identity, env, 0, out_site)
     # a swap evolves for t: two legs of t/2 with O = 1 between them
     return channel.traces(np.array([float(t) if kind == "remote_z" else 0.5 * float(t)]))[0]

@@ -112,11 +112,11 @@ class TestSectorConstruction:
     def test_resource_cap(self):
         # one real set of sector blocks at 15 spins:
         # sum_w C(15, w)^2 * 8 B = C(30, 15) * 8 B = 1.24 GB; an exact
-        # channel peaks at two to five and a half of them
+        # channel peaks at 1.7 to 3.6 of them
         K = np.zeros((15, 15))
         tracemalloc.start()
         try:
-            with pytest.raises(ed.ResourceLimitError, match=r"about 2\.5-6\.8 GB"):
+            with pytest.raises(ed.ResourceLimitError, match=r"about 2\.1-4\.5 GB"):
                 ed.build_many_body(K, cap=14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -626,11 +626,16 @@ class TestBatchedFidelities:
 class TestTransferChannelsAgainstEvolveBlocks:
     """Factored transfer blocks against full unitary blocks (U, or U S U)."""
 
-    @pytest.mark.parametrize("polarized", [False, True])
-    @pytest.mark.parametrize("kind", ["double_swap", "single_swap", "remote_z"])
-    def test_kinds(self, kind, polarized):
+    # an odd and an even n: remote_z reflects on the rows of its flipped bit
+    # in the sectors w <= n/2, and on the other rows, the fewer, above n/2
+    @pytest.mark.parametrize("kind, polarized, n", [
+        pytest.param(kind, polarized, n, id=f"{kind}-{polarized}" + ("" if n == 9 else f"-n{n}"))
+        for n in (9, 10)
+        for kind in ("double_swap", "single_swap", "remote_z")
+        for polarized in (False, True)
+    ])
+    def test_kinds(self, kind, polarized, n):
         rng = np.random.default_rng(7)
-        n = 9
         K = rng.uniform(0.2, 1.0, (n, n)) / (1.0 + np.abs(np.subtract.outer(
             np.arange(n), np.arange(n))) ** 3)
         K = K + K.T
@@ -652,6 +657,76 @@ class TestTransferChannelsAgainstEvolveBlocks:
         )
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-12
+
+
+def unfiltered_weight_sums(basis, enc, dec, env, in_site, out_site):
+    """Per (trace, w, w2), the summed q and d over every row and column, zeros kept.
+
+    Rows and columns are grouped by the sector pair that V[r, c] and its
+    flipped partner fall in, as the contraction pairs them; a pair counts
+    only if both rows and columns reach it.
+    """
+    stride = basis.n + 1
+    states = np.arange(1 << basis.n)
+    live = np.flatnonzero(env)
+    sums = {}
+    for key, (flip, op_in, op_out) in ed._TRACE_OPS.items():
+        q = op_out[((states >> out_site) & 1) ^ flip]
+        d = op_in[(live >> in_site) & 1] * env[live]
+        row_pair = basis.weights[dec] * stride + basis.weights[dec[states ^ (flip << out_site)]]
+        col_pair = basis.weights[enc[live]] * stride + basis.weights[enc[live ^ (flip << in_site)]]
+        for pair in set(row_pair.tolist()) & set(col_pair.tolist()):
+            sums[(key, *divmod(pair, stride))] = (q[row_pair == pair].sum(),
+                                                  d[col_pair == pair].sum())
+    return sums
+
+
+class TestTracePlan:
+    """The plan weighs only what the traces weigh.
+
+    Every s term keeps only rows and columns of non-zero weight, every T_z
+    term is diagonal (no gather indices, its weights in block order), and
+    per sector pair the weights sum as with every row and column kept.
+    """
+
+    @staticmethod
+    def assert_plan(plan, sums):
+        got = {}
+        for term in plan:
+            if term.key == "s":
+                assert np.all(term.q != 0) and np.all(term.d != 0)
+            else:
+                assert term.w2 == term.w
+                assert term.rows is term.cols is term.rows2 is term.cols2 is None
+            q, d = got.get((term.key, term.w, term.w2), (0.0, 0.0))
+            got[(term.key, term.w, term.w2)] = (q + term.q.sum(), d + term.d.sum())
+        # a pair the plan drops carries no weight
+        assert got.keys() <= sums.keys()
+        for pair, (q, d) in sums.items():
+            assert got.get(pair, (0.0, 0.0)) == pytest.approx((q, d), abs=1e-12)
+
+    def test_plain_channel_with_chain_bits(self):
+        n = 8
+        basis = ed.SectorBasis(n)
+        identity = np.arange(1 << n)
+        bits = np.random.default_rng(3).integers(0, 2, n - 2)
+        env = ed.mixed_environment(n, 0, fixed={1 + i: int(b) for i, b in enumerate(bits)})
+        _, col_position = ed._held_columns(basis, identity, env)
+        for out_site in (0, n - 1):
+            plan = ed._trace_plan(basis, identity, identity, col_position, env, 0, out_site)
+            sums = unfiltered_weight_sums(basis, identity, identity, env, 0, out_site)
+            self.assert_plan(plan, sums)
+
+    def test_engine(self):
+        N = 4
+        n = N + 4
+        a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
+        engine = ed.EncodedProtocolEngine(dipolar_k(N))
+        enc = ed._cnot_perm(n, a0, b0)
+        dec = engine.leg_swap[ed._cnot_perm(n, bR, aR)]
+        env = ed.mixed_environment(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
+        self.assert_plan(engine._channel._plan,
+                         unfiltered_weight_sums(ed.SectorBasis(n), enc, dec, env, a0, bR))
 
 
 def assert_x_and_y_from_s(traces, tol):
@@ -719,12 +794,13 @@ class TestEngineMemory:
 
 class TestTransferChannelMemory:
     @pytest.mark.parametrize("kind, bound", [
-        ("double_swap", 5.0), ("single_swap", 5.0), ("remote_z", 5.674),
+        ("double_swap", 5.0), ("single_swap", 5.0), ("remote_z", 5.0),
     ])
     def test_peak_memory_at_10_spins(self, kind, bound):
         # in real sets of sector blocks; the Hamiltonian blocks are dropped
-        # after the eigensolve, so the swaps hold no overlaps and no H
-        # (measured: 4.66 sets for the swaps, 5.67 for remote_z)
+        # after the eigensolve, and no kind holds an overlap: remote_z
+        # reflects between its legs with thin products of V
+        # (measured: 3.78 sets for the swaps and for remote_z)
         n = 10
         K = uniform_k(n - 2, 0.4)
         sets = sum(math.comb(n, w) ** 2 for w in range(n + 1)) * 8
