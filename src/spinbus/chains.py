@@ -32,6 +32,7 @@ __all__ = [
     "DisorderSpec",
     "ChainSpec",
     "sample_positions",
+    "nearest_neighbor_bonds",
     "couplings_from_positions",
     "engineered_couplings",
     "build_single_particle_matrix",
@@ -183,23 +184,37 @@ def sample_positions(spec: DisorderSpec, n_sites: int, stream: int = 0) -> np.nd
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def nearest_neighbor_bonds(positions) -> np.ndarray:
+    """The cube-law bonds 1/|x_{i+1}-x_i|^3 along the last axis of ``positions``.
+
+    ``positions`` is one chain's (N,) coordinates or a stack (..., N) of
+    chains, giving (N-1,) or (..., N-1) bonds: the superdiagonal of
+    :func:`couplings_from_positions` under the nearest-neighbour rule.
+    """
+    return (1.0 / np.abs(np.diff(np.asarray(positions, float), axis=-1))) ** 3
+
+
 def couplings_from_positions(positions, rule: RangeRule = RangeRule.NEAREST_NEIGHBOR) -> np.ndarray:
     """Full symmetric coupling matrix J_ij = 1/|x_i-x_j|^3.
 
-    The range rule masks pairs: nearest-neighbor keeps |i-j| = 1 only,
-    the NNN-cancelled rule zeroes |i-j| = 2 and keeps everything else.
+    The range rule masks pairs: nearest-neighbor keeps |i-j| = 1 only
+    (the bonds of :func:`nearest_neighbor_bonds`), the NNN-cancelled rule
+    zeroes |i-j| = 2 and keeps everything else.
     """
     x = np.asarray(positions, float)
     n = len(x)
     rule = RangeRule(rule)
+    if rule is RangeRule.NEAREST_NEIGHBOR:
+        J = np.zeros((n, n))
+        i = np.arange(n - 1)
+        J[i, i + 1] = J[i + 1, i] = nearest_neighbor_bonds(x)
+        return J
     dist = np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(dist, np.inf)
     J = (1.0 / dist) ** 3
-    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    if rule is RangeRule.NEAREST_NEIGHBOR:
-        J[sep != 1] = 0.0
-    elif rule is RangeRule.NNN_CANCELLED:
-        J[sep == 2] = 0.0
+    if rule is RangeRule.NNN_CANCELLED:
+        i = np.arange(n - 2)
+        J[i, i + 2] = J[i + 2, i] = 0.0
     np.fill_diagonal(J, 0.0)
     return J
 

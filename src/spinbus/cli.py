@@ -36,11 +36,12 @@ from .chains import (
     RangeRule,
     Uniform,
     build_single_particle_matrix,
-    couplings_from_positions,
+    nearest_neighbor_bonds,
     sample_positions,
 )
 from .dynamics import (
-    NoTransferModeError,
+    EigenmodeSet,
+    _dstevd,
     eigenmodes,
     mode_budget,
     participation_ratio,
@@ -361,16 +362,25 @@ def _fmean(values) -> float:
 # ---------------------------------------------------------------------------
 
 
+# bytes of one (realizations, N, N) array of a disorder-sweep chunk; larger
+# chunks were no faster and raised the process's peak RSS
+_SWEEP_CHUNK_BYTES = 2**17
+
+
 def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Fidelity grid over (positioning disorder, T1) plus PR histograms.
 
-    Per realization: sample site positions, build the cube-law
-    nearest-neighbor chain, pick the best transfer mode with its optimal
+    Per realization: sample site positions, take the cube-law
+    nearest-neighbor bonds, pick the best transfer mode with its optimal
     matched coupling, and score 1 - (off-resonant + decoherence) error.
-    Realizations are streamed: each one's mode budget serves every T1 and
-    is then dropped.  The summary counts, per (sigma_d, T1), the
-    realizations with no usable, non-degenerate mode and those clipped
-    at eps >= 1; both score fidelity 0.
+    Realizations are scored in chunks of max(1, _SWEEP_CHUNK_BYTES // 8N^2):
+    one position draw and one ``dstevd`` per realization, then one mode
+    budget of the stacked chunk serves every T1 and is dropped.  A chunk
+    holds two (chunk, N, N) float arrays, its eigenvectors and its gaps,
+    each under 128 KiB (6 realizations at N = 51), or one chain's N x N
+    array when that alone is larger (N > 128).  The summary counts, per
+    (sigma_d, T1), the realizations with no usable, non-degenerate mode
+    and those clipped at eps >= 1; both score fidelity 0.
     """
     p = config.params
     N = p["n_chain"]
@@ -400,41 +410,40 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
         metadata={"n_chain": N, "kappa_khz": kappa_khz, "d_nm": d},
     )
     t1_kappa = [t1_ms * kappa_khz for t1_ms in p["t1_ms"]]  # ms * kHz = kappa units
+    R = p["realizations"]
+    chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * N * N))
+    zero_field = np.zeros(N)
     counts = []
 
     for sigma_nm in p["sigma_d_nm"]:
         spec = DisorderSpec(sigma_nm / d, master_seed=config.seed)
-        fids = [[] for _ in t1_kappa]
-        no_mode = [0] * len(t1_kappa)
-        clipped = [0] * len(t1_kappa)
-        bond_samples, prs = [], []
-        for stream in range(p["realizations"]):
-            J = couplings_from_positions(
-                sample_positions(spec, N, stream), RangeRule.NEAREST_NEIGHBOR
-            )
-            modes = eigenmodes(J)
-            if stream < 50:
-                bond_samples.append(np.diag(J, 1).copy())
-                prs.append(participation_ratio(modes.vectors))
-            budget = mode_budget(modes)
+        best = [[] for _ in t1_kappa]  # per T1, each realization's lowest eps
+        bond_samples, prs = [], []  # of the first 50 realizations
+        for start in range(0, R, chunk):
+            streams = range(start, min(start + chunk, R))
+            bonds = nearest_neighbor_bonds([sample_positions(spec, N, s) for s in streams])
+            energies = np.empty((len(streams), N))
+            vectors = np.empty((len(streams), N, N))
+            for r, b in enumerate(bonds):
+                energies[r], vectors[r] = _dstevd(zero_field, b)
+            kept = max(0, 50 - start)
+            bond_samples.append(bonds[:kept])
+            prs.extend(participation_ratio(v) for v in vectors[:kept])
+            budget = mode_budget(EigenmodeSet(energies, vectors, chiral=True))
             for i, T1 in enumerate(t1_kappa):
-                try:
-                    eps = budget.select(p["g_max"], T1)[1]
-                except NoTransferModeError:
-                    no_mode[i] += 1
-                    eps = 1.0
-                else:
-                    clipped[i] += int(eps >= 1.0)
-                fids[i].append(max(0.0, 1.0 - min(eps, 1.0)))
-        sigma_kappa = float(np.std(np.concatenate(bond_samples)))
+                best[i].append(budget.errors(p["g_max"], T1)[-1].min(axis=-1))
+        sigma_kappa = float(np.std(np.concatenate(bond_samples, axis=None)))
         for i, (t1_ms, T1) in enumerate(zip(p["t1_ms"], t1_kappa)):
-            grid.add(sigma_nm, sigma_kappa, t1_ms, T1, _fmean(fids[i]), len(fids[i]))
+            eps = np.concatenate(best[i])
+            no_mode = np.isinf(eps)  # eps is inf exactly when no mode is a candidate
+            # a realization with no mode or eps >= 1 scores 0
+            grid.add(sigma_nm, sigma_kappa, t1_ms, T1, _fmean(1.0 - np.minimum(eps, 1.0)), R)
             counts.append({
                 "sigma_d_nm": sigma_nm,
                 "t1_ms": t1_ms,
-                "realizations": len(fids[i]),
-                "no_transfer_mode": no_mode[i],
-                "clipped": clipped[i],
+                "realizations": R,
+                "no_transfer_mode": int(no_mode.sum()),
+                "clipped": int(np.count_nonzero(eps[~no_mode] >= 1.0)),
             })
         bins = np.linspace(1.0, N, p["pr_bins"] + 1)
         pr_counts, edges = np.histogram(np.concatenate(prs), bins=bins)

@@ -51,10 +51,13 @@ class EigenmodeSet:
 
     ``energies`` ascend; ``vectors[:, k]`` is mode k.  The left/right end
     amplitudes psi_{k,L} and psi_{k,R} drive the matched-coupling and
-    error-budget formulas.  ``chiral`` marks a symmetric spectrum,
-    energies[n-1-k] = -energies[k]: :func:`eigenmodes` sets it for a real
-    tridiagonal K with a zero diagonal (a bipartite chain), and
-    :func:`transfer_elements` then sums over the upper half of the modes.
+    error-budget formulas.  A set may also stack chains of one length
+    along leading axes, energies (..., n) and vectors (..., n, n), for
+    :func:`mode_budget`; :func:`transfer_elements` takes one chain.
+    ``chiral`` marks a symmetric spectrum, energies[n-1-k] = -energies[k]:
+    :func:`eigenmodes` sets it for a real tridiagonal K with a zero
+    diagonal (a bipartite chain), and :func:`transfer_elements` then sums
+    over the upper half of the modes.
     """
 
     energies: np.ndarray
@@ -63,11 +66,11 @@ class EigenmodeSet:
 
     @property
     def psi_left(self) -> np.ndarray:
-        return self.vectors[0, :]
+        return self.vectors[..., 0, :]
 
     @property
     def psi_right(self) -> np.ndarray:
-        return self.vectors[-1, :]
+        return self.vectors[..., -1, :]
 
     @cached_property
     def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,7 +162,7 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     K = np.asarray(chain_matrix)
     chiral = False
     if _real_tridiagonal(K):
-        w, v = _dstevd(K)
+        w, v = _dstevd(np.diagonal(K), np.diagonal(K, 1))
         chiral = not np.diagonal(K).any()
     else:
         w, v = np.linalg.eigh(_hermitian(K, "chain matrix"))
@@ -210,14 +213,17 @@ def _real_tridiagonal(K: np.ndarray) -> bool:
     )
 
 
-def _dstevd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a matrix that passes :func:`_real_tridiagonal`, by LAPACK ``dstevd``."""
+def _dstevd(diag: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a finite real symmetric tridiagonal matrix, by LAPACK ``dstevd``.
+
+    ``diag`` holds its n diagonal entries and ``bonds`` its n - 1
+    off-diagonal ones.  This is the one ``dstevd`` call site.
+    """
     # imported here so that importing dynamics needs numpy only
     from scipy.linalg.lapack import dstevd
 
     # the wrapper wants len(e) = max(n - 1, 1)
-    e = np.diagonal(K, 1) if K.shape[0] > 1 else np.zeros(1)
-    w, v, info = dstevd(np.diagonal(K), e)
+    w, v, info = dstevd(diag, bonds if len(diag) > 1 else np.zeros(1))
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     return w, v
@@ -260,12 +266,14 @@ def transfer_elements(modes: EigenmodeSet, times):
 
 @dataclass(frozen=True)
 class ModeBudget:
-    """Per-mode ingredients of the transfer error budget of one chain.
+    """Per-mode ingredients of the transfer error budget of one chain, or of a stack.
 
-    For every mode z: its energy, its end amplitudes |psi_{z,L}| and
-    |psi_{z,R}|, whether it is a candidate (usable amplitude on both ends
-    and a gap of at least 1e-10 to every other mode), and the
-    off-resonant sums  sum_{k != z} |psi_{k,L}|^2 / Delta_kz^2  and
+    For every mode z (the last axis; leading axes stack chains, as in the
+    :class:`EigenmodeSet` the budget came from): its energy, its end
+    amplitudes |psi_{z,L}| and |psi_{z,R}|, whether it is a candidate
+    (usable amplitude on both ends and a gap of at least 1e-10 to every
+    other mode), and the off-resonant sums
+    sum_{k != z} |psi_{k,L}|^2 / Delta_kz^2  and
     sum_{k != z} |psi_{k,R}|^2 / Delta_kz^2.  None of these depend on the
     couplings or T1, so one budget scores a chain at every T1.
     """
@@ -295,7 +303,7 @@ class ModeBudget:
         if not T1 > 0:
             raise ValueError("T1 must be positive (may be infinite)")
         aL, aR = self.amp_left, self.amp_right
-        n_chain = self.energies.size
+        n_chain = self.energies.shape[-1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if math.isinf(T1):
                 gL = np.full(aL.shape, float(g_max))
@@ -315,8 +323,11 @@ class ModeBudget:
     def select(self, g_max: float, T1: float) -> tuple[ResonantModeChoice, float]:
         """The mode of lowest error (on equal error, the smaller |E|) and its error.
 
-        Raises :class:`NoTransferModeError` when no mode is a candidate.
+        The budget must be of one chain, else ``ValueError``.  Raises
+        :class:`NoTransferModeError` when no mode is a candidate.
         """
+        if self.energies.ndim != 1:
+            raise ValueError("select scores one chain; take the minimum of errors() for a stack")
         gL, gR, t_z, tau, eps = self.errors(g_max, T1)
         best = eps.min()
         if math.isinf(best):
@@ -330,23 +341,31 @@ class ModeBudget:
 
 
 def mode_budget(modes: EigenmodeSet) -> ModeBudget:
-    """Candidate masks and off-resonant sums of every mode, as N x N array expressions."""
+    """Candidate masks and off-resonant sums of every mode, as N x N array expressions.
+
+    A stack of chains gives a stack of budgets, one (..., N, N) gap array
+    in all; each chain's rows equal its own budget's, bit for bit (the
+    sums are one vector-matrix product per chain either way).
+    """
     E = modes.energies
     aL = np.abs(modes.psi_left)
     aR = np.abs(modes.psi_right)
-    gaps = np.abs(E[:, None] - E[None, :])  # [k, z]
-    np.fill_diagonal(gaps, np.inf)  # k = z drops out of every sum
+    gaps = E[..., :, None] - E[..., None, :]  # [..., k, z]
+    np.abs(gaps, out=gaps)
+    k = np.arange(E.shape[-1])
+    gaps[..., k, k] = np.inf  # k = z drops out of every sum
     candidate = (
         (aL > _END_AMPLITUDE_FLOOR)
         & (aR > _END_AMPLITUDE_FLOOR)
-        & (gaps.min(axis=0) >= _DEGENERACY_GAP)
+        & (gaps.min(axis=-2) >= _DEGENERACY_GAP)
     )
+    inv_gap2 = np.square(gaps, out=gaps)
     with np.errstate(divide="ignore"):
-        inv_gap2 = 1.0 / gaps**2  # inf only in the columns of degenerate modes
+        np.divide(1.0, inv_gap2, out=inv_gap2)  # inf only in the columns of degenerate modes
     with np.errstate(invalid="ignore"):
-        off_left = aL**2 @ inv_gap2
-        off_right = aR**2 @ inv_gap2
-    return ModeBudget(E, aL, aR, candidate, off_left, off_right)
+        off_left = (aL**2)[..., None, :] @ inv_gap2
+        off_right = (aR**2)[..., None, :] @ inv_gap2
+    return ModeBudget(E, aL, aR, candidate, off_left[..., 0, :], off_right[..., 0, :])
 
 
 def bdg_diagonalize(A: np.ndarray) -> BdGDiagonalization:

@@ -18,6 +18,9 @@ reference for the package's bit-packed ``mirror.Tableau`` beyond the
 dense oracle's 12 qubits.  ``matched_choice``, ``error_budget`` and
 ``optimal_coupling`` score one transfer mode at a time with scalar
 closed forms, the reference for the vectorized ``dynamics.ModeBudget``.
+``disorder_sweep`` streams the realizations of ``disorder-sweep`` one
+chain at a time (a dense coupling matrix, ``eigenmodes``, ``mode_budget``
+and ``select`` each), the reference for the chunked array sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinbus.dynamics import ResonantModeChoice
+from spinbus.chains import DisorderSpec, couplings_from_positions, sample_positions
+from spinbus.dynamics import (
+    NoTransferModeError,
+    ResonantModeChoice,
+    eigenmodes,
+    mode_budget,
+    participation_ratio,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -353,3 +363,53 @@ def optimal_coupling(modes, z: int, n_chain: int, T1: float) -> tuple[float, flo
     gL = (D / (2.0 * C)) ** (1.0 / 3.0)
     gR = gL * aL[z] / aR[z]
     return float(gL), float(gR)
+
+
+def disorder_sweep(params: dict, seed: int):
+    """The grid rows, histogram rows and realization counts of ``disorder-sweep``.
+
+    One realization at a time: its dense nearest-neighbour coupling
+    matrix, eigenmodes, mode budget and selected mode at each T1.  The
+    rows are those of ``cli.run_disorder_sweep``'s two tables.
+    """
+    N, d = params["n_chain"], params["d_nm"]
+    t1_kappa = [t1_ms * params["kappa_khz"] for t1_ms in params["t1_ms"]]
+    grid, hist, counts = [], [], []
+    for sigma_nm in params["sigma_d_nm"]:
+        spec = DisorderSpec(sigma_nm / d, master_seed=seed)
+        fids = [[] for _ in t1_kappa]
+        no_mode = [0] * len(t1_kappa)
+        clipped = [0] * len(t1_kappa)
+        bond_samples, prs = [], []
+        for stream in range(params["realizations"]):
+            J = couplings_from_positions(sample_positions(spec, N, stream))
+            modes = eigenmodes(J)
+            if stream < 50:
+                bond_samples.append(np.diag(J, 1).copy())
+                prs.append(participation_ratio(modes.vectors))
+            budget = mode_budget(modes)
+            for i, T1 in enumerate(t1_kappa):
+                try:
+                    eps = budget.select(params["g_max"], T1)[1]
+                except NoTransferModeError:
+                    no_mode[i] += 1
+                    eps = 1.0
+                else:
+                    clipped[i] += int(eps >= 1.0)
+                fids[i].append(max(0.0, 1.0 - min(eps, 1.0)))
+        sigma_kappa = float(np.std(np.concatenate(bond_samples)))
+        for i, (t1_ms, T1) in enumerate(zip(params["t1_ms"], t1_kappa)):
+            mean = math.fsum(fids[i]) / len(fids[i])
+            grid.append((sigma_nm, sigma_kappa, t1_ms, T1, mean, len(fids[i])))
+            counts.append({
+                "sigma_d_nm": sigma_nm,
+                "t1_ms": t1_ms,
+                "realizations": len(fids[i]),
+                "no_transfer_mode": no_mode[i],
+                "clipped": clipped[i],
+            })
+        bins = np.linspace(1.0, N, params["pr_bins"] + 1)
+        pr_counts, edges = np.histogram(np.concatenate(prs), bins=bins)
+        for lo, hi, c in zip(edges[:-1], edges[1:], pr_counts):
+            hist.append((sigma_nm, sigma_kappa, float(lo), float(hi), int(c)))
+    return grid, hist, counts

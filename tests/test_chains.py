@@ -200,6 +200,17 @@ class TestSingleParticleMatrix:
         chain = chains.build_single_particle_matrix(spec)[1:-1, 1:-1]
         assert chain.tobytes() == chains.couplings_from_positions(x, rule).tobytes()
 
+    def test_nearest_neighbor_bonds_are_the_coupling_superdiagonal(self):
+        # one cube law for a stack of chains and for one chain
+        spec = chains.DisorderSpec(0.3, master_seed=4)
+        stack = np.array([chains.sample_positions(spec, 9, s) for s in range(5)])
+        bonds = chains.nearest_neighbor_bonds(stack)
+        assert bonds.shape == (5, 8)
+        for x, row in zip(stack, bonds):
+            ref = np.diag(chains.couplings_from_positions(x), 1)
+            assert row.tobytes() == ref.tobytes()
+            assert chains.nearest_neighbor_bonds(tuple(x)).tobytes() == ref.tobytes()
+
 
 class TestBdGMatrix:
     def test_xx_spec_rejected(self):

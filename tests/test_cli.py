@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spinbus import cli
 from spinbus.dynamics import propagator, transfer_elements
 from spinbus.fidelity import f_encoded
@@ -380,6 +381,32 @@ class TestOutputs:
             ]
             rows[seed] = body[1]
         assert rows[0] != rows[1]
+
+
+class TestDisorderSweepChunks:
+    @pytest.mark.parametrize("params, chunk", [
+        ({"realizations": 1}, None),
+        # chunks of 6, the last of 5; the first 50, of the PR histogram,
+        # end inside a chunk
+        ({"realizations": 77}, None),
+        ({"realizations": 77}, 50),  # chunks of 50 and 27
+        ({}, None),  # the defaults: 51 sites, 200 realizations
+        ({"n_chain": 12, "sigma_d_nm": [5.0]}, None),  # chunks of 113 and 87, many clipped
+    ], ids=["one", "77", "77-by-50", "defaults", "n12-clipped"])
+    def test_matches_streamed_reference(self, params, chunk, monkeypatch):
+        params = {**cli.DEFAULT_PARAMS["disorder-sweep"], **params}
+        if chunk is not None:
+            n = params["n_chain"]
+            monkeypatch.setattr(cli, "_SWEEP_CHUNK_BYTES", chunk * 8 * n * n)
+        (grid, hist), summary = cli.run_disorder_sweep(
+            cli.ExperimentConfig("disorder-sweep", params, seed=0)
+        )
+        ref_grid, ref_hist, ref_counts = oracles.disorder_sweep(params, 0)
+        assert grid.rows == ref_grid
+        assert hist.rows == ref_hist
+        assert summary["realization_counts"] == ref_counts
+        if params["n_chain"] == 12:
+            assert [c["clipped"] for c in ref_counts] == [93, 10]  # T1 = 200 and 5000 ms
 
 
 class TestRunners:

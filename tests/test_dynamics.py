@@ -696,3 +696,34 @@ class TestModeBudget:
         modes = dynamics.EigenmodeSet(np.array([-1.0, 1.0]), vectors)
         with pytest.raises(dynamics.NoTransferModeError):
             dynamics.mode_budget(modes).select(0.1, 1e3)
+
+    @pytest.mark.parametrize("T1", [math.inf, 1e4])
+    @pytest.mark.parametrize("n", [2, 3, 12, 51])
+    def test_stacked_budget_is_each_chains_budget(self, n, T1):
+        # cube-law chains of the disorder sweep, a uniform chain, and one
+        # whose end bonds are 0: its end sites are a degenerate pair of zero
+        # modes (the decoupled registers of g = 0), and its other modes have
+        # no amplitude on the ends, so it has no candidate
+        spec = chains.DisorderSpec(0.3, master_seed=5)
+        bonds = [chains.nearest_neighbor_bonds(chains.sample_positions(spec, n, s)) for s in range(4)]
+        ends_off = np.ones(n - 1)
+        ends_off[[0, -1]] = 0.0
+        bonds += [np.ones(n - 1), ends_off]
+        singles = [dynamics.eigenmodes(np.diag(b, 1) + np.diag(b, -1)) for b in bonds]
+        stack = dynamics.EigenmodeSet(
+            np.array([m.energies for m in singles]), np.array([m.vectors for m in singles])
+        )
+        stacked = dynamics.mode_budget(stack)
+        rows = stacked.errors(0.5, T1)
+        for r, modes in enumerate(singles):
+            budget = dynamics.mode_budget(modes)
+            assert stacked.candidate[r].tobytes() == budget.candidate.tobytes()
+            for got, ref in zip(rows, budget.errors(0.5, T1)):
+                assert got[r].tobytes() == ref.tobytes()
+            ref = scalar_errors(modes, 0.5, n, T1)
+            assert sorted(ref) == list(np.flatnonzero(budget.candidate))
+            for z, e in ref.items():
+                assert abs(rows[-1][r, z] - e) <= 1e-12 * e
+        assert stacked.candidate[:-1].any(axis=-1).all() and not stacked.candidate[-1].any()
+        with pytest.raises(ValueError, match="one chain"):
+            stacked.select(0.5, T1)
