@@ -15,7 +15,9 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -164,23 +166,51 @@ class ChainSpec:
             raise ValueError(f"FromPositions needs N={n} coordinates, got {len(pat.positions)}")
 
 
+_RNG_LOCK = threading.Lock()  # sample_positions re-keys one shared generator
+
+
+@functools.cache
+def _reused_generator() -> np.random.Generator:
+    """The one Philox generator that ``sample_positions`` re-keys per realization.
+
+    A fresh ``Philox(key=...)`` costs about twice as much, half of it a
+    SeedSequence drawn from OS entropy that the key then replaces.  Made
+    on first use, so that importing chains leaves numpy.random unloaded.
+    """
+    return np.random.Generator(np.random.Philox(0))
+
+
 def sample_positions(spec: DisorderSpec, n_sites: int, stream: int = 0) -> np.ndarray:
     """The coordinates of one realization, with independent Gaussian gaps.
 
     Gaps of mean 1 below 0.2 are rejected and redrawn, which keeps the
     cube-law couplings finite.  The generator is counter-based (Philox
-    keyed by ``(master_seed, stream)``) so every realization is
-    reproducible independently of evaluation order.
+    keyed by ``(master_seed, stream)``, counter and buffers zeroed) so
+    every realization is reproducible independently of evaluation order.
     """
     if n_sites < 2:
         raise ValueError("need at least two sites")
-    rng = np.random.Generator(np.random.Philox(key=[spec.master_seed, stream]))
-    gaps = rng.normal(1.0, spec.sigma, size=n_sites - 1)
-    while True:
-        bad = gaps < 0.2
-        if not bad.any():
-            break
-        gaps[bad] = rng.normal(1.0, spec.sigma, size=int(bad.sum()))
+    state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, np.uint64),
+            # the key words as Philox(key=[master_seed, stream]) takes them
+            "key": np.array([spec.master_seed, stream]).astype(np.uint64),
+        },
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    rng = _reused_generator()
+    with _RNG_LOCK:
+        rng.bit_generator.state = state
+        gaps = rng.normal(1.0, spec.sigma, size=n_sites - 1)
+        while True:
+            bad = gaps < 0.2
+            if not bad.any():
+                break
+            gaps[bad] = rng.normal(1.0, spec.sigma, size=int(bad.sum()))
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 

@@ -42,7 +42,7 @@ from .chains import (
 from .dynamics import (
     EigenmodeSet,
     _dstevd,
-    eigenmodes,
+    end_modes,
     mode_budget,
     participation_ratio,
     propagator,
@@ -494,28 +494,29 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     [N/2, 2N] picks a coupling g_i.  A bounded Brent search over g in
     its neighbour cell [g_i - dg, g_i + dg] (dg the grid step, clipped to
     [g_lo, g_hi]) then polishes it.  Each g it tries costs one
-    eigensolve: the chain's row of fidelities on the time grid picks a
-    time t_j, and an inner bounded Brent search over t in
-    [t_{j-1}, t_{j+1}] (inside [N/2, 2N]) reuses the same eigenpairs.
+    :func:`end_modes` solve: the chain's row of fidelities on the time
+    grid picks a time t_j, and an inner bounded Brent search over t in
+    [t_{j-1}, t_{j+1}] (inside [N/2, 2N]) reuses the same end modes.
 
     Returns (g, t, F, converged, polish).  ``converged`` holds only if
     both searches report success, neither optimum lies on an end of its
     bracket, and F is at least the grid's best.  A polish that ends below
     the grid's best found a lesser local optimum: the grid's best point
     (g_i, the argmax time of its row, its F) is returned in its place,
-    not converged.  ``polish`` counts the eigensolves and records the
-    best grid fidelity and the two edge flags.
+    not converged.  ``polish`` counts the solves, in all and by route
+    (the spectrum of the mirror-symmetric chain, or ``dstevd`` where
+    :func:`end_modes` falls back, as at g = 0), and records the best grid
+    fidelity and the two edge flags.
     """
     g_lo, g_hi, n_g = g_grid
     n_g = int(n_g)
     times = np.linspace(N / 2.0, 2.0 * N, n_times)
-    eigensolves = 0
+    solves = {True: 0, False: 0}  # by from_spectrum
 
     def row(g):
-        """The chain's eigenmodes and the fidelity at every grid time."""
-        nonlocal eigensolves
-        eigensolves += 1
-        modes = eigenmodes(_uniform_k(N, g))
+        """The chain's end modes and the fidelity at every grid time."""
+        modes = end_modes(_uniform_k(N, g))
+        solves[modes.from_spectrum] += 1
         return modes, f_encoded(transfer_elements(modes, times), "strong")
 
     grid = np.linspace(g_lo, g_hi, n_g)
@@ -540,7 +541,9 @@ def _strong_coupling_optimum(N: int, g_grid, n_times: int):
     g_edge = _on_edge(res.x, lo, hi)
     polish = {
         "n_chain": N,
-        "eigensolves": eigensolves,
+        "eigensolves": solves[True] + solves[False],
+        "spectrum_solves": solves[True],
+        "dstevd_solves": solves[False],
         "grid_best_f": float(grid_f[i]),
         "g_on_bracket_edge": g_edge,
         "t_on_bracket_edge": t_edge,
@@ -595,11 +598,23 @@ def run_strong_coupling_scan(config: ExperimentConfig) -> tuple[list[ResultTable
 _GAP_FLOOR = 1e-12
 
 
+# significant digits of the dipolar-ed grid centre: the Brent searches fix
+# the strong-scan optimum to about 1.5e-8 relative, so rounding keeps the
+# grid, and the CSV body, off the searches' last digits
+_CENTRE_DIGITS = 6
+
+
+def _round_sig(x: float) -> float:
+    """``x`` rounded to ``_CENTRE_DIGITS`` significant decimal digits."""
+    return float(f"{x:.{_CENTRE_DIGITS - 1}e}")
+
+
 def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     """Exact encoded-transfer infidelity versus total spin count per model.
 
     For each size the protocol parameters (g, t) are optimized on a local
-    grid around the nearest-neighbor strong-coupling optimum; the
+    grid around the nearest-neighbor strong-coupling optimum (g0, t0),
+    rounded to ``_CENTRE_DIGITS`` significant digits; the
     nearest-neighbor rows double as an oracle check against the analytic
     fidelity.  A gap or an |infidelity| below ``_GAP_FLOOR`` is written
     as 0.0.  The summary's ``grid_optima`` lists per CSV row the largest
@@ -614,7 +629,8 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
          "fidelity", "nn_analytic_gap"),
         metadata={
             "grid": "g in g0*[0.7..1.3] (5 pts; 3 at >= 12 spins), "
-                    "t in t0*[0.7..1.3] (13 pts; 5 at >= 12 spins)",
+                    "t in t0*[0.7..1.3] (13 pts; 5 at >= 12 spins), "
+                    f"(g0, t0) the strong-scan optimum rounded to {_CENTRE_DIGITS} significant digits",
             "positions": "unit spacing, cube-law couplings",
             "nn_analytic_gap_floor": _GAP_FLOOR,
             "infidelity_floor": _GAP_FLOOR,
@@ -623,7 +639,7 @@ def run_dipolar_ed(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
     rows = []
     for n_total in p["total_spins"]:
         N = n_total - 4
-        g0, t0, *_ = _strong_coupling_optimum(N, (0.3, 1.1, 17), 400)
+        g0, t0 = (_round_sig(x) for x in _strong_coupling_optimum(N, (0.3, 1.1, 17), 400)[:2])
         big = n_total >= 12
         g_vals = g0 * np.linspace(0.7, 1.3, 3 if big else 5)
         t_vals = t0 * np.linspace(0.7, 1.3, 5 if big else 13)

@@ -1,7 +1,9 @@
 """Diagonalization and time evolution of quadratic chain Hamiltonians.
 
 Covers the number-conserving (XX / bosonic) propagator M = exp(-iKt),
-resonant-mode selection with matched register couplings
+the eigenmodes of a chain matrix (``eigenmodes`` gives the full vectors;
+``end_modes`` gives only the two end rows, for a mirror-symmetric chain
+from its spectrum alone), resonant-mode selection with matched register couplings
 (``mode_budget(modes).select``), the pairing
 (TFIM) sector with its orthogonal diagonalization and effective
 register-swap check, bosonic thermal-error bookkeeping, and the
@@ -28,6 +30,7 @@ __all__ = [
     "BdGDiagonalization",
     "NoTransferModeError",
     "eigenmodes",
+    "end_modes",
     "mode_budget",
     "propagator",
     "transfer_elements",
@@ -47,22 +50,29 @@ class NoTransferModeError(ValueError):
 
 @dataclass(frozen=True)
 class EigenmodeSet:
-    """Orthonormal eigenmodes of a Hermitian chain matrix.
+    """Orthonormal eigenmodes of a Hermitian chain matrix, or their two end rows.
 
-    ``energies`` ascend; ``vectors[:, k]`` is mode k.  The left/right end
-    amplitudes psi_{k,L} and psi_{k,R} drive the matched-coupling and
-    error-budget formulas.  A set may also stack chains of one length
-    along leading axes, energies (..., n) and vectors (..., n, n), for
-    :func:`mode_budget`; :func:`transfer_elements` takes one chain.
-    ``chiral`` marks a symmetric spectrum, energies[n-1-k] = -energies[k]:
-    :func:`eigenmodes` sets it for a real tridiagonal K with a zero
-    diagonal (a bipartite chain), and :func:`transfer_elements` then sums
-    over the upper half of the modes.
+    ``energies`` ascend; ``vectors[:, k]`` is mode k.  :func:`eigenmodes`
+    gives the full (n, n) vectors, which :func:`propagator` and
+    :func:`participation_ratio` need; :func:`end_modes` gives only the two
+    end rows, a (2, n) ``vectors`` of psi_L over psi_R.  The left/right
+    end amplitudes psi_{k,L} and psi_{k,R} drive the matched-coupling and
+    error-budget formulas, and are all that :func:`transfer_elements` and
+    :func:`mode_budget` read, so either set serves them.  A set may also
+    stack chains of one length along leading axes, energies (..., n) and
+    vectors (..., n, n), for :func:`mode_budget`; :func:`transfer_elements`
+    takes one chain.  ``chiral`` marks a symmetric spectrum,
+    energies[n-1-k] = -energies[k]: both entries set it for a real
+    tridiagonal K with a zero diagonal (a bipartite chain), and
+    :func:`transfer_elements` then sums over the upper half of the modes.
+    ``from_spectrum`` marks end rows that :func:`end_modes` computed from
+    the eigenvalues alone, with no eigenvector formed.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     chiral: bool = False
+    from_spectrum: bool = False
 
     @property
     def psi_left(self) -> np.ndarray:
@@ -169,6 +179,107 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     return EigenmodeSet(w, v, chiral)
 
 
+def end_modes(chain_matrix: np.ndarray) -> EigenmodeSet:
+    """The energies and the two end rows psi_L, psi_R of the eigenmodes of K.
+
+    The modes' ``vectors`` is (2, n): psi_L over psi_R, which is all that
+    :func:`transfer_elements` and :func:`mode_budget` read.  A mirror-
+    symmetric chain (K real symmetric tridiagonal, equal to its reflection
+    through the centre, with every bond nonzero) needs no eigenvector: its
+    spectrum fixes the end rows (:func:`_spectral_end_modes`).  Any other
+    K, and a mirror-symmetric chain whose end weights that route cannot
+    bound to a relative ``_SPECTRUM_RTOL``, takes :func:`eigenmodes` and
+    keeps rows 0 and n - 1 of its vectors.  ``from_spectrum`` tells the
+    two routes apart.
+    """
+    K = np.asarray(chain_matrix)
+    if _real_tridiagonal(K):
+        diag, bonds = np.diagonal(K), np.diagonal(K, 1)
+        if bonds.all() and (diag == diag[::-1]).all() and (bonds == bonds[::-1]).all():
+            modes = _spectral_end_modes(diag, bonds)
+            if modes is not None:
+                return modes
+    modes = eigenmodes(K)
+    return EigenmodeSet(modes.energies, modes.vectors[[0, -1]], modes.chiral)
+
+
+# first-order relative error bound of the end weights above which a
+# mirror-symmetric chain is solved with its eigenvectors
+_SPECTRUM_RTOL = 1e-8
+_EPS = np.finfo(float).eps
+
+
+def _parity_halves(diag: np.ndarray, bonds: np.ndarray):
+    """The (diag, bonds) of a mirror-symmetric chain on its even and odd reflection parity.
+
+    At even n = 2m the sites i and n-1-i pair up: both halves are the
+    first m sites, with the middle bond b_{m-1} added to (even) or
+    subtracted from (odd) the last diagonal entry.  At odd n = 2m+1 the
+    even half also holds the middle site, coupled to its neighbour pair
+    by sqrt(2) b_{m-1}, and the odd half is the first m sites alone.
+    """
+    n = diag.size
+    m = n // 2
+    if n % 2:
+        e = bonds[:m].copy()
+        e[m - 1 :] *= math.sqrt(2.0)
+        return (diag[: m + 1], e), (diag[:m], bonds[: max(m - 1, 0)])
+    d_even, d_odd = diag[:m].copy(), diag[:m].copy()
+    d_even[-1] += bonds[m - 1]
+    d_odd[-1] -= bonds[m - 1]
+    return (d_even, bonds[: m - 1]), (d_odd, bonds[: m - 1])
+
+
+def _spectral_end_modes(diag: np.ndarray, bonds: np.ndarray) -> EigenmodeSet | None:
+    """End rows of a mirror-symmetric chain from its spectrum, or None if they are not bounded.
+
+    The eigenvalues come from ``dsterf`` on the two parity halves; with a
+    zero diagonal and even n one half serves, as the odd half is the
+    negative of the even one (flip the sign of every other site).  For a
+    Jacobi matrix, residues of (lambda - K)^{-1}_{0,n-1} give
+    psi_{L,k} psi_{R,k} = prod_i b_i / p'(lambda_k), p(lambda) =
+    prod_j (lambda - lambda_j), and the mirror symmetry gives
+    psi_{L,k}^2 = psi_{R,k}^2 = |psi_{L,k} psi_{R,k}| (Hochstadt 1974;
+    de Boor & Golub 1978).  The sign of p'(lambda_k) is (-1)^(n-1-k).
+    The weights are summed in logs, so nothing overflows at large n, and
+    only for the modes that ``_fold`` keeps: a chiral partner
+    kbar = n-1-k has the same weight.  Each eigenvalue is exact to about
+    eps ||K||, so a weight's relative error is bounded to first order by
+    eps ||K|| sum_{j != k} 1 / |lambda_k - lambda_j|; above
+    ``_SPECTRUM_RTOL`` (close or equal eigenvalues, as when a bond tends
+    to 0) this returns None.
+    """
+    n = diag.size
+    chiral = not diag.any()
+    even, odd = _parity_halves(diag, bonds)
+    if chiral and n % 2 == 0:
+        mu = np.abs(_dsterf(*even))
+        mu.sort()
+        w = np.concatenate((-mu[::-1], mu))
+    else:
+        w = np.concatenate([_dsterf(*half) for half in (even, odd) if half[0].size])
+        w.sort()
+    h = n // 2 if chiral else 0  # the modes folded into a partner
+    gaps = np.abs(w[h:, None] - w)  # [kept k, j]
+    same = gaps.ravel()[h :: n + 1]  # a view of the entries j = k
+    same[:] = np.inf
+    with np.errstate(divide="ignore"):
+        inv_gaps = np.reciprocal(gaps).sum(axis=1).max()
+    if not _EPS * max(-w[0], w[-1]) * inv_gaps <= _SPECTRUM_RTOL:
+        return None
+    same[:] = 1.0
+    weight = np.empty(n)
+    weight[h:] = np.exp(np.log(np.abs(bonds)).sum() - np.log(gaps, out=gaps).sum(axis=1))
+    weight[:h] = weight[n - h :][::-1]
+    vectors = np.empty((2, n))
+    vectors[0] = np.sqrt(weight)
+    vectors[1] = vectors[0]
+    vectors[1, n % 2 :: 2] *= -1.0  # psi_R,k = sign(psi_L,k psi_R,k) psi_L,k: (-1)^(n-1-k),
+    if np.count_nonzero(bonds < 0) % 2:  # times the sign of prod_i b_i
+        vectors[1] *= -1.0
+    return EigenmodeSet(w, vectors, chiral, from_spectrum=True)
+
+
 def propagator(K: np.ndarray, t: float) -> np.ndarray:
     """The matrix exp(-iKt), from the eigenmodes of ``K``.
 
@@ -227,6 +338,17 @@ def _dstevd(diag: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     return w, v
+
+
+def _dsterf(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a finite real symmetric tridiagonal matrix, by LAPACK ``dsterf``."""
+    # imported here so that importing dynamics needs numpy only
+    from scipy.linalg.lapack import dsterf
+
+    w, info = dsterf(diag, bonds if len(diag) > 1 else np.zeros(1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed with info = {info}")
+    return w
 
 
 def transfer_elements(modes: EigenmodeSet, times):

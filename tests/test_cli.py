@@ -115,15 +115,27 @@ class TestConfig:
 TINY_MIRROR = {"mirror_sizes": [1], "swap_chain_length": 2}
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported by the one function that searches
+def loaded_after(imports: str, module: str) -> bool:
+    """Whether ``import <imports>`` in a fresh interpreter loads ``module``."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, spinbus, spinbus.cli; print('scipy' in sys.modules)"
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by the one function that searches
+    assert not loaded_after("spinbus, spinbus.cli", "scipy")
+    # sample_positions makes its reused generator on first use
+    assert not loaded_after("spinbus, spinbus.cli", "numpy.random")
+
+
+def test_import_dynamics_leaves_scipy_unloaded():
+    # LAPACK dstevd and dsterf are imported where they are called
+    assert not loaded_after("spinbus.dynamics", "scipy")
 
 
 class TestExitCodes:
@@ -484,6 +496,29 @@ class TestRunners:
             full = f_encoded(transfer_elements(dataclasses.replace(modes, chiral=False), times), "strong")
             assert np.max(np.abs(folded - full)) <= 1e-12
 
+    def test_strong_scan_counts_the_dstevd_fallback(self):
+        # g = 0 is a zero bond: that grid point's chain falls back to dstevd
+        *_, polish = cli._strong_coupling_optimum(6, (0.0, 1.2, 5), 40)
+        assert polish["dstevd_solves"] == 1
+        assert polish["spectrum_solves"] == polish["eigensolves"] - 1
+
+    def test_dipolar_ed_grid_centre_ignores_the_last_digits(self, monkeypatch):
+        # the Brent searches fix the strong-scan optimum to about 1.5e-8
+        # relative; the grid is centred on it rounded to 6 digits
+        cfg = cli.ExperimentConfig(
+            "dipolar-ed", {"models": ["nearest_neighbor"], "total_spins": [6], "cap": 14}
+        )
+        (table,), _ = cli.run_dipolar_ed(cfg)
+        assert "rounded to 6 significant digits" in table.metadata["grid"]
+        optimum = cli._strong_coupling_optimum
+        g0, t0, *rest = optimum(2, (0.3, 1.1, 17), 400)
+        assert (cli._round_sig(g0), cli._round_sig(t0)) == (0.866025, 3.14159)
+        for scale in (1.0 + 2e-8, 1.0 - 2e-8):
+            monkeypatch.setattr(cli, "_strong_coupling_optimum",
+                                lambda *args: (g0 * scale, t0 * scale, *rest))
+            (moved,), _ = cli.run_dipolar_ed(cfg)
+            assert moved.rows == table.rows
+
     def test_strong_optimum_two_site_exact(self):
         # N = 2 is solvable: g = sqrt(3)/2, t = pi gives perfect transfer
         g, t, F, ok, _ = cli._strong_coupling_optimum(2, (0.3, 1.1, 17), 400)
@@ -536,9 +571,12 @@ class TestRunners:
         n_g = params["g_grid"][2]
         for r, row in zip(polish, table.rows):
             assert set(r) == {
-                "n_chain", "eigensolves", "grid_best_f", "g_on_bracket_edge", "t_on_bracket_edge"
+                "n_chain", "eigensolves", "spectrum_solves", "dstevd_solves",
+                "grid_best_f", "g_on_bracket_edge", "t_on_bracket_edge",
             }
             assert n_g < r["eigensolves"] <= n_g + 20
+            # every default chain is mirror-symmetric with nonzero bonds
+            assert r["spectrum_solves"] == r["eigensolves"] and r["dstevd_solves"] == 0
             assert r["grid_best_f"] <= row[3] and row[4] == 1
             assert not (r["g_on_bracket_edge"] or r["t_on_bracket_edge"])
         json.dumps(summary)  # the sidecar holds plain JSON types
@@ -636,17 +674,25 @@ class TestRunners:
         assert row[-1] == 0.0
         assert table.metadata["nn_analytic_gap_floor"] == 1e-12
 
-    def test_dipolar_infidelity_floor(self):
-        # the 6-spin optimum is 1 to rounding (infidelity 6.7e-16 before the floor)
+    def test_dipolar_infidelity_floor(self, monkeypatch):
+        # centred on the unrounded strong-scan optimum (17 digits round-trip
+        # a float), the 6-spin optimum is 1 to rounding (infidelity 6.7e-16
+        # before the floor)
         cfg = cli.ExperimentConfig(
             "dipolar-ed", {"models": ["nearest_neighbor"], "total_spins": [6], "cap": 14}
         )
+        (rounded,), _ = cli.run_dipolar_ed(cfg)
+        monkeypatch.setattr(cli, "_CENTRE_DIGITS", 17)
         (table,), _ = cli.run_dipolar_ed(cfg)
         (row,) = table.rows
         infid, F = row[5], row[6]
         assert abs(1.0 - F) < cli._GAP_FLOOR
         assert infid == 0.0
         assert table.metadata["infidelity_floor"] == 1e-12
+        # the 6-digit centre (0.866025, 3.14159) misses g = sqrt(3)/2, t = pi
+        # by 4e-7 and 2.7e-6: an infidelity above the floor, written as is
+        (row,) = rounded.rows
+        assert row[5] == 1.0 - row[6] and cli._GAP_FLOOR < row[5] < 1e-10
 
     def test_dipolar_summary_counters(self):
         cfg = cli.ExperimentConfig(

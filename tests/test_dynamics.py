@@ -371,6 +371,109 @@ class TestEigenmodes:
             dynamics.eigenmodes(K)
 
 
+def assert_end_rows_match(K, modes, tol):
+    """``modes`` has the energies and the end rows of ``eigenmodes(K)``, to ``tol``."""
+    ref = dynamics.eigenmodes(K)
+    assert modes.vectors.shape == (2, K.shape[0])
+    assert modes.chiral == ref.chiral
+    L, R, rL, rR = modes.psi_left, modes.psi_right, ref.psi_left, ref.psi_right
+    assert np.max(np.abs(modes.energies - ref.energies)) <= tol
+    assert np.max(np.abs(L * L - rL * rL)) <= tol
+    assert np.max(np.abs(R * R - rR * rR)) <= tol
+    assert np.max(np.abs(L * R - rL * rR)) <= tol
+
+
+class TestEndModes:
+    """``end_modes``: the end rows from the spectrum of a mirror-symmetric chain."""
+
+    def test_matches_eigenmodes_on_the_strong_scan_grid(self):
+        # the default strong-scan grid: n = N + 2 odd and even
+        for N in range(10, 101, 5):
+            for g in np.linspace(0.25, 1.2, 39):
+                K = uniform_k(N, g)
+                modes = dynamics.end_modes(K)
+                assert modes.from_spectrum and modes.chiral, (N, g)
+                assert_end_rows_match(K, modes, 1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 13])
+    def test_spectrum_route_forms_no_eigenvectors(self, n, no_dstevd):
+        assert dynamics.end_modes(end_coupled_chain(n, 0.7)).from_spectrum
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 10, 51])
+    @pytest.mark.parametrize("field", [0.3, -0.5])
+    def test_register_field_is_not_chiral(self, N, field):
+        # a field on both registers keeps the mirror symmetry but not the
+        # symmetric spectrum: both parity halves are solved
+        K = uniform_k(N, 0.6, register_field=field)
+        modes = dynamics.end_modes(K)
+        assert modes.from_spectrum and not modes.chiral
+        assert_end_rows_match(K, modes, 1e-13)
+
+    @pytest.mark.parametrize("diag", [0.0, 0.4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_chains(self, n, diag):
+        K = end_coupled_chain(n, -0.7) + np.diag(np.full(n, diag))
+        modes = dynamics.end_modes(K)
+        assert modes.from_spectrum and modes.chiral == (diag == 0.0)
+        assert_end_rows_match(K, modes, 1e-15)
+
+    @pytest.mark.parametrize("g", [0.6, -0.6])
+    def test_negative_bonds(self, g):
+        K = end_coupled_chain(14, g)
+        K[5, 6] = K[6, 5] = K[8, 7] = K[7, 8] = -1.0
+        modes = dynamics.end_modes(K)
+        assert modes.from_spectrum
+        assert_end_rows_match(K, modes, 1e-13)
+
+    def test_weights_stay_finite_at_600_sites(self):
+        # bonds of 4: prod b_i and p'(lambda_k) both pass 1e308 near n = 500
+        K = 4.0 * uniform_k(598, 0.7)
+        modes = dynamics.end_modes(K)
+        assert modes.from_spectrum and np.isfinite(modes.vectors).all()
+        assert abs(np.sum(modes.psi_left**2) - 1.0) <= 1e-13
+        assert_end_rows_match(K, modes, 1e-13)
+
+    def test_end_rows_serve_the_transfer_elements_and_the_budget(self):
+        K = uniform_k(41, 0.55)
+        ref, modes = dynamics.eigenmodes(K), dynamics.end_modes(K)
+        times = np.linspace(20.0, 80.0, 31)
+        for a, b in zip(dynamics.transfer_elements(modes, times),
+                        dynamics.transfer_elements(ref, times)):
+            assert np.max(np.abs(a - b)) <= 1e-13
+        got = dynamics.mode_budget(modes).errors(1.0, 1e4)
+        want = dynamics.mode_budget(ref).errors(1.0, 1e4)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10)
+
+    @pytest.mark.parametrize("N", [10, 11, 100])
+    @pytest.mark.parametrize("g", [0.0, 1e-8, 1e-300])
+    def test_vanishing_end_bond_takes_dstevd(self, N, g):
+        # g = 0 is a zero bond; g -> 0 leaves a near-degenerate register
+        # pair (a triple at odd N) whose weights the spectrum cannot bound
+        self.assert_fallback(uniform_k(N, g))
+
+    def test_other_chains_take_the_fallback(self):
+        self.assert_fallback(random_tridiagonal(12, 0))  # not mirror-symmetric
+        K = uniform_k(10, 0.6)
+        K[0, 1] = K[1, 0] = 0.61  # g_left != g_right
+        self.assert_fallback(K)
+        K = uniform_k(10, 0.6)
+        K[0, 0] = 1e-300  # a field on one end only
+        self.assert_fallback(K)
+        positions = chains.sample_positions(chains.DisorderSpec(0.1), 8)
+        dense = chains.couplings_from_positions(positions, chains.RangeRule.FULL_DIPOLAR)
+        dense = (dense + dense[::-1, ::-1]) / 2.0  # mirror-symmetric, not tridiagonal
+        self.assert_fallback(dense)
+
+    @staticmethod
+    def assert_fallback(K):
+        modes, ref = dynamics.end_modes(K), dynamics.eigenmodes(K)
+        assert not modes.from_spectrum
+        assert modes.chiral == ref.chiral
+        assert modes.energies.tobytes() == ref.energies.tobytes()
+        assert modes.vectors.tobytes() == ref.vectors[[0, -1]].tobytes()
+
+
 class TestResonantModeSelection:
     def test_matched_coupling_and_time(self):
         N = 7
