@@ -761,8 +761,18 @@ def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mi
     return mirror_mod.LatticeMap.from_text("\n".join("".join(r) for r in kinds))
 
 
+def _count_layers(traffic: dict, program: mirror_mod.PulseProgram) -> None:
+    traffic["layers"] += program.n_layers
+    traffic["layer_objects"] += len({id(layer) for layer in program.layers})
+
+
 def run_mirror_verify(config: ExperimentConfig) -> tuple[list[ResultTable], dict]:
-    """Verification sweep of the mirror-architecture constructions."""
+    """Verification sweep of the mirror-architecture constructions.
+
+    The summary's ``layer_traffic`` gives per construct the layers the
+    tableau applied and the distinct layer objects they were made of
+    (``repeat`` shares its layers); a route that found no plan adds none.
+    """
     p = config.params
     if "lattice_text" in p:
         try:
@@ -781,29 +791,35 @@ def run_mirror_verify(config: ExperimentConfig) -> tuple[list[ResultTable], dict
         ("construct", "size", "status", "detail"),
         metadata={"swap_chain_length": p["swap_chain_length"]},
     )
+    traffic = {c: {"layers": 0, "layer_objects": 0} for c in ("mirror", "propagated_swap", "route")}
     for n in p["mirror_sizes"]:
+        program = mirror_mod.mirror_program(n)
+        _count_layers(traffic["mirror"], program)
         try:
-            corr = mirror_mod.verify_mirror(mirror_mod.mirror_program(n), n)
+            corr = mirror_mod.verify_mirror(program, n)
             table.add("mirror", n, "pass", f"X0->{corr[0][0]} Z0->{corr[0][1]}")
         except AssertionError as exc:
             table.add("mirror", n, "fail", str(exc))
     L = p["swap_chain_length"]
     for k in range(1, L):
+        program = mirror_mod.propagated_swap(k, range(L))
+        _count_layers(traffic["propagated_swap"], program)
         try:
-            mirror_mod.verify_swap(mirror_mod.propagated_swap(k, range(L)), L, (k - 1, k))
+            mirror_mod.verify_swap(program, L, (k - 1, k))
             table.add("propagated_swap", k, "pass", f"swap({k},{k + 1}) exact")
         except AssertionError as exc:
             table.add("propagated_swap", k, "fail", str(exc))
     src, dst = regs[0], regs[-1]
     try:
         plan = mirror_mod.route(lattice, src, dst)
+        _count_layers(traffic["route"], plan.program)
         table.add(
             "route", f"{lattice.n_rows}x{lattice.n_cols}", "pass",
             f"{len(plan.moves)} moves, {plan.total_layers} layers",
         )
     except (mirror_mod.RoutingError, AssertionError) as exc:
         table.add("route", f"{lattice.n_rows}x{lattice.n_cols}", "error", str(exc))
-    return [table], {}
+    return [table], {"layer_traffic": traffic}
 
 
 # ---------------------------------------------------------------------------

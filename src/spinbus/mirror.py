@@ -10,16 +10,21 @@ Conventions: a Pauli operator is stored as ``i^phase * prod_q X_q^{x_q}
 Z_q^{z_q}`` with ``phase`` mod 4.  H and CZ carry every image of X_i or
 Z_i to a phase of 0 or 2, a sign only.  A pulse "cycle" applies the CZ
 layer first and the Hadamard layer second.
+
+A layer object derives its index arrays once, when it is built, and a
+program repeats by sharing its layer objects, so applying a layer only
+streams words through the packed tableau.  A construction is certified
+by one pass over the tableau's packed planes, not image by image.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -64,36 +69,81 @@ class RoutingError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _set_derived(layer, **fields) -> None:
+    """Set a frozen layer's derived fields."""
+    for name, value in fields.items():
+        object.__setattr__(layer, name, value)
+
+
+def _derived_field():
+    """A field computed when the layer is built: not an argument, not
+    compared, not shown."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class GlobalHadamard:
     """Hadamard on every site in ``sites`` (one layer); a site listed k
-    times receives H^k."""
+    times receives H^k.
+
+    Built once, a layer holds what every application reads: ``odd``, the
+    sites listed an odd number of times (ascending), and ``lo`` and
+    ``hi``, the smallest and largest site (0 and -1 for no site).
+    """
 
     sites: tuple[int, ...]
+    odd: np.ndarray = _derived_field()
+    lo: int = _derived_field()
+    hi: int = _derived_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(map(operator.index, self.sites)))
+        sites = tuple(map(operator.index, self.sites))
+        odd = sorted(q for q, k in Counter(sites).items() if k % 2)
+        _set_derived(self, sites=sites, odd=np.array(odd, dtype=np.intp),
+                lo=min(sites, default=0), hi=max(sites, default=-1))
 
 
 @dataclass(frozen=True)
 class GlobalCZ:
-    """Controlled-phase on every edge in ``edges`` (one layer; CZs commute)."""
+    """Controlled-phase on every edge in ``edges`` (one layer; CZs commute).
+
+    Built once, a layer holds what every application reads: the endpoint
+    arrays ``a`` and ``b``; ``repeat_free``, no site repeated within
+    ``a`` nor within ``b`` (true of every chain layer); ``self_edge``,
+    some edge is (q, q); and ``lo`` and ``hi``, the smallest and largest
+    site (0 and -1 for no edge).
+    """
 
     edges: tuple[tuple[int, int], ...]
+    a: np.ndarray = _derived_field()
+    b: np.ndarray = _derived_field()
+    repeat_free: bool = _derived_field()
+    self_edge: bool = _derived_field()
+    lo: int = _derived_field()
+    hi: int = _derived_field()
 
     def __post_init__(self):
         edges = tuple((operator.index(a), operator.index(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
+        a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        _set_derived(self, edges=edges, a=a, b=b,
+                repeat_free=all(len(set(side)) == len(edges) for side in zip(*edges)),
+                self_edge=any(p == q for p, q in edges),
+                lo=min(map(min, edges), default=0), hi=max(map(max, edges), default=-1))
 
 
 Layer = Union[GlobalHadamard, GlobalCZ]
 
 
-def _layer_sites(layer: Layer) -> Iterable[int]:
-    """The sites a layer addresses, a site once per mention."""
-    if isinstance(layer, GlobalHadamard):
-        return layer.sites
-    return itertools.chain.from_iterable(layer.edges)
+def _check_layer(layer: Layer, n: int) -> None:
+    """Raise ``ValueError`` for a site outside [0, n), naming the first one
+    listed, or for a CZ edge (q, q).  The tableau and the dense oracle
+    both check a layer here, when they apply it; O(1) for a valid layer."""
+    if layer.lo < 0 or layer.hi >= n:
+        listed = np.ravel(layer.sites if isinstance(layer, GlobalHadamard) else layer.edges)
+        q = listed[(listed < 0) | (listed >= n)][0]
+        raise ValueError(f"site {q} out of range for {n} qubits")
+    if isinstance(layer, GlobalCZ) and layer.self_edge:
+        raise ValueError("CZ needs two distinct sites")
 
 
 @dataclass(frozen=True)
@@ -148,6 +198,10 @@ def mirror_program(n: int) -> PulseProgram:
 # ---------------------------------------------------------------------------
 
 
+_SIGN = {0: "+", 2: "-"}  # by phase
+_PAULI = "IXZY"  # by x + 2z
+
+
 @dataclass(frozen=True)
 class PauliImage:
     """A Pauli operator in the form i^phase * prod X^x Z^z.
@@ -169,13 +223,8 @@ class PauliImage:
         return int(s[0]) if len(s) == 1 else None
 
     def __str__(self) -> str:
-        sign = {0: "+", 2: "-"}[self.phase % 4]
-        names = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-        terms = [
-            f"{names[(int(self.x[q]), int(self.z[q]))]}{q}"
-            for q in self.support
-        ]
-        return sign + ("*".join(terms) if terms else "I")
+        terms = [f"{_PAULI[self.x[q] + 2 * self.z[q]]}{q}" for q in self.support]
+        return _SIGN[self.phase % 4] + ("*".join(terms) if terms else "I")
 
 
 class Tableau:
@@ -186,8 +235,12 @@ class Tableau:
     and Stim layouts: ``x[q]`` and ``z[q]`` are word-vectors holding
     qubit q's X and Z bit of all 2n images, 64 generators per ``uint64``
     word.  H and CZ keep every image's phase at 0 or 2, so the phase is
-    one packed sign plane ``r``: bit g set means phase 2 on image g.  A
-    layer on m sites is a few operations on m word-vectors, so a global
+    one packed sign plane ``r``: bit g set means phase 2 on image g.
+
+    ``apply_hadamard`` and ``apply_cz`` take a layer object and read the
+    index arrays it derived when built; they check its bounds against
+    ``n`` in O(1).  A layer on m sites is a few gathers and scatters of m
+    word-vectors (an H on every qubit swaps the two planes), so a global
     layer costs O(n^2 / 64) word operations.
     """
 
@@ -203,37 +256,34 @@ class Tableau:
         for plane, g in ((self.x, q), (self.z, q + n)):
             plane[q, g // 64] = np.left_shift(np.uint64(1), (g % 64).astype(np.uint64))
 
-    def _sites(self, sites: Iterable[int]) -> np.ndarray:
-        """Sites as an index array, range-checked in one pass."""
-        s = np.fromiter(sites, dtype=np.intp)
-        if s.size and (s.min() < 0 or s.max() >= self.n):
-            q = s[(s < 0) | (s >= self.n)][0]
-            raise ValueError(f"site {q} out of range for {self.n} qubits")
-        return s
-
     # -- layer applications (conjugation rules in the i^ph X^x Z^z form) --
 
-    def apply_hadamard(self, sites: tuple[int, ...]) -> None:
-        s = self._sites(sites)
-        # a site listed k times receives H^k
-        s = np.flatnonzero(np.bincount(s, minlength=self.n) & 1)
+    def apply_hadamard(self, layer: GlobalHadamard) -> None:
+        _check_layer(layer, self.n)
+        s = layer.odd
+        if s.size == self.n:
+            # H on every qubit swaps the planes whole and flips no sign: a
+            # Hermitian image with a real phase has x = z = 1 on an even
+            # number of qubits
+            self.x, self.z = self.z, self.x
+            return
         x, z = self.x[s], self.z[s]
         self.r ^= np.bitwise_xor.reduce(x & z, axis=0)
         self.x[s], self.z[s] = z, x
 
-    def apply_cz(self, edges: tuple[tuple[int, int], ...]) -> None:
-        if not edges:
-            return
-        e = self._sites(itertools.chain.from_iterable(edges)).reshape(-1, 2)
-        ea, eb = e[:, 0], e[:, 1]
-        if np.any(ea == eb):
-            raise ValueError("CZ needs two distinct sites")
+    def apply_cz(self, layer: GlobalCZ) -> None:
+        _check_layer(layer, self.n)
+        a, b = layer.a, layer.b
         # x is never written by a CZ layer, so the whole commuting layer
-        # reads the pre-layer x; ufunc.at accumulates repeated columns
-        xa, xb = self.x[ea], self.x[eb]
+        # reads the pre-layer x
+        xa, xb = self.x[a], self.x[b]
         self.r ^= np.bitwise_xor.reduce(xa & xb, axis=0)
-        np.bitwise_xor.at(self.z, ea, xb)
-        np.bitwise_xor.at(self.z, eb, xa)
+        if layer.repeat_free:
+            self.z[a] ^= xb
+            self.z[b] ^= xa
+        else:  # ufunc.at accumulates a repeated site; fancy indexing keeps one write
+            np.bitwise_xor.at(self.z, a, xb)
+            np.bitwise_xor.at(self.z, b, xa)
 
     # -- inspection --
 
@@ -254,9 +304,9 @@ def clifford_apply(program: PulseProgram, n: int) -> Tableau:
     t = Tableau(n)
     for layer in program.layers:
         if isinstance(layer, GlobalHadamard):
-            t.apply_hadamard(layer.sites)
+            t.apply_hadamard(layer)
         else:
-            t.apply_cz(layer.edges)
+            t.apply_cz(layer)
     return t
 
 
@@ -265,26 +315,43 @@ def clifford_apply(program: PulseProgram, n: int) -> Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _check_images(
-    name: str, program: PulseProgram, n: int, want: dict[int, int]
-) -> Iterator[tuple[int, PauliImage, PauliImage]]:
+def _bit(words: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Generator g's bit of each packed word, gathered from word g // 64."""
+    return (words >> (g % 64).astype(np.uint64)) & np.uint64(1)
+
+
+def _check_images(name: str, program: PulseProgram, n: int, want: dict[int, int]) -> Tableau:
     """Require X_i and Z_i to conjugate to single-site Paulis on ``want[i]``.
 
-    The program runs on a fresh ``n``-qubit tableau; the first failing
-    site raises an ``AssertionError`` naming the construction.  Yields
-    ``(i, image of X_i, image of Z_i)`` for every ``i`` of ``want`` once
-    checked; it checks only as far as it is iterated (``list`` runs it
-    whole).  A caller keeps only what it needs of each image: all of them
-    hold 2n^2 bytes, 0.5 MB for the 512-site mirror.
+    The program runs on a fresh ``n``-qubit tableau, which is returned;
+    the first failing site, in ``want`` order, raises an
+    ``AssertionError`` naming the construction.  A site or target outside
+    [0, n) raises ``ValueError``.  All images are checked in one pass
+    over the packed planes, with temporaries of one plane's size: the
+    support plane s = x | z, its running OR over the qubits, and from
+    them the generators supported on exactly one qubit.  Only a failing
+    image is unpacked, to name it in the message.
     """
     tab = clifford_apply(program, n)
-    for i, target in want.items():
-        ix, iz = tab.image("x", i), tab.image("z", i)
-        if ix.single_site() != target or iz.single_site() != target:
-            raise AssertionError(
-                f"{name}: site {i}: images {ix} / {iz} are not single-site Paulis at {target}"
-            )
-        yield i, ix, iz
+    sites = np.fromiter(want, dtype=np.intp, count=len(want))
+    targets = np.fromiter(want.values(), dtype=np.intp, count=len(want))
+    if np.any((sites < 0) | (sites >= n) | (targets < 0) | (targets >= n)):
+        raise ValueError("site out of range")
+    s = tab.x | tab.z
+    seen = np.bitwise_or.accumulate(s, axis=0)  # seen[q]: supported on some q' <= q
+    twice = np.bitwise_or.reduce(s[1:] & seen[:-1], axis=0)
+    single = seen[-1] & ~twice
+    ok = np.ones(len(want), dtype=bool)
+    for g in (sites, sites + n):  # the images of X_i, then of Z_i
+        w = g // 64
+        ok &= _bit(single[w] & s[targets, w], g).astype(bool)
+    if not ok.all():
+        i, target = (int(v[np.argmin(ok)]) for v in (sites, targets))
+        raise AssertionError(
+            f"{name}: site {i}: images {tab.image('x', i)} / {tab.image('z', i)} "
+            f"are not single-site Paulis at {target}"
+        )
+    return tab
 
 
 def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
@@ -294,8 +361,17 @@ def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
     extracted single-qubit corrections); raises if any image is not a
     single-site Pauli at the mirrored position.
     """
-    want = {i: n - 1 - i for i in range(n)}
-    return {i: (str(ix), str(iz)) for i, ix, iz in _check_images("mirror", program, n, want)}
+    tab = _check_images("mirror", program, n, {i: n - 1 - i for i in range(n)})
+    # each image is one Pauli on n-1-i: its sign bit and its x and z bit
+    # there name it
+    sites, mirrored = np.arange(n), np.arange(n)[::-1]
+    names = []
+    for g in (sites, sites + n):  # the images of X_i, then of Z_i
+        w = g // 64
+        r, x, z = (_bit(words, g).tolist() for words in (tab.r[w], tab.x[mirrored, w], tab.z[mirrored, w]))
+        names.append([f"{_SIGN[2 * sign]}{_PAULI[xq + 2 * zq]}{q}"
+                      for sign, xq, zq, q in zip(r, x, z, mirrored.tolist())])
+    return dict(enumerate(zip(*names)))
 
 
 def propagated_swap(n: int, sites: Iterable[int]) -> PulseProgram:
@@ -339,7 +415,7 @@ def verify_swap(program: PulseProgram, chain_length: int, pair: tuple[int, int])
     a, b = pair
     want = {i: i for i in range(chain_length)}
     want[a], want[b] = b, a
-    list(_check_images(f"swap of {pair}", program, chain_length, want))
+    _check_images(f"swap of {pair}", program, chain_length, want)
     return want
 
 
@@ -479,7 +555,7 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
     # Q_M: three-site mirror {left neighbor, register, right neighbor}
     trio = [idx[left[0]], idx[register], idx[right[0]]]
     q_m = mirror_cycles(trio, chain_edges(trio), 4)
-    list(_check_images("Q_M", q_m, len(idx), dict(zip(trio, reversed(trio)))))
+    _check_images("Q_M", q_m, len(idx), dict(zip(trio, reversed(trio))))
 
     # Q_L: mirror the shorter flanking chain, refocus the longer one; no
     # cycle count does both for equal lengths, so the count raises for them
@@ -490,7 +566,7 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
     q_l = mirror_cycles(sites, edges, k)
     want = {idx[s]: idx[t] for s, t in zip(short, reversed(short))}
     want.update({idx[s]: idx[s] for s in long_})
-    list(_check_images("Q_L", q_l, len(idx), want))
+    _check_images("Q_L", q_l, len(idx), want)
 
     return {"Q_M": q_m, "Q_L": q_l}
 
@@ -578,7 +654,7 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
             program = program + propagated_swap(n_pair, [idx[s] for s in seg])
         else:
             program = program + pair_swap_program(idx[s1], idx[s2])
-    list(_check_images(f"route {src}->{dst}", program, len(idx), {idx[src]: idx[dst]}))
+    _check_images(f"route {src}->{dst}", program, len(idx), {idx[src]: idx[dst]})
     return RoutePlan(tuple(moves), program.n_layers, program)
 
 
@@ -605,11 +681,7 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
     if n > 12:  # 2^12 x 2^12 complex entries take 268 MB
         raise ResourceLimitError(f"dense unitary needs 2^{n} dimensions; cap is 2^12")
     for layer in program.layers:
-        bad = [q for q in _layer_sites(layer) if not 0 <= q < n]
-        if bad:
-            raise ValueError(f"site {bad[0]} out of range for {n} qubits")
-        if isinstance(layer, GlobalCZ) and any(a == b for a, b in layer.edges):
-            raise ValueError("CZ needs two distinct sites")
+        _check_layer(layer, n)
     dim = 1 << n
     M = np.eye(dim, dtype=complex)
     idx = np.arange(dim)

@@ -65,5 +65,7 @@ def test_benchmark_harness_names_resolve(tmp_path):
     assert (dynamics.eigenmodes, cli.minimize) == originals
     assert code == cli.EXIT_OK
     assert t.counters["mirror.qubit_layers"] > 0
+    # the per-layer metrics count real layer applications
+    assert t.calls["mirror.Tableau.apply_cz"] > 0 and t.calls["mirror.Tableau.apply_hadamard"] > 0
     assert not any(t.errors.values()), dict(t.errors)
     assert c.attempted == 4 and c.failed == 0, c.reasons

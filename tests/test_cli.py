@@ -115,15 +115,16 @@ class TestConfig:
 TINY_MIRROR = {"mirror_sizes": [1], "swap_chain_length": 2}
 
 
-def loaded_after(imports: str, module: str) -> bool:
-    """Whether ``import <imports>`` in a fresh interpreter loads ``module``."""
+def loaded_after(imports: str, module: str, run: str = "pass") -> bool:
+    """Whether ``import <imports>``, then ``run``, in a fresh interpreter
+    loads ``module``."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = f"import sys, {imports}; print({module!r} in sys.modules)"
+    code = f"import sys, {imports}; {run}; print({module!r} in sys.modules)"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.splitlines()[-1] == "True"
 
 
 def test_import_leaves_scipy_unloaded():
@@ -131,6 +132,14 @@ def test_import_leaves_scipy_unloaded():
     assert not loaded_after("spinbus, spinbus.cli", "scipy")
     # sample_positions makes its reused generator on first use
     assert not loaded_after("spinbus, spinbus.cli", "numpy.random")
+
+
+def test_mirror_verify_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique would load numpy.ma, about 1.5 MB of a fresh process
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({**TINY_MIRROR, "lattice_text": "R.R"}))
+    argv = ["mirror-verify", "--config", str(doc), "--out", str(tmp_path / "out")]
+    assert not loaded_after("spinbus.cli", "numpy.ma", f"assert spinbus.cli.main({argv!r}) == 0")
 
 
 def test_import_dynamics_leaves_scipy_unloaded():
@@ -651,6 +660,22 @@ class TestRunners:
             'propagated_swap,4,pass,"swap(4,5) exact"',
             'route,3x5,pass,"6 moves, 50 layers"',
         ]
+        summary = json.loads((out / "mirror-verify_summary.json").read_text())
+        assert summary["layer_traffic"]["route"]["layers"] == 50
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_mirror_verify_layer_traffic(self, seed):
+        # the mirrors (one CZ and one H object, n + 1 cycles each) and the
+        # swaps on the 16-chain do not depend on the seed; the route does
+        config = cli.resolve_config("mirror-verify", None, seed, None, None)
+        _, summary = cli.run_mirror_verify(config)
+        traffic = summary["layer_traffic"]
+        sizes = config.params["mirror_sizes"]
+        assert traffic["mirror"] == {"layers": sum(2 * (n + 1) for n in sizes),
+                                     "layer_objects": 2 * len(sizes)}
+        assert traffic["mirror"]["layers"] == 2066
+        assert traffic["propagated_swap"] == {"layers": 874, "layer_objects": 86}
+        assert traffic["route"]["layers"] > 0 and traffic["route"]["layer_objects"] > 0
 
     def test_dipolar_small(self):
         cfg = cli.ExperimentConfig(

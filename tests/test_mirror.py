@@ -93,29 +93,88 @@ class TestTableau:
 
     def test_hadamard_swaps_x_z(self):
         tab = mirror.Tableau(2)
-        tab.apply_hadamard((0,))
+        tab.apply_hadamard(mirror.GlobalHadamard((0,)))
         assert str(tab.image("x", 0)) == "+Z0"
         assert str(tab.image("z", 0)) == "+X0"
         assert str(tab.image("x", 1)) == "+X1"
 
     def test_cz_action(self):
         tab = mirror.Tableau(2)
-        tab.apply_cz(((0, 1),))
+        tab.apply_cz(mirror.GlobalCZ(((0, 1),)))
         assert str(tab.image("x", 0)) == "+X0*Z1"
         assert str(tab.image("z", 0)) == "+Z0"
 
     def test_site_range_checked(self):
         tab = mirror.Tableau(2)
         with pytest.raises(ValueError):
-            tab.apply_hadamard((2,))
+            tab.apply_hadamard(mirror.GlobalHadamard((2,)))
         with pytest.raises(ValueError):
-            tab.apply_cz(((0, 0),))
+            tab.apply_cz(mirror.GlobalCZ(((0, 0),)))
         # a non-integer site is refused when the layer is built, before the
         # tableau could truncate it or the dense oracle fail on its shift
         with pytest.raises(TypeError):
             mirror.GlobalHadamard((1.5,))
         with pytest.raises(TypeError):
             mirror.GlobalCZ(((0, 1.0),))
+
+    def test_layer_checked_against_each_register(self):
+        # one layer object, built once, is range-checked against every
+        # tableau it is applied to, when it is applied
+        h, cz = mirror.GlobalHadamard((0, 3)), mirror.GlobalCZ(((0, 3),))
+        big = mirror.Tableau(4)
+        big.apply_hadamard(h)
+        big.apply_cz(cz)
+        for n in (1, 3):
+            small = mirror.Tableau(n)
+            for apply, layer in ((small.apply_hadamard, h), (small.apply_cz, cz)):
+                with pytest.raises(ValueError, match=f"^site 3 out of range for {n} qubits$"):
+                    apply(layer)
+        assert str(big.image("z", 0)) == "+X0*Z3"
+
+    def test_out_of_range_names_first_listed_site(self):
+        tab = mirror.Tableau(3)
+        with pytest.raises(ValueError, match="^site 5 out of range for 3 qubits$"):
+            tab.apply_hadamard(mirror.GlobalHadamard((1, 5, -1)))
+        with pytest.raises(ValueError, match="^site -2 out of range for 3 qubits$"):
+            tab.apply_cz(mirror.GlobalCZ(((0, 1), (-2, 7))))
+
+    @pytest.mark.parametrize("edges, repeat_free", [
+        (((0, 1), (0, 2)), False),  # star: site 0 twice on one side
+        (((0, 1), (0, 1)), False),  # duplicate edge: CZ CZ = I
+        (((0, 1), (1, 0)), True),  # reversed duplicate: each side holds 0 and 1 once
+        (((0, 1), (2, 0)), True),  # site 0 once on each side
+        (((0, 1), (1, 2), (2, 3)), True),  # a chain layer is not a matching
+        ((), True),
+    ], ids=["star", "duplicate", "reversed", "crossed", "chain", "empty"])
+    def test_cz_repeats_match_byte_reference(self, edges, repeat_free):
+        layer = mirror.GlobalCZ(edges)
+        assert layer.repeat_free is repeat_free
+        n = 4
+        # H first so that x is spread and the CZ writes every column it names;
+        # an H on every site, one listed three times, swaps the planes whole
+        full = (3, 1, 0, 2, 2, 2)
+        program = mirror.PulseProgram((mirror.GlobalHadamard((0, 2)), mirror.GlobalCZ(((0, 3),)),
+                                       layer, mirror.GlobalHadamard(full)))
+        packed = mirror.clifford_apply(program, n)
+        ref = oracles.ByteTableau(n)
+        ref.apply_hadamard((0, 2))
+        ref.apply_cz(((0, 3),))
+        ref.apply_cz(edges)
+        ref.apply_hadamard(full)
+        for kind in ("x", "z"):
+            for i in range(n):
+                img = packed.image(kind, i)
+                phase, x, z = ref.image(kind, i)
+                assert (img.phase, img.x.tolist(), img.z.tolist()) == (phase, x.tolist(), z.tolist())
+        assert mirror.dense_unitary_check(program, n).ok
+
+    def test_layers_compare_by_their_sites(self):
+        # the derived index arrays are neither compared nor shown
+        assert mirror.GlobalCZ(((0, 1),)) == mirror.GlobalCZ(((0, 1),))
+        assert hash(mirror.GlobalHadamard((2, 1, 2))) == hash(mirror.GlobalHadamard((2, 1, 2)))
+        assert repr(mirror.GlobalHadamard((2, 1, 2))) == "GlobalHadamard(sites=(2, 1, 2))"
+        assert mirror.GlobalHadamard((2, 1, 2)).odd.tolist() == [1]
+        assert mirror.GlobalHadamard((3, 0, 3, 3)).odd.tolist() == [0, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(program_strategy(4))
@@ -171,6 +230,18 @@ class TestMirrorConstruction:
         with pytest.raises(AssertionError, match="^mirror: site 0: "):
             mirror.verify_mirror(bad, 4)
 
+    @pytest.mark.parametrize("n", [2, 33, 70])
+    def test_names_read_from_packed_planes(self, n):
+        # a prefix on sites a, b maps X_a, X_b, Z_a, Z_b to +Z_a, -Z_b, +X_a,
+        # +X_b: the mirror images then carry letters and signs of their own
+        a, b = n - 2, n - 1
+        cz, h_a, h_b = mirror.GlobalCZ(((a, b),)), mirror.GlobalHadamard((a,)), mirror.GlobalHadamard((b,))
+        prog = mirror.PulseProgram((cz, h_a) * 3 + (cz, h_b)) + mirror.mirror_program(n)
+        corr = mirror.verify_mirror(prog, n)
+        tab = mirror.clifford_apply(prog, n)
+        assert corr == {i: (str(tab.image("x", i)), str(tab.image("z", i))) for i in range(n)}
+        assert corr[b] == ("-Z0", "+X0")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_mirror_against_dense(self, n):
         assert mirror.dense_unitary_check(mirror.mirror_program(n), n).ok
@@ -198,6 +269,24 @@ class TestPropagatedSwap:
         prog = mirror.propagated_swap(3, range(6))
         with pytest.raises(AssertionError, match=r"^swap of \(1, 2\): site 1: "):
             mirror.verify_swap(prog, 6, (1, 2))
+
+    def test_first_failing_site_in_want_order(self):
+        # H on site 0 leaves every other site in place, so each site wanted
+        # elsewhere fails: the first listed is named, whatever its number
+        prog = mirror.PulseProgram((mirror.GlobalHadamard((0,)),))
+        with pytest.raises(AssertionError, match=r"^id: site 3: images \+X3 / \+Z3 are not single-site Paulis at 1$"):
+            mirror._check_images("id", prog, 70, {5: 5, 3: 1, 1: 3, 66: 2})
+        with pytest.raises(AssertionError, match="^id: site 66: "):
+            mirror._check_images("id", prog, 70, {66: 2, 3: 1})
+        tab = mirror._check_images("id", prog, 70, {0: 0, 69: 69})
+        assert str(tab.image("x", 0)) == "+Z0"
+
+    @pytest.mark.parametrize("want", [{-1: 0}, {3: 0}, {0: -1}, {0: 3}, {0: 0, 1: -3}],
+                             ids=["site-negative", "site-n", "target-negative", "target-n", "later"])
+    def test_want_out_of_range(self, want):
+        # a negative site must not wrap around to the last qubit
+        with pytest.raises(ValueError, match="^site out of range$"):
+            mirror._check_images("id", mirror.PulseProgram(), 3, want)
 
     def test_z_image_checked(self):
         # a CNOT with control 1 and target 0 fixes X_0 but spreads Z_0
@@ -248,7 +337,10 @@ class TestPropagatedSwap:
             assert tab.image("x", q).single_site() == want[q]
             assert tab.image("z", q).single_site() == want[q]
         # the program addresses exactly the chain's labels
-        assert {q for layer in prog.layers for q in mirror._layer_sites(layer)} == set(sites)
+        addressed = {q for layer in prog.layers
+                     for q in (layer.sites if isinstance(layer, mirror.GlobalHadamard)
+                               else sum(layer.edges, ()))}
+        assert addressed == set(sites)
         if n <= 6:
             assert mirror.dense_unitary_check(prog, n).ok
 
