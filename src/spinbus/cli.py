@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .chains import (
@@ -186,14 +185,99 @@ PARAM_SCHEMAS: dict[str, dict] = {
     },
 }
 
-# jsonschema counts an integer-valued float such as 20.0 as an "integer";
-# the runners need a Python int, and a bool is not one either
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)
+# The schemas are checked in-tree, by the subset of JSON Schema 2020-12
+# that they use.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # the runners need a Python int: a bool or an integer-valued float such
+    # as 20.0 is no "integer", and a bool is no "number" either
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+# "default" is an annotation and checks nothing
+_KEYWORDS = frozenset({
+    "type", "properties", "additionalProperties", "items", "prefixItems", "minItems",
+    "maxItems", "uniqueItems", "enum", "minimum", "exclusiveMinimum", "maximum", "default",
+})
+
+
+def _check_schema(schema: dict, where: str = "schema") -> None:
+    """``ValueError`` unless ``schema`` uses only the keywords :func:`_validate` knows."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"{where}: keywords {unknown} are not checked")
+    if "type" in schema and schema["type"] not in _TYPES:
+        raise ValueError(f"{where}: type {schema['type']!r} is not checked")
+    if not isinstance(schema.get("additionalProperties", False), bool):
+        raise ValueError(f"{where}: additionalProperties must be true or false")
+    for key, sub in schema.get("properties", {}).items():
+        _check_schema(sub, f"{where}.{key}")
+    for i, sub in enumerate(schema.get("prefixItems", [])):
+        _check_schema(sub, f"{where}[{i}]")
+    if "items" in schema:
+        _check_schema(schema["items"], f"{where}[]")
+
+
+def _json_key(v):
+    """A hashable key, equal for two values exactly when JSON counts them equal.
+
+    1 and 1.0 are one number, but true is not 1.
+    """
+    if isinstance(v, list):
+        return ("array", tuple(map(_json_key, v)))
+    if isinstance(v, dict):
+        return ("object", frozenset((k, _json_key(x)) for k, x in v.items()))
+    return ("boolean" if isinstance(v, bool) else "scalar", v)
+
+
+def _validate(value, schema: dict, where: str = "") -> None:
+    """``ConfigError`` naming the key where ``value`` first fails ``schema``.
+
+    Each keyword checks only values of its own JSON type, as in JSON
+    Schema: ``minimum`` passes a string, ``items`` an object.
+    """
+
+    def fail(message: str):
+        raise ConfigError(f"config fails schema: {where + ': ' if where else ''}{message}")
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and _json_key(value) not in map(_json_key, schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](value):
+        if value < schema.get("minimum", value):
+            fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is not greater than {schema['exclusiveMinimum']!r}")
+        if value > schema.get("maximum", value):
+            fail(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} has more than {schema['maxItems']} items")
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            fail(f"{value!r} has non-unique elements")
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(value):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is not None:
+                _validate(item, sub, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            if key in props:
+                _validate(item, props[key], f"{where}.{key}" if where else key)
+            elif schema.get("additionalProperties", True) is False:
+                fail(f"unexpected key {key!r}")
+
+
+# at import: an unknown keyword must not be ignored silently
+for _kind, _schema in PARAM_SCHEMAS.items():
+    _check_schema(_schema, _kind)
+
 
 # "default" is an annotation: validation ignores it
 DEFAULT_PARAMS: dict[str, dict] = {
@@ -264,10 +348,7 @@ def resolve_config(
     for key, val in (("seed", seed), ("realizations", realizations)):
         if val is not None:
             merged[key] = val
-    try:
-        jsonschema.validate(merged, PARAM_SCHEMAS[kind], cls=_Validator)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config fails schema: {exc.message}") from exc
+    _validate(merged, PARAM_SCHEMAS[kind])
     seed = merged.pop("seed")
     return ExperimentConfig(kind, merged, seed, out or "results")
 
@@ -459,30 +540,117 @@ def _uniform_k(N: int, g: float, register_field: float | None = None) -> np.ndar
     ))
 
 
-# absolute tolerance of both Brent searches of the strong-scan polish;
-# scipy adds sqrt(eps) |x| to it
+# absolute tolerance of both Brent searches of the strong-scan polish
 _XATOL = 1e-9
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the search never steps less than _SQRT_EPS |x| + _XATOL / 3; eps is
+# written 2.2e-16, as scipy writes it, so that both evaluate the same points
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAXFUN = 500
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def minimize(fun, lo: float, hi: float):
-    """Brent's bounded minimum of the scalar ``fun`` on [lo, hi] (scipy's result).
+@dataclass(frozen=True)
+class BrentResult:
+    """The best point ``x`` of a bounded Brent search, ``fun`` there, and its evaluations."""
 
-    A module-level name, so that perfbench's tracer counts the searches
-    and their evaluations.  scipy.optimize is imported here, on first
-    use, so that subcommands without a search never load scipy.
+    x: float
+    fun: float
+    success: bool
+    nfev: int
+
+
+def _sign(v: float) -> float:
+    """-1.0 below 0, else 1.0 (at 0 too); NaN stays NaN."""
+    return -1.0 if v < 0 else 1.0 if v >= 0 else v
+
+
+def minimize(fun, lo: float, hi: float) -> BrentResult:
+    """Brent's bounded minimum of the scalar ``fun`` on [lo, hi].
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 5: golden-section steps, and parabolic ones through the three
+    best points where the parabola is trusted.  It stops once the best
+    point x lies within 2 (_SQRT_EPS |x| + _XATOL / 3) of the middle of
+    a bracket that narrow, or after _MAXFUN evaluations (not a success).
+    A NaN point or value is not a success either.  This is scipy's
+    ``_minimize_scalar_bounded`` (scipy 1.17) at xatol = _XATOL, step
+    for step: the same points evaluated in the same order, and the same
+    result.  A module-level name, so that perfbench's tracer counts the
+    searches and their evaluations.
     """
-    from scipy.optimize import minimize_scalar
-
-    return minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL})
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    # xf is the best point so far, nfc the second best, fulc the third
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = fun(xf)
+    fu, num, rat, e = math.inf, 1, 0.0, 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            # less than half the step before last, and inside the bracket
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:  # into the larger part of the bracket
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        # at least tol1, NaN carried through as by np.maximum
+        size = abs(rat)
+        if not (size >= tol1 or size != size):
+            size = tol1
+        x = xf + _sign(rat) * size
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            return BrentResult(xf, fx, False, num)
+    success = not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+    return BrentResult(xf, fx, success, num)
 
 
 def _on_edge(x: float, lo: float, hi: float) -> bool:
     """Whether a bounded Brent minimum at ``x`` lies on an end of [lo, hi].
 
-    The search never evaluates closer to an end than sqrt(eps) |x| +
-    xatol / 3, and stops within two such steps of an end that holds the
-    minimum; four mark the edge.
+    :func:`minimize` never evaluates closer to an end than
+    _SQRT_EPS |x| + _XATOL / 3, and stops within two such steps of an
+    end that holds the minimum; four mark the edge.
     """
     return bool(min(x - lo, hi - x) <= 4.0 * (_SQRT_EPS * abs(x) + _XATOL))
 

@@ -300,9 +300,12 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
     the steps r dt for r < b, with block size b = ceil(sqrt(n_times)).
     Row a b + r is then the product of anchor a and step r, one complex
     multiply per entry; it differs from the direct ``exp`` by a few
-    rounding errors of w t.
+    rounding errors of w t.  A single time, as in each step of a Brent
+    search over t, takes the direct ``exp``: its step row would be exactly 1.
     """
     nt = times.size
+    if nt == 1:
+        return np.exp(-1j * np.outer(times, w))
     b = math.isqrt(nt - 1) + 1
     dt = (times[-1] - times[0]) / (nt - 1) if nt > 1 else 0.0
     anchors = np.exp(-1j * np.outer(times[::b], w))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spinbus import cli
+from spinbus import cli, dynamics
 from spinbus.dynamics import propagator, transfer_elements
 from spinbus.fidelity import f_encoded
 
@@ -112,6 +112,76 @@ class TestConfig:
             cli.resolve_config("bosonic", "/nonexistent.json", None, None, None)
 
 
+class TestSchemaChecker:
+    @staticmethod
+    def keywords(schema: dict) -> set:
+        """Every keyword of ``schema`` and of the schemas nested in it."""
+        subs = [*schema.get("properties", {}).values(), *schema.get("prefixItems", [])]
+        if "items" in schema:
+            subs.append(schema["items"])
+        return set(schema).union(*map(TestSchemaChecker.keywords, subs))
+
+    def test_every_keyword_is_checked(self):
+        used = set().union(*map(self.keywords, cli.PARAM_SCHEMAS.values()))
+        assert used == cli._KEYWORDS
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer", "multipleOf": 2},
+        {"type": "array", "items": {"type": "number", "maxLength": 3}},
+        {"type": "object", "properties": {"a": {"pattern": "x"}}},
+        {"type": "array", "prefixItems": [{"type": "null"}]},
+        {"type": "object", "additionalProperties": {"type": "number"}},
+    ])
+    def test_unknown_keyword_raises(self, schema):
+        with pytest.raises(ValueError):
+            cli._check_schema(schema)
+
+    @pytest.mark.parametrize("kind", ["integer", "number"])
+    def test_bool_is_not_a_number(self, kind):
+        with pytest.raises(cli.ConfigError, match="^config fails schema: "):
+            cli._validate(True, {"type": kind})
+        cli._validate(1, {"type": kind})
+
+    def test_unique_items_follow_json_equality(self):
+        schema = {"type": "array", "uniqueItems": True}
+        with pytest.raises(cli.ConfigError, match="has non-unique elements"):
+            cli._validate([1, 1.0], schema)
+        with pytest.raises(cli.ConfigError, match="has non-unique elements"):
+            cli._validate([[1, "a"], [1.0, "a"]], schema)
+        cli._validate([1, True], schema)
+        cli._validate([0, False, [1], [True]], schema)
+
+    def test_enum_follows_json_equality(self):
+        cli._validate(1.0, {"enum": [1, "a"]})
+        with pytest.raises(cli.ConfigError, match="is not one of"):
+            cli._validate(True, {"enum": [1, "a"]})
+
+    @pytest.mark.parametrize("kind, doc, key", [
+        ("strong-scan", {"g_grid": [0.25, 1.2, 1.5]}, "g_grid[2]"),
+        ("strong-scan", {"g_grid": [-0.1, 1.2, 5]}, "g_grid[0]"),
+        ("bosonic", {"g": 0.0}, "g"),
+        ("bosonic", {"kt_over_omega": [1.0, 0.0]}, "kt_over_omega[1]"),
+        ("bosonic", {"coupling": 0.1}, "'coupling'"),
+        ("dipolar-ed", {"cap": 16}, "cap"),
+        ("dipolar-ed", {"models": ["ring"]}, "models[0]"),
+        ("strong-scan", {"g_grid": [0.25, 1.2]}, "g_grid"),
+    ], ids=["prefix-items", "prefix-minimum", "exclusive-minimum", "items-exclusive-minimum",
+            "additional-properties", "maximum", "enum", "min-items"])
+    def test_failure_is_one_line_naming_the_key(self, tmp_path, kind, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.ConfigError) as info:
+            cli.resolve_config(kind, str(path), None, None, None)
+        message = str(info.value)
+        assert message.startswith("config fails schema: ") and "\n" not in message
+        assert key in message
+
+    def test_keywords_check_only_their_own_type(self):
+        schema = {"minimum": 0, "minItems": 2, "properties": {"a": {"type": "string"}}}
+        for value in ("text", None, [1, 2], {"a": "x"}, 3):
+            cli._validate(value, schema)
+
+
 TINY_MIRROR = {"mirror_sizes": [1], "swap_chain_length": 2}
 
 
@@ -128,10 +198,22 @@ def loaded_after(imports: str, module: str, run: str = "pass") -> bool:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported by the one function that searches
-    assert not loaded_after("spinbus, spinbus.cli", "scipy")
+    # scipy serves only LAPACK, imported where dstevd and dsterf are
+    # called; the schemas are checked in-tree
+    for module in ("scipy", "jsonschema"):
+        assert not loaded_after("spinbus, spinbus.cli", module), module
     # sample_positions makes its reused generator on first use
     assert not loaded_after("spinbus, spinbus.cli", "numpy.random")
+
+
+def test_strong_scan_leaves_scipy_optimize_unloaded(tmp_path):
+    # the Brent searches of the polish are cli.minimize's own
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"n_list": [4, 6], "g_grid": [0.3, 1.1, 5], "n_times": 20}))
+    argv = ["strong-scan", "--config", str(doc), "--out", str(tmp_path / "out")]
+    run = f"assert spinbus.cli.main({argv!r}) == 0"
+    assert not loaded_after("spinbus.cli", "scipy.optimize", run)
+    assert loaded_after("spinbus.cli", "scipy.linalg.lapack", run)
 
 
 def test_mirror_verify_leaves_numpy_ma_unloaded(tmp_path):
@@ -300,7 +382,7 @@ class TestExitCodes:
             ("mirror-verify", {"hole_fraction": math.nan}),
             ("perturbative", {"g_max": math.inf, "n_g": 3, "n_chain": 11}),
             ("perturbative", {"g_max": -math.inf, "n_g": 3, "n_chain": 11}),
-            # jsonschema's own "integer" admits an integer-valued float
+            # an integer-valued float is no "integer": the runners need an int
             ("strong-scan", {"n_list": [4, 6], "n_times": 20.0}),
             ("perturbative", {"n_chain": 5.0, "n_g": 3.0}),
             ("disorder-sweep", {"n_chain": 5.0, "realizations": 2.0}),
@@ -428,6 +510,76 @@ class TestDisorderSweepChunks:
         assert summary["realization_counts"] == ref_counts
         if params["n_chain"] == 12:
             assert [c["clipped"] for c in ref_counts] == [93, 10]  # T1 = 200 and 5000 ms
+
+
+def _traced_minimizers(f, lo, hi):
+    """The port's and scipy's results on ``f``, each with its evaluated points."""
+    from scipy.optimize import minimize_scalar
+
+    ours, theirs = [], []
+    res = cli.minimize(lambda x: ours.append(x) or f(x), lo, hi)
+    ref = minimize_scalar(lambda x: theirs.append(x) or f(x), bounds=(lo, hi),
+                          method="bounded", options={"xatol": cli._XATOL})
+    return (res, ours), (ref, theirs)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("f, lo, hi, nfev, success", [
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, None, True),
+        (lambda x: np.sin(3.0 * x) + 0.1 * x * x, -2.0, 4.0, None, True),
+        (lambda x: x, 0.0, 1.0, None, True),
+        (lambda x: -x, 0.0, 1.0, None, True),
+        (lambda x: 0.0, -1.0, 2.0, None, True),
+        (lambda x: math.nan, 0.0, 1.0, None, False),
+        (lambda x: math.nan if x > 0.5 else x, 0.0, 1.0, None, True),
+        (lambda x: -np.cos(x), np.float64(-1.5), np.float64(0.5), None, True),
+        (lambda x: x, 0.25, 0.25, 1, True),
+        # the lower end at 0 of a bracket 1e100 wide: the steps toward it
+        # do not reach the absolute tolerance within 500 evaluations
+        (lambda x: x, 0.0, 1e100, 500, False),
+    ], ids=["interior", "interior-parabolic", "lower-end", "upper-end", "constant", "nan",
+            "nan-on-half", "float64-bounds", "empty-bracket", "evaluation-cap"])
+    def test_matches_scipy_step_for_step(self, f, lo, hi, nfev, success):
+        (res, ours), (ref, theirs) = _traced_minimizers(f, lo, hi)
+        assert _bits(ours) == _bits(theirs)
+        assert _bits(res.x) == _bits(ref.x) and _bits(res.fun) == _bits(ref.fun)
+        assert (res.nfev, res.success) == (ref.nfev, ref.success) == (len(ours), success)
+        if nfev is not None:
+            assert res.nfev == nfev
+
+    def test_matches_scipy_on_random_smooth_functions(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            c, w = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0)
+            lo = rng.uniform(-10.0, 0.0)
+            hi = lo + rng.uniform(0.0, 20.0)
+            (res, ours), (ref, theirs) = _traced_minimizers(
+                lambda x: np.sin(w * x) + 0.1 * (x - c) ** 2, lo, hi)
+            assert _bits(ours) == _bits(theirs) and _bits(res.x) == _bits(ref.x)
+            assert (res.fun, res.nfev, res.success) == (ref.fun, ref.nfev, ref.success)
+
+    def test_matches_scipy_on_the_strong_scan_time_search(self):
+        # the inner search of the polish: np.float64 bounds from the time grid
+        N = 40
+        modes = dynamics.eigenmodes(cli._uniform_k(N, 0.6))
+        times = np.linspace(N / 2.0, 2.0 * N, 600)
+        F = f_encoded(transfer_elements(modes, times), "strong")
+        j = int(np.argmax(F))
+        (res, ours), (ref, theirs) = _traced_minimizers(
+            lambda t: -f_encoded(transfer_elements(modes, t), "strong")[0], times[j - 1], times[j + 1])
+        assert _bits(ours) == _bits(theirs) and _bits(res.x) == _bits(ref.x)
+        assert (res.fun, res.nfev, res.success) == (ref.fun, ref.nfev, ref.success)
+
+    @pytest.mark.parametrize("lo, hi, match", [
+        (math.nan, 1.0, "finite"), (0.0, math.inf, "finite"), (1.0, 0.0, "exceeds"),
+    ])
+    def test_bad_bounds_raise(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            cli.minimize(lambda x: x, lo, hi)
 
 
 class TestRunners:

@@ -274,6 +274,21 @@ class TestChiralFold:
         assert sizes == [n]
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-12
 
+    @pytest.mark.parametrize("field", [0.0, 0.05])
+    def test_one_time_takes_the_direct_exp_bit_for_bit(self, field):
+        # the anchor-times-step product of a single time multiplies by a
+        # step row of exactly 1, so the direct exp is the same array
+        modes = dynamics.eigenmodes(end_coupled_chain(100, 0.6) + np.diag(np.full(100, field)))
+        assert modes.chiral == (field == 0.0)
+        w = modes._fold[0]
+        step = np.exp(-1j * np.outer(0.0 * np.arange(1), w))
+        for t in (0.0, 50.0, 137.25, 200.0):
+            times = np.array([t])
+            blocked = np.exp(-1j * np.outer(times, w)) * step
+            got = dynamics._phase_grid(w, times)
+            assert got.shape == (1, w.size)
+            assert np.array_equal(got.view(np.float64), blocked.view(np.float64))
+
     def test_uniform_chain_is_chiral(self):
         assert dynamics.eigenmodes(uniform_k(10, 0.7)).chiral
         assert not dynamics.eigenmodes(uniform_k(10, 0.7, register_field=0.05)).chiral
