@@ -40,7 +40,7 @@ from .chains import (
 )
 from .dynamics import (
     EigenmodeSet,
-    _dstevd,
+    _lapack_tridiagonal,
     end_modes,
     mode_budget,
     participation_ratio,
@@ -506,7 +506,7 @@ def run_disorder_sweep(config: ExperimentConfig) -> tuple[list[ResultTable], dic
             energies = np.empty((len(streams), N))
             vectors = np.empty((len(streams), N, N))
             for r, b in enumerate(bonds):
-                energies[r], vectors[r] = _dstevd(zero_field, b)
+                energies[r], vectors[r] = _lapack_tridiagonal("dstevd", zero_field, b)
             kept = max(0, 50 - start)
             bond_samples.append(bonds[:kept])
             prs.extend(participation_ratio(v) for v in vectors[:kept])

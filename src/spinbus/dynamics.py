@@ -172,7 +172,7 @@ def eigenmodes(chain_matrix: np.ndarray) -> EigenmodeSet:
     K = np.asarray(chain_matrix)
     chiral = False
     if _real_tridiagonal(K):
-        w, v = _dstevd(np.diagonal(K), np.diagonal(K, 1))
+        w, v = _lapack_tridiagonal("dstevd", np.diagonal(K), np.diagonal(K, 1))
         chiral = not np.diagonal(K).any()
     else:
         w, v = np.linalg.eigh(_hermitian(K, "chain matrix"))
@@ -253,11 +253,12 @@ def _spectral_end_modes(diag: np.ndarray, bonds: np.ndarray) -> EigenmodeSet | N
     chiral = not diag.any()
     even, odd = _parity_halves(diag, bonds)
     if chiral and n % 2 == 0:
-        mu = np.abs(_dsterf(*even))
+        mu = np.abs(_lapack_tridiagonal("dsterf", *even)[0])
         mu.sort()
         w = np.concatenate((-mu[::-1], mu))
     else:
-        w = np.concatenate([_dsterf(*half) for half in (even, odd) if half[0].size])
+        w = np.concatenate([_lapack_tridiagonal("dsterf", *half)[0] for half in (even, odd)
+                            if half[0].size])
         w.sort()
     h = n // 2 if chiral else 0  # the modes folded into a partner
     gaps = np.abs(w[h:, None] - w)  # [kept k, j]
@@ -307,7 +308,7 @@ def _phase_grid(w: np.ndarray, times: np.ndarray) -> np.ndarray:
     if nt == 1:
         return np.exp(-1j * np.outer(times, w))
     b = math.isqrt(nt - 1) + 1
-    dt = (times[-1] - times[0]) / (nt - 1) if nt > 1 else 0.0
+    dt = (times[-1] - times[0]) / (nt - 1)
     anchors = np.exp(-1j * np.outer(times[::b], w))
     steps = np.exp(-1j * np.outer(dt * np.arange(b), w))
     return (anchors[:, None, :] * steps[None, :, :]).reshape(-1, w.size)[:nt]
@@ -327,31 +328,22 @@ def _real_tridiagonal(K: np.ndarray) -> bool:
     )
 
 
-def _dstevd(diag: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a finite real symmetric tridiagonal matrix, by LAPACK ``dstevd``.
+def _lapack_tridiagonal(routine: str, diag: np.ndarray, bonds: np.ndarray) -> list[np.ndarray]:
+    """LAPACK ``routine`` on a finite real symmetric tridiagonal matrix.
 
     ``diag`` holds its n diagonal entries and ``bonds`` its n - 1
-    off-diagonal ones.  This is the one ``dstevd`` call site.
+    off-diagonal ones.  ``dstevd`` returns [eigenvalues, eigenvectors],
+    ``dsterf`` [eigenvalues].  This is the one call site of both.
     """
-    # imported here so that importing dynamics needs numpy only
-    from scipy.linalg.lapack import dstevd
+    # imported here so that importing dynamics needs numpy only, and looked
+    # up at each call, so that a replaced routine is the one called
+    from scipy.linalg import lapack
 
-    # the wrapper wants len(e) = max(n - 1, 1)
-    w, v, info = dstevd(diag, bonds if len(diag) > 1 else np.zeros(1))
+    # the wrappers want len(e) = max(n - 1, 1)
+    *out, info = getattr(lapack, routine)(diag, bonds if len(diag) > 1 else np.zeros(1))
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
-    return w, v
-
-
-def _dsterf(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a finite real symmetric tridiagonal matrix, by LAPACK ``dsterf``."""
-    # imported here so that importing dynamics needs numpy only
-    from scipy.linalg.lapack import dsterf
-
-    w, info = dsterf(diag, bonds if len(diag) > 1 else np.zeros(1))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed with info = {info}")
-    return w
+        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
+    return out
 
 
 def transfer_elements(modes: EigenmodeSet, times):

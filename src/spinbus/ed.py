@@ -4,9 +4,15 @@ The Hamiltonians conserve total magnetization, so they block-diagonalize
 by Hamming weight of the computational basis.  Every protocol channel is
 one ``_FactoredChannel``: a basis permutation (the encode CNOT, or the
 identity), one unitary block per magnetization sector, and another
-permutation (the decode CNOT).  It contracts T_z and the coherence
-amplitude s (T_x = T_y = 2 Re s) against the diagonal environment state
-block by block, so no 2^n x 2^n matrix is ever formed.
+permutation (the decode CNOT).  It contracts two traces against the
+diagonal environment state block by block, so no 2^n x 2^n matrix is
+ever formed: T_z, which flips no bit and sums q |B_w|^2 d over whole
+blocks with q and d the +-1 output and input signs (d times the
+environment weight), and the coherence amplitude s, which sums
+conj(B_w) B_w2 over the rows with output bit 0 and the columns with input
+bit 0, gathered by sector pair with their partners that have the bit
+set.  T_x = T_y = 2 Re s, so the fidelity is 1/2 + (T_z + 4 Re s)/12.
+``_plan`` builds the held columns and both traces' terms once per channel.
 
 Every channel block has the factored form
 B_w = V_w diag(p) O_w diag(p) V_w[cols]^T, with real eigenvectors V,
@@ -266,29 +272,6 @@ def _swap_perm(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
     return s
 
 
-def _held_columns(
-    basis: SectorBasis, enc: np.ndarray, env_weights: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The block columns the trace contraction reads, per sector and as a map.
-
-    The traces read the columns of the basis states enc[c] and
-    enc[c ^ in_bit] for every c of non-zero environment weight, and no
-    others; ``mixed_environment`` never weighs the input site, so they
-    are the enc[c] (``_trace_plan`` checks it).  Returns the sector
-    positions of those states for each sector (ascending) and the map
-    from each basis state to its column in blocks holding only them, -1
-    where such a block does not hold it.
-    """
-    read = enc[np.flatnonzero(env_weights)]
-    col_position = np.full(1 << basis.n, -1, dtype=np.int64)
-    cols = []
-    for w in range(basis.n + 1):
-        states = np.sort(read[basis.weights[read] == w])
-        col_position[states] = np.arange(len(states))
-        cols.append(basis.position[states])
-    return cols, col_position
-
-
 def _as_real(a: np.ndarray) -> np.ndarray:
     """A C-ordered complex array as a 2-D float64 view, (rows, 2 * rest)."""
     return a.view(np.float64).reshape(a.shape[0], -1)
@@ -383,14 +366,6 @@ def mixed_environment(n: int, in_site: int, fixed: dict[int, int] | None = None,
     return w
 
 
-# trace name -> (flip, input and output operator values on bits 0 and 1):
-# op|b> = value_b |b ^ flip>.  Bit 0 is spin up, so s takes the input
-# |1><0| (lowers) to the output |0><1| (raises).  T_x and T_y need no
-# contraction: T_x + T_y = 4 Re s, and excitation conservation gives T_x = T_y.
-_TRACE_OPS = {"z": (0, np.array([1.0, -1.0]), np.array([1.0, -1.0])),
-              "s": (1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
-
-
 def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
     """Indices of the non-negative integer array ``key`` grouped by value."""
     order = np.argsort(key, kind="stable")
@@ -399,108 +374,80 @@ def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
     return {k: order[ends[k] - counts[k] : ends[k]] for k in np.flatnonzero(counts).tolist()}
 
 
-@dataclass(frozen=True)
-class _TraceTerm:
-    """One sector pair (w, w2) of the contraction of the trace ``key``.
+def _plan(basis: SectorBasis, enc: np.ndarray, dec: np.ndarray, env_weights: np.ndarray,
+          in_site: int, out_site: int) -> tuple[list, list, list]:
+    """The held block columns and the terms of the contraction of T_z and s.
 
-    Sums conj(B_w[rows, cols]) * B_w2[rows2, cols2] against the output
-    weights ``q`` on the left and the input weights ``d`` on the right.
-    A diagonal term (w2 = w, rows2 = rows, cols2 = cols) has no gathers:
-    its index arrays are None, and q and d weigh all the rows and columns
-    of B_w in its own order, so it sums q |B_w|^2 d.
-    """
+    Row r and column c of the channel are entry (pos(dec[r]), pos(enc[c]))
+    of the block of their sector.  The blocks hold only the columns of
+    the states enc[c], c of non-zero environment weight: ``held`` lists
+    their sector positions (ascending) per sector.  ``mixed_environment``
+    never weighs the input site, so the input-bit partner of every such c
+    is held too, which is checked here.
 
-    key: str
-    w: int
-    w2: int
-    rows: np.ndarray | None
-    cols: np.ndarray | None
-    rows2: np.ndarray | None
-    cols2: np.ndarray | None
-    q: np.ndarray  # (len(rows),), or (rows of B_w,) for a diagonal term
-    d: np.ndarray  # (len(cols),), or (columns of B_w,) for a diagonal term
-
-
-def _trace_plan(
-    basis: SectorBasis,
-    enc: np.ndarray,
-    dec: np.ndarray,
-    col_map: np.ndarray,
-    env_weights: np.ndarray,
-    in_site: int,
-    out_site: int,
-) -> list[_TraceTerm]:
-    """The gathers and weights of the contraction of T_z and s.
-
-    Each trace is sum_{r,c} conj(V[r, c]) q[r] V[r', c'] d[c] with
-    r' = r ^ flip_out, c' = c ^ flip_in, d the input operator's value
-    times the environment weight and q the output operator's value.  Rows
-    and columns of zero weight are dropped (half of each for s), and the
-    rest are grouped by the sector pair (w, w') that V[r, c] and V[r', c']
-    fall in; only the matching sub-blocks of B_w and B_w' are gathered.
-    The blocks need hold only the ``_held_columns``, which ``col_map``
-    indexes.  T_z flips no bit, so its terms are diagonal: their weights
-    are scattered into block order here, and they need no gathers.
-    The plan depends on the permutations, the held columns and the
+    T_z = sum q[r] |V[r, c]|^2 d[c] with q = 1 - 2 (output bit of r) and
+    d = +-(environment weight) by the input bit of c.  It flips no bit, so
+    a T_z term (w, q_w, d_w) is diagonal in sector w: q_w and d_w are the
+    weights in block-row and held-column order.  s = Tr[s^+_out E(s^-_in)]
+    sums conj(V[r, c]) V[r', c'] times the environment weight d[c] over
+    the rows r with output bit 0 and the columns c with input bit 0, with
+    r' and c' the partners that have the bit set.  They are grouped by
+    the sector pair (w, w2) of V[r, c] and V[r', c']: an s term
+    (w, w2, rows, cols, rows2, cols2, d) gathers only those sub-blocks of
+    B_w and B_w2.  The plan depends on the permutations and the
     environment only, so a channel evaluated at many times is planned once.
     """
     n = basis.n
     stride = n + 1
-    states = np.arange(1 << n)
+    live = np.flatnonzero(env_weights)
+    read = enc[live]
+    # each basis state's column in blocks holding only the read states, -1 where not held
+    col_map = np.full(1 << n, -1, dtype=np.int64)
+    held = []
+    for w in range(n + 1):
+        held_states = np.sort(read[basis.weights[read] == w])
+        col_map[held_states] = np.arange(held_states.size)
+        held.append(basis.position[held_states])
+    in_mask, out_mask = 1 << in_site, 1 << out_site
+    if col_map[enc[live ^ in_mask]].min() < 0:
+        raise ValueError("the channel blocks lack a column the environment reaches")
     row_sector, row_pos = basis.weights[dec], basis.position[dec]
     col_sector, col_pos = basis.weights[enc], col_map[enc]
-    live = np.flatnonzero(env_weights)
-    if min(col_pos[live].min(), col_pos[live ^ (1 << in_site)].min()) < 0:
-        raise ValueError("the channel blocks lack a column the environment reaches")
-    in_bit = (live >> in_site) & 1
-    out_bit = (states >> out_site) & 1
-    plan = []
-    for key, (flip, op_in, op_out) in _TRACE_OPS.items():
-        d = op_in[in_bit] * env_weights[live]
-        q = op_out[out_bit ^ flip]
-        # the rows and columns of non-zero weight, and their flipped partners
-        rows, cols = np.flatnonzero(q), np.flatnonzero(d)
-        q, d, cols = q[rows], d[cols], live[cols]
-        rows2, cols2 = rows ^ (flip << out_site), cols ^ (flip << in_site)
-        row_groups = _groups(row_sector[rows] * stride + row_sector[rows2])
-        col_groups = _groups(col_sector[cols] * stride + col_sector[cols2])
-        for pair, R in row_groups.items():
-            C = col_groups.get(pair)
-            if C is None:
-                continue
-            w, w2 = divmod(pair, stride)
-            r, c = row_pos[rows[R]], col_pos[cols[C]]
-            if flip:
-                plan.append(_TraceTerm(key, w, w2, r, c, row_pos[rows2[R]], col_pos[cols2[C]],
-                                       q[R], d[C]))
-                continue
-            # diagonal: the weights in block order, zero where the block is not weighed
-            q_w = np.zeros(basis.sectors[w].size)
-            d_w = np.zeros(col_map[basis.sectors[w]].max() + 1)
-            q_w[r], d_w[c] = q[R], d[C]
-            plan.append(_TraceTerm(key, w, w, None, None, None, None, q_w, d_w))
-    return plan
+    states = np.arange(1 << n)
+    # the T_z weights by basis state: q at the row state dec[r], d at the column state enc[c]
+    q, d = np.empty(1 << n), np.zeros(1 << n)
+    q[dec] = 1.0 - 2.0 * ((states >> out_site) & 1)
+    d[read] = np.where(live & in_mask, -1.0, 1.0) * env_weights[live]
+    z_terms = [(w, q[idx], d[idx[cols]])
+               for w, (idx, cols) in enumerate(zip(basis.sectors, held)) if cols.size]
+    rows, cols = states[(states & out_mask) == 0], live[(live & in_mask) == 0]
+    rows2, cols2 = rows | out_mask, cols | in_mask
+    col_groups = _groups(col_sector[cols] * stride + col_sector[cols2])
+    s_terms = []
+    for pair, R in _groups(row_sector[rows] * stride + row_sector[rows2]).items():
+        C = col_groups.get(pair)
+        if C is not None:
+            s_terms.append((*divmod(pair, stride), row_pos[rows[R]], col_pos[cols[C]],
+                            row_pos[rows2[R]], col_pos[cols2[C]], env_weights[cols[C]]))
+    return held, z_terms, s_terms
 
 
-def _contract(plan: list[_TraceTerm], blocks: list[np.ndarray], k: int) -> dict[str, np.ndarray]:
+def _contract(z_terms, s_terms, blocks: list[np.ndarray], k: int):
     """T_z and s at each of k times from (d_w, c_w, k) stacks of blocks."""
-    traces = {key: np.zeros(k, complex) for key in _TRACE_OPS}
-    for term in plan:
-        B = blocks[term.w]
-        if term.rows is None:
-            # squares of the float view: |B|^2 as its real and imaginary
-            # parts in turn, summed once the rows are contracted (the
-            # temporary is freed at once, before the next term's)
-            q_sq = term.q @ np.square(_as_real(B))
-            traces[term.key] += term.d @ q_sq.reshape(-1, k, 2).sum(axis=2)
-            continue
+    tz, s = np.zeros(k, complex), np.zeros(k, complex)
+    for w, q, d in z_terms:
+        # squares of the float view: |B|^2 as its real and imaginary parts
+        # in turn, summed once the rows are contracted (the temporary is
+        # freed at once, before the next term's)
+        q_sq = q @ np.square(_as_real(blocks[w]))
+        tz += d @ q_sq.reshape(-1, k, 2).sum(axis=2)
+    for w, w2, rows, cols, rows2, cols2, d in s_terms:
         # the gathers are copies: conjugate and multiply in place
-        M = B[term.rows[:, None], term.cols]
+        M = blocks[w][rows[:, None], cols]
         np.conjugate(M, out=M)
-        M *= blocks[term.w2][term.rows2[:, None], term.cols2]
-        # rows first, over the merged (column, time) axis
-        traces[term.key] += term.d @ (term.q @ M.reshape(len(term.rows), -1)).reshape(-1, k)
-    return traces
+        M *= blocks[w2][rows2[:, None], cols2]
+        s += d @ M.sum(axis=0)
+    return tz, s
 
 
 class _FactoredChannel:
@@ -529,8 +476,8 @@ class _FactoredChannel:
     def __init__(self, basis, eig, overlaps, enc, dec, env_weights, in_site, out_site):
         self._eig = eig
         self._overlaps = overlaps
-        self._cols, col_position = _held_columns(basis, enc, env_weights)
-        self._plan = _trace_plan(basis, enc, dec, col_position, env_weights, in_site, out_site)
+        self._cols, self._z_terms, self._s_terms = _plan(basis, enc, dec, env_weights,
+                                                         in_site, out_site)
         # times per batch: the stacked complex blocks stay under _BATCH_BYTES
         per_time = 16 * sum(w.size * len(c) for (w, _), c in zip(eig, self._cols))
         self._batch = max(1, _BATCH_BYTES // per_time)
@@ -547,12 +494,12 @@ class _FactoredChannel:
         for start in range(0, times.size, self._batch):
             t = times[start : start + self._batch]
             # the blocks are a temporary: one batch's are freed before the next is built
-            traces = _contract(self._plan, [
+            tz, ts = _contract(self._z_terms, self._s_terms, [
                 _sector_block(w, blocks, O, held, t)
                 for (w, blocks), O, held in zip(self._eig, self._overlaps, self._cols)
             ], t.size)
             out += [{"x": complex(2 * s.real), "y": complex(2 * s.real), "z": z, "s": s}
-                    for z, s in zip(traces["z"].tolist(), traces["s"].tolist())]
+                    for z, s in zip(tz.tolist(), ts.tolist())]
         return out
 
 

@@ -594,8 +594,11 @@ class RoutePlan:
     """A verified sequence of primitive swaps transporting src to dst."""
 
     moves: tuple[RouteMove, ...]
-    total_layers: int
     program: PulseProgram
+
+    @property
+    def total_layers(self) -> int:
+        return self.program.n_layers
 
 
 def _shortest_path(lattice: LatticeMap, src, dst) -> list[tuple[int, int]]:
@@ -640,7 +643,7 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
             raise ValueError(f"site {s} is a hole")
     idx = lattice.site_index()
     if src == dst:
-        return RoutePlan((), 0, PulseProgram())
+        return RoutePlan((), PulseProgram())
     path = _shortest_path(lattice, src, dst)
     moves = []
     program = PulseProgram()
@@ -655,7 +658,7 @@ def route(lattice: LatticeMap, src: tuple[int, int], dst: tuple[int, int]) -> Ro
         else:
             program = program + pair_swap_program(idx[s1], idx[s2])
     _check_images(f"route {src}->{dst}", program, len(idx), {idx[src]: idx[dst]})
-    return RoutePlan(tuple(moves), program.n_layers, program)
+    return RoutePlan(tuple(moves), program)
 
 
 # ---------------------------------------------------------------------------

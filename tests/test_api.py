@@ -43,6 +43,11 @@ def test_benchmark_harness_names_resolve(tmp_path):
     K = checks.uniform_k(2, 0.5)
     assert K.shape == (4, 4)
     checks.check_channel(c, K, 2.0, ed.transfer_channel_traces(K, 2.0, "remote_z"))
+    # check_channel reads x, y and z, of which ed contracts only z (and s)
+    for kind in ("double_swap", "single_swap", "remote_z"):
+        traces = ed.transfer_channel_traces(K, 2.0, kind)
+        assert traces.keys() == {"x", "y", "z", "s"}
+        assert traces["x"] == traces["y"] == complex(2 * traces["s"].real)
     # the strong-scan oracle against the element form that strong-scan writes
     K = checks.uniform_k(10, 0.6)
     F = fidelity.f_encoded(dynamics.transfer_elements(dynamics.eigenmodes(K), [9.0]), "strong")

@@ -63,10 +63,12 @@ def dense_protocol_traces(K, t_a, t_b):
 
 
 def full_block_traces(basis, blocks, enc, dec, env, in_site, out_site):
-    """T_z and s of P_dec (+)_w blocks[w] P_enc, every column of every block held."""
-    plan = ed._trace_plan(basis, enc, dec, basis.position, env, in_site, out_site)
-    traces = ed._contract(plan, [b[:, :, None] for b in blocks], 1)
-    return {key: complex(v[0]) for key, v in traces.items()}
+    """T_z and s of P_dec (+)_w blocks[w] P_enc, the held columns cut from whole blocks."""
+    held, z_terms, s_terms = ed._plan(basis, enc, dec, env, in_site, out_site)
+    tz, s = ed._contract(z_terms, s_terms, [
+        np.ascontiguousarray(b[:, c])[:, :, None] for b, c in zip(blocks, held)
+    ], 1)
+    return {"z": complex(tz[0]), "s": complex(s[0])}
 
 
 def dense_eig(channel):
@@ -548,12 +550,12 @@ class TestFactoredEngine:
         engine = ed.EncodedProtocolEngine(dipolar_k(N))
         held = sum(len(c) for c in engine._channel._cols)
         assert held == (1 << n) // 4
-        # sites {0a, 1..N, (N+1)a, 0b, (N+1)b}
-        env = ed.mixed_environment(n, 0, fixed={N + 2: 0}, correlated_pairs=[(N + 3, N + 1)])
-        enc = ed._cnot_perm(n, 0, N + 2)
-        cols, col_position = ed._held_columns(ed.SectorBasis(n), enc, env)
+        basis, enc, _, env, _, _ = case = engine_case(N)
+        cols, _, _ = ed._plan(*case)
         assert all(np.array_equal(a, b) for a, b in zip(cols, engine._channel._cols))
-        assert np.count_nonzero(col_position >= 0) == held
+        # the held columns are the states enc[c] of the weighted columns c
+        states = np.concatenate([idx[c] for idx, c in zip(basis.sectors, cols)])
+        assert np.array_equal(np.sort(states), np.sort(enc[np.flatnonzero(env)]))
 
     def test_negative_time_rejected(self):
         engine = ed.EncodedProtocolEngine(uniform_k(2, 0.5))
@@ -571,14 +573,14 @@ class TestFactoredEngine:
             engine.fidelities([1.0, t, 2.0])
 
     def test_missing_column_rejected(self):
-        K = uniform_k(2, 0.5)
-        H = ed.build_many_body(K)
-        identity = np.arange(1 << 4)
-        col_position = H.basis.position.copy()
-        col_position[5] = -1
-        with pytest.raises(ValueError, match="lack a column"):
-            ed._trace_plan(H.basis, identity, identity, col_position,
-                           ed.mixed_environment(4, 0), 0, 3)
+        # an environment that weighs the input site holds the columns of
+        # one input bit only, and not their partners with the bit flipped
+        n = 4
+        identity = np.arange(1 << n)
+        for bit in (0, 1):
+            env = ed.mixed_environment(n, 0, fixed={0: bit})
+            with pytest.raises(ValueError, match="lack a column"):
+                ed._plan(ed.SectorBasis(n), identity, identity, env, 0, n - 1)
 
 
 def assert_batch_matches_points(engine, times):
@@ -661,6 +663,13 @@ class TestTransferChannelsAgainstEvolveBlocks:
             assert abs(got[key] - want[key]) <= 1e-12
 
 
+# trace -> (flip, input and output operator values on bits 0 and 1):
+# op|b> = value_b |b ^ flip>.  Bit 0 is spin up, so s takes the input
+# |1><0| (lowers) to the output |0><1| (raises).
+TRACE_OPS = {"z": (0, np.array([1.0, -1.0]), np.array([1.0, -1.0])),
+             "s": (1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
+
+
 def unfiltered_weight_sums(basis, enc, dec, env, in_site, out_site):
     """Per (trace, w, w2), the summed q and d over every row and column, zeros kept.
 
@@ -672,7 +681,7 @@ def unfiltered_weight_sums(basis, enc, dec, env, in_site, out_site):
     states = np.arange(1 << basis.n)
     live = np.flatnonzero(env)
     sums = {}
-    for key, (flip, op_in, op_out) in ed._TRACE_OPS.items():
+    for key, (flip, op_in, op_out) in TRACE_OPS.items():
         q = op_out[((states >> out_site) & 1) ^ flip]
         d = op_in[(live >> in_site) & 1] * env[live]
         row_pair = basis.weights[dec] * stride + basis.weights[dec[states ^ (flip << out_site)]]
@@ -683,52 +692,78 @@ def unfiltered_weight_sums(basis, enc, dec, env, in_site, out_site):
     return sums
 
 
+def engine_case(N):
+    """The basis, permutations, environment and sites of an engine with N chain sites."""
+    n = N + 4
+    a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
+    dec = ed._swap_perm(n, [(a0, b0), (bR, aR)])[ed._cnot_perm(n, bR, aR)]
+    env = ed.mixed_environment(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
+    return ed.SectorBasis(n), ed._cnot_perm(n, a0, b0), dec, env, a0, bR
+
+
+def chain_bits_cases(n):
+    """Plain channels of n sites, chain bits pinned, read at either end."""
+    identity = np.arange(1 << n)
+    bits = np.random.default_rng(3).integers(0, 2, n - 2)
+    env = ed.mixed_environment(n, 0, fixed={1 + i: int(b) for i, b in enumerate(bits)})
+    return [(ed.SectorBasis(n), identity, identity, env, 0, out_site) for out_site in (0, n - 1)]
+
+
+PLAN_CASES = {"engine": engine_case(4), "engine-N1": engine_case(1),
+              "plain-read-at-0": chain_bits_cases(8)[0],
+              "plain-read-at-n-1": chain_bits_cases(8)[1],
+              "plain-mixed": (ed.SectorBasis(6), np.arange(64), np.arange(64),
+                              ed.mixed_environment(6, 0), 0, 5)}
+
+
 class TestTracePlan:
     """The plan weighs only what the traces weigh.
 
-    Every s term keeps only rows and columns of non-zero weight, every T_z
-    term is diagonal (no gather indices, its weights in block order), and
-    per sector pair the weights sum as with every row and column kept.
+    Every s term keeps only rows of output bit 0 (each of weight 1) and
+    columns of non-zero weight, every T_z term is diagonal (its weights in
+    block order), and per sector pair the weights sum as with every row
+    and column kept.
     """
 
     @staticmethod
     def assert_plan(plan, sums):
-        got = {}
-        for term in plan:
-            if term.key == "s":
-                assert np.all(term.q != 0) and np.all(term.d != 0)
-            else:
-                assert term.w2 == term.w
-                assert term.rows is term.cols is term.rows2 is term.cols2 is None
-            q, d = got.get((term.key, term.w, term.w2), (0.0, 0.0))
-            got[(term.key, term.w, term.w2)] = (q + term.q.sum(), d + term.d.sum())
+        _, z_terms, s_terms = plan
+        got = {("z", w, w): (q.sum(), d.sum()) for w, q, d in z_terms}
+        assert len(got) == len(z_terms)
+        for w, w2, rows, _, _, _, d in s_terms:
+            assert np.all(d != 0)
+            q_sum, d_sum = got.get(("s", w, w2), (0.0, 0.0))
+            got[("s", w, w2)] = (q_sum + rows.size, d_sum + d.sum())
         # a pair the plan drops carries no weight
         assert got.keys() <= sums.keys()
         for pair, (q, d) in sums.items():
             assert got.get(pair, (0.0, 0.0)) == pytest.approx((q, d), abs=1e-12)
 
     def test_plain_channel_with_chain_bits(self):
-        n = 8
-        basis = ed.SectorBasis(n)
-        identity = np.arange(1 << n)
-        bits = np.random.default_rng(3).integers(0, 2, n - 2)
-        env = ed.mixed_environment(n, 0, fixed={1 + i: int(b) for i, b in enumerate(bits)})
-        _, col_position = ed._held_columns(basis, identity, env)
-        for out_site in (0, n - 1):
-            plan = ed._trace_plan(basis, identity, identity, col_position, env, 0, out_site)
-            sums = unfiltered_weight_sums(basis, identity, identity, env, 0, out_site)
-            self.assert_plan(plan, sums)
+        for args in chain_bits_cases(8):
+            self.assert_plan(ed._plan(*args), unfiltered_weight_sums(*args))
 
     def test_engine(self):
         N = 4
-        n = N + 4
-        a0, aR, b0, bR = 0, N + 1, N + 2, N + 3
-        engine = ed.EncodedProtocolEngine(dipolar_k(N))
-        enc = ed._cnot_perm(n, a0, b0)
-        dec = engine.leg_swap[ed._cnot_perm(n, bR, aR)]
-        env = ed.mixed_environment(n, a0, fixed={b0: 0}, correlated_pairs=[(bR, aR)])
-        self.assert_plan(engine._channel._plan,
-                         unfiltered_weight_sums(ed.SectorBasis(n), enc, dec, env, a0, bR))
+        channel = ed.EncodedProtocolEngine(dipolar_k(N))._channel
+        self.assert_plan((channel._cols, channel._z_terms, channel._s_terms),
+                         unfiltered_weight_sums(*engine_case(N)))
+
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    def test_terms_cover_the_weighted_columns(self, case):
+        basis, enc, dec, env, in_site, out_site = PLAN_CASES[case]
+        held, z_terms, s_terms = ed._plan(basis, enc, dec, env, in_site, out_site)
+        # held column j of sector w is the basis state sectors[w][held[w][j]]
+        s_cols = [basis.sectors[w][held[w][cols]] for w, _, _, cols, _, _, _ in s_terms]
+        live = np.flatnonzero(env)
+        want = enc[live[((live >> in_site) & 1) == 0]]
+        # each weighted column of input bit 0 exactly once
+        assert np.array_equal(np.sort(np.concatenate(s_cols)), np.sort(want))
+        # one T_z term per sector with held columns, each spanning its whole block
+        assert [w for w, _, _ in z_terms] == [w for w, c in enumerate(held) if c.size]
+        for w, q, d in z_terms:
+            assert q.size == basis.sectors[w].size and d.size == held[w].size
+            assert np.all(np.abs(q) == 1.0) and np.all(d != 0)
 
 
 def assert_x_and_y_from_s(traces, tol):
