@@ -141,7 +141,7 @@ PARAM_SCHEMAS: dict[str, dict] = {
                 **_INT_LIST, "items": {"type": "integer", "minimum": 6},
                 "default": [6, 8, 10, 12],
             },
-            # 15 qubits already need 2.5-6.8 GB of sector blocks
+            # ed._check_cap quotes the memory a chain above the cap would need
             "cap": {"type": "integer", "minimum": 6, "maximum": 15, "default": 14},
             **_COMMON_PROPS,
         },
@@ -926,7 +926,7 @@ def _random_lattice(rows: int, cols: int, hole_fraction: float, seed: int) -> mi
         kinds[r][c] = "#"
     kinds[0][0] = "R"
     kinds[rows - 1][cols - 1] = "R"
-    return mirror_mod.LatticeMap.from_text("\n".join("".join(r) for r in kinds))
+    return mirror_mod.LatticeMap(tuple("".join(r) for r in kinds))
 
 
 def _count_layers(traffic: dict, program: mirror_mod.PulseProgram) -> None:

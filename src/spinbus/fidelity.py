@@ -96,8 +96,7 @@ def f_remote_z(M) -> float:
         raise ValueError("propagator is not symmetric; the closed form does not apply")
     S = np.ones(Mm.shape[0])
     S[-1] = -1.0
-    m = (Mm * S) @ Mm[:, 0]
-    m = m[0]
+    m = (Mm[0] * S) @ Mm[:, 0]
     return 0.5 + (abs(m) ** 2 - 2.0 * m.real) / 6.0
 
 

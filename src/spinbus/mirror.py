@@ -6,15 +6,18 @@ number of cycles.  Every pulse layer is a Hadamard or a controlled-phase
 layer, so a stabilizer tableau simulates it exactly; a dense state-vector
 oracle is kept only for independent verification on small systems.
 
-Conventions: a Pauli operator is stored as ``i^phase * prod_q X_q^{x_q}
-Z_q^{z_q}`` with ``phase`` mod 4.  H and CZ carry every image of X_i or
-Z_i to a phase of 0 or 2, a sign only.  A pulse "cycle" applies the CZ
-layer first and the Hadamard layer second.
+Conventions: a Pauli operator is ``(-1)^sign * prod_q X_q^{x_q}
+Z_q^{z_q}`` with one sign bit: H and CZ carry every image of X_i or Z_i
+to a real sign, which the tableau stores as one bit per image.  A pulse
+"cycle" applies the CZ layer first and the Hadamard layer second.
 
 A layer object derives its index arrays once, when it is built, and a
 program repeats by sharing its layer objects, so applying a layer only
-streams words through the packed tableau.  A construction is certified
-by one pass over the tableau's packed planes, not image by image.
+streams words through the packed tableau.  A CZ edge (q, q) is refused
+when its layer is built; only the sites' bounds, which depend on the
+register, are checked when a layer is applied.  A construction is
+certified by one pass over the tableau's packed planes, not image by
+image.  A lattice is its rows, one string of site characters each.
 """
 
 from __future__ import annotations
@@ -109,25 +112,26 @@ class GlobalCZ:
 
     Built once, a layer holds what every application reads: the endpoint
     arrays ``a`` and ``b``; ``repeat_free``, no site repeated within
-    ``a`` nor within ``b`` (true of every chain layer); ``self_edge``,
-    some edge is (q, q); and ``lo`` and ``hi``, the smallest and largest
-    site (0 and -1 for no edge).
+    ``a`` nor within ``b`` (true of every chain layer); and ``lo`` and
+    ``hi``, the smallest and largest site (0 and -1 for no edge).  An
+    edge (q, q) raises ``ValueError``: diag(1, -1) on q is a Z, not a
+    controlled phase.
     """
 
     edges: tuple[tuple[int, int], ...]
     a: np.ndarray = _derived_field()
     b: np.ndarray = _derived_field()
     repeat_free: bool = _derived_field()
-    self_edge: bool = _derived_field()
     lo: int = _derived_field()
     hi: int = _derived_field()
 
     def __post_init__(self):
         edges = tuple((operator.index(a), operator.index(b)) for a, b in self.edges)
+        if any(p == q for p, q in edges):
+            raise ValueError("CZ needs two distinct sites")
         a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
         _set_derived(self, edges=edges, a=a, b=b,
                 repeat_free=all(len(set(side)) == len(edges) for side in zip(*edges)),
-                self_edge=any(p == q for p, q in edges),
                 lo=min(map(min, edges), default=0), hi=max(map(max, edges), default=-1))
 
 
@@ -136,14 +140,12 @@ Layer = Union[GlobalHadamard, GlobalCZ]
 
 def _check_layer(layer: Layer, n: int) -> None:
     """Raise ``ValueError`` for a site outside [0, n), naming the first one
-    listed, or for a CZ edge (q, q).  The tableau and the dense oracle
-    both check a layer here, when they apply it; O(1) for a valid layer."""
+    listed.  The tableau and the dense oracle both check a layer here,
+    when they apply it; O(1) for a valid layer."""
     if layer.lo < 0 or layer.hi >= n:
         listed = np.ravel(layer.sites if isinstance(layer, GlobalHadamard) else layer.edges)
         q = listed[(listed < 0) | (listed >= n)][0]
         raise ValueError(f"site {q} out of range for {n} qubits")
-    if isinstance(layer, GlobalCZ) and layer.self_edge:
-        raise ValueError("CZ needs two distinct sites")
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,7 @@ def chain_edges(sites: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def mirror_cycles(sites: Iterable[int], edges: Iterable[tuple[int, int]], count: int) -> PulseProgram:
     """``count`` cycles of (CZ layer on edges, then Hadamard layer on sites)."""
-    sites = tuple(sites)
-    edges = tuple(tuple(e) for e in edges)
-    cycle = PulseProgram((GlobalCZ(edges), GlobalHadamard(sites)))
-    return cycle.repeat(count)
+    return PulseProgram((GlobalCZ(edges), GlobalHadamard(sites))).repeat(count)
 
 
 def mirror_program(n: int) -> PulseProgram:
@@ -198,18 +197,23 @@ def mirror_program(n: int) -> PulseProgram:
 # ---------------------------------------------------------------------------
 
 
-_SIGN = {0: "+", 2: "-"}  # by phase
+_SIGN = "+-"  # by sign bit
 _PAULI = "IXZY"  # by x + 2z
+
+
+def _bit(words: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Generator g's bit of each packed word, gathered from word g // 64."""
+    return (words >> (g % 64).astype(np.uint64)) & np.uint64(1)
 
 
 @dataclass(frozen=True)
 class PauliImage:
-    """A Pauli operator in the form i^phase * prod X^x Z^z.
+    """A Pauli operator in the form (-1)^sign * prod X^x Z^z.
 
-    ``phase`` is mod 4; an image under H and CZ layers has phase 0 or 2.
+    ``sign`` is 0 or 1, the bit the tableau's ``r`` plane stores.
     """
 
-    phase: int  # mod 4
+    sign: int  # 0 or 1
     x: np.ndarray  # uint8 bits
     z: np.ndarray
 
@@ -224,7 +228,7 @@ class PauliImage:
 
     def __str__(self) -> str:
         terms = [f"{_PAULI[self.x[q] + 2 * self.z[q]]}{q}" for q in self.support]
-        return _SIGN[self.phase % 4] + ("*".join(terms) if terms else "I")
+        return _SIGN[self.sign] + ("*".join(terms) if terms else "I")
 
 
 class Tableau:
@@ -234,8 +238,8 @@ class Tableau:
     U Z_g U†.  Bits are packed along the generator axis, as in the CHP
     and Stim layouts: ``x[q]`` and ``z[q]`` are word-vectors holding
     qubit q's X and Z bit of all 2n images, 64 generators per ``uint64``
-    word.  H and CZ keep every image's phase at 0 or 2, so the phase is
-    one packed sign plane ``r``: bit g set means phase 2 on image g.
+    word.  H and CZ keep every image's phase real, so it is one packed
+    sign plane ``r``: bit g set means image g carries a minus sign.
 
     ``apply_hadamard`` and ``apply_cz`` take a layer object and read the
     index arrays it derived when built; they check its bounds against
@@ -256,7 +260,7 @@ class Tableau:
         for plane, g in ((self.x, q), (self.z, q + n)):
             plane[q, g // 64] = np.left_shift(np.uint64(1), (g % 64).astype(np.uint64))
 
-    # -- layer applications (conjugation rules in the i^ph X^x Z^z form) --
+    # -- layer applications (conjugation rules in the (-1)^r X^x Z^z form) --
 
     def apply_hadamard(self, layer: GlobalHadamard) -> None:
         _check_layer(layer, self.n)
@@ -293,10 +297,9 @@ class Tableau:
             raise ValueError("kind must be 'x' or 'z'")
         if not 0 <= site < self.n:
             raise ValueError("site out of range")
-        word, bit = divmod(site if kind == "x" else self.n + site, 64)
-        bit = np.uint64(bit)
-        x, z = (((plane[:, word] >> bit) & 1).astype(np.uint8) for plane in (self.x, self.z))
-        return PauliImage(2 * int((self.r[word] >> bit) & 1), x, z)
+        g = np.intp(site if kind == "x" else self.n + site)
+        x, z = (_bit(plane[:, g // 64], g).astype(np.uint8) for plane in (self.x, self.z))
+        return PauliImage(int(_bit(self.r[g // 64], g)), x, z)
 
 
 def clifford_apply(program: PulseProgram, n: int) -> Tableau:
@@ -313,11 +316,6 @@ def clifford_apply(program: PulseProgram, n: int) -> Tableau:
 # ---------------------------------------------------------------------------
 # Verified composite constructions
 # ---------------------------------------------------------------------------
-
-
-def _bit(words: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Generator g's bit of each packed word, gathered from word g // 64."""
-    return (words >> (g % 64).astype(np.uint64)) & np.uint64(1)
 
 
 def _check_images(name: str, program: PulseProgram, n: int, want: dict[int, int]) -> Tableau:
@@ -369,7 +367,7 @@ def verify_mirror(program: PulseProgram, n: int) -> dict[int, tuple[str, str]]:
     for g in (sites, sites + n):  # the images of X_i, then of Z_i
         w = g // 64
         r, x, z = (_bit(words, g).tolist() for words in (tab.r[w], tab.x[mirrored, w], tab.z[mirrored, w]))
-        names.append([f"{_SIGN[2 * sign]}{_PAULI[xq + 2 * zq]}{q}"
+        names.append([f"{_SIGN[sign]}{_PAULI[xq + 2 * zq]}{q}"
                       for sign, xq, zq, q in zip(r, x, z, mirrored.tolist())])
     return dict(enumerate(zip(*names)))
 
@@ -448,29 +446,35 @@ REGISTER, IMPURITY, HOLE = "R", ".", "#"
 class LatticeMap:
     """A 2D computational lattice of registers and impurities with holes.
 
-    Parsed from text with one character per site: ``R`` register
-    (individually addressable), ``.`` impurity, ``#`` hole (no qubit, no
-    edges).  Horizontal (in-row) and vertical (inter-row) adjacencies are
-    distinguished because they compile to different swap primitives.
+    ``rows`` holds one string per row, one character per site: ``R``
+    register (individually addressable), ``.`` impurity, ``#`` hole (no
+    qubit, no edges).  Horizontal (in-row) and vertical (inter-row)
+    adjacencies are distinguished because they compile to different swap
+    primitives.
     """
 
-    kinds: tuple[str, ...]  # row-major, one char per cell
-    n_rows: int
-    n_cols: int
+    rows: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError("empty lattice text")
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ValueError("ragged lattice text: all rows must have equal length")
+        bad = set("".join(self.rows)) - {REGISTER, IMPURITY, HOLE}
+        if bad:
+            raise ValueError(f"unknown lattice characters {sorted(bad)}; use R . #")
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeMap":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows:
-            raise ValueError("empty lattice text")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged lattice text: all rows must have equal length")
-        chars = "".join(rows)
-        bad = set(chars) - {REGISTER, IMPURITY, HOLE}
-        if bad:
-            raise ValueError(f"unknown lattice characters {sorted(bad)}; use R . #")
-        return cls(tuple(chars), len(rows), width)
+        return cls(tuple(line for line in text.splitlines() if line.strip()))
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.rows[0])
 
     # -- site bookkeeping: sites are (row, col) pairs --
 
@@ -478,21 +482,16 @@ class LatticeMap:
         r, c = site
         if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
             raise ValueError(f"site {site} outside {self.n_rows}x{self.n_cols} lattice")
-        return self.kinds[r * self.n_cols + c]
+        return self.rows[r][c]
 
     def is_hole(self, site: tuple[int, int]) -> bool:
         return self.kind(site) == HOLE
 
     def qubit_sites(self) -> list[tuple[int, int]]:
-        return [
-            (r, c)
-            for r in range(self.n_rows)
-            for c in range(self.n_cols)
-            if self.kinds[r * self.n_cols + c] != HOLE
-        ]
+        return [(r, c) for r, row in enumerate(self.rows) for c, k in enumerate(row) if k != HOLE]
 
     def registers(self) -> list[tuple[int, int]]:
-        return [s for s in self.qubit_sites() if self.kind(s) == REGISTER]
+        return [(r, c) for r, row in enumerate(self.rows) for c, k in enumerate(row) if k == REGISTER]
 
     def site_index(self) -> dict[tuple[int, int], int]:
         """Dense qubit numbering of the non-hole sites (row-major)."""
@@ -513,13 +512,9 @@ class LatticeMap:
         r, c = site
         if self.is_hole(site):
             raise ValueError(f"site {site} is a hole")
-        lo = c
-        while lo > 0 and not self.is_hole((r, lo - 1)):
-            lo -= 1
-        hi = c
-        while hi + 1 < self.n_cols and not self.is_hole((r, hi + 1)):
-            hi += 1
-        return [(r, cc) for cc in range(lo, hi + 1)]
+        row = self.rows[r]
+        lo, hi = row.rfind(HOLE, 0, c) + 1, (row + HOLE).find(HOLE, c)
+        return [(r, cc) for cc in range(lo, hi)]
 
 
 def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> dict[str, PulseProgram]:
@@ -538,17 +533,10 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
         raise ValueError(f"site {register} is not a register")
     r, c = register
     idx = lattice.site_index()
-
-    def impurity_run(step: int) -> list[tuple[int, int]]:
-        run = []
-        cc = c + step
-        while 0 <= cc < lattice.n_cols and lattice.kind((r, cc)) == IMPURITY:
-            run.append((r, cc))
-            cc += step
-        return run
-
-    left = impurity_run(-1)
-    right = impurity_run(+1)
+    # the impurity runs flanking the register, each listed outward from it
+    row = lattice.rows[r]
+    left = [(r, cc) for cc in range(c - 1, len(row[:c].rstrip(IMPURITY)) - 1, -1)]
+    right = [(r, cc) for cc in range(c + 1, len(row) - len(row[c + 1:].lstrip(IMPURITY)))]
     if not left or not right:
         raise ValueError("register needs impurity chains on both sides")
 
@@ -573,8 +561,6 @@ def directed_swap_programs(lattice: LatticeMap, register: tuple[int, int]) -> di
 
 def pair_swap_program(a: int, b: int) -> PulseProgram:
     """Exact SWAP of two qubits from H and CZ (three CNOT decomposition)."""
-    if a == b:
-        raise ValueError("need two distinct sites")
     h_a, h_b, cz = GlobalHadamard((a,)), GlobalHadamard((b,)), GlobalCZ(((a, b),))
     cnot_ab, cnot_ba = (h_b, cz, h_b), (h_a, cz, h_a)
     return PulseProgram(cnot_ab + cnot_ba + cnot_ab)
@@ -602,9 +588,11 @@ class RoutePlan:
 
 
 def _shortest_path(lattice: LatticeMap, src, dst) -> list[tuple[int, int]]:
-    """BFS shortest path over non-hole sites, preferring in-row moves on ties."""
-    # Dijkstra on the lexicographic cost (steps, column steps): among all
-    # shortest paths this picks one with the fewest inter-row moves.
+    """Dijkstra shortest path over non-hole sites, preferring in-row moves on ties.
+
+    The cost is lexicographic, (steps, column steps): among all shortest
+    paths this picks one with the fewest inter-row moves.
+    """
     dist: dict[tuple[int, int], tuple[int, int]] = {src: (0, 0)}
     prev: dict[tuple[int, int], tuple[int, int]] = {}
     heap = [((0, 0), src)]
@@ -702,9 +690,9 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
 
 
 def _dense_pauli_action(img: PauliImage, M: np.ndarray, side: str) -> np.ndarray:
-    """Apply the Pauli i^ph X^x Z^z to M from the left or right, cheaply.
+    """Apply the Pauli (-1)^sign X^x Z^z to M from the left or right, cheaply.
 
-    P |j> = i^ph (-1)^(z.j) |j XOR x>, so left action permutes/rephases
+    P |j> = (-1)^(sign + z.j) |j XOR x>, so left action permutes/rephases
     rows and right action columns; no dense matrix products are needed.
     """
     dim = M.shape[0]
@@ -713,11 +701,11 @@ def _dense_pauli_action(img: PauliImage, M: np.ndarray, side: str) -> np.ndarray
     zbits = np.zeros(dim, dtype=np.int64)
     for q in np.flatnonzero(img.z):
         zbits ^= (idx >> q) & 1
-    coef = (1j ** (img.phase % 4)) * (1.0 - 2.0 * zbits)
+    coef = (1.0 - 2.0 * img.sign) * (1.0 - 2.0 * zbits)
     if side == "left":
-        # (P M)[j, :] = i^ph (-1)^{z.(j^x)} M[j ^ x, :]
+        # (P M)[j, :] = (-1)^{sign + z.(j^x)} M[j ^ x, :]
         return coef[idx ^ xmask][:, None] * M[idx ^ xmask, :]
-    # (M P)[:, k] = i^ph (-1)^{z.k} M[:, k ^ x]
+    # (M P)[:, k] = (-1)^{sign + z.k} M[:, k ^ x]
     return M[:, idx ^ xmask] * coef[None, :]
 
 

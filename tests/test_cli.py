@@ -165,8 +165,9 @@ class TestSchemaChecker:
         ("dipolar-ed", {"cap": 16}, "cap"),
         ("dipolar-ed", {"models": ["ring"]}, "models[0]"),
         ("strong-scan", {"g_grid": [0.25, 1.2]}, "g_grid"),
+        ("strong-scan", {"g_grid": [0.25, 1.2, 5, 6]}, "g_grid"),
     ], ids=["prefix-items", "prefix-minimum", "exclusive-minimum", "items-exclusive-minimum",
-            "additional-properties", "maximum", "enum", "min-items"])
+            "additional-properties", "maximum", "enum", "min-items", "max-items"])
     def test_failure_is_one_line_naming_the_key(self, tmp_path, kind, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -397,6 +398,7 @@ class TestExitCodes:
             ("dipolar-ed", {"total_spins": [6, 6]}),
             ("bosonic", {"kt_over_omega": [10.0, 10.0]}),
             ("mirror-verify", {"mirror_sizes": [2, 2]}),
+            ("bosonic", [{"n_chain": 5}]),
         ],
         ids=["no-register", "one-register", "one-site-lattice", "ragged", "unknown-char",
              "too-many-holes", "negative-kt", "zero-kt", "negative-sigma", "negative-t1",
@@ -408,7 +410,7 @@ class TestExitCodes:
              "float-n-times", "float-n-chain", "float-realizations", "float-mirror-size",
              "float-seed", "float-cap",
              "repeated-sigma", "repeated-t1", "repeated-model", "repeated-total-spins",
-             "repeated-kt", "repeated-mirror-size"],
+             "repeated-kt", "repeated-mirror-size", "array-config"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, command, doc):
         path = tmp_path / "cfg.json"
@@ -788,6 +790,22 @@ class TestRunners:
         (table,), _ = cli.run_mirror_verify(cfg)
         route_rows = [r for r in table.rows if r[0] == "route"]
         assert route_rows[0][2] == "pass"
+
+    def test_mirror_verify_unroutable_lattice(self, tmp_path):
+        # no path joins the two registers: the route row reports the
+        # RoutingError, and the run still succeeds
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({**TINY_MIRROR, "lattice_text": "R#R"}))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["mirror-verify", "--config", str(doc), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        lines = (out / "mirror-verify_verification.csv").read_text().splitlines()
+        assert [l for l in lines if l.startswith("route,")] == [
+            'route,1x3,error,"no hole-free path from (0, 0) to (0, 2)"',
+        ]
+        summary = json.loads((out / "mirror-verify_summary.json").read_text())
+        assert summary["layer_traffic"]["route"] == {"layers": 0, "layer_objects": 0}
 
     def test_mirror_verify_csv_body_pinned(self, tmp_path):
         # integers and strings only, so the body is the same on every platform

@@ -563,6 +563,8 @@ class TestFactoredEngine:
             engine.fidelities([-1.0])
         with pytest.raises(ValueError):
             engine.fidelities([1.0, -1.0, 2.0])
+        with pytest.raises(ValueError, match="times must be a 1-D array"):
+            engine.fidelities(5.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):

@@ -109,7 +109,7 @@ class TestTableau:
         with pytest.raises(ValueError):
             tab.apply_hadamard(mirror.GlobalHadamard((2,)))
         with pytest.raises(ValueError):
-            tab.apply_cz(mirror.GlobalCZ(((0, 0),)))
+            tab.apply_cz(mirror.GlobalCZ(((0, 2),)))
         # a non-integer site is refused when the layer is built, before the
         # tableau could truncate it or the dense oracle fail on its shift
         with pytest.raises(TypeError):
@@ -165,7 +165,7 @@ class TestTableau:
             for i in range(n):
                 img = packed.image(kind, i)
                 phase, x, z = ref.image(kind, i)
-                assert (img.phase, img.x.tolist(), img.z.tolist()) == (phase, x.tolist(), z.tolist())
+                assert (2 * img.sign, img.x.tolist(), img.z.tolist()) == (phase, x.tolist(), z.tolist())
         assert mirror.dense_unitary_check(program, n).ok
 
     def test_layers_compare_by_their_sites(self):
@@ -210,7 +210,7 @@ class TestTableau:
             for i in range(n):
                 img = packed.image(kind, i)
                 phase, x, z = ref.image(kind, i)
-                assert img.phase == phase, f"{kind}{i}: phase {img.phase} != {phase}"
+                assert 2 * img.sign == phase, f"{kind}{i}: sign {img.sign} against phase {phase}"
                 assert np.array_equal(img.x, x) and np.array_equal(img.z, z), f"{kind}{i}"
                 assert img.x.dtype == img.z.dtype == np.uint8
 
@@ -409,8 +409,9 @@ class TestLattice:
 
     def test_round_trip(self):
         lat = mirror.LatticeMap.from_text(self.TEXT)
-        assert "".join(lat.kinds) == self.TEXT.replace("\n", "")
+        assert lat.rows == tuple(self.TEXT.splitlines())
         assert (lat.n_rows, lat.n_cols) == (3, 4)
+        assert mirror.LatticeMap(lat.rows) == lat
 
     def test_parsing_errors(self):
         with pytest.raises(ValueError):
@@ -419,6 +420,9 @@ class TestLattice:
             mirror.LatticeMap.from_text("..\n...")
         with pytest.raises(ValueError):
             mirror.LatticeMap.from_text("..Q.")
+        # rows built directly are checked as parsed text is
+        with pytest.raises(ValueError, match="ragged"):
+            mirror.LatticeMap(("..", "..."))
 
     def test_site_queries(self):
         lat = mirror.LatticeMap.from_text(self.TEXT)
@@ -513,12 +517,12 @@ class TestDenseOracle:
             mirror.dense_unitary(prog, 3)
 
     def test_cz_self_edge_rejected(self):
-        # diag(1, -1, 1, -1) would be Z on qubit 0, not a controlled phase
-        prog = mirror.PulseProgram((mirror.GlobalCZ(((0, 0),)),))
-        for run in (lambda: mirror.dense_unitary(prog, 2),
-                    lambda: mirror.clifford_apply(prog, 2)):
-            with pytest.raises(ValueError, match="CZ needs two distinct sites"):
-                run()
+        # diag(1, -1, 1, -1) would be Z on qubit 0, not a controlled phase:
+        # the layer is refused when built, before any tableau or oracle
+        with pytest.raises(ValueError, match="CZ needs two distinct sites"):
+            mirror.GlobalCZ(((0, 0),))
+        with pytest.raises(ValueError, match="CZ needs two distinct sites"):
+            mirror.pair_swap_program(1, 1)
 
     @pytest.mark.parametrize("layer", [
         mirror.GlobalHadamard((0, -1)),
