@@ -12,12 +12,16 @@ to a real sign, which the tableau stores as one bit per image.  A pulse
 "cycle" applies the CZ layer first and the Hadamard layer second.
 
 A layer object derives its index arrays once, when it is built, and a
-program repeats by sharing its layer objects, so applying a layer only
-streams words through the packed tableau.  A CZ edge (q, q) is refused
-when its layer is built; only the sites' bounds, which depend on the
-register, are checked when a layer is applied.  A construction is
-certified by one pass over the tableau's packed planes, not image by
-image.  A lattice is its rows, one string of site characters each.
+program repeats by sharing its layer objects.  ``clifford_apply`` finds
+a (CZ, Hadamard) pair repeated back to back by object identity and
+applies the run in place on its sites' rows, a few shifted-slice XORs
+per cycle, when the Hadamard sites are contiguous and the CZ edges form
+a chain along them; every other layer streams words through the packed
+tableau on its own.  A CZ edge (q, q) is refused when its layer is
+built; only the sites' bounds, which depend on the register, are checked
+when a layer is applied.  A construction is certified by one pass over
+the tableau's packed planes, not image by image.  A lattice is its rows,
+one string of site characters each.
 """
 
 from __future__ import annotations
@@ -111,17 +115,14 @@ class GlobalCZ:
     """Controlled-phase on every edge in ``edges`` (one layer; CZs commute).
 
     Built once, a layer holds what every application reads: the endpoint
-    arrays ``a`` and ``b``; ``repeat_free``, no site repeated within
-    ``a`` nor within ``b`` (true of every chain layer); and ``lo`` and
-    ``hi``, the smallest and largest site (0 and -1 for no edge).  An
-    edge (q, q) raises ``ValueError``: diag(1, -1) on q is a Z, not a
-    controlled phase.
+    arrays ``a`` and ``b``, and ``lo`` and ``hi``, the smallest and
+    largest site (0 and -1 for no edge).  An edge (q, q) raises
+    ``ValueError``: diag(1, -1) on q is a Z, not a controlled phase.
     """
 
     edges: tuple[tuple[int, int], ...]
     a: np.ndarray = _derived_field()
     b: np.ndarray = _derived_field()
-    repeat_free: bool = _derived_field()
     lo: int = _derived_field()
     hi: int = _derived_field()
 
@@ -131,7 +132,6 @@ class GlobalCZ:
             raise ValueError("CZ needs two distinct sites")
         a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
         _set_derived(self, edges=edges, a=a, b=b,
-                repeat_free=all(len(set(side)) == len(edges) for side in zip(*edges)),
                 lo=min(map(min, edges), default=0), hi=max(map(max, edges), default=-1))
 
 
@@ -206,6 +206,19 @@ def _bit(words: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (words >> (g % 64).astype(np.uint64)) & np.uint64(1)
 
 
+def _chain_bonds(cz: GlobalCZ, h: GlobalHadamard) -> np.ndarray | None:
+    """Positions i, ascending, of the bonds (s_i, s_i + 1) that ``cz``
+    lists on the sites s of ``h.odd``; None unless those sites are two or
+    more contiguous ones and every edge joins two of them, each bond once."""
+    s = h.odd
+    if s.size < 2 or s[-1] - s[0] != s.size - 1:
+        return None
+    bonds = np.minimum(cz.a, cz.b) - s[0]
+    bonds.sort()
+    joined = np.all(np.abs(cz.a - cz.b) == 1) and np.all((bonds >= 0) & (bonds < s.size - 1))
+    return bonds if joined and np.all(np.diff(bonds) > 0) else None
+
+
 @dataclass(frozen=True)
 class PauliImage:
     """A Pauli operator in the form (-1)^sign * prod X^x Z^z.
@@ -244,8 +257,15 @@ class Tableau:
     ``apply_hadamard`` and ``apply_cz`` take a layer object and read the
     index arrays it derived when built; they check its bounds against
     ``n`` in O(1).  A layer on m sites is a few gathers and scatters of m
-    word-vectors (an H on every qubit swaps the two planes), so a global
-    layer costs O(n^2 / 64) word operations.
+    word-vectors, so a global layer costs O(n^2 / 64) word operations.
+
+    ``apply_cycles(cz, h, count)`` applies ``count`` cycles of one layer
+    pair.  When ``h.odd`` is a contiguous range of sites and every CZ
+    edge joins neighbours in it, each bond once (a chain, cut or not,
+    listed either way), the run works in place on those sites' rows: each
+    cycle is a few shifted-slice XORs under a bond mask, the two planes
+    trade roles instead of places, and the signs are reduced once per
+    run.  Any other pair is applied layer by layer.
     """
 
     def __init__(self, n: int):
@@ -265,12 +285,6 @@ class Tableau:
     def apply_hadamard(self, layer: GlobalHadamard) -> None:
         _check_layer(layer, self.n)
         s = layer.odd
-        if s.size == self.n:
-            # H on every qubit swaps the planes whole and flips no sign: a
-            # Hermitian image with a real phase has x = z = 1 on an even
-            # number of qubits
-            self.x, self.z = self.z, self.x
-            return
         x, z = self.x[s], self.z[s]
         self.r ^= np.bitwise_xor.reduce(x & z, axis=0)
         self.x[s], self.z[s] = z, x
@@ -282,12 +296,56 @@ class Tableau:
         # reads the pre-layer x
         xa, xb = self.x[a], self.x[b]
         self.r ^= np.bitwise_xor.reduce(xa & xb, axis=0)
-        if layer.repeat_free:
-            self.z[a] ^= xb
-            self.z[b] ^= xa
-        else:  # ufunc.at accumulates a repeated site; fancy indexing keeps one write
-            np.bitwise_xor.at(self.z, a, xb)
-            np.bitwise_xor.at(self.z, b, xa)
+        # ufunc.at accumulates a site listed more than once
+        np.bitwise_xor.at(self.z, a, xb)
+        np.bitwise_xor.at(self.z, b, xa)
+
+    def apply_cycles(self, cz: GlobalCZ, h: GlobalHadamard, count: int) -> None:
+        """``count`` cycles of ``cz`` then ``h``, as ``count`` alternating
+        ``apply_cz`` and ``apply_hadamard`` calls would apply them."""
+        if count < 0:
+            raise ValueError("cycle count must be non-negative")
+        _check_layer(cz, self.n)
+        _check_layer(h, self.n)
+        bonds = _chain_bonds(cz, h)
+        if bonds is None:
+            for _ in range(count):
+                self.apply_cz(cz)
+                self.apply_hadamard(h)
+            return
+        s = h.odd
+        rows = slice(s[0], s[-1] + 1)  # contiguous: views, worked on in place
+        x, z = self.x[rows], self.z[rows]
+        signs, t = np.zeros_like(x), np.empty_like(x)
+        mask = None  # every bond (i, i+1) present
+        if bonds.size < s.size - 1:
+            mask = np.zeros((s.size - 1, 1), dtype=np.uint64)
+            mask[bonds] = ~np.uint64(0)
+            u = np.empty_like(x[1:])
+        # slices made once per run: a slice costs about as much as a
+        # cycle's XOR on a few words
+        roles = [(p, q, p[:-1], p[1:], q[:-1], q[1:]) for p, q in ((x, z), (z, x))]
+        for k in range(count):
+            # CZ on the bonds, then H on every row, which trades the
+            # planes' roles.  The H term x & z, read between the two
+            # half-updates of z, also holds the CZ signs x_i x_{i+1}: the
+            # other half's cross terms cancel in pairs.
+            xp, zp, x_lo, x_hi, z_lo, z_hi = roles[k % 2]
+            if mask is None:
+                z_lo ^= x_hi
+                np.bitwise_and(xp, zp, out=t)
+                signs ^= t
+                z_hi ^= x_lo
+            else:
+                np.bitwise_and(x_hi, mask, out=u)
+                z_lo ^= u
+                np.bitwise_and(xp, zp, out=t)
+                signs ^= t
+                np.bitwise_and(x_lo, mask, out=u)
+                z_hi ^= u
+        self.r ^= np.bitwise_xor.reduce(signs, axis=0)
+        if count % 2:  # the X plane ends in z: copy x before it is overwritten
+            self.x[rows], self.z[rows] = z, x.copy()
 
     # -- inspection --
 
@@ -303,13 +361,29 @@ class Tableau:
 
 
 def clifford_apply(program: PulseProgram, n: int) -> Tableau:
-    """Conjugate a fresh ``n``-qubit tableau through a pulse program."""
+    """Conjugate a fresh ``n``-qubit tableau through a pulse program.
+
+    A (CZ, Hadamard) pair of layer objects repeated back to back two or
+    more times, as ``repeat`` shares them, goes to ``apply_cycles`` as one
+    run; every other layer is applied on its own.
+    """
     t = Tableau(n)
-    for layer in program.layers:
+    layers, end, i = program.layers, len(program.layers), 0
+    while i < end:
+        layer, j = layers[i], i + 1
+        if isinstance(layer, GlobalCZ) and j < end and isinstance(layers[j], GlobalHadamard):
+            h = layers[j]
+            while j + 2 < end and layers[j + 1] is layer and layers[j + 2] is h:
+                j += 2
+            if j - i >= 3:  # the run ends at layers[j], its count-th H
+                t.apply_cycles(layer, h, (j - i + 1) // 2)
+                i = j + 1
+                continue
         if isinstance(layer, GlobalHadamard):
             t.apply_hadamard(layer)
         else:
             t.apply_cz(layer)
+        i += 1
     return t
 
 
@@ -500,11 +574,12 @@ class LatticeMap:
     def neighbors(self, site: tuple[int, int]) -> list[tuple[tuple[int, int], str]]:
         """Non-hole neighbors with the move kind, in-row entries first."""
         r, c = site
+        rows, n_cols = self.rows, len(self.rows[0])
         out = []
         for dr, dc, kind in ((0, -1, "row"), (0, 1, "row"), (-1, 0, "column"), (1, 0, "column")):
-            s2 = (r + dr, c + dc)
-            if 0 <= s2[0] < self.n_rows and 0 <= s2[1] < self.n_cols and not self.is_hole(s2):
-                out.append((s2, kind))
+            r2, c2 = r + dr, c + dc
+            if 0 <= r2 < len(rows) and 0 <= c2 < n_cols and rows[r2][c2] != HOLE:
+                out.append(((r2, c2), kind))
         return out
 
     def row_segment(self, site: tuple[int, int]) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -63,6 +63,88 @@ def wide_program(draw, n_strategy, max_layers: int = 12):
 WORD_EDGES = (1, 31, 32, 33, 63, 64, 65, 128, 150)
 
 
+@st.composite
+def cycle_program(draw, n_strategy, max_runs: int = 3):
+    """(n, program) of repeated ``mirror_cycles`` runs between lone layers.
+
+    A run's sites are contiguous or have gaps, its chain bonds may be cut,
+    and each edge, and the edge list, may be listed either way.  A run may
+    also list one of its CZ endpoints twice in its Hadamard layer, add an
+    edge reversed, or add an edge across a site.  Gaps and each of these
+    leave the fused path for layer-by-layer."""
+    n = draw(n_strategy)
+    seed = st.integers(0, 2**32 - 1)
+    layers = []
+    for _ in range(draw(st.integers(1, max_runs))):
+        lone = [seed.map(lambda s: _random_hadamard_layer(n, s))]
+        if n > 1:
+            lone.append(seed.map(lambda s: _random_cz_layer(n, s)))
+        layers += draw(st.lists(st.one_of(lone), max_size=2))
+        if draw(st.booleans()):
+            m = draw(st.integers(1, min(n, 70)))
+            lo = draw(st.integers(0, n - m))
+            sites = list(range(lo, lo + m))
+        else:
+            sites = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=70)))
+        bonds = list(zip(sites, sites[1:]))
+        kept = draw(st.lists(st.booleans(), min_size=len(bonds), max_size=len(bonds)))
+        flips = draw(st.lists(st.booleans(), min_size=len(bonds), max_size=len(bonds)))
+        edges = [(b, a) if flip else (a, b) for (a, b), keep, flip in zip(bonds, kept, flips) if keep]
+        if draw(st.booleans()):
+            edges.reverse()
+        h_sites = list(sites)
+        if edges and draw(st.integers(0, 5)) == 0:
+            h_sites.append(draw(st.sampled_from(edges))[0])  # H^2: not a run site
+        if edges and draw(st.integers(0, 5)) == 0:
+            edges.append(draw(st.sampled_from(edges))[::-1])  # CZ CZ = I on one bond
+        if len(sites) > 2 and draw(st.integers(0, 5)) == 0:
+            edges.append((sites[0], sites[2]))  # not a bond
+        run = mirror.mirror_cycles(h_sites, edges, draw(st.integers(0, 7))).layers
+        layers += run + run[:1] * draw(st.booleans())  # a trailing CZ of the run's own object
+    return n, mirror.PulseProgram(tuple(layers))
+
+
+def _cycles_case(n, sites, edges, count):
+    """Lone H and CZ layers that spread x, z and signs, then ``count`` cycles."""
+    spread = (_random_hadamard_layer(n, 1), _random_cz_layer(n, 2), _random_hadamard_layer(n, 3))
+    return n, mirror.PulseProgram(spread) + mirror.mirror_cycles(sites, edges, count)
+
+
+# (n, program) and whether its run is applied fused
+CYCLE_CASES = {
+    "contiguous": (_cycles_case(65, range(3, 41), mirror.chain_edges(range(3, 41)), 5), True),
+    # sites with gaps are applied layer by layer
+    "gaps": (_cycles_case(33, (0, 2, 3, 7, 8, 20), mirror.chain_edges((0, 2, 3, 7, 8, 20)), 4), False),
+    "gaps-cut": (_cycles_case(33, (0, 1, 2, 5, 6, 9), ((0, 1), (1, 2)), 5), False),
+    "cut": (_cycles_case(64, range(64), mirror.chain_edges(range(11)) + mirror.chain_edges(range(12, 64)), 3),
+            True),
+    "outward": (_cycles_case(32, (3, 2, 1, 4, 5, 6), ((3, 2), (2, 1), (4, 5), (5, 6)), 6), True),
+    # H^2 on the end site of a chain bond: the edge leaves the contiguous h.odd
+    "h-twice-hi": (_cycles_case(31, (0, 1, 2, 3, 3), ((0, 1), (2, 3)), 3), False),
+    "h-twice-lo": (_cycles_case(31, (0, 0, 1, 2, 3), ((0, 1), (3, 2)), 3), False),
+    "reversed-duplicate": (_cycles_case(4, (0, 1, 2, 3), ((1, 2), (2, 1)), 4), False),
+    "across-a-site": (_cycles_case(8, (0, 1, 2, 3), ((0, 1), (1, 3)), 3), False),
+}
+
+
+def _assert_matches_byte_reference(n, program):
+    """Every image of ``clifford_apply`` equals the byte tableau's."""
+    packed = mirror.clifford_apply(program, n)
+    ref = oracles.ByteTableau(n)
+    for layer in program.layers:
+        if isinstance(layer, mirror.GlobalHadamard):
+            ref.apply_hadamard(layer.sites)
+        else:
+            ref.apply_cz(layer.edges)
+    for kind in ("x", "z"):
+        for i in range(n):
+            img = packed.image(kind, i)
+            phase, x, z = ref.image(kind, i)
+            assert 2 * img.sign == phase, f"{kind}{i}: sign {img.sign} against phase {phase}"
+            assert np.array_equal(img.x, x) and np.array_equal(img.z, z), f"{kind}{i}"
+            assert img.x.dtype == img.z.dtype == np.uint8
+
+
 class TestPulsePrograms:
     def test_concat_and_repeat(self):
         p = mirror.PulseProgram((mirror.GlobalHadamard((0,)),))
@@ -116,6 +198,8 @@ class TestTableau:
             mirror.GlobalHadamard((1.5,))
         with pytest.raises(TypeError):
             mirror.GlobalCZ(((0, 1.0),))
+        with pytest.raises(ValueError, match="^cycle count must be non-negative$"):
+            tab.apply_cycles(mirror.GlobalCZ(((0, 1),)), mirror.GlobalHadamard((0, 1)), -1)
 
     def test_layer_checked_against_each_register(self):
         # one layer object, built once, is range-checked against every
@@ -137,21 +221,26 @@ class TestTableau:
             tab.apply_hadamard(mirror.GlobalHadamard((1, 5, -1)))
         with pytest.raises(ValueError, match="^site -2 out of range for 3 qubits$"):
             tab.apply_cz(mirror.GlobalCZ(((0, 1), (-2, 7))))
+        # a repeated run checks both its layers before its first cycle
+        with pytest.raises(ValueError, match="^site 5 out of range for 3 qubits$"):
+            mirror.clifford_apply(mirror.mirror_cycles((0, 1, 5, -1), ((0, 1),), 2), 3)
+        # ... also when its Hadamard sites are a contiguous range
+        with pytest.raises(ValueError, match="^site 3 out of range for 3 qubits$"):
+            mirror.clifford_apply(mirror.mirror_cycles((0, 1, 2, 3), ((0, 1),), 2), 3)
 
-    @pytest.mark.parametrize("edges, repeat_free", [
-        (((0, 1), (0, 2)), False),  # star: site 0 twice on one side
-        (((0, 1), (0, 1)), False),  # duplicate edge: CZ CZ = I
-        (((0, 1), (1, 0)), True),  # reversed duplicate: each side holds 0 and 1 once
-        (((0, 1), (2, 0)), True),  # site 0 once on each side
-        (((0, 1), (1, 2), (2, 3)), True),  # a chain layer is not a matching
-        ((), True),
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (0, 2)),  # star: site 0 twice on one side
+        ((0, 1), (0, 1)),  # duplicate edge: CZ CZ = I
+        ((0, 1), (1, 0)),  # reversed duplicate: each side holds 0 and 1 once
+        ((0, 1), (2, 0)),  # site 0 once on each side
+        ((0, 1), (1, 2), (2, 3)),  # a chain layer is not a matching
+        (),
     ], ids=["star", "duplicate", "reversed", "crossed", "chain", "empty"])
-    def test_cz_repeats_match_byte_reference(self, edges, repeat_free):
+    def test_cz_repeats_match_byte_reference(self, edges):
         layer = mirror.GlobalCZ(edges)
-        assert layer.repeat_free is repeat_free
         n = 4
         # H first so that x is spread and the CZ writes every column it names;
-        # an H on every site, one listed three times, swaps the planes whole
+        # then an H on every site, one listed three times
         full = (3, 1, 0, 2, 2, 2)
         program = mirror.PulseProgram((mirror.GlobalHadamard((0, 2)), mirror.GlobalCZ(((0, 3),)),
                                        layer, mirror.GlobalHadamard(full)))
@@ -198,21 +287,35 @@ class TestTableau:
     @settings(max_examples=60, deadline=None)
     @given(wide_program(st.one_of(st.sampled_from(WORD_EDGES), st.integers(1, 150))))
     def test_packed_matches_byte_reference(self, case):
-        n, program = case
-        packed = mirror.clifford_apply(program, n)
-        ref = oracles.ByteTableau(n)
-        for layer in program.layers:
-            if isinstance(layer, mirror.GlobalHadamard):
-                ref.apply_hadamard(layer.sites)
-            else:
-                ref.apply_cz(layer.edges)
-        for kind in ("x", "z"):
-            for i in range(n):
-                img = packed.image(kind, i)
-                phase, x, z = ref.image(kind, i)
-                assert 2 * img.sign == phase, f"{kind}{i}: sign {img.sign} against phase {phase}"
-                assert np.array_equal(img.x, x) and np.array_equal(img.z, z), f"{kind}{i}"
-                assert img.x.dtype == img.z.dtype == np.uint8
+        _assert_matches_byte_reference(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cycle_program(st.sampled_from(WORD_EDGES)))
+    @example(CYCLE_CASES["contiguous"][0])
+    @example(CYCLE_CASES["gaps"][0])
+    @example(CYCLE_CASES["gaps-cut"][0])
+    @example(CYCLE_CASES["cut"][0])
+    @example(CYCLE_CASES["outward"][0])
+    @example(CYCLE_CASES["h-twice-hi"][0])
+    @example(CYCLE_CASES["h-twice-lo"][0])
+    @example(CYCLE_CASES["reversed-duplicate"][0])
+    @example(CYCLE_CASES["across-a-site"][0])
+    def test_cycle_runs_match_byte_reference(self, case):
+        _assert_matches_byte_reference(*case)
+
+    @pytest.mark.parametrize("name", CYCLE_CASES)
+    def test_runs_fused_only_on_chain_bonds(self, name, monkeypatch):
+        # a fused run applies no CZ layer on its own; any other pair is
+        # applied layer by layer (the byte reference checks both above)
+        (n, program), fused = CYCLE_CASES[name]
+        calls = []
+        apply_cz = mirror.Tableau.apply_cz
+        monkeypatch.setattr(mirror.Tableau, "apply_cz",
+                            lambda tab, layer: calls.append(layer) or apply_cz(tab, layer))
+        mirror.clifford_apply(program, n)
+        run_cz = program.layers[-2]
+        count = sum(layer is run_cz for layer in program.layers)
+        assert sum(layer is run_cz for layer in calls) == (0 if fused else count)
 
 
 class TestMirrorConstruction:
