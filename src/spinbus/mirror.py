@@ -11,17 +11,18 @@ Z_q^{z_q}`` with one sign bit: H and CZ carry every image of X_i or Z_i
 to a real sign, which the tableau stores as one bit per image.  A pulse
 "cycle" applies the CZ layer first and the Hadamard layer second.
 
-A layer object derives its index arrays once, when it is built, and a
-program repeats by sharing its layer objects.  ``clifford_apply`` finds
-a (CZ, Hadamard) pair repeated back to back by object identity and
-applies the run in place on its sites' rows, a few shifted-slice XORs
-per cycle, when the Hadamard sites are contiguous and the CZ edges form
-a chain along them; every other layer streams words through the packed
-tableau on its own.  A CZ edge (q, q) is refused when its layer is
-built; only the sites' bounds, which depend on the register, are checked
-when a layer is applied.  A construction is certified by one pass over
-the tableau's packed planes, not image by image.  A lattice is its rows,
-one string of site characters each.
+A layer is its sites: the Hadamard sites or the CZ edges it lists.  A
+CZ edge (q, q) is refused when the layer is built; the tableau and the
+dense oracle turn a layer into an index array, and check its sites
+against the register, when they apply it.  A program repeats by sharing
+its layer objects.  ``clifford_apply`` finds a (CZ, Hadamard) pair
+repeated back to back by object identity, reads the pair once for the
+whole run, and applies it in place on its sites' rows, a few
+shifted-slice XORs per cycle, when the Hadamard sites are contiguous and
+the CZ edges form a chain along them; every other layer streams words
+through the packed tableau on its own.  A construction is certified by
+one pass over the tableau's packed planes, not image by image.  A
+lattice is its rows, one string of site characters each.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
@@ -76,76 +76,54 @@ class RoutingError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _set_derived(layer, **fields) -> None:
-    """Set a frozen layer's derived fields."""
-    for name, value in fields.items():
-        object.__setattr__(layer, name, value)
-
-
-def _derived_field():
-    """A field computed when the layer is built: not an argument, not
-    compared, not shown."""
-    return field(init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class GlobalHadamard:
     """Hadamard on every site in ``sites`` (one layer); a site listed k
-    times receives H^k.
-
-    Built once, a layer holds what every application reads: ``odd``, the
-    sites listed an odd number of times (ascending), and ``lo`` and
-    ``hi``, the smallest and largest site (0 and -1 for no site).
-    """
+    times receives H^k."""
 
     sites: tuple[int, ...]
-    odd: np.ndarray = _derived_field()
-    lo: int = _derived_field()
-    hi: int = _derived_field()
 
     def __post_init__(self):
-        sites = tuple(map(operator.index, self.sites))
-        odd = sorted(q for q, k in Counter(sites).items() if k % 2)
-        _set_derived(self, sites=sites, odd=np.array(odd, dtype=np.intp),
-                lo=min(sites, default=0), hi=max(sites, default=-1))
+        object.__setattr__(self, "sites", tuple(map(operator.index, self.sites)))
 
 
 @dataclass(frozen=True)
 class GlobalCZ:
     """Controlled-phase on every edge in ``edges`` (one layer; CZs commute).
 
-    Built once, a layer holds what every application reads: the endpoint
-    arrays ``a`` and ``b``, and ``lo`` and ``hi``, the smallest and
-    largest site (0 and -1 for no edge).  An edge (q, q) raises
-    ``ValueError``: diag(1, -1) on q is a Z, not a controlled phase.
+    An edge (q, q) raises ``ValueError``: diag(1, -1) on q is a Z, not a
+    controlled phase.
     """
 
     edges: tuple[tuple[int, int], ...]
-    a: np.ndarray = _derived_field()
-    b: np.ndarray = _derived_field()
-    lo: int = _derived_field()
-    hi: int = _derived_field()
 
     def __post_init__(self):
         edges = tuple((operator.index(a), operator.index(b)) for a, b in self.edges)
         if any(p == q for p, q in edges):
             raise ValueError("CZ needs two distinct sites")
-        a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
-        _set_derived(self, edges=edges, a=a, b=b,
-                lo=min(map(min, edges), default=0), hi=max(map(max, edges), default=-1))
+        object.__setattr__(self, "edges", edges)
 
 
 Layer = Union[GlobalHadamard, GlobalCZ]
 
 
-def _check_layer(layer: Layer, n: int) -> None:
-    """Raise ``ValueError`` for a site outside [0, n), naming the first one
-    listed.  The tableau and the dense oracle both check a layer here,
-    when they apply it; O(1) for a valid layer."""
-    if layer.lo < 0 or layer.hi >= n:
-        listed = np.ravel(layer.sites if isinstance(layer, GlobalHadamard) else layer.edges)
-        q = listed[(listed < 0) | (listed >= n)][0]
-        raise ValueError(f"site {q} out of range for {n} qubits")
+def _indices(layer: Layer, n: int) -> np.ndarray:
+    """A layer's index array on ``n`` qubits, the one form in which the
+    tableau and the dense oracle read it.
+
+    A Hadamard layer gives the sites it lists an odd number of times,
+    ascending (H^k is H^(k mod 2)); a CZ layer gives its endpoints as the
+    rows ``a, b`` of a (2, m) array.  A site outside [0, n) raises
+    ``ValueError`` naming the first one listed.
+    """
+    hadamard = isinstance(layer, GlobalHadamard)
+    listed = np.array(layer.sites if hadamard else layer.edges, dtype=np.intp)
+    out = (listed < 0) | (listed >= n)
+    if out.any():
+        raise ValueError(f"site {listed[out][0]} out of range for {n} qubits")
+    if hadamard:
+        return np.flatnonzero(np.bincount(listed) & 1)
+    return listed.reshape(-1, 2).T
 
 
 @dataclass(frozen=True)
@@ -206,16 +184,16 @@ def _bit(words: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (words >> (g % 64).astype(np.uint64)) & np.uint64(1)
 
 
-def _chain_bonds(cz: GlobalCZ, h: GlobalHadamard) -> np.ndarray | None:
-    """Positions i, ascending, of the bonds (s_i, s_i + 1) that ``cz``
-    lists on the sites s of ``h.odd``; None unless those sites are two or
-    more contiguous ones and every edge joins two of them, each bond once."""
-    s = h.odd
+def _chain_bonds(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """Positions i, ascending, of the bonds (s_i, s_i + 1) that the CZ
+    edges (a, b) list on the Hadamard sites ``s`` (all from ``_indices``);
+    None unless ``s`` is two or more contiguous sites and every edge joins
+    two of them, each bond once."""
     if s.size < 2 or s[-1] - s[0] != s.size - 1:
         return None
-    bonds = np.minimum(cz.a, cz.b) - s[0]
+    bonds = np.minimum(a, b) - s[0]
     bonds.sort()
-    joined = np.all(np.abs(cz.a - cz.b) == 1) and np.all((bonds >= 0) & (bonds < s.size - 1))
+    joined = np.all(np.abs(a - b) == 1) and np.all((bonds >= 0) & (bonds < s.size - 1))
     return bonds if joined and np.all(np.diff(bonds) > 0) else None
 
 
@@ -254,18 +232,19 @@ class Tableau:
     word.  H and CZ keep every image's phase real, so it is one packed
     sign plane ``r``: bit g set means image g carries a minus sign.
 
-    ``apply_hadamard`` and ``apply_cz`` take a layer object and read the
-    index arrays it derived when built; they check its bounds against
-    ``n`` in O(1).  A layer on m sites is a few gathers and scatters of m
-    word-vectors, so a global layer costs O(n^2 / 64) word operations.
+    ``apply_hadamard`` and ``apply_cz`` take a layer object, read its
+    sites into an index array and check them against ``n``.  A layer on
+    m sites is a few gathers and scatters of m word-vectors, so a global
+    layer costs O(n^2 / 64) word operations.
 
     ``apply_cycles(cz, h, count)`` applies ``count`` cycles of one layer
-    pair.  When ``h.odd`` is a contiguous range of sites and every CZ
-    edge joins neighbours in it, each bond once (a chain, cut or not,
-    listed either way), the run works in place on those sites' rows: each
-    cycle is a few shifted-slice XORs under a bond mask, the two planes
-    trade roles instead of places, and the signs are reduced once per
-    run.  Any other pair is applied layer by layer.
+    pair and reads the pair once.  When the sites ``h`` lists an odd
+    number of times are a contiguous range and every CZ edge joins
+    neighbours in it, each bond once (a chain, cut or not, listed either
+    way), the run works in place on those sites' rows: each cycle is a
+    few shifted-slice XORs under a bond mask, the two planes trade roles
+    instead of places, and the signs are reduced once per run.  Any other
+    pair is applied layer by layer from the arrays read for the run.
     """
 
     def __init__(self, n: int):
@@ -283,15 +262,17 @@ class Tableau:
     # -- layer applications (conjugation rules in the (-1)^r X^x Z^z form) --
 
     def apply_hadamard(self, layer: GlobalHadamard) -> None:
-        _check_layer(layer, self.n)
-        s = layer.odd
+        self._hadamard(_indices(layer, self.n))
+
+    def apply_cz(self, layer: GlobalCZ) -> None:
+        self._cz(*_indices(layer, self.n))
+
+    def _hadamard(self, s: np.ndarray) -> None:
         x, z = self.x[s], self.z[s]
         self.r ^= np.bitwise_xor.reduce(x & z, axis=0)
         self.x[s], self.z[s] = z, x
 
-    def apply_cz(self, layer: GlobalCZ) -> None:
-        _check_layer(layer, self.n)
-        a, b = layer.a, layer.b
+    def _cz(self, a: np.ndarray, b: np.ndarray) -> None:
         # x is never written by a CZ layer, so the whole commuting layer
         # reads the pre-layer x
         xa, xb = self.x[a], self.x[b]
@@ -305,15 +286,13 @@ class Tableau:
         ``apply_cz`` and ``apply_hadamard`` calls would apply them."""
         if count < 0:
             raise ValueError("cycle count must be non-negative")
-        _check_layer(cz, self.n)
-        _check_layer(h, self.n)
-        bonds = _chain_bonds(cz, h)
+        (a, b), s = _indices(cz, self.n), _indices(h, self.n)
+        bonds = _chain_bonds(a, b, s)
         if bonds is None:
             for _ in range(count):
-                self.apply_cz(cz)
-                self.apply_hadamard(h)
+                self._cz(a, b)
+                self._hadamard(s)
             return
-        s = h.odd
         rows = slice(s[0], s[-1] + 1)  # contiguous: views, worked on in place
         x, z = self.x[rows], self.z[rows]
         signs, t = np.zeros_like(x), np.empty_like(x)
@@ -398,17 +377,17 @@ def _check_images(name: str, program: PulseProgram, n: int, want: dict[int, int]
     The program runs on a fresh ``n``-qubit tableau, which is returned;
     the first failing site, in ``want`` order, raises an
     ``AssertionError`` naming the construction.  A site or target outside
-    [0, n) raises ``ValueError``.  All images are checked in one pass
-    over the packed planes, with temporaries of one plane's size: the
-    support plane s = x | z, its running OR over the qubits, and from
-    them the generators supported on exactly one qubit.  Only a failing
-    image is unpacked, to name it in the message.
+    [0, n) raises ``ValueError`` before the program runs.  All images are
+    checked in one pass over the packed planes, with temporaries of one
+    plane's size: the support plane s = x | z, its running OR over the
+    qubits, and from them the generators supported on exactly one qubit.
+    Only a failing image is unpacked, to name it in the message.
     """
-    tab = clifford_apply(program, n)
     sites = np.fromiter(want, dtype=np.intp, count=len(want))
     targets = np.fromiter(want.values(), dtype=np.intp, count=len(want))
     if np.any((sites < 0) | (sites >= n) | (targets < 0) | (targets >= n)):
         raise ValueError("site out of range")
+    tab = clifford_apply(program, n)
     s = tab.x | tab.z
     seen = np.bitwise_or.accumulate(s, axis=0)  # seen[q]: supported on some q' <= q
     twice = np.bitwise_or.reduce(s[1:] & seen[:-1], axis=0)
@@ -746,18 +725,17 @@ def dense_unitary(program: PulseProgram, n: int) -> np.ndarray:
     """Exact 2^n unitary of a pulse program (qubit q = bit q of the index), n <= 12."""
     if n > 12:  # 2^12 x 2^12 complex entries take 268 MB
         raise ResourceLimitError(f"dense unitary needs 2^{n} dimensions; cap is 2^12")
-    for layer in program.layers:
-        _check_layer(layer, n)
+    indices = [_indices(layer, n) for layer in program.layers]
     dim = 1 << n
     M = np.eye(dim, dtype=complex)
     idx = np.arange(dim)
-    for layer in program.layers:
+    for layer, ix in zip(program.layers, indices):
         if isinstance(layer, GlobalHadamard):
-            for q in layer.sites:
+            for q in ix:
                 _apply_1q(M, _H2, q, n)
         else:
             sign = np.ones(dim)
-            for a, b in layer.edges:
+            for a, b in ix.T:
                 both = ((idx >> a) & 1) & ((idx >> b) & 1)
                 sign *= 1.0 - 2.0 * both
             M *= sign[:, None]

@@ -847,6 +847,15 @@ class TestRunners:
         assert traffic["propagated_swap"] == {"layers": 874, "layer_objects": 86}
         assert traffic["route"]["layers"] > 0 and traffic["route"]["layer_objects"] > 0
 
+    def test_mirror_verify_swap_traffic_across_words(self):
+        # the 64-chain's swaps span two packed words; like the 16-chain's,
+        # they do not depend on the seed
+        config = cli.ExperimentConfig("mirror-verify", {"mirror_sizes": [1], "swap_chain_length": 64,
+                                                        "lattice_text": "R.R"})
+        (table,), summary = cli.run_mirror_verify(config)
+        assert [row[2] for row in table.rows if row[0] == "propagated_swap"] == ["pass"] * 63
+        assert summary["layer_traffic"]["propagated_swap"] == {"layers": 15754, "layer_objects": 374}
+
     def test_dipolar_small(self):
         cfg = cli.ExperimentConfig(
             "dipolar-ed",

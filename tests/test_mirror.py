@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -258,12 +260,12 @@ class TestTableau:
         assert mirror.dense_unitary_check(program, n).ok
 
     def test_layers_compare_by_their_sites(self):
-        # the derived index arrays are neither compared nor shown
+        # a layer holds its sites and nothing else
         assert mirror.GlobalCZ(((0, 1),)) == mirror.GlobalCZ(((0, 1),))
         assert hash(mirror.GlobalHadamard((2, 1, 2))) == hash(mirror.GlobalHadamard((2, 1, 2)))
         assert repr(mirror.GlobalHadamard((2, 1, 2))) == "GlobalHadamard(sites=(2, 1, 2))"
-        assert mirror.GlobalHadamard((2, 1, 2)).odd.tolist() == [1]
-        assert mirror.GlobalHadamard((3, 0, 3, 3)).odd.tolist() == [0, 3]
+        assert [f.name for f in dataclasses.fields(mirror.GlobalHadamard)] == ["sites"]
+        assert [f.name for f in dataclasses.fields(mirror.GlobalCZ)] == ["edges"]
 
     @settings(max_examples=60, deadline=None)
     @given(program_strategy(4))
@@ -306,16 +308,17 @@ class TestTableau:
     @pytest.mark.parametrize("name", CYCLE_CASES)
     def test_runs_fused_only_on_chain_bonds(self, name, monkeypatch):
         # a fused run applies no CZ layer on its own; any other pair is
-        # applied layer by layer (the byte reference checks both above)
+        # applied layer by layer (the byte reference checks both above).
+        # Every CZ applied on its own, lone or in a run, reaches _cz.
         (n, program), fused = CYCLE_CASES[name]
         calls = []
-        apply_cz = mirror.Tableau.apply_cz
-        monkeypatch.setattr(mirror.Tableau, "apply_cz",
-                            lambda tab, layer: calls.append(layer) or apply_cz(tab, layer))
+        cz = mirror.Tableau._cz
+        monkeypatch.setattr(mirror.Tableau, "_cz", lambda tab, a, b: calls.append(a) or cz(tab, a, b))
         mirror.clifford_apply(program, n)
         run_cz = program.layers[-2]
         count = sum(layer is run_cz for layer in program.layers)
-        assert sum(layer is run_cz for layer in calls) == (0 if fused else count)
+        lone = sum(isinstance(layer, mirror.GlobalCZ) for layer in program.layers) - count
+        assert len(calls) == lone + (0 if fused else count)
 
 
 class TestMirrorConstruction:
@@ -367,6 +370,13 @@ class TestPropagatedSwap:
         perm = mirror.verify_swap(prog, 8, (k - 1, k))
         assert perm == {i: {k - 1: k, k: k - 1}.get(i, i) for i in range(8)}
 
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_swap_across_words(self, L):
+        # 2L generator bits span two or more packed words
+        for k in (1, 31, 32, 33, L - 1):
+            perm = mirror.verify_swap(mirror.propagated_swap(k, range(L)), L, (k - 1, k))
+            assert perm == {i: {k - 1: k, k: k - 1}.get(i, i) for i in range(L)}
+
     def test_wrong_pair_fails(self):
         # the program swaps (2, 3); the first site off the wanted map is 1
         prog = mirror.propagated_swap(3, range(6))
@@ -390,6 +400,14 @@ class TestPropagatedSwap:
         # a negative site must not wrap around to the last qubit
         with pytest.raises(ValueError, match="^site out of range$"):
             mirror._check_images("id", mirror.PulseProgram(), 3, want)
+
+    def test_want_checked_before_the_program_runs(self, monkeypatch):
+        def fail(program, n):
+            raise AssertionError("program applied")
+
+        monkeypatch.setattr(mirror, "clifford_apply", fail)
+        with pytest.raises(ValueError, match="^site out of range$"):
+            mirror.verify_swap(mirror.propagated_swap(3, range(8)), 8, (0, 8))
 
     def test_z_image_checked(self):
         # a CNOT with control 1 and target 0 fixes X_0 but spreads Z_0
