@@ -1,7 +1,9 @@
 """Exact many-body engine for XX chains with arbitrary-range couplings.
 
 The Hamiltonians conserve total magnetization, so they block-diagonalize
-by Hamming weight of the computational basis.  Every protocol channel is
+by Hamming weight of the computational basis.  A bond (i, j) links a state
+s to its partner s ^ (2^i + 2^j) exactly when bits i and j of s differ
+(``build_many_body``).  Every protocol channel is
 one ``_FactoredChannel``: a basis permutation (the encode CNOT, or the
 identity), one unitary block per magnetization sector, and another
 permutation (the decode CNOT).  It contracts two traces against the
@@ -215,6 +217,12 @@ def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian
     dropped.  The fields are summed by mirror pairs of sites (i, n-1-i),
     so mirror-symmetric fields give a state and its bit reversal the same
     diagonal entry, bit for bit, as ``SectorHamiltonian.eig`` tests.
+
+    The off-diagonal entries follow one rule: a bond (i, j) with
+    K_ij != 0 links each state s whose bits i and j differ to its partner
+    s ^ (2^i + 2^j) with amplitude K_ij, written in one indexed assignment
+    per sector.  The partner's bits differ too, so each direction of a
+    bond is written from its own row, and no entry is written twice.
     """
     K = np.asarray(K)
     if np.iscomplexobj(K):
@@ -233,23 +241,13 @@ def build_many_body(K: np.ndarray, cap: int = _DEFAULT_CAP) -> SectorHamiltonian
             states = np.arange(1 << n)
             pair = h[i] * ((states >> i) & 1)
             diag += pair if j == i else pair + h[j] * ((states >> j) & 1)
+    I, J = np.nonzero(np.triu(K, 1))
+    masks, values = 1 << I | 1 << J, K[I, J]
     blocks = []
     for idx in basis.sectors:
-        dim = len(idx)
-        H = np.zeros((dim, dim))
-        H[np.arange(dim), np.arange(dim)] = diag[idx]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if K[i, j] == 0.0:
-                    continue
-                # states with bit i set, bit j clear flip-flop to partners
-                sel = (((idx >> i) & 1) == 1) & (((idx >> j) & 1) == 0)
-                src = idx[sel]
-                dst = src ^ (1 << i) ^ (1 << j)
-                r = basis.position[src]
-                c = basis.position[dst]
-                H[r, c] += K[i, j]
-                H[c, r] += K[i, j]
+        H = np.diag(diag[idx])
+        rows, bonds = np.nonzero(((idx[:, None] >> I) ^ (idx[:, None] >> J)) & 1)
+        H[rows, basis.position[idx[rows] ^ masks[bonds]]] = values[bonds]
         blocks.append(H)
     return SectorHamiltonian(n, blocks, basis)
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spinbus import cli, dynamics
+from spinbus import cli, dynamics, ed
 from spinbus.dynamics import propagator, transfer_elements
 from spinbus.fidelity import f_encoded
 
@@ -114,27 +114,23 @@ class TestConfig:
 
 class TestSchemaChecker:
     @staticmethod
-    def keywords(schema: dict) -> set:
-        """Every keyword of ``schema`` and of the schemas nested in it."""
+    def subschemas(schema: dict) -> list[dict]:
+        """``schema`` and every schema nested in it."""
         subs = [*schema.get("properties", {}).values(), *schema.get("prefixItems", [])]
         if "items" in schema:
             subs.append(schema["items"])
-        return set(schema).union(*map(TestSchemaChecker.keywords, subs))
+        return [schema, *(s for sub in subs for s in TestSchemaChecker.subschemas(sub))]
 
     def test_every_keyword_is_checked(self):
-        used = set().union(*map(self.keywords, cli.PARAM_SCHEMAS.values()))
-        assert used == cli._KEYWORDS
-
-    @pytest.mark.parametrize("schema", [
-        {"type": "integer", "multipleOf": 2},
-        {"type": "array", "items": {"type": "number", "maxLength": 3}},
-        {"type": "object", "properties": {"a": {"pattern": "x"}}},
-        {"type": "array", "prefixItems": [{"type": "null"}]},
-        {"type": "object", "additionalProperties": {"type": "number"}},
-    ])
-    def test_unknown_keyword_raises(self, schema):
-        with pytest.raises(ValueError):
-            cli._check_schema(schema)
+        # the keywords cli._validate implements; "default" is an annotation
+        checked = {
+            "type", "properties", "additionalProperties", "items", "prefixItems", "minItems",
+            "maxItems", "uniqueItems", "enum", "minimum", "exclusiveMinimum", "maximum", "default",
+        }
+        schemas = [s for schema in cli.PARAM_SCHEMAS.values() for s in self.subschemas(schema)]
+        assert set().union(*schemas) == checked
+        assert {s["type"] for s in schemas if "type" in s} <= cli._TYPES.keys()
+        assert all(isinstance(s.get("additionalProperties", False), bool) for s in schemas)
 
     @pytest.mark.parametrize("kind", ["integer", "number"])
     def test_bool_is_not_a_number(self, kind):
@@ -249,6 +245,28 @@ class TestExitCodes:
         code = cli.main(["dipolar-ed", "--config", str(doc), "--out", str(tmp_path)])
         assert code == cli.EXIT_RESOURCE
         assert "resource error" in capsys.readouterr().err
+
+    def test_size_above_cap_refused_before_any_engine(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "EncodedProtocolEngine", lambda *args, **kw: built.append(args))
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({"total_spins": [6, 8, 10, 16], "cap": 14}))
+        code = cli.main(["dipolar-ed", "--config", str(doc), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_RESOURCE and not built
+        # the message the engine raises for 16 spins
+        with pytest.raises(ed.ResourceLimitError) as info:
+            ed.EncodedProtocolEngine(np.zeros((14, 14)), cap=14)
+        assert capsys.readouterr().err == f"resource error: {info.value}\n"
+
+    def test_one_chain_length_refused_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        # one length can never give the exponent fit
+        solves = []
+        monkeypatch.setattr(cli, "end_modes", lambda K: solves.append(K))
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({"n_list": [100]}))
+        code = cli.main(["strong-scan", "--config", str(doc), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG and not solves
+        assert "n_list: [100] has fewer than 2 items" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc", [
         ("strong-scan", {"n_list": [10_000_000, 10_000_005]}),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spinbus import ed
+from spinbus.chains import ChainSpec, FromPositions, ModelKind, build_single_particle_matrix
 
 
 def uniform_k(N, g, register_field=None):
@@ -22,6 +23,24 @@ def uniform_k(N, g, register_field=None):
     K[idx + 1, idx] = bonds
     if register_field is not None:
         K[0, 0] = K[N + 1, N + 1] = register_field
+    return K
+
+
+def dipolar_k(N, rule, g, register_field=0.0):
+    """K of an N-site unit-spaced chain under ``rule``, a field on both registers."""
+    spec = ChainSpec(ModelKind.XX, N, FromPositions(range(N), rule), g_left=g, g_right=g)
+    K = build_single_particle_matrix(spec)
+    K[0, 0] = K[N + 1, N + 1] = register_field
+    return K
+
+
+def random_k(n, seed, zero_bond=None):
+    """A random real symmetric K, the bond ``zero_bond`` (if any) exactly 0."""
+    K = np.random.default_rng(seed).normal(size=(n, n))
+    K = K + K.T
+    if zero_bond is not None:
+        i, j = zero_bond
+        K[i, j] = K[j, i] = 0.0
     return K
 
 
@@ -86,20 +105,35 @@ def sector_to_dense(H: ed.SectorHamiltonian) -> np.ndarray:
 
 
 class TestSectorConstruction:
+    @staticmethod
+    def check_against_kron(K):
+        # every off-diagonal entry is a single K_ij in both, so they agree bit
+        # for bit; the diagonal sums fields in another order
+        H = sector_to_dense(ed.build_many_body(K))
+        dense = oracles.h_from_k(K)
+        off = ~np.eye(len(H), dtype=bool)
+        assert np.array_equal(H[off], dense.real[off])
+        assert np.allclose(np.diagonal(H), np.diagonal(dense).real, rtol=0.0, atol=1e-12)
+        assert not dense.imag.any()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_blocks_match_dense_kron(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 5
-        J = rng.normal(size=(n, n))
-        J = J + J.T
-        np.fill_diagonal(J, 0.0)
-        fields = rng.normal(size=n)
-        K = J.copy()
-        np.fill_diagonal(K, fields)
-        H = ed.build_many_body(K)
-        dense = oracles.flip_flop_h(J, n, fields)
-        assert np.allclose(sector_to_dense(H), dense.real, atol=1e-12)
-        assert np.max(np.abs(dense.imag)) == 0.0
+        self.check_against_kron(random_k(5, seed))
+
+    @pytest.mark.parametrize("K", [
+        dipolar_k(4, "nnn_cancelled", 0.55),
+        dipolar_k(4, "nnn_cancelled", 0.55, register_field=0.3),
+        dipolar_k(3, "full_dipolar", 0.4, register_field=-0.2),
+        random_k(5, 4, zero_bond=(1, 3)),
+        random_k(6, 5, zero_bond=(0, 5)),
+        np.array([[0.3]]),
+        np.array([[0.1, -0.7], [-0.7, 0.0]]),
+        uniform_k(1, 0.4, register_field=0.25),
+        uniform_k(4, 0.4, register_field=0.2),
+    ], ids=["nnn-cancelled", "nnn-cancelled-field", "dipolar-field", "random-zero-bond",
+            "random-zero-end-bond", "1-site", "2-site", "3-site-field", "uniform-field"])
+    def test_bond_rule_matches_dense_kron(self, K):
+        self.check_against_kron(K)
 
     def test_from_k_single_excitation_block(self):
         K = uniform_k(3, 0.4, register_field=0.2)
